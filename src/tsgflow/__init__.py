@@ -8,9 +8,11 @@ structured data exchanged between plugins.
 """
 
 from .dag import (
+    CompiledDag,
     DagEdge,
     DagNode,
     ExecutionDag,
+    compile_dag,
     extract_dag,
     load_dag,
     serialize_dag,
@@ -50,6 +52,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bundle",
+    "CompiledDag",
     "ContextSummary",
     "DagEdge",
     "DagNode",
@@ -78,6 +81,7 @@ __all__ = [
     "TsgStep",
     "apply_outcome",
     "build_mock_registry",
+    "compile_dag",
     "entry_step",
     "evaluate_lint",
     "extract_dag",

@@ -86,17 +86,8 @@ class ExecutionDag:
     nodes: list[DagNode]
     edges: list[DagEdge]
 
-    def node(self, node_id: str) -> DagNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def outgoing(self, node_id: str) -> list[DagEdge]:
         return sorted((e for e in self.edges if e.source == node_id), key=lambda e: e.id)
-
-    def incoming(self, node_id: str) -> list[DagEdge]:
-        return sorted((e for e in self.edges if e.target == node_id), key=lambda e: e.id)
 
     def step_nodes(self) -> list[DagNode]:
         return [n for n in self.nodes if n.kind == "step"]
@@ -186,35 +177,36 @@ def _adjacency(dag: ExecutionDag) -> dict[str, list[str]]:
 
 
 def _find_cycle(dag: ExecutionDag) -> list[str]:
-    """Return the edge ids of one cycle, or [] when acyclic."""
+    """Return the edge ids of one cycle, or [] when acyclic.
+
+    Depth-first search with an explicit stack, so guide depth is not bounded
+    by Python's recursion limit. Roots are tried in node_sort_key order and
+    successors in edge order; the cycle reported is the first back edge met.
+    """
     adj = _adjacency(dag)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in adj}
-    stack: list[str] = []
-
-    def dfs(u: str) -> list[str] | None:
-        color[u] = GRAY
-        stack.append(u)
-        for v in adj.get(u, []):
-            if v not in color:
-                continue
-            if color[v] == GRAY:
-                i = stack.index(v)
-                loop = stack[i:] + [v]
-                return [edge_id(a, b) for a, b in zip(loop, loop[1:])]
-            if color[v] == WHITE:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = BLACK
-        return None
-
-    for n in sorted(adj, key=node_sort_key):
-        if color[n] == WHITE:
-            found = dfs(n)
-            if found:
-                return found
+    for root in sorted(adj, key=node_sort_key):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        path = [root]
+        successors = [iter(adj[root])]
+        while successors:
+            for v in successors[-1]:
+                if v not in color:
+                    continue
+                if color[v] == GRAY:
+                    loop = path[path.index(v):] + [v]
+                    return [edge_id(a, b) for a, b in zip(loop, loop[1:])]
+                if color[v] == WHITE:
+                    color[v] = GRAY
+                    path.append(v)
+                    successors.append(iter(adj[v]))
+                    break
+            else:
+                successors.pop()
+                color[path.pop()] = BLACK
     return []
 
 
@@ -311,6 +303,55 @@ def validate_dag(dag: ExecutionDag) -> ValidationReport:
 
     report.violations.sort(key=lambda v: (v.code, v.subject))
     return report
+
+
+class InvalidDag(DagError):
+    """An ExecutionDag failed validation; `violations` holds the report's entries."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__("; ".join(f"{v.code}({v.subject})" for v in violations))
+        self.violations = violations
+
+
+@dataclass(frozen=True)
+class CompiledDag:
+    """An ExecutionDag validated once and indexed for the scheduler.
+
+    Built by compile_dag. Every table is read-only after construction:
+    `nodes` and `edges` map ids to elements, `outgoing` holds each node's
+    edges sorted by id, `in_degree` counts incoming edges and `sort_key`
+    holds node_sort_key of every node.
+    """
+
+    dag: ExecutionDag
+    nodes: dict[str, DagNode]
+    edges: dict[str, DagEdge]
+    outgoing: dict[str, tuple[DagEdge, ...]]
+    in_degree: dict[str, int]
+    sort_key: dict[str, tuple]
+
+
+def compile_dag(dag: ExecutionDag) -> CompiledDag:
+    """Validate `dag` and index it in O(E log E); raise InvalidDag on violations."""
+    report = validate_dag(dag)
+    if not report.ok:
+        raise InvalidDag(report.violations)
+    nodes = {n.id: n for n in dag.nodes}
+    outgoing: dict[str, list[DagEdge]] = {node_id: [] for node_id in nodes}
+    in_degree = dict.fromkeys(nodes, 0)
+    for e in dag.edges:
+        outgoing[e.source].append(e)
+        in_degree[e.target] += 1
+    return CompiledDag(
+        dag=dag,
+        nodes=nodes,
+        edges={e.id: e for e in dag.edges},
+        outgoing={
+            node_id: tuple(sorted(out, key=lambda e: e.id)) for node_id, out in outgoing.items()
+        },
+        in_degree=in_degree,
+        sort_key={node_id: node_sort_key(node_id) for node_id in nodes},
+    )
 
 
 def _node_obj(n: DagNode) -> dict:

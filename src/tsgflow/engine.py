@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
-from .dag import END, START, ExecutionDag, node_sort_key, validate_dag
-from .document import TsgDocument
+from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
+from .document import TsgDocument, TsgStep
 from .memory import MemoryRef, MemoryStore, RunScope, value_from_literal
 from .queryprep import QueryTemplate
 
@@ -124,7 +124,11 @@ def trace_to_jsonl(trace: list[TraceEvent]) -> str:
 
 @dataclass
 class StepContext:
-    """Everything an executor may see while working on exactly one step."""
+    """Everything an executor may see while working on exactly one step.
+
+    Read-only for backends: the plugin, template and memory-ref entries are
+    shared by every context of the run.
+    """
 
     run_id: str
     node_id: str
@@ -185,21 +189,35 @@ class RunConfig:
 
 @dataclass
 class Bundle:
+    """A guide ready to run. `dag` is compiled and validated once, by
+    load_bundle or by the first run(); treat it as immutable from then on and
+    build a new Bundle to run a different DAG."""
+
     doc: TsgDocument | None
     dag: ExecutionDag
     templates: list[QueryTemplate] = field(default_factory=list)
     fixtures_dir: object = None
     registry: object = None
+    compiled: CompiledDag | None = field(default=None, repr=False, compare=False)
+
+
+def _compile(dag: ExecutionDag) -> CompiledDag:
+    try:
+        return compile_dag(dag)
+    except InvalidDag as exc:
+        raise DagInvalid(str(exc)) from None
 
 
 class RunState:
     """Tri-state of one run plus its trace; owned by a single scheduler loop."""
 
-    def __init__(self, dag: ExecutionDag, retry_limit: int = 2):
-        self.dag = dag
+    def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = 2):
+        compiled = dag if isinstance(dag, CompiledDag) else _compile(dag)
+        self.compiled = compiled
+        self.dag = compiled.dag
         self.retry_limit = retry_limit
-        self.node_state: dict[str, ElementState] = {n.id: ElementState.UNKNOWN for n in dag.nodes}
-        self.edge_state: dict[str, ElementState] = {e.id: ElementState.UNKNOWN for e in dag.edges}
+        self.node_state = dict.fromkeys(compiled.nodes, ElementState.UNKNOWN)
+        self.edge_state = dict.fromkeys(compiled.edges, ElementState.UNKNOWN)
         self.attempts: dict[str, int] = {}
         self.failed: set[str] = set()
         self.ready: list[tuple[float, tuple, str]] = []  # heap (enqueue t, id key, node)
@@ -212,13 +230,14 @@ class RunState:
         self.trace: list[TraceEvent] = []
         self.history: list[dict] = []
         self.memory_refs: list[MemoryRef] = []
+        self.memory_ref_entries: list[dict] = []  # {"key", "kind"} of each ref, for contexts
         self._seq = 0
-        self._edges_by_id = {e.id: e for e in dag.edges}
-        self._outgoing = {n.id: dag.outgoing(n.id) for n in dag.nodes}
-        self._in_total = {n.id: len(dag.incoming(n.id)) for n in dag.nodes}
-        self._in_resolved = {n.id: 0 for n in dag.nodes}
-        self._in_enabled = {n.id: 0 for n in dag.nodes}
+        self._in_resolved = dict.fromkeys(compiled.nodes, 0)
+        self._in_enabled = dict.fromkeys(compiled.nodes, 0)
         self.node_state[START] = ElementState.ENABLED
+
+    def sort_key(self, node_id: str) -> tuple:
+        return self.compiled.sort_key[node_id]
 
     # -- trace ---------------------------------------------------------------
 
@@ -234,7 +253,7 @@ class RunState:
         if node_id in self.queued or node_id in self.running:
             raise EngineError(f"{node_id} enqueued twice for one enablement")
         self.queued.add(node_id)
-        heapq.heappush(self.ready, (t, node_sort_key(node_id), node_id))
+        heapq.heappush(self.ready, (t, self.compiled.sort_key[node_id], node_id))
 
     def pop_ready(self) -> str:
         _, _, node_id = heapq.heappop(self.ready)
@@ -250,13 +269,20 @@ class RunState:
     # -- state transitions ----------------------------------------------------
 
     def resolve_edge(self, eid: str, new_state: ElementState, via: str) -> None:
+        target = self._resolve(eid, new_state, via)
+        if target is not None:
+            self.disable_node(target)
+
+    def _resolve(self, eid: str, new_state: ElementState, via: str) -> str | None:
+        """Resolve one edge and apply rules a and c to its target; return the
+        target when rule b disables it, for the caller to propagate."""
         current = self.edge_state[eid]
         if current is not ElementState.UNKNOWN:
             raise EngineError(f"edge {eid} already resolved to {current.value}")
         self.edge_state[eid] = new_state
         kind = "edge_enabled" if new_state is ElementState.ENABLED else "edge_disabled"
         self.emit(kind, eid, {"via": via})
-        edge = self._edges_by_id[eid]
+        edge = self.compiled.edges[eid]
         target = edge.target
         if target == END:
             if new_state is ElementState.ENABLED and self.status is RunStatus.RUNNING:
@@ -264,49 +290,61 @@ class RunState:
                 self.status = RunStatus.CONCLUDED
                 self.conclusion = edge.conclusion or ""
                 self.concluding_edge = eid
-            return
+            return None
         self._in_resolved[target] += 1
         if new_state is ElementState.ENABLED:
             self._in_enabled[target] += 1
         if (
             self.node_state[target] is ElementState.UNKNOWN
-            and self._in_resolved[target] == self._in_total[target]
+            and self._in_resolved[target] == self.compiled.in_degree[target]
         ):
             if self._in_enabled[target] > 0:
                 self.node_state[target] = ElementState.ENABLED
                 self.enqueue(target, self.clock)
             else:
-                self.disable_node(target)
+                return target
+        return None
 
     def disable_node(self, node_id: str) -> None:
+        """Disable a node, then depth-first every node it leaves with all
+        incoming edges disabled (rule b). The explicit stack keeps chain
+        length independent of Python's recursion limit."""
+        self._mark_disabled(node_id)
+        pending = [(node_id, iter(self.compiled.outgoing[node_id]))]
+        while pending and self.status is RunStatus.RUNNING:
+            source, edges = pending[-1]
+            edge = next(edges, None)
+            if edge is None:
+                pending.pop()
+                continue
+            target = self._resolve(edge.id, ElementState.DISABLED, via=source)
+            if target is not None:
+                self._mark_disabled(target)
+                pending.append((target, iter(self.compiled.outgoing[target])))
+
+    def _mark_disabled(self, node_id: str) -> None:
         if self.node_state[node_id] is not ElementState.UNKNOWN:
             raise EngineError(f"node {node_id} already resolved")
         self.node_state[node_id] = ElementState.DISABLED
         self.emit("node_disabled", node_id, {"reason": "all incoming edges disabled"})
-        for edge in self._outgoing[node_id]:
-            if self.status is not RunStatus.RUNNING:
-                return
-            self.resolve_edge(edge.id, ElementState.DISABLED, via=node_id)
 
-    def outgoing_edges(self, node_id: str):
-        return self._outgoing[node_id]
+    def outgoing_edges(self, node_id: str) -> tuple[DagEdge, ...]:
+        return self.compiled.outgoing[node_id]
 
     def unresolved_nodes(self) -> list[str]:
         return sorted(
             (n for n, s in self.node_state.items() if s is ElementState.UNKNOWN),
-            key=node_sort_key,
+            key=self.sort_key,
         )
 
     def disabled_nodes(self) -> list[str]:
         return sorted(
             (n for n, s in self.node_state.items() if s is ElementState.DISABLED),
-            key=node_sort_key,
+            key=self.sort_key,
         )
 
 
-def apply_outcome(
-    dag: ExecutionDag, state: RunState, node_id: str, outcome: StepOutcome
-) -> RunState:
+def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunState:
     """Apply one step outcome and run the propagation closure.
 
     Success: every outgoing edge is set per the outcome's decisions (the
@@ -411,23 +449,24 @@ def _complete_start(state: RunState) -> None:
         state.resolve_edge(edge.id, ElementState.ENABLED, via=START)
 
 
-def _build_context(
-    bundle: Bundle,
-    state: RunState,
-    node_id: str,
-    incident: dict,
-    run_id: str,
-    scope: RunScope | None,
-    plugin_descriptors: list[dict],
-) -> StepContext:
-    node = bundle.dag.node(node_id)
+@dataclass(frozen=True)
+class _RunInputs:
+    """What every step context of one run shares; built once per run."""
+
+    run_id: str
+    incident: dict
+    scope: RunScope
+    steps: dict[str, TsgStep]
+    plugins: list[dict]
+    templates: list[str]
+
+
+def _build_context(state: RunState, node_id: str, inputs: _RunInputs) -> StepContext:
+    node = state.compiled.nodes[node_id]
     step_title, step_text = node.description, ""
-    if bundle.doc is not None and node.step_ref is not None:
-        try:
-            step = bundle.doc.step(node.step_ref)
-            step_title, step_text = step.title, step.body_text()
-        except KeyError:
-            pass
+    step = inputs.steps.get(node.step_ref) if node.step_ref is not None else None
+    if step is not None:
+        step_title, step_text = step.title, step.body_text()
     edges = [
         {
             "id": e.id,
@@ -442,19 +481,19 @@ def _build_context(
         for e in state.outgoing_edges(node_id)
     ]
     return StepContext(
-        run_id=run_id,
+        run_id=inputs.run_id,
         node_id=node_id,
         step_id=node.step_ref,
         step_title=step_title,
         step_text=step_text,
-        incident=incident,
+        incident=inputs.incident,
         outgoing_edges=edges,
         history=list(state.history),
-        plugins=plugin_descriptors,
-        templates=[t.name for t in bundle.templates],
-        memory_refs=[{"key": r.key, "kind": r.kind} for r in state.memory_refs],
+        plugins=inputs.plugins,
+        templates=inputs.templates,
+        memory_refs=list(state.memory_ref_entries),
         attempt=state.attempts.get(node_id, 0) + 1,
-        store=scope,
+        store=inputs.scope,
     )
 
 
@@ -462,11 +501,13 @@ def _record_memory_refs(state: RunState, scope: RunScope | None, outcome: StepOu
     if scope is None:
         return
     for key in sorted(outcome.memory_writes):
-        state.memory_refs.append(scope.ref(key))
+        ref = scope.ref(key)
+        state.memory_refs.append(ref)
+        state.memory_ref_entries.append({"key": ref.key, "kind": ref.kind})
 
 
 def _cancel_remaining(state: RunState) -> None:
-    for node_id in sorted(state.running, key=node_sort_key):
+    for node_id in sorted(state.running, key=state.sort_key):
         state.emit("node_cancelled", node_id, {"phase": "running"})
     state.running.clear()
     while state.ready:
@@ -483,7 +524,7 @@ def _finish(state: RunState) -> None:
         state.status = RunStatus.EXHAUSTED
         detail = {
             "status": "exhausted",
-            "failed": sorted(state.failed, key=node_sort_key),
+            "failed": sorted(state.failed, key=state.sort_key),
             "disabled": state.disabled_nodes(),
         }
     state.emit("run_terminated", "run", detail)
@@ -500,14 +541,17 @@ def run(
     """Execute a bundle's DAG against a backend and return status plus trace."""
     config = config or RunConfig()
     config.validate()
-    report = validate_dag(bundle.dag)
-    if not report.ok:
-        raise DagInvalid("; ".join(f"{v.code}({v.subject})" for v in report.violations))
+    if bundle.compiled is None or bundle.compiled.dag is not bundle.dag:
+        bundle.compiled = _compile(bundle.dag)
 
     incident = incident or {}
     if run_id is None:
         run_id = f"{bundle.dag.tsg_id}/{incident.get('id', 'run')}"
     scope = RunScope(store if store is not None else MemoryStore(), run_id)
+    steps: dict[str, TsgStep] = {}
+    if bundle.doc is not None:
+        for step in bundle.doc.steps:
+            steps.setdefault(step.id, step)
     plugin_descriptors = []
     if bundle.registry is not None:
         plugin_descriptors = [
@@ -521,7 +565,7 @@ def run(
             for d in bundle.registry.descriptors()
         ]
 
-    state = RunState(bundle.dag, retry_limit=config.retry_limit)
+    state = RunState(bundle.compiled, retry_limit=config.retry_limit)
     state.emit(
         "run_started",
         "run",
@@ -533,9 +577,15 @@ def run(
         },
     )
 
-    ctx_for = lambda node: _build_context(  # noqa: E731
-        bundle, state, node, incident, run_id, scope, plugin_descriptors
+    inputs = _RunInputs(
+        run_id=run_id,
+        incident=incident,
+        scope=scope,
+        steps=steps,
+        plugins=plugin_descriptors,
+        templates=[t.name for t in bundle.templates],
     )
+    ctx_for = lambda node: _build_context(state, node, inputs)  # noqa: E731
     if config.clock == "virtual":
         _loop_virtual(state, backend, config.max_executors, ctx_for, scope)
     else:
@@ -587,13 +637,13 @@ def _loop_virtual(
                 raise EngineError(f"{node_id}: backend returned a cancel marker unrequested")
             heapq.heappush(
                 completions,
-                (state.clock + outcome.duration, node_sort_key(node_id), node_id, outcome),
+                (state.clock + outcome.duration, state.sort_key(node_id), node_id, outcome),
             )
         if not state.running:
             break
         t, _, node_id, outcome = heapq.heappop(completions)
         state.clock = t
-        apply_outcome(state.dag, state, node_id, outcome)
+        apply_outcome(state, node_id, outcome)
         if outcome.result == "success":
             _record_memory_refs(state, scope, outcome)
     _finish(state)
@@ -640,7 +690,7 @@ def _loop_wall(
             raise outcome
         if isinstance(outcome, CancelledSignal):
             raise EngineError(f"{node_id}: backend returned a cancel marker unrequested")
-        apply_outcome(state.dag, state, node_id, replace(outcome, duration=elapsed))
+        apply_outcome(state, node_id, replace(outcome, duration=elapsed))
         if outcome.result == "success":
             _record_memory_refs(state, scope, outcome)
         if state.status is RunStatus.CONCLUDED:

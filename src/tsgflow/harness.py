@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dag import extract_dag, load_dag, serialize_dag, validate_dag
+from .dag import InvalidDag, compile_dag, extract_dag, load_dag
 from .document import parse_tsg
 from .engine import Bundle, RunConfig, RunResult, ScriptedBackend, run, trace_to_jsonl
 from .oracle import MakespanOracle, oracle_makespan
@@ -45,12 +45,10 @@ def load_bundle(path: str | Path) -> Bundle:
         dag = load_dag(dag_path.read_text(encoding="utf-8"))
     else:
         dag = extract_dag(doc)
-    report = validate_dag(dag)
-    if not report.ok:
-        raise HarnessError(
-            f"bundle {root}: invalid DAG: "
-            + "; ".join(f"{v.code}({v.subject})" for v in report.violations)
-        )
+    try:
+        compiled = compile_dag(dag)
+    except InvalidDag as exc:
+        raise HarnessError(f"bundle {root}: invalid DAG: {exc}") from None
 
     qpp_path = root / "qpp.json"
     if qpp_path.exists():
@@ -68,6 +66,7 @@ def load_bundle(path: str | Path) -> Bundle:
         templates=templates,
         fixtures_dir=fixtures_dir if fixtures_dir.is_dir() else None,
         registry=registry,
+        compiled=compiled,
     )
 
 
@@ -218,7 +217,3 @@ def sweep(
         saturation_ok=saturation_ok,
     )
     return report
-
-
-def write_dag_file(bundle: Bundle, path: str | Path) -> None:
-    Path(path).write_text(serialize_dag(bundle.dag), encoding="utf-8")

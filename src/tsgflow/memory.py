@@ -15,10 +15,12 @@ namespaced per run through RunScope so concurrent runs never collide.
 from __future__ import annotations
 
 import json
+import re
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 COLUMN_TYPES = ("text", "integer", "decimal", "timestamp", "boolean")
@@ -51,6 +53,22 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (str, int, float, bool, datetime))
 
 
+_JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
+
+
+def _check_encodable(cells, timestamps: bool) -> None:
+    """Raise TypeError, as encode_value would, for a cell it cannot encode.
+
+    Only cells that are not plain JSON atoms (nor datetimes in a timestamp
+    column) are encoded, one at a time.
+    """
+    if set(map(type, cells)) <= _JSON_ATOMS:
+        return
+    for cell in cells:
+        if type(cell) not in _JSON_ATOMS and not (timestamps and isinstance(cell, datetime)):
+            json.dumps(cell, sort_keys=True)
+
+
 @dataclass
 class Table:
     columns: list[str]
@@ -80,7 +98,6 @@ class Table:
 class MemoryValue:
     kind: str  # scalar | list | record | table
     payload: object
-    byte_size: int = field(init=False)
 
     def __post_init__(self):
         if self.kind == "scalar":
@@ -97,9 +114,17 @@ class MemoryValue:
         elif self.kind == "table":
             if not isinstance(self.payload, Table):
                 raise InvalidValue("table payload must be a Table")
+            t: Table = self.payload
+            _check_encodable(t.columns, False)
+            for cells, col_type in zip(zip(*t.rows), t.types):
+                _check_encodable(cells, col_type == "timestamp")
         else:
             raise InvalidValue(f"unknown value kind {self.kind!r}")
-        self.byte_size = len(encode_value(self).encode("utf-8"))
+
+    @cached_property
+    def byte_size(self) -> int:
+        """Size of encode_value's UTF-8 encoding, computed on first read."""
+        return len(encode_value(self).encode("utf-8"))
 
 
 def memory_value(x) -> MemoryValue:
@@ -305,13 +330,13 @@ class MemoryRef:
 
 # -- stores -----------------------------------------------------------------
 
-_CONTROL = set(range(0x20)) | {0x7F}
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 def _check_key(key: str) -> None:
     if not key:
         raise InvalidKey("empty key")
-    if any(ord(c) in _CONTROL for c in key):
+    if _CONTROL.search(key):
         raise InvalidKey(f"control character in key {key!r}")
 
 

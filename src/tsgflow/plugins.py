@@ -138,10 +138,6 @@ class PluginRegistry:
         return fn(args, store)
 
 
-def invoke(registry: PluginRegistry, plugin: str, args: dict, store) -> PluginResult:
-    return registry.invoke(plugin, args, store)
-
-
 def _next_key(store, prefix: str) -> str:
     n = sum(1 for k in store.keys() if k.startswith(prefix + ".")) + 1
     return f"{prefix}.{n}"
@@ -434,6 +430,4 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
         aggregate_plugin,
     )
 
-    # keep a handle for tests and custom backends
-    registry.fixtures = fixtures  # type: ignore[attr-defined]
     return registry

@@ -221,3 +221,28 @@ def test_extract_validate_invariants(fig4_bundle, fig5_bundle, triple_bundle):
             if d.condition is not None
         )
         assert sum(1 for e in dag.edges if e.condition is not None) == arms
+
+
+def test_validate_reports_first_cycle_in_edge_order():
+    dag = _tiny_dag([
+        ("start", "step1"), ("step1", "step3"), ("step1", "step2"),
+        ("step3", "step1"), ("step2", "step1"), ("step2", "end"), ("step3", "end"),
+    ])
+    violation = next(v for v in validate_dag(dag).violations if v.code == "cycle")
+    assert violation.subject == "edge_step1_step3"
+    assert violation.message == "cycle through edges: edge_step1_step3, edge_step3_step1"
+
+
+def test_long_chain_within_recursion_limit():
+    n = 3000
+    text = "# TSG: long — Long chain\n" + "".join(
+        f"\n## Step {i}: Stage {i}\n\nNext:\n- Step {i + 1}\n" for i in range(1, n)
+    ) + f"\n## Step {n}: Stage {n}\n\nTerminate: done\n"
+    dag = extract_dag(parse_tsg(text))
+    assert len(dag.nodes) == n + 2
+    assert validate_dag(dag).ok
+    dag.edges.append(DagEdge(edge_id(f"step{n}", "step1"), f"step{n}", "step1"))
+    violation = next(v for v in validate_dag(dag).violations if v.code == "cycle")
+    cycle = violation.message.removeprefix("cycle through edges: ").split(", ")
+    assert cycle[0] == "edge_step1_step2" and cycle[-1] == f"edge_step{n}_step1"
+    assert len(cycle) == n

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import tsgflow.dag
+from conftest import FIG5_DIR
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
@@ -9,6 +11,7 @@ from tsgflow.engine import (
     ConfigInvalid,
     DagInvalid,
     ElementState,
+    ExecutorBackend,
     IncompleteEdgeDecisions,
     InvalidEdgeDecision,
     RunConfig,
@@ -23,6 +26,7 @@ from tsgflow.engine import (
     apply_outcome,
     run,
 )
+from tsgflow.harness import load_bundle
 
 
 def linear_dag(n=1, tsg_id="linear"):
@@ -61,7 +65,7 @@ def _state_with_running(dag, path):
         popped = state.pop_ready()
         assert popped == node_id
         state.mark_running(node_id, state.clock)
-        apply_outcome(dag, state, node_id, StepOutcome("success", edge_decisions=decisions))
+        apply_outcome(state, node_id, StepOutcome("success", edge_decisions=decisions))
     last = path[-1][0]
     popped = state.pop_ready()
     assert popped == last
@@ -84,7 +88,7 @@ def test_apply_outcome_branch_taken(fig4_bundle):
     dag = fig4_bundle.dag
     state = _fig4_state_at_step31(dag)
     apply_outcome(
-        dag, state, "step3.1",
+        state, "step3.1",
         StepOutcome("success", edge_decisions={
             "edge_step3.1_step3.2": "enable", "edge_step3.1_step4.1": "disable"}),
     )
@@ -96,7 +100,7 @@ def test_apply_outcome_branch_skipped_disables_subtree(fig4_bundle):
     dag = fig4_bundle.dag
     state = _fig4_state_at_step31(dag)
     apply_outcome(
-        dag, state, "step3.1",
+        state, "step3.1",
         StepOutcome("success", edge_decisions={
             "edge_step3.1_step3.2": "disable", "edge_step3.1_step4.1": "enable"}),
     )
@@ -112,12 +116,12 @@ def test_apply_outcome_contract_violations(fig4_bundle):
     dag = fig4_bundle.dag
     state = _fig4_state_at_step31(dag)
     with pytest.raises(IncompleteEdgeDecisions):
-        apply_outcome(dag, state, "step3.1",
+        apply_outcome(state, "step3.1",
                       StepOutcome("success", edge_decisions={"edge_step3.1_step3.2": "enable"}))
     with pytest.raises(UnknownNode):
-        apply_outcome(dag, state, "stepX", StepOutcome("success", edge_decisions={}))
+        apply_outcome(state, "stepX", StepOutcome("success", edge_decisions={}))
     with pytest.raises(StaleOutcome):
-        apply_outcome(dag, state, "step2", StepOutcome("success", edge_decisions={}))
+        apply_outcome(state, "step2", StepOutcome("success", edge_decisions={}))
 
 
 def test_unconditional_edges_must_enable():
@@ -127,7 +131,7 @@ def test_unconditional_edges_must_enable():
     state.pop_ready()
     state.mark_running("step1", 0)
     with pytest.raises(InvalidEdgeDecision):
-        apply_outcome(dag, state, "step1",
+        apply_outcome(state, "step1",
                       StepOutcome("success", edge_decisions={"edge_step1_step2": "disable"}))
 
 
@@ -365,3 +369,108 @@ def test_fan_out_multiple_conditional_edges_enabled():
     assert result.status is RunStatus.CONCLUDED
     assert result.conclusion == "via b"  # step3 finishes first
     assert "step2" in result.cancelled
+
+
+def test_final_failure_disables_long_chain():
+    n = 3000
+    dag = linear_dag(n)
+    result = run(
+        bundle_of(dag),
+        scripted({"step1": [{"result": "failure", "latency": 1, "error": "down"}]}),
+        RunConfig(max_executors=1, retry_limit=0),
+    )
+    assert result.status is RunStatus.EXHAUSTED
+    terminated = result.trace[-1]
+    assert terminated.detail["failed"] == ["step1"]
+    assert terminated.detail["disabled"] == [f"step{i}" for i in range(2, n + 1)]
+    kinds = [e.kind for e in result.trace[4:-1]]
+    assert kinds == ["edge_disabled", "node_disabled"] * (n - 1) + ["edge_disabled"]
+
+
+# -- compile once -------------------------------------------------------------
+
+def _count_validations(monkeypatch) -> list:
+    calls = []
+    real = tsgflow.dag.validate_dag
+    monkeypatch.setattr(tsgflow.dag, "validate_dag", lambda dag: calls.append(dag) or real(dag))
+    return calls
+
+
+def test_loaded_bundle_validated_once(monkeypatch, fig5_scenario):
+    calls = _count_validations(monkeypatch)
+    bundle = load_bundle(FIG5_DIR)
+    for k in (1, 2, 3, 1):
+        result = run(bundle, ScriptedBackend.from_scenario(fig5_scenario), RunConfig(max_executors=k))
+        assert result.conclusion == "transfer to upstream team"
+    assert len(calls) == 1
+
+
+def test_hand_built_bundle_compiled_on_first_run(monkeypatch):
+    calls = _count_validations(monkeypatch)
+    bundle = bundle_of(linear_dag(2))
+    steps = {
+        "step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}],
+        "step2": [{"result": "success", "edge_decisions": {"edge_step2_end": "enable"}}],
+    }
+    for _ in range(3):
+        assert run(bundle, scripted(steps)).conclusion == "finished"
+    assert len(calls) == 1
+    bundle.dag = linear_dag(1)  # a replaced DAG is compiled afresh
+    with pytest.raises(ScenarioIncomplete):
+        run(bundle, scripted({}))
+    assert len(calls) == 2
+
+
+def test_invalid_hand_built_bundle_raises_on_every_run():
+    broken = ExecutionDag(
+        tsg_id="broken",
+        nodes=[DagNode("start", "start", ""), DagNode("end", "end", "")],
+        edges=[DagEdge("oops", "start", "end")],
+    )
+    bundle = bundle_of(broken)
+    for _ in range(3):
+        with pytest.raises(DagInvalid, match=r"malformed-edge-id\(oops\)"):
+            run(bundle, scripted({}), RunConfig(max_executors=1))
+
+
+_REFS = [{"key": "top_exception", "kind": "scalar"}, {"key": "deployment_id", "kind": "scalar"}]
+
+# per dispatch: node, history length, number of memory refs visible
+_EXPECTED_CONTEXTS = {
+    ("fig4", 1): [("step1", 0, 0), ("step2", 1, 1), ("step3.1", 2, 1), ("step3.2", 3, 2),
+                  ("step3.3", 4, 2), ("step3.4", 5, 2), ("step4.1", 6, 2), ("step4.2", 7, 2)],
+    ("fig5", 1): [("step1", 0, 0), ("step2", 1, 1), ("step3.1", 2, 1), ("step4.1", 3, 2),
+                  ("step3.2", 4, 2), ("step4.2", 5, 2)],
+    ("fig5", 3): [("step1", 0, 0), ("step2", 1, 1), ("step3.1", 1, 1), ("step4.1", 1, 1),
+                  ("step3.2", 2, 2), ("step4.2", 4, 2), ("step3.3", 5, 2), ("step3.4", 6, 2)],
+}
+_EXPECTED_CONTEXTS[("fig4", 3)] = _EXPECTED_CONTEXTS[("fig4", 1)]
+
+
+@pytest.mark.parametrize("fixture,k", sorted(_EXPECTED_CONTEXTS))
+def test_step_contexts_of_fixture_runs(fixture, k, request):
+    bundle = request.getfixturevalue(f"{fixture}_bundle")
+    scenario = request.getfixturevalue(f"{fixture}_scenario")
+    scripted_backend = ScriptedBackend.from_scenario(scenario)
+    seen = []
+
+    class Recording(ExecutorBackend):
+        def execute(self, ctx):
+            seen.append(ctx.to_obj())
+            return scripted_backend.execute(ctx)
+
+    result = run(bundle, Recording(), RunConfig(max_executors=k), incident=scenario["incident"])
+    assert result.conclusion == "transfer to upstream team"
+    expected = _EXPECTED_CONTEXTS[(fixture, k)]
+    assert [(o["node"], len(o["history"]), len(o["memory_refs"])) for o in seen] == expected
+    for obj in seen:
+        step = bundle.doc.step(obj["step"]["id"])
+        assert obj["node"] == f"step{step.id}"
+        assert obj["step"] == {"id": step.id, "title": step.title, "text": step.body_text()}
+        assert obj["memory_refs"] == _REFS[: len(obj["memory_refs"])]
+        assert obj["templates"] == ["top_exceptions", "full_stack"]
+        assert len(obj["plugins"]) == (6 if fixture == "fig4" else 0)
+        assert obj["incident"] == scenario["incident"] and obj["attempt"] == 1
+    assert seen[0]["step"]["text"].startswith(
+        "\nPull the most frequent exception types from the service log"
+    )

@@ -198,3 +198,19 @@ def test_byte_size_consistency():
     value = memory_value([1, 2, 3])
     assert value.byte_size == len(encode_value(value).encode("utf-8"))
     assert MemoryValue("scalar", "x").byte_size > 0
+
+
+def test_unencodable_table_cell_rejected_at_construction():
+    for bad in (object(), datetime(2024, 1, 1, tzinfo=timezone.utc)):
+        with pytest.raises(TypeError):
+            MemoryValue("table", Table(["note"], ["text"], [["fine"], [bad]]))
+    with pytest.raises(TypeError):
+        MemoryValue("table", Table([object()], ["text"], []))
+
+
+def test_byte_size_computed_on_first_read():
+    when = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    value = MemoryValue("table", Table(["at", "tags"], ["timestamp", "text"], [[when, None]]))
+    assert "byte_size" not in vars(value)
+    assert value.byte_size == len(encode_value(value).encode("utf-8"))
+    assert vars(value)["byte_size"] == value.byte_size
