@@ -765,6 +765,7 @@ class ProcessBackend(ExecutorBackend):
 
     def _child(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self.close()  # a dead child's pipes are closed before a new one starts
             try:
                 self._proc = subprocess.Popen(
                     self.command,
@@ -778,9 +779,17 @@ class ProcessBackend(ExecutorBackend):
         return self._proc
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
+        """Close the child's pipes and wait for it to exit."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:  # the child died with a line still buffered
+            pass
+        finally:
+            proc.stdout.close()
+        proc.wait(timeout=5)
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
         with self._lock:

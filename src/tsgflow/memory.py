@@ -14,6 +14,8 @@ namespaced per run through RunScope so concurrent runs never collide.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import struct
@@ -21,6 +23,8 @@ import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter, methodcaller
 from pathlib import Path
 
 COLUMN_TYPES = ("text", "integer", "decimal", "timestamp", "boolean")
@@ -54,6 +58,7 @@ def _is_scalar(x) -> bool:
 
 
 _JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
+_TIMESTAMP_ATOMS = _JSON_ATOMS | {datetime}
 
 
 def _check_encodable(cells, timestamps: bool) -> None:
@@ -62,11 +67,29 @@ def _check_encodable(cells, timestamps: bool) -> None:
     Only cells that are not plain JSON atoms (nor datetimes in a timestamp
     column) are encoded, one at a time.
     """
-    if set(map(type, cells)) <= _JSON_ATOMS:
-        return
     for cell in cells:
         if type(cell) not in _JSON_ATOMS and not (timestamps and isinstance(cell, datetime)):
             json.dumps(cell, sort_keys=True)
+
+
+def _check_schema(columns, types) -> None:
+    if len(columns) != len(types):
+        raise InvalidValue("column names and types differ in length")
+    for t in types:
+        if t not in COLUMN_TYPES:
+            raise InvalidValue(f"unknown column type {t!r}")
+
+
+def _check_widths(rows, width: int, first: int = 0) -> None:
+    """Raise InvalidValue naming the first row that does not have `width` cells.
+
+    `first` is the index of rows[0] in its table.
+    """
+    if set(map(len, rows)) <= {width}:
+        return
+    for i, row in enumerate(rows, first):
+        if len(row) != width:
+            raise InvalidValue(f"row {i} has {len(row)} cells, expected {width}")
 
 
 @dataclass
@@ -76,14 +99,8 @@ class Table:
     rows: list[list]
 
     def __post_init__(self):
-        if len(self.columns) != len(self.types):
-            raise InvalidValue("column names and types differ in length")
-        for t in self.types:
-            if t not in COLUMN_TYPES:
-                raise InvalidValue(f"unknown column type {t!r}")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.columns):
-                raise InvalidValue(f"row {i} has {len(row)} cells, expected {len(self.columns)}")
+        _check_schema(self.columns, self.types)
+        _check_widths(self.rows, len(self.columns))
 
     @property
     def row_count(self) -> int:
@@ -116,8 +133,13 @@ class MemoryValue:
                 raise InvalidValue("table payload must be a Table")
             t: Table = self.payload
             _check_encodable(t.columns, False)
-            for cells, col_type in zip(zip(*t.rows), t.types):
-                _check_encodable(cells, col_type == "timestamp")
+            for i, col_type in enumerate(t.types):
+                timestamps = col_type == "timestamp"
+                column = itemgetter(i)
+                if not set(map(type, map(column, t.rows))) <= (
+                    _TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS
+                ):
+                    _check_encodable(map(column, t.rows), timestamps)
         else:
             raise InvalidValue(f"unknown value kind {self.kind!r}")
 
@@ -441,11 +463,22 @@ class RunScope:
 
 # -- CSV interchange --------------------------------------------------------
 
+CSV_CHUNK_ROWS = 2048
+
+# Column decoders: each maps an iterable of cell texts to an iterator of
+# values, with the per-cell work done inside builtins. A timestamp decodes
+# exactly as parse_timestamp does; text cells are kept as they are.
+_ZULU_TO_OFFSET = methodcaller("replace", "Z", "+00:00")
+_COLUMN_DECODERS = {
+    "integer": lambda cells: map(int, cells),
+    "decimal": lambda cells: map(float, cells),
+    "boolean": lambda cells: map("true".__eq__, map(str.lower, map(str.strip, cells))),
+    "timestamp": lambda cells: map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells)),
+}
+
+
 def table_to_csv(table: Table) -> str:
     """Header row, then a type row, then data rows."""
-    import csv
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.columns)
@@ -455,26 +488,25 @@ def table_to_csv(table: Table) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(text: str, col_type: str):
-    if col_type == "integer":
-        return int(text)
-    if col_type == "decimal":
-        return float(text)
-    if col_type == "boolean":
-        return text.strip().lower() == "true"
-    if col_type == "timestamp":
-        return parse_timestamp(text)
-    return text
-
-
 def table_from_csv(text: str) -> Table:
-    import csv
-    import io
+    """Inverse of table_to_csv.
 
+    Data rows are read CSV_CHUNK_ROWS at a time; each chunk is checked for
+    ragged rows, transposed, decoded column by column and transposed back,
+    so raw cell texts live only as long as their chunk.
+    """
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if len(rows) < 2:
+    columns, types = next(reader, None), next(reader, None)
+    if types is None:
         raise InvalidValue("CSV table needs a header row and a type row")
-    columns, types = rows[0], rows[1]
-    data = [[_parse_cell(cell, types[i]) for i, cell in enumerate(row)] for row in rows[2:]]
-    return Table(columns, types, data)
+    _check_schema(columns, types)
+    decoders = [_COLUMN_DECODERS.get(t, iter) for t in types]
+    rows: list[list] = []
+    while chunk := list(islice(reader, CSV_CHUNK_ROWS)):
+        _check_widths(chunk, len(columns), len(rows))
+        if not columns:
+            rows += ([] for _ in chunk)  # zip(*chunk) would drop empty rows
+            continue
+        decoded = [decode(cells) for decode, cells in zip(decoders, zip(*chunk))]
+        rows += map(list, zip(*decoded))
+    return Table(columns, types, rows)

@@ -18,9 +18,11 @@ exact query text first, then template name plus bindings.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .memory import KeyNotFound, MemoryRef, Table, parse_timestamp, table_from_csv
@@ -139,8 +141,23 @@ class PluginRegistry:
 
 
 def _next_key(store, prefix: str) -> str:
-    n = sum(1 for k in store.keys() if k.startswith(prefix + ".")) + 1
-    return f"{prefix}.{n}"
+    """A free key `prefix.n`, found with O(log n) `store.contains` lookups.
+
+    Probes n = 1, 2, 4, ... until one is free, then bisects between the last
+    used and that free n. Plugins number their keys 1, 2, 3, ..., so when the
+    used keys are such a run the result is the next number; with gaps it may
+    skip some, but it is never a key the store already holds.
+    """
+    used, free = 0, 1
+    while store.contains(f"{prefix}.{free}"):
+        used, free = free, free * 2
+    while free - used > 1:
+        mid = (used + free) // 2
+        if store.contains(f"{prefix}.{mid}"):
+            used = mid
+        else:
+            free = mid
+    return f"{prefix}.{free}"
 
 
 def _as_datetime(v):
@@ -187,8 +204,7 @@ def _numeric_series(store, key: str) -> list[float]:
             raise NonNumeric(
                 f"{key}: expected exactly one numeric column, found {len(numeric)}"
             )
-        col = numeric[0]
-        return [float(row[col]) for row in t.rows]
+        return list(map(float, map(itemgetter(numeric[0]), t.rows)))
     raise NonNumeric(f"{key}: value kind {value.kind!r} is not a numeric series")
 
 
@@ -232,8 +248,10 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
         t: Table = value.payload
         if t.types[col] not in ("integer", "decimal"):
             raise NonNumeric(f"{key}: column is not numeric")
-        ordered = sorted(t.rows, key=lambda row: row[col], reverse=True)
-        return Table(list(t.columns), list(t.types), [list(r) for r in ordered[:k]])
+        if k < 0:
+            raise PluginError(f"top_k needs k >= 0, got {k}")
+        top = heapq.nlargest(k, t.rows, key=itemgetter(col))
+        return Table(list(t.columns), list(t.types), [list(r) for r in top])
 
     if op not in ("mean", "max", "min"):
         raise PluginError(f"unknown aggregate op {op!r}")
@@ -245,7 +263,7 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
             t = value.payload
             if t.types[col] not in ("integer", "decimal"):
                 raise NonNumeric(f"{key}: column is not numeric")
-            series = [float(row[col]) for row in t.rows]
+            series = list(map(float, map(itemgetter(col), t.rows)))
     else:
         series = _numeric_series(store, key)
     if not series:

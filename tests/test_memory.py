@@ -3,12 +3,15 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgflow.memory import (
+    COLUMN_TYPES,
+    CSV_CHUNK_ROWS,
     FileBackedStore,
     InvalidKey,
+    InvalidValue,
     KeyNotFound,
     MemoryStore,
     MemoryValue,
@@ -214,3 +217,75 @@ def test_byte_size_computed_on_first_read():
     assert "byte_size" not in vars(value)
     assert value.byte_size == len(encode_value(value).encode("utf-8"))
     assert vars(value)["byte_size"] == value.byte_size
+
+
+def test_csv_ragged_rows_name_the_row():
+    with pytest.raises(InvalidValue, match=r"^row 1 has 3 cells, expected 2$"):
+        table_from_csv("a,b\ntext,integer\nx,1\ny,2,3\n")
+    with pytest.raises(InvalidValue, match=r"^row 1 has 1 cells, expected 2$"):
+        table_from_csv("a,b\ntext,integer\nx,1\ny\n")
+    late = CSV_CHUNK_ROWS + 5
+    lines = ["a,b", "text,integer"] + [f"x{i},{i}" for i in range(2 * CSV_CHUNK_ROWS)]
+    lines[2 + late] += ",extra"
+    with pytest.raises(InvalidValue, match=rf"^row {late} has 3 cells, expected 2$"):
+        table_from_csv("\n".join(lines) + "\n")
+
+
+_PY_TYPES = {"text": str, "integer": int, "decimal": float, "boolean": bool, "timestamp": datetime}
+
+
+def test_csv_cells_have_their_column_type():
+    text = "t,i,d,b,at\ntext,integer,decimal,boolean,timestamp\n" + "".join(
+        f"x{r},{r},{r}.5,{'true' if r % 2 else 'no'},2026-03-01T00:00:{r % 60:02d}Z\n"
+        for r in range(CSV_CHUNK_ROWS + 3)
+    )
+    table = table_from_csv(text)
+    assert table.row_count == CSV_CHUNK_ROWS + 3
+    for row in table.rows:
+        assert type(row) is list
+        assert [type(cell) for cell in row] == [_PY_TYPES[t] for t in table.types]
+    assert table.rows[1] == ["x1", 1, 1.5, True,
+                             datetime(2026, 3, 1, 0, 0, 1, tzinfo=timezone.utc)]
+
+
+_CSV_CELLS = {
+    "text": st.one_of(
+        st.text(st.characters(blacklist_characters="\r"), max_size=12),
+        st.sampled_from(["a,b", 'say "hi", twice', "two\nlines", "", " padded "]),
+    ),
+    "integer": st.integers(min_value=-(2**70), max_value=2**70),
+    "decimal": st.floats(allow_nan=False),
+    # spellings, decoded as cell.strip().lower() == "true"
+    "boolean": st.sampled_from([" True ", "FALSE", "true", "false", "TRUE", "yes", ""]),
+    "timestamp": st.datetimes(
+        min_value=datetime(1970, 1, 1), max_value=datetime(2100, 1, 1),
+        timezones=st.just(timezone.utc),
+    ),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    """(CSV text with free-form boolean spellings, the Table it decodes to)."""
+    types = draw(st.lists(st.sampled_from(COLUMN_TYPES), min_size=1, max_size=5))
+    distinct = draw(st.lists(st.tuples(*(_CSV_CELLS[t] for t in types)), min_size=1, max_size=6))
+    n = draw(st.one_of(st.integers(0, 40), st.integers(CSV_CHUNK_ROWS - 2, 3 * CSV_CHUNK_ROWS)))
+    spelled = [list(distinct[i % len(distinct)]) for i in range(n)]
+    columns = [f"c{i}" for i in range(len(types))]
+    bools = [i for i, t in enumerate(types) if t == "boolean"]
+    as_text = [("text" if t == "boolean" else t) for t in types]
+    body = table_to_csv(Table(columns, as_text, spelled)).split("\n", 2)[2]
+    text = ",".join(columns) + "\n" + ",".join(types) + "\n" + body
+    rows = [list(r) for r in spelled]
+    for row in rows:
+        for i in bools:
+            row[i] = row[i].strip().lower() == "true"
+    return text, Table(columns, types, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_csv_tables())
+def test_csv_decode_roundtrip(case):
+    text, table = case
+    assert table_from_csv(text) == table
+    assert table_from_csv(table_to_csv(table)) == table

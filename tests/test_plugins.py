@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from conftest import FIG4_DIR
-from tsgflow.memory import MemoryStore, Table
+from tsgflow.memory import MemoryStore, RunScope, Table
 from tsgflow.plugins import (
     ArgSchemaViolation,
     LengthMismatch,
@@ -25,6 +25,7 @@ from tsgflow.plugins import (
     build_mock_registry,
     pearson_correlation,
 )
+from tsgflow.plugins import _next_key
 from tsgflow.queryprep import prepare_query
 
 FIXTURES = FIG4_DIR / "fixtures"
@@ -194,6 +195,15 @@ def test_aggregate_top_k(store):
     hand_sorted = sorted(table.rows, key=lambda r: r[1], reverse=True)[:3]
     assert top.rows == hand_sorted
 
+    # tied counts keep the order in which their rows were stored
+    store.put("tied", Table(["kind", "count"], ["text", "integer"],
+                            [["a", 5], ["b", 7], ["c", 5], ["d", 7], ["e", 3], ["f", 5]]))
+    top = analysis_aggregate(store, "tied#count", "top_k", k=4)
+    assert top.rows == [["b", 7], ["d", 7], ["a", 5], ["c", 5]]
+    assert analysis_aggregate(store, "tied#count", "top_k", k=0).rows == []
+    with pytest.raises(PluginError):
+        analysis_aggregate(store, "tied#count", "top_k", k=-1)
+
 
 def test_aggregate_errors(store):
     store.put("words", ["a", "b"])
@@ -315,3 +325,52 @@ def test_store_single_key_atomicity():
     assert errors == []
     for w in range(4):
         assert store.get(f"own-{w}").payload == 199
+
+
+def test_next_key_numbers_contiguously_from_one():
+    for store in (MemoryStore(), RunScope(MemoryStore(), "run-1")):
+        keys = []
+        for i in range(6):
+            keys.append(_next_key(store, "plugin.log_query"))
+            store.put(keys[-1], i)
+        assert keys == [f"plugin.log_query.{n}" for n in range(1, 7)]
+
+
+def test_next_key_never_overwrites():
+    store = MemoryStore()
+    store.put("plugin.log_query.4", "precious")
+    keys = []
+    for i in range(4):
+        key = _next_key(store, "plugin.log_query")
+        assert not store.contains(key)
+        store.put(key, i)
+        keys.append(key)
+    assert len(set(keys)) == 4
+    assert store.get("plugin.log_query.4").payload == "precious"
+
+
+class _CountingStore(MemoryStore):
+    """Counts keys looked at: one per contains(), one per key keys() returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.looked_at = 0
+
+    def contains(self, key):
+        self.looked_at += 1
+        return super().contains(key)
+
+    def keys(self):
+        found = super().keys()
+        self.looked_at += len(found)
+        return found
+
+
+def test_next_key_lookups_grow_logarithmically():
+    store = _CountingStore()
+    bound = 2 * (2000).bit_length() + 1  # doubling probes, then a bisection
+    for i in range(2000):
+        store.looked_at = 0
+        store.put(_next_key(store, "plugin.metric_fetch"), i)
+        assert store.looked_at <= bound, i
+    assert store.contains("plugin.metric_fetch.2000")
