@@ -30,10 +30,16 @@ from .queryprep import TemplateError, dump_manifest, extract_templates, load_man
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """`K` or `A..B` (A <= B) as a list of executor counts; argparse turns the
+    ArgumentTypeError into a usage error."""
+    lo, sep, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected K or A..B with integers A <= B, got {text!r}")
+    return ks
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a scenario across executor counts")
     p_sweep.add_argument("bundle")
     p_sweep.add_argument("--scenario", required=True)
-    p_sweep.add_argument("--executors", required=True, metavar="A..B")
+    p_sweep.add_argument("--executors", required=True, metavar="A..B", type=_parse_k_range)
     p_sweep.add_argument("--retry", type=int, default=2)
     p_sweep.add_argument("--report")
     p_sweep.add_argument("--baseline", help="sequential-DAG bundle for the serial baseline")
@@ -168,7 +174,7 @@ def _cmd_sweep(args) -> int:
     report = sweep(
         bundle,
         scenario,
-        _parse_k_range(args.executors),
+        args.executors,
         retry_limit=args.retry,
         baseline=baseline,
     )

@@ -32,8 +32,10 @@ import json
 import subprocess
 import threading
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from typing import Callable
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
@@ -122,12 +124,49 @@ def trace_to_jsonl(trace: list[TraceEvent]) -> str:
     return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in trace)
 
 
+class Snapshot(Sequence):
+    """Read-only view of an append-only list as long as it is when the view
+    is made: items appended later are not seen, and nothing is copied unless
+    a caller asks for a list."""
+
+    __slots__ = ("_items", "_length")
+
+    def __init__(self, items: list):
+        self._items = items
+        self._length = len(items)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._items[: self._length][index]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("snapshot index out of range")
+        return self._items[index]
+
+    def __iter__(self):
+        return islice(self._items, self._length)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Snapshot, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Snapshot({list(self)!r})"
+
+
 @dataclass
 class StepContext:
     """Everything an executor may see while working on exactly one step.
 
-    Read-only for backends: the plugin, template and memory-ref entries are
-    shared by every context of the run.
+    Read-only for backends. `history` and `memory_refs` are snapshots taken
+    at dispatch; the plugin, template and memory-ref entries are shared by
+    every context of the run, the outgoing-edge mappings by every run of the
+    bundle, and `cancel` by every context of the run.
     """
 
     run_id: str
@@ -136,26 +175,30 @@ class StepContext:
     step_title: str
     step_text: str
     incident: dict
-    outgoing_edges: list[dict]
-    history: list[dict]
+    outgoing_edges: Sequence[Mapping]
+    history: Sequence[dict]
     plugins: list[dict]  # descriptor summaries: name, params, result contract
     templates: list[str]
-    memory_refs: list[dict]
+    memory_refs: Sequence[dict]
     attempt: int
     store: RunScope | None = None
     cancel: threading.Event = field(default_factory=threading.Event)
 
     def to_obj(self) -> dict:
+        """Plain JSON-ready form; every sequence and mapping is a list or dict."""
         return {
             "run_id": self.run_id,
             "node": self.node_id,
             "step": {"id": self.step_id, "title": self.step_title, "text": self.step_text},
             "incident": self.incident,
-            "outgoing_edges": self.outgoing_edges,
-            "history": self.history,
+            "outgoing_edges": [
+                {k: dict(v) if isinstance(v, Mapping) else v for k, v in e.items()}
+                for e in self.outgoing_edges
+            ],
+            "history": list(self.history),
             "plugins": self.plugins,
             "templates": self.templates,
-            "memory_refs": self.memory_refs,
+            "memory_refs": list(self.memory_refs),
             "attempt": self.attempt,
         }
 
@@ -191,7 +234,8 @@ class RunConfig:
 class Bundle:
     """A guide ready to run. `dag` is compiled and validated once, by
     load_bundle or by the first run(); treat it as immutable from then on and
-    build a new Bundle to run a different DAG."""
+    build a new Bundle to run a different DAG. `static_contexts` caches the
+    parts of each node's StepContext that no run changes."""
 
     doc: TsgDocument | None
     dag: ExecutionDag
@@ -199,6 +243,7 @@ class Bundle:
     fixtures_dir: object = None
     registry: object = None
     compiled: CompiledDag | None = field(default=None, repr=False, compare=False)
+    static_contexts: StaticContexts | None = field(default=None, repr=False, compare=False)
 
 
 def _compile(dag: ExecutionDag) -> CompiledDag:
@@ -449,6 +494,93 @@ def _complete_start(state: RunState) -> None:
         state.resolve_edge(edge.id, ElementState.ENABLED, via=START)
 
 
+class _Record(Mapping):
+    """Read-only mapping whose keys are its subclass's slots. A bundle keeps
+    its records as long as it lives, and one slotted object takes about a
+    quarter of the memory of a dict behind a read-only proxy."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __getitem__(self, key):
+        if key not in self.__slots__:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(self.__slots__)
+
+    def __len__(self) -> int:
+        return len(self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+class EdgeEntry(_Record):
+    """An outgoing edge as a step context lists it."""
+
+    __slots__ = ("id", "to", "condition", "conclusion")
+
+
+class ConditionEntry(_Record):
+    """The condition of an EdgeEntry."""
+
+    __slots__ = ("question", "label")
+
+
+@dataclass(frozen=True, slots=True)
+class StaticContext:
+    """The parts of a node's StepContext that no run changes."""
+
+    step_id: str | None
+    title: str
+    text: str
+    edges: tuple[EdgeEntry, ...]
+
+
+class StaticContexts(dict):
+    """Node id -> StaticContext for one compiled DAG and document. An entry
+    is built on its node's first dispatch, so loading a bundle builds none."""
+
+    def __init__(self, compiled: CompiledDag, doc: TsgDocument | None):
+        super().__init__()
+        self.compiled = compiled
+        self.doc = doc
+        self._steps: dict[str, TsgStep] | None = None
+
+    def __missing__(self, node_id: str) -> StaticContext:
+        node = self.compiled.nodes[node_id]
+        title, text = node.description, ""
+        step = self._step(node.step_ref) if node.step_ref is not None else None
+        if step is not None:
+            title, text = step.title, step.body_text()
+        edges = tuple(
+            EdgeEntry(
+                e.id,
+                e.target,
+                ConditionEntry(e.condition.question, e.condition.label) if e.condition else None,
+                e.conclusion,
+            )
+            for e in self.compiled.outgoing[node_id]
+        )
+        entry = self[node_id] = StaticContext(node.step_ref, title, text, edges)
+        return entry
+
+    def _step(self, step_id: str) -> TsgStep | None:
+        if self._steps is None:
+            self._steps = {}
+            for step in self.doc.steps if self.doc is not None else ():
+                self._steps.setdefault(step.id, step)
+        return self._steps.get(step_id)
+
+
 @dataclass(frozen=True)
 class _RunInputs:
     """What every step context of one run shares; built once per run."""
@@ -456,44 +588,29 @@ class _RunInputs:
     run_id: str
     incident: dict
     scope: RunScope
-    steps: dict[str, TsgStep]
+    static: StaticContexts
     plugins: list[dict]
     templates: list[str]
+    cancel: threading.Event
 
 
 def _build_context(state: RunState, node_id: str, inputs: _RunInputs) -> StepContext:
-    node = state.compiled.nodes[node_id]
-    step_title, step_text = node.description, ""
-    step = inputs.steps.get(node.step_ref) if node.step_ref is not None else None
-    if step is not None:
-        step_title, step_text = step.title, step.body_text()
-    edges = [
-        {
-            "id": e.id,
-            "to": e.target,
-            "condition": (
-                {"question": e.condition.question, "label": e.condition.label}
-                if e.condition
-                else None
-            ),
-            "conclusion": e.conclusion,
-        }
-        for e in state.outgoing_edges(node_id)
-    ]
+    static = inputs.static[node_id]
     return StepContext(
         run_id=inputs.run_id,
         node_id=node_id,
-        step_id=node.step_ref,
-        step_title=step_title,
-        step_text=step_text,
+        step_id=static.step_id,
+        step_title=static.title,
+        step_text=static.text,
         incident=inputs.incident,
-        outgoing_edges=edges,
-        history=list(state.history),
+        outgoing_edges=static.edges,
+        history=Snapshot(state.history),
         plugins=inputs.plugins,
         templates=inputs.templates,
-        memory_refs=list(state.memory_ref_entries),
+        memory_refs=Snapshot(state.memory_ref_entries),
         attempt=state.attempts.get(node_id, 0) + 1,
         store=inputs.scope,
+        cancel=inputs.cancel,
     )
 
 
@@ -543,15 +660,14 @@ def run(
     config.validate()
     if bundle.compiled is None or bundle.compiled.dag is not bundle.dag:
         bundle.compiled = _compile(bundle.dag)
+    static = bundle.static_contexts
+    if static is None or static.compiled is not bundle.compiled or static.doc is not bundle.doc:
+        static = bundle.static_contexts = StaticContexts(bundle.compiled, bundle.doc)
 
     incident = incident or {}
     if run_id is None:
         run_id = f"{bundle.dag.tsg_id}/{incident.get('id', 'run')}"
     scope = RunScope(store if store is not None else MemoryStore(), run_id)
-    steps: dict[str, TsgStep] = {}
-    if bundle.doc is not None:
-        for step in bundle.doc.steps:
-            steps.setdefault(step.id, step)
     plugin_descriptors = []
     if bundle.registry is not None:
         plugin_descriptors = [
@@ -581,15 +697,16 @@ def run(
         run_id=run_id,
         incident=incident,
         scope=scope,
-        steps=steps,
+        static=static,
         plugins=plugin_descriptors,
         templates=[t.name for t in bundle.templates],
+        cancel=threading.Event(),
     )
     ctx_for = lambda node: _build_context(state, node, inputs)  # noqa: E731
     if config.clock == "virtual":
         _loop_virtual(state, backend, config.max_executors, ctx_for, scope)
     else:
-        _loop_wall(state, backend, config.max_executors, ctx_for, scope)
+        _loop_wall(state, backend, config.max_executors, ctx_for, scope, inputs.cancel)
 
     executed, seen = [], set()
     for ev in state.trace:
@@ -655,11 +772,14 @@ def _loop_wall(
     k: int,
     ctx_for: Callable[[str], StepContext],
     scope: RunScope | None,
+    cancel: threading.Event,
 ) -> None:
+    """`cancel` is the run's one cancel event, shared by all its contexts; it
+    is set at conclusion, when the only nodes left to see it are those still
+    running."""
     import queue as queue_mod
 
     done: queue_mod.Queue = queue_mod.Queue()
-    cancel_events: dict[str, threading.Event] = {}
     t0 = time.monotonic()
     now = lambda: time.monotonic() - t0  # noqa: E731
 
@@ -677,7 +797,6 @@ def _loop_wall(
         while state.ready and len(state.running) < k:
             node_id = state.pop_ready()
             ctx = ctx_for(node_id)
-            cancel_events[node_id] = ctx.cancel
             attempt = state.mark_running(node_id, now())
             state.clock = now()
             state.emit("node_started", node_id, {"attempt": attempt})
@@ -694,8 +813,7 @@ def _loop_wall(
         if outcome.result == "success":
             _record_memory_refs(state, scope, outcome)
         if state.status is RunStatus.CONCLUDED:
-            for running_id in state.running:
-                cancel_events[running_id].set()
+            cancel.set()
     state.clock = now()
     _finish(state)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 from .dag import InvalidDag, compile_dag, extract_dag, load_dag
@@ -30,6 +31,10 @@ from .queryprep import extract_templates, load_manifest
 
 
 class HarnessError(Exception):
+    pass
+
+
+class ScenarioInvalid(HarnessError):
     pass
 
 
@@ -71,18 +76,77 @@ def load_bundle(path: str | Path) -> Bundle:
 
 
 def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:
-    """Resolve a scenario by path, or by name inside <bundle>/scenarios/."""
-    direct = Path(name_or_path)
-    if direct.exists():
-        return json.loads(direct.read_text(encoding="utf-8"))
+    """Resolve a scenario by path, or by name inside <bundle>/scenarios/.
+
+    Raises ScenarioInvalid for a file that is not JSON or not a scenario.
+    """
     candidates = [
+        Path(name_or_path),
         Path(bundle_dir) / "scenarios" / name_or_path,
         Path(bundle_dir) / "scenarios" / f"{name_or_path}.json",
     ]
     for candidate in candidates:
         if candidate.exists():
-            return json.loads(candidate.read_text(encoding="utf-8"))
+            try:
+                scenario = json.loads(candidate.read_text(encoding="utf-8"))
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ScenarioInvalid(f"scenario {candidate}: not valid JSON: {exc}") from None
+            _check_scenario(scenario, str(candidate))
+            return scenario
     raise HarnessError(f"scenario {name_or_path!r} not found")
+
+
+# (field, value when absent, test over a list of values, what a value must be)
+_ATTEMPT_RULES = (
+    ("result", "success", lambda vs: set(vs) <= {"success", "failure"}, "'success' or 'failure'"),
+    # a NaN latency makes the sum NaN, which is not >= 0
+    ("latency", 0,
+     lambda vs: set(map(type, vs)) <= {int, float} and min(vs, default=0) >= 0 and sum(vs) >= 0,
+     "a number >= 0"),
+    ("edge_decisions", {}, lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),
+)
+
+
+def _check_scenario(scenario, source: str) -> None:
+    """Raise ScenarioInvalid naming the first part of `scenario` that the
+    oracle or ScriptedBackend cannot read: the top level, `incident` and
+    `steps` objects, each step's attempt list, and each attempt's object,
+    `result`, `latency` and `edge_decisions`. (A bad `memory_writes` fails
+    its attempt with a named error when the step runs.)
+
+    A scenario is as large as its guide, so each rule runs over every
+    attempt at once, inside builtins; attempts are looked at one by one only
+    to name a bad one."""
+
+    def bad(what: str):
+        raise ScenarioInvalid(f"scenario {source}: {what}")
+
+    if not isinstance(scenario, dict):
+        bad("top level must be a JSON object")
+    if not isinstance(scenario.get("incident") or {}, dict):
+        bad("incident must be an object")
+    steps = scenario.get("steps", {})
+    if not isinstance(steps, dict):
+        bad("steps must map node ids to attempts")
+    lists = [spec.get("attempts") if isinstance(spec, dict) else spec for spec in steps.values()]
+    if not set(map(type, lists)) <= {list}:
+        node = next(node for node, attempts in zip(steps, lists) if type(attempts) is not list)
+        bad(f'steps.{node} must be a list of attempts or {{"attempts": [...]}}')
+
+    def where(k: int) -> str:
+        for node, attempts in zip(steps, lists):
+            if k < len(attempts):
+                return f"steps.{node}.attempts[{k}]"
+            k -= len(attempts)
+
+    attempts = list(chain.from_iterable(lists))
+    if not set(map(type, attempts)) <= {dict}:
+        bad(where(next(k for k, a in enumerate(attempts) if type(a) is not dict)) + " must be an object")
+    for field, default, ok, what in _ATTEMPT_RULES:
+        values = list(map(dict.get, attempts, repeat(field), repeat(default)))
+        if not ok(values):
+            k = next(k for k, v in enumerate(values) if not ok([v]))
+            bad(f"{where(k)}.{field} must be {what}")
 
 
 def run_scenario(

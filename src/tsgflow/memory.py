@@ -20,10 +20,10 @@ import json
 import re
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
@@ -345,9 +345,17 @@ def render_context(
 
 @dataclass
 class MemoryRef:
+    """A stored value's key and kind. `summary`, the value's context rendering
+    under `summary_key` (default `key`), is rendered on first read."""
+
     key: str
     kind: str
-    summary: ContextSummary
+    value: MemoryValue = field(repr=False)
+    summary_key: str | None = field(default=None, repr=False)
+
+    @cached_property
+    def summary(self) -> ContextSummary:
+        return render_context(self.value, key=self.summary_key or self.key)
 
 
 # -- stores -----------------------------------------------------------------
@@ -395,7 +403,7 @@ class MemoryStore:
 
     def ref(self, key: str) -> MemoryRef:
         value = self.get(key)
-        return MemoryRef(key=key, kind=value.kind, summary=render_context(value, key=key))
+        return MemoryRef(key, value.kind, value)
 
 
 class FileBackedStore(MemoryStore):
@@ -441,7 +449,7 @@ class RunScope:
 
     def put(self, key: str, value) -> MemoryRef:
         ref = self._store.put(self._full(key), value)
-        return MemoryRef(key=key, kind=ref.kind, summary=ref.summary)
+        return MemoryRef(key, ref.kind, ref.value, summary_key=ref.key)
 
     def get(self, key: str) -> MemoryValue:
         try:
@@ -458,7 +466,7 @@ class RunScope:
 
     def ref(self, key: str) -> MemoryRef:
         value = self.get(key)
-        return MemoryRef(key=key, kind=value.kind, summary=render_context(value, key=key))
+        return MemoryRef(key, value.kind, value)
 
 
 # -- CSV interchange --------------------------------------------------------
@@ -478,13 +486,18 @@ _COLUMN_DECODERS = {
 
 
 def table_to_csv(table: Table) -> str:
-    """Header row, then a type row, then data rows."""
+    """Header row, then a type row, then data rows.
+
+    Lines end in "\n", so the writer would leave a lone "\r" in a cell
+    unquoted, which the reader rejects; a row holding one is written with
+    every cell quoted.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table.columns)
-    writer.writerow(table.types)
-    for row in table.rows:
-        writer.writerow([_render_cell(c, None) for c in row])
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    rendered = ([_render_cell(c, None) for c in row] for row in table.rows)
+    for cells in chain((table.columns, table.types), rendered):
+        (quoted if any("\r" in c for c in cells) else plain).writerow(cells)
     return buf.getvalue()
 
 

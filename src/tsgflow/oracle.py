@@ -309,19 +309,35 @@ def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
 
     match_right: dict[int, int] = {}
 
-    def augment(u: int, visited: set[int]) -> bool:
-        for v in right_of[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_right or augment(match_right[v], visited):
-                match_right[v] = u
-                return True
+    def augment(root: int) -> bool:
+        """Kuhn's depth-first augmenting-path search from `root`. The explicit
+        stack visits and matches exactly as the recursive form would, with
+        path length independent of Python's recursion limit."""
+        visited: set[int] = set()
+        stack = [(root, iter(right_of[root]))]
+        via: list[int] = []  # via[i]: the right vertex that led from stack[i] to stack[i + 1]
+        while stack:
+            u, candidates = stack[-1]
+            for v in candidates:
+                if v in visited:
+                    continue
+                visited.add(v)
+                via.append(v)
+                if v not in match_right:
+                    for (left, _), right in zip(stack, via):
+                        match_right[right] = left
+                    return True
+                stack.append((match_right[v], iter(right_of[match_right[v]])))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
         return False
 
     matching = 0
     for u in range(len(nodes)):
-        if augment(u, set()):
+        if augment(u):
             matching += 1
     return len(nodes) - matching
 

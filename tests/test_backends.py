@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from test_engine import bundle_of, linear_dag
+from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
+    CancelledSignal,
+    ExecutorBackend,
     ProcessBackend,
     RunConfig,
     RunStatus,
     ScriptedBackend,
+    StepOutcome,
     run,
 )
 
@@ -121,3 +126,41 @@ def test_wall_clock_engine_error_propagates():
 
     with _pytest.raises(ScenarioIncomplete):
         run(bundle_of(dag), backend, RunConfig(max_executors=1, clock="wall"))
+
+
+def test_wall_clock_conclusion_cancels_only_running_nodes():
+    """k=2 over three parallel steps: step1 concludes while step2 runs and
+    step3 waits in the queue. Only step2 sees the run's cancel event."""
+    nodes = [DagNode("start", "start", "run start")]
+    edges = []
+    for i in (1, 2, 3):
+        step = f"step{i}"
+        nodes.append(DagNode(step, "step", step, step_ref=str(i)))
+        edges += [DagEdge(edge_id("start", step), "start", step),
+                  DagEdge(edge_id(step, "end"), step, "end", None, f"via {step}")]
+    dag = ExecutionDag("parallel", nodes + [DagNode("end", "end", "run end")], edges)
+    steps = {
+        step: [{"result": "success", "latency": latency,
+                "edge_decisions": {edge_id(step, "end"): "enable"}}]
+        for step, latency in (("step1", 0.05), ("step2", 30), ("step3", 30))
+    }
+    inner = ScriptedBackend.from_scenario({"steps": steps}, wall=True)
+    returned = {}
+    step2_done = threading.Event()
+
+    class Recording(ExecutorBackend):
+        def execute(self, ctx):
+            outcome = inner.execute(ctx)
+            returned[ctx.node_id] = outcome
+            if ctx.node_id == "step2":
+                step2_done.set()
+            return outcome
+
+    result = run(bundle_of(dag), Recording(), RunConfig(max_executors=2, clock="wall"))
+    assert result.conclusion == "via step1"
+    cancelled = [(e.subject, e.detail["phase"]) for e in result.trace if e.kind == "node_cancelled"]
+    assert cancelled == [("step2", "running"), ("step3", "queued")]
+    assert step2_done.wait(timeout=5)  # it returned long before its 30 s latency
+    assert isinstance(returned["step1"], StepOutcome)
+    assert isinstance(returned["step2"], CancelledSignal)
+    assert "step3" not in returned

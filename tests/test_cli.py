@@ -123,6 +123,34 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_bad_executor_range_is_a_usage_error(capsys):
+    for bad in ("x..3", "3..1", "2..", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(FIG5_DIR), "--scenario", "dependency_issue", "--executors", bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tsgflow sweep")
+        assert f"argument --executors: expected K or A..B with integers A <= B, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--executors", "1..2"], ["oracle"]],
+                         ids=["run", "sweep", "oracle"])
+@pytest.mark.parametrize("text,message", [
+    ("{not json", "not valid JSON"),
+    ('{"steps": 5}', "steps must map node ids to attempts"),
+    ('[1, 2]', "top level must be a JSON object"),
+    ('{"steps": {"step1": {"attempts": [{"latency": "slow"}]}}}',
+     "steps.step1.attempts[0].latency must be a number >= 0"),
+    ('{"incident": "INC-1", "steps": {}}', "incident must be an object"),
+], ids=["bad-json", "steps-not-object", "top-level-list", "latency-text", "incident-text"])
+def test_bad_scenario_exits_one_with_named_error(tmp_path, capsys, command, text, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text, encoding="utf-8")
+    code = main([command[0], str(FIG5_DIR), "--scenario", str(path), *command[1:]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: ScenarioInvalid: scenario {path}: {message}")
+
+
 def test_cli_outputs_byte_stable(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     for path in (a, b):

@@ -474,3 +474,80 @@ def test_step_contexts_of_fixture_runs(fixture, k, request):
     assert seen[0]["step"]["text"].startswith(
         "\nPull the most frequent exception types from the service log"
     )
+
+
+# -- step contexts: static parts, snapshots, cancel event -----------------------
+
+def _recording(backend, seen):
+    class Recording(ExecutorBackend):
+        def execute(self, ctx):
+            seen.append(ctx)
+            return backend.execute(ctx)
+
+    return Recording()
+
+
+def test_context_snapshots_do_not_see_later_entries(fig4_bundle, fig4_scenario):
+    seen = []
+    result = run(fig4_bundle, _recording(ScriptedBackend.from_scenario(fig4_scenario), seen),
+                 incident=fig4_scenario["incident"])
+    history, refs = result.state.history, result.state.memory_ref_entries
+    assert (len(history), len(refs)) == (8, 2)
+    first, second = seen[0], seen[1]
+    assert len(first.history) == 0 and list(first.memory_refs) == []
+    assert len(second.history) == 1 and second.history[-1] is history[0]  # shared, not copied
+    assert second.history == [history[0]] and second.history[:5] == [history[0]]
+    assert second.memory_refs == _REFS[:1] and second.memory_refs[0] is refs[0]
+    with pytest.raises(IndexError):
+        second.history[1]
+    assert not hasattr(second.history, "append")
+    assert second.to_obj()["history"] == [history[0]]
+    assert type(second.to_obj()["history"]) is list
+
+
+def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag():
+    assert load_bundle(FIG5_DIR).static_contexts is None  # loading builds no entry
+    bundle = bundle_of(linear_dag(2))
+    steps = {
+        "step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}],
+        "step2": [{"result": "success", "edge_decisions": {"edge_step2_end": "enable"}}],
+    }
+    seen = []
+    run(bundle, _recording(scripted(steps), seen))
+    cache = bundle.static_contexts
+    assert set(cache) == {"step1", "step2"}
+    run(bundle, scripted(steps))
+    assert bundle.static_contexts is cache
+    assert [dict(e) for e in seen[1].outgoing_edges] == [
+        {"id": "edge_step2_end", "to": "end", "condition": None, "conclusion": "finished"}
+    ]
+
+    bundle.dag = linear_dag(1, tsg_id="shorter")
+    seen.clear()
+    one = {"step1": [{"result": "success", "edge_decisions": {"edge_step1_end": "enable"}}]}
+    assert run(bundle, _recording(scripted(one), seen)).conclusion == "finished"
+    assert bundle.static_contexts is not cache and set(bundle.static_contexts) == {"step1"}
+    assert [e["id"] for e in seen[0].outgoing_edges] == ["edge_step1_end"]
+
+
+def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):
+    bundle = load_bundle(FIG5_DIR)
+    runs = []
+    for _ in range(2):
+        seen = []
+        run(bundle, _recording(ScriptedBackend.from_scenario(fig5_scenario), seen),
+            RunConfig(max_executors=3), incident=fig5_scenario["incident"])
+        runs.append(seen)
+    assert [c.to_obj() for c in runs[0]] == [c.to_obj() for c in runs[1]]
+    for a, b in zip(*runs):
+        assert a.outgoing_edges is b.outgoing_edges  # shared by every run of the bundle
+        assert a.cancel is not b.cancel
+    assert all(c.cancel is runs[0][0].cancel for c in runs[0])  # one cancel event per run
+    edge = next(e for c in runs[0] for e in c.outgoing_edges if e["condition"] is not None)
+    assert set(edge["condition"]) == {"question", "label"}
+    with pytest.raises(TypeError):
+        edge["id"] = "renamed"
+    with pytest.raises(AttributeError):
+        edge.id = "renamed"
+    with pytest.raises(AttributeError):
+        edge["condition"].label = "N"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -126,6 +127,27 @@ def test_max_antichain_shapes(fig5_bundle):
     assert max_antichain(dag, chain) == 1
     assert max_antichain(dag, ["step2", "step3.1", "step4.1"]) == 3
     assert max_antichain(dag, []) == 0
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_max_antichain_long_chain_within_recursion_limit():
+    """On a chain the augmenting paths run about 0.9 n deep. A 400-step chain
+    with 150 free stack frames stands in for a 1500-step chain under the
+    default limit, at a small part of its cubic matching cost."""
+    dag = linear_dag(400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        width = max_antichain(dag, [n.id for n in dag.step_nodes()])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert width == 1
 
 
 def test_timed_analysis_executed_set(fig5_bundle, fig5_scenario):
