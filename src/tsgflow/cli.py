@@ -1,6 +1,6 @@
 """Command-line surface.
 
-    tsgflow lint <tsg.md> [--json]
+    tsgflow lint <tsg.md> [--json] [--analyzer CMD]
     tsgflow extract dag <tsg.md> -o <dag.json>
     tsgflow extract qpp <tsg.md> -o <manifest.json>
     tsgflow prepare <manifest.json> <template> --param k=v ...
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .dag import DagError, extract_dag, serialize_dag, validate_dag
 from .document import TsgParseError, parse_tsg
 from .engine import EngineError, RunStatus
 from .harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
-from .lint import findings_to_json, lint
+from .lint import ExternalAnalyzer, LintError, findings_to_json, lint
 from .oracle import oracle_makespan
 from .queryprep import TemplateError, dump_manifest, extract_templates, load_manifest, prepare_query
 
@@ -49,6 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser("lint", help="run quality checks over a guide")
     p_lint.add_argument("tsg")
     p_lint.add_argument("--json", action="store_true")
+    p_lint.add_argument("--analyzer", metavar="CMD",
+                        help="external analyzer command line (split as a shell would)")
 
     p_extract = sub.add_parser("extract", help="extract artifacts from a guide")
     esub = p_extract.add_subparsers(dest="what", required=True)
@@ -90,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lint(args) -> int:
     doc = parse_tsg(Path(args.tsg).read_text(encoding="utf-8"))
-    findings = lint(doc)
+    analyzer = ExternalAnalyzer(shlex.split(args.analyzer)) if args.analyzer else None
+    findings = lint(doc, analyzer=analyzer)
     if args.json:
         sys.stdout.write(findings_to_json(findings))
     else:
@@ -226,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TsgParseError, DagError, TemplateError, EngineError, HarnessError) as exc:
+    except (TsgParseError, DagError, TemplateError, EngineError, HarnessError, LintError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -9,7 +9,10 @@ the termination point they realize.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from .document import TsgDocument, step_id_key
 
@@ -176,14 +179,40 @@ def _adjacency(dag: ExecutionDag) -> dict[str, list[str]]:
     return adj
 
 
+def _is_acyclic(adj: dict[str, list[str]]) -> bool:
+    """Kahn's in-degree test (Kahn 1962): peel off nodes with no incoming
+    edge until none is left; the graph is acyclic iff every node goes.
+
+    Targets outside `adj` count for nothing, as in the depth-first search.
+    """
+    in_degree = Counter(chain.from_iterable(adj.values()))
+    ready = [u for u in adj if not in_degree[u]]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for v in adj[ready.pop()]:
+            in_degree[v] -= 1
+            if not in_degree[v] and v in adj:
+                ready.append(v)
+    return peeled == len(adj)
+
+
 def _find_cycle(dag: ExecutionDag) -> list[str]:
     """Return the edge ids of one cycle, or [] when acyclic.
 
-    Depth-first search with an explicit stack, so guide depth is not bounded
-    by Python's recursion limit. Roots are tried in node_sort_key order and
-    successors in edge order; the cycle reported is the first back edge met.
+    Kahn's test settles an acyclic graph in O(V + E) without sorting. A
+    cyclic one goes on to a depth-first search with an explicit stack, so
+    guide depth is not bounded by Python's recursion limit: roots are tried
+    in node_sort_key order and successors in edge order, and the cycle
+    reported is the first back edge met.
     """
     adj = _adjacency(dag)
+    if _is_acyclic(adj):
+        return []
+    return _dfs_cycle(adj)
+
+
+def _dfs_cycle(adj: dict[str, list[str]]) -> list[str]:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in adj}
     for root in sorted(adj, key=node_sort_key):
@@ -354,31 +383,55 @@ def compile_dag(dag: ExecutionDag) -> CompiledDag:
     )
 
 
-def _node_obj(n: DagNode) -> dict:
-    return {"id": n.id, "kind": n.kind, "description": n.description, "step_ref": n.step_ref}
+_json_str = json.encoder.encode_basestring  # the C escaper json.dumps(ensure_ascii=False) uses
 
 
-def _edge_obj(e: DagEdge) -> dict:
-    condition = None
-    if e.condition is not None:
-        condition = {"question": e.condition.question, "label": e.condition.label}
-    return {
-        "id": e.id,
-        "from": e.source,
-        "to": e.target,
-        "condition": condition,
-        "conclusion": e.conclusion,
-    }
+def _json_array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _condition_json(c: EdgeCondition | None) -> str:
+    if c is None:
+        return "null"
+    return (
+        f'{{\n        "question": {_json_str(c.question)},\n'
+        f'        "label": {_json_str(c.label)}\n      }}'
+    )
 
 
 def serialize_dag(dag: ExecutionDag) -> str:
-    """Byte-stable JSON: nodes then edges, each sorted by id."""
-    obj = {
-        "tsg_id": dag.tsg_id,
-        "nodes": [_node_obj(n) for n in sorted(dag.nodes, key=lambda n: n.id)],
-        "edges": [_edge_obj(e) for e in sorted(dag.edges, key=lambda e: e.id)],
-    }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Byte-stable JSON: nodes then edges, each sorted by id.
+
+    The text is exactly json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    of {"tsg_id", "nodes", "edges"}, where each node is {"id", "kind",
+    "description", "step_ref"} and each edge is {"id", "from", "to",
+    "condition", "conclusion"}, keys in that order; a condition is
+    {"question", "label"}. Non-ASCII text is written as is, an empty list as
+    [] and a missing step_ref, condition or conclusion as null. Every other
+    field must be a str. The layout is built here and only strings go
+    through json's C escaper.
+    """
+    q = _json_str
+    nodes = [
+        f'    {{\n      "id": {q(n.id)},\n      "kind": {q(n.kind)},\n'
+        f'      "description": {q(n.description)},\n'
+        f'      "step_ref": {"null" if n.step_ref is None else q(n.step_ref)}\n    }}'
+        for n in sorted(dag.nodes, key=attrgetter("id"))
+    ]
+    edges = [
+        f'    {{\n      "id": {q(e.id)},\n      "from": {q(e.source)},\n      "to": {q(e.target)},\n'
+        f'      "condition": {_condition_json(e.condition)},\n'
+        f'      "conclusion": {"null" if e.conclusion is None else q(e.conclusion)}\n    }}'
+        for e in sorted(dag.edges, key=attrgetter("id"))
+    ]
+    return (
+        f'{{\n  "tsg_id": {q(dag.tsg_id)},\n  "nodes": {_json_array(nodes)},\n'
+        f'  "edges": {_json_array(edges)}\n}}\n'
+    )
+
+
+_NODE_KINDS = ("start", "step", "end")
+_LABELS = ("Y", "N")
 
 
 def _expect(cond: bool, path: str, message: str) -> None:
@@ -386,8 +439,45 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise SchemaViolation(path, message)
 
 
+def _checked_node(path: str, raw) -> DagNode:
+    _expect(isinstance(raw, dict), path, "must be an object")
+    _expect(isinstance(raw.get("id"), str) and raw["id"], f"{path}/id", "required string")
+    _expect(raw.get("kind") in _NODE_KINDS, f"{path}/kind", "must be start|step|end")
+    _expect(isinstance(raw.get("description"), str), f"{path}/description", "required string")
+    step_ref = raw.get("step_ref")
+    _expect(step_ref is None or isinstance(step_ref, str), f"{path}/step_ref", "string or null")
+    return DagNode(raw["id"], raw["kind"], raw["description"], step_ref)
+
+
+def _checked_edge(path: str, raw) -> DagEdge:
+    _expect(isinstance(raw, dict), path, "must be an object")
+    for key in ("id", "from", "to"):
+        _expect(isinstance(raw.get(key), str) and raw[key], f"{path}/{key}", "required string")
+    condition = raw.get("condition")
+    cond = None
+    if condition is not None:
+        _expect(isinstance(condition, dict), f"{path}/condition", "object or null")
+        _expect(
+            isinstance(condition.get("question"), str),
+            f"{path}/condition/question",
+            "required string",
+        )
+        _expect(condition.get("label") in _LABELS, f"{path}/condition/label", "must be Y or N")
+        cond = EdgeCondition(condition["question"], condition["label"])
+    conclusion = raw.get("conclusion")
+    _expect(
+        conclusion is None or isinstance(conclusion, str), f"{path}/conclusion", "string or null"
+    )
+    return DagEdge(raw["id"], raw["from"], raw["to"], cond, conclusion)
+
+
 def load_dag(text: str) -> ExecutionDag:
-    """Parse and schema-check a DAG document produced by serialize_dag."""
+    """Parse and schema-check a DAG document produced by serialize_dag.
+
+    Each node and edge passes one combined type test; only one that fails it
+    goes through the ordered checks (_checked_node, _checked_edge), which
+    raise SchemaViolation naming the first field at fault.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -397,42 +487,38 @@ def load_dag(text: str) -> ExecutionDag:
     _expect(isinstance(obj.get("edges"), list), "/edges", "required array")
     _expect(isinstance(obj.get("tsg_id"), str), "/tsg_id", "required string")
 
-    nodes = []
-    for i, raw in enumerate(obj["nodes"]):
-        path = f"/nodes/{i}"
-        _expect(isinstance(raw, dict), path, "must be an object")
-        _expect(isinstance(raw.get("id"), str) and raw["id"], f"{path}/id", "required string")
-        _expect(raw.get("kind") in ("start", "step", "end"), f"{path}/kind", "must be start|step|end")
-        _expect(isinstance(raw.get("description"), str), f"{path}/description", "required string")
-        step_ref = raw.get("step_ref")
-        _expect(step_ref is None or isinstance(step_ref, str), f"{path}/step_ref", "string or null")
-        nodes.append(DagNode(raw["id"], raw["kind"], raw["description"], step_ref))
-
-    edges = []
-    for i, raw in enumerate(obj["edges"]):
-        path = f"/edges/{i}"
-        _expect(isinstance(raw, dict), path, "must be an object")
-        for key in ("id", "from", "to"):
-            _expect(isinstance(raw.get(key), str) and raw[key], f"{path}/{key}", "required string")
-        condition = raw.get("condition")
-        cond = None
-        if condition is not None:
-            _expect(isinstance(condition, dict), f"{path}/condition", "object or null")
-            _expect(
-                isinstance(condition.get("question"), str),
-                f"{path}/condition/question",
-                "required string",
-            )
-            _expect(
-                condition.get("label") in ("Y", "N"), f"{path}/condition/label", "must be Y or N"
-            )
-            cond = EdgeCondition(condition["question"], condition["label"])
-        conclusion = raw.get("conclusion")
-        _expect(
-            conclusion is None or isinstance(conclusion, str), f"{path}/conclusion", "string or null"
+    nodes = [
+        DagNode(node_id, kind, description, step_ref)
+        if type(raw) is dict
+        and type(node_id := raw.get("id")) is str
+        and node_id
+        and (kind := raw.get("kind")) in _NODE_KINDS
+        and type(description := raw.get("description")) is str
+        and ((step_ref := raw.get("step_ref")) is None or type(step_ref) is str)
+        else _checked_node(f"/nodes/{i}", raw)
+        for i, raw in enumerate(obj["nodes"])
+    ]
+    edges = [
+        DagEdge(
+            eid, source, target,
+            None if c is None else EdgeCondition(c["question"], c["label"]),
+            conclusion,
         )
-        edges.append(DagEdge(raw["id"], raw["from"], raw["to"], cond, conclusion))
-
+        if type(raw) is dict
+        and type(eid := raw.get("id")) is str
+        and eid
+        and type(source := raw.get("from")) is str
+        and source
+        and type(target := raw.get("to")) is str
+        and target
+        and (
+            (c := raw.get("condition")) is None
+            or (type(c) is dict and type(c.get("question")) is str and c.get("label") in _LABELS)
+        )
+        and ((conclusion := raw.get("conclusion")) is None or type(conclusion) is str)
+        else _checked_edge(f"/edges/{i}", raw)
+        for i, raw in enumerate(obj["edges"])
+    ]
     return ExecutionDag(tsg_id=obj["tsg_id"], nodes=nodes, edges=edges)
 
 

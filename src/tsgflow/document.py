@@ -71,6 +71,12 @@ _ARM_STEP_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")
 _ARM_TERMINATE_RE = re.compile(r"^Terminate\((?P<conclusion>.*)\)$")
 _PARALLEL_ITEM_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")
 
+# First characters of every overlay line form: the fence, the step and
+# document headers, Inputs:, Next:, Produces:, Terminate: and "- " directives.
+# Each line pattern is anchored and starts with one of these literals, so a
+# line starting with anything else (or empty) can only be body text.
+_OVERLAY_FIRST_CHARS = frozenset("`#INPT-")
+
 
 def step_id_key(step_id: str) -> tuple:
     """Sort key for dotted-decimal step ids; non-numeric segments sort after."""
@@ -249,7 +255,7 @@ def parse_tsg(text: str) -> TsgDocument:
     for line_no, raw in enumerate(lines, start=1):
         if in_fence:
             body_of(line_no, raw)
-            if _FENCE_RE.match(raw) and raw.startswith("```"):
+            if raw.startswith("```") and _FENCE_RE.match(raw):
                 in_fence = False
                 if fence_name and current is not None:
                     if fence_name in query_names:
@@ -270,6 +276,11 @@ def parse_tsg(text: str) -> TsgDocument:
                 fence_lines = []
             else:
                 fence_lines.append(raw)
+            continue
+
+        if raw[:1] not in _OVERLAY_FIRST_CHARS:
+            next_mode = False
+            body_of(line_no, raw)
             continue
 
         fm = _FENCE_RE.match(raw)

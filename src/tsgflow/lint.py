@@ -61,6 +61,11 @@ class ManifestMissing(LintError):
     pass
 
 
+class AnalyzerFailed(LintError):
+    """The external analyzer timed out or answered something other than a
+    JSON list of finding objects."""
+
+
 @dataclass(frozen=True)
 class LintFinding:
     rule: str
@@ -231,23 +236,40 @@ class ExternalAnalyzer:
         self.command = command
 
     def findings(self, doc: TsgDocument) -> list[LintFinding]:
+        """Findings of one request; AnalyzerFailed on a timeout or a bad answer.
+
+        A child that exits non-zero or prints nothing contributes no findings.
+        """
         request = json.dumps({"tsg_id": doc.tsg_id, "text": doc.source}) + "\n"
-        proc = subprocess.run(
-            self.command, input=request, capture_output=True, text=True, timeout=60
-        )
+        try:
+            proc = subprocess.run(
+                self.command, input=request, capture_output=True, text=True, timeout=60
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise AnalyzerFailed(f"analyzer timed out after {exc.timeout} s") from exc
         if proc.returncode != 0 or not proc.stdout.strip():
             return []
+        first = proc.stdout.splitlines()[0]
+        try:
+            answer = json.loads(first)
+        except json.JSONDecodeError as exc:
+            raise AnalyzerFailed(f"analyzer answer is not JSON: {first[:80]!r}") from exc
+        if not isinstance(answer, list):
+            raise AnalyzerFailed(f"analyzer answer is not a list: {first[:80]!r}")
         out = []
-        for raw in json.loads(proc.stdout.splitlines()[0]):
-            out.append(
-                LintFinding(
-                    rule=raw.get("rule", "CP-EXTERNAL"),
-                    category="CP",
-                    line=int(raw.get("line", 1)),
-                    message=raw.get("message", ""),
-                    severity=raw.get("severity", "warning"),
+        for raw in answer:
+            try:
+                out.append(
+                    LintFinding(
+                        rule=raw.get("rule", "CP-EXTERNAL"),
+                        category="CP",
+                        line=int(raw.get("line", 1)),
+                        message=raw.get("message", ""),
+                        severity=raw.get("severity", "warning"),
+                    )
                 )
-            )
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}") from exc
         return out
 
 

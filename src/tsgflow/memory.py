@@ -50,6 +50,10 @@ class InvalidValue(MemoryStoreError):
     pass
 
 
+class CorruptLog(MemoryStoreError):
+    """A whole record of a FileBackedStore log does not decode."""
+
+
 Scalar = str | int | float | bool | datetime
 
 
@@ -346,16 +350,15 @@ def render_context(
 @dataclass
 class MemoryRef:
     """A stored value's key and kind. `summary`, the value's context rendering
-    under `summary_key` (default `key`), is rendered on first read."""
+    under `key`, is rendered on first read."""
 
     key: str
     kind: str
     value: MemoryValue = field(repr=False)
-    summary_key: str | None = field(default=None, repr=False)
 
     @cached_property
     def summary(self) -> ContextSummary:
-        return render_context(self.value, key=self.summary_key or self.key)
+        return render_context(self.value, key=self.key)
 
 
 # -- stores -----------------------------------------------------------------
@@ -410,11 +413,18 @@ class FileBackedStore(MemoryStore):
     """Append-log store: one length-prefixed JSON record per put.
 
     Reopening the same path replays the log, so state survives the process.
+    Replay stops at the last whole record. A torn tail (a partial length
+    header or a record shorter than its header says, as a crash mid-write
+    leaves) is not loaded: `torn_tail` holds its size in bytes (0 for a
+    whole log), and the next put cuts it off before appending. A whole
+    record that does not decode raises CorruptLog.
     """
 
     def __init__(self, path: str | Path):
         super().__init__()
         self.path = Path(path)
+        self.torn_tail = 0
+        self._whole_bytes = 0
         if self.path.exists():
             self._replay()
 
@@ -423,14 +433,24 @@ class FileBackedStore(MemoryStore):
         offset = 0
         while offset + 4 <= len(raw):
             (length,) = struct.unpack(">I", raw[offset : offset + 4])
-            offset += 4
-            record = json.loads(raw[offset : offset + length].decode("utf-8"))
-            offset += length
-            self._data[record["key"]] = decode_value(record["value"])
+            end = offset + 4 + length
+            if end > len(raw):
+                break
+            try:
+                record = json.loads(raw[offset + 4 : end].decode("utf-8"))
+                self._data[record["key"]] = decode_value(record["value"])
+            except (ValueError, LookupError, TypeError, AttributeError, MemoryStoreError) as exc:
+                raise CorruptLog(f"{self.path}: record at byte {offset}: {exc!r}") from exc
+            offset = end
+        self._whole_bytes = offset
+        self.torn_tail = len(raw) - offset
 
     def _store(self, key: str, value: MemoryValue) -> None:
         record = json.dumps({"key": key, "value": encode_value(value)}).encode("utf-8")
         with self.path.open("ab") as handle:
+            if self.torn_tail:
+                handle.truncate(self._whole_bytes)
+                self.torn_tail = 0
             handle.write(struct.pack(">I", len(record)))
             handle.write(record)
         self._data[key] = value
@@ -448,8 +468,9 @@ class RunScope:
         return f"{self.run_id}::{key}"
 
     def put(self, key: str, value) -> MemoryRef:
+        """Store under the scoped key; the ref, like ref(), names the short key."""
         ref = self._store.put(self._full(key), value)
-        return MemoryRef(key, ref.kind, ref.value, summary_key=ref.key)
+        return MemoryRef(key, ref.kind, ref.value)
 
     def get(self, key: str) -> MemoryValue:
         try:

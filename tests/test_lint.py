@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import FIG4_DIR
 from corpus import build_lint_corpus
+from tsgflow.cli import main
 from tsgflow.document import parse_tsg
 from tsgflow.lint import (
+    AnalyzerFailed,
     ExternalAnalyzer,
     LintFinding,
     ManifestMissing,
@@ -250,3 +255,49 @@ def test_external_analyzer_hook(fig4_bundle):
     assert [f.rule for f in findings] == ["CP-ACTION-VAGUE"]
     assert findings[0].category == "CP"
     assert "availability-drop" in findings[0].message
+
+
+def _fake_run(stdout: str | None):
+    """subprocess.run stand-in: a child that prints `stdout`, or times out
+    when it is None."""
+
+    def run(command, input, capture_output, text, timeout):
+        if stdout is None:
+            raise subprocess.TimeoutExpired(command, timeout)
+        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "stdout, message",
+    [
+        (None, "timed out after 60 s"),
+        ("not json\n", "not JSON"),
+        ('{"rule": "CP-X"}\n[]\n', "not a list"),
+        ('"findings"\n', "not a list"),
+        ("[1]\n", "finding is malformed"),
+        ('[{"line": "seven"}]\n', "finding is malformed"),
+    ],
+)
+def test_external_analyzer_failures_are_named(monkeypatch, fig4_bundle, stdout, message):
+    monkeypatch.setattr(subprocess, "run", _fake_run(stdout))
+    with pytest.raises(AnalyzerFailed, match=message):
+        lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(["analyzer"]))
+
+
+def test_external_analyzer_quiet_child_adds_nothing(monkeypatch, fig4_bundle):
+    monkeypatch.setattr(subprocess, "run", _fake_run("\n"))
+    assert lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(["analyzer"])) == []
+
+
+def test_cli_lint_analyzer(monkeypatch, capsys):
+    tsg = str(FIG4_DIR / "tsg.md")
+    command = shlex.join([sys.executable, str(ANALYZER)])
+    assert main(["lint", tsg, "--analyzer", command]) == 0
+    assert "CP-ACTION-VAGUE [CP/warning]" in capsys.readouterr().out
+
+    for stdout in (None, "not json\n", "{}\n"):
+        monkeypatch.setattr(subprocess, "run", _fake_run(stdout))
+        assert main(["lint", tsg, "--analyzer", "analyzer"]) == 1
+        assert capsys.readouterr().err.startswith("error: AnalyzerFailed: analyzer ")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tsgflow.memory import (
     COLUMN_TYPES,
     CSV_CHUNK_ROWS,
+    CorruptLog,
     FileBackedStore,
     InvalidKey,
     InvalidValue,
@@ -83,8 +84,17 @@ def test_ref_summary_rendered_on_first_read(monkeypatch, fig4_bundle, fig4_scena
     put, ref = scope.put("avail", 99.9), scope.ref("avail")
     run(fig4_bundle, ScriptedBackend.from_scenario(fig4_scenario), RunConfig(), store=store)
     assert rendered == []  # neither the puts nor the engine's refs rendered anything
-    assert "99.9" in put.summary.text and ref.summary.text == "memory[avail]: scalar = 99.9"
+    assert put.summary.text == ref.summary.text == "memory[avail]: scalar = 99.9"
     assert put.summary is put.summary and len(rendered) == 2
+
+
+def test_run_scope_put_summary_names_the_short_key():
+    scope = RunScope(MemoryStore(), "run-1")
+    put = scope.put("top", big_table(rows=5))
+    assert put.key == "top" and put.summary.key == "top"
+    assert put.summary.text.startswith("memory[top]: table 5 rows")
+    assert "run-1" not in put.summary.text
+    assert put.summary.text == scope.ref("top").summary.text
 
 
 def test_invalid_keys():
@@ -157,6 +167,59 @@ def test_file_backed_store_replays(tmp_path):
     assert reopened.get("a").payload == [9]
     assert reopened.get("b").payload == {"x": "y"}
     assert reopened.keys() == ["a", "b"]
+
+
+def _log_with_records(path) -> list[int]:
+    """Write three records; return the log's size after each."""
+    store = FileBackedStore(path)
+    sizes = []
+    for key, value in (("a", [1, 2, 3]), ("b", {"x": "y"}), ("c", big_table(rows=4))):
+        store.put(key, value)
+        sizes.append(path.stat().st_size)
+    return sizes
+
+
+def test_file_backed_store_stops_at_a_torn_tail(tmp_path):
+    """A log cut at every byte of its last record replays the whole records
+    before it and reports the rest as a torn tail."""
+    whole = tmp_path / "whole.log"
+    sizes = _log_with_records(whole)
+    raw = whole.read_bytes()
+    assert FileBackedStore(whole).torn_tail == 0
+    cut = tmp_path / "cut.log"
+    for size in range(sizes[1], sizes[2]):
+        cut.write_bytes(raw[:size])
+        reopened = FileBackedStore(cut)
+        assert reopened.keys() == ["a", "b"], size
+        assert reopened.get("b").payload == {"x": "y"}
+        assert reopened.torn_tail == size - sizes[1]
+        assert cut.read_bytes() == raw[:size]  # replay alone leaves the file as it is
+
+
+def test_put_after_a_torn_tail_cuts_it_off(tmp_path):
+    """2 bytes of header, a header and part of the record, all but one byte."""
+    for i, into_last in enumerate((2, 9, -1)):
+        path = tmp_path / f"memory{i}.log"
+        sizes = _log_with_records(path)
+        size = (sizes[2] if into_last < 0 else sizes[1]) + into_last
+        path.write_bytes(path.read_bytes()[:size])
+        store = FileBackedStore(path)
+        assert store.torn_tail == size - sizes[1]
+        store.put("d", 7)
+        assert store.torn_tail == 0
+        reopened = FileBackedStore(path)
+        assert reopened.torn_tail == 0
+        assert reopened.keys() == ["a", "b", "d"] and reopened.get("d").payload == 7
+
+
+def test_file_backed_store_names_a_corrupt_record(tmp_path):
+    path = tmp_path / "memory.log"
+    sizes = _log_with_records(path)
+    raw = bytearray(path.read_bytes())
+    raw[sizes[0] + 4] = ord("?")  # first byte of record "b"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptLog, match=f"record at byte {sizes[0]}"):
+        FileBackedStore(path)
 
 
 def test_run_scope_isolation():
