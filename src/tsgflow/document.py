@@ -426,10 +426,6 @@ def entry_step(doc: TsgDocument) -> str:
     return doc.steps[0].id
 
 
-def dangling_targets(doc: TsgDocument) -> list[ParseDiagnostic]:
-    return [d for d in doc.diagnostics if d.code == "dangling-target"]
-
-
 def serialize_tsg(doc: TsgDocument) -> str:
     """Render a TsgDocument back to conforming markdown.
 

@@ -23,13 +23,17 @@ start and then be cancelled within one virtual instant.
 The virtual clock makes runs fully deterministic: a backend reports each
 attempt's duration and the loop is a discrete-event simulation. Wall-clock
 mode runs up to k executor threads for real and uses measured durations.
+
+ScriptedBackend replays scenario scripts. ProcessBackend sends each step to
+a child process through linechild.LineChild, which gives every step a
+deadline, honours the run's cancel event and restarts a crashed child.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import subprocess
+import math
 import threading
 import time
 from collections.abc import Mapping, Sequence
@@ -40,6 +44,7 @@ from typing import Callable
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
 from .document import TsgDocument, TsgStep
+from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import MemoryRef, MemoryStore, RunScope, value_from_literal
 from .queryprep import QueryTemplate
 
@@ -375,12 +380,6 @@ class RunState:
 
     def outgoing_edges(self, node_id: str) -> tuple[DagEdge, ...]:
         return self.compiled.outgoing[node_id]
-
-    def unresolved_nodes(self) -> list[str]:
-        return sorted(
-            (n for n, s in self.node_state.items() if s is ElementState.UNKNOWN),
-            key=self.sort_key,
-        )
 
     def disabled_nodes(self) -> list[str]:
         return sorted(
@@ -870,72 +869,79 @@ class ProcessBackend(ExecutorBackend):
     """Line-protocol backend: one StepContext JSON per line to the child's
     stdin, one StepOutcome JSON per line from its stdout.
 
-    The child is a single long-lived process, so steps are serialized with a
-    lock. A cancel request closes the child's stdin; the engine reports the
-    step as cancelled, not failed. The child may return memory writes as
-    {key: literal}; this wrapper applies them to the run's store.
+    The child is a single long-lived LineChild, so steps are serialized with
+    a lock. Each step has the client's deadline: a step whose child does not
+    answer in time fails with ChildTimeout. A cancel closes the child's stdin
+    and kills it after a grace period; the engine reports the step as
+    cancelled, not failed. A crashed or timed-out child is replaced by a fresh
+    one on the next step. An answer that is not a well-formed outcome object
+    fails its step. The child may return memory writes as {key: literal};
+    this wrapper applies them to the run's store.
     """
 
     def __init__(self, command: list[str]):
         self.command = command
-        self._proc: subprocess.Popen | None = None
+        self._child = LineChild(command)
         self._lock = threading.Lock()
 
-    def _child(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()  # a dead child's pipes are closed before a new one starts
-            try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
-                )
-            except OSError as exc:
-                raise BackendUnavailable(f"cannot start {self.command!r}: {exc}") from exc
-        return self._proc
-
     def close(self) -> None:
-        """Close the child's pipes and wait for it to exit."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:  # the child died with a line still buffered
-            pass
-        finally:
-            proc.stdout.close()
-        proc.wait(timeout=5)
+        """Stop the child, after any step still talking to it."""
+        with self._lock:
+            self._child.close()
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
+        request = json.dumps(ctx.to_obj(), ensure_ascii=False)
         with self._lock:
-            child = self._child()
-            if ctx.cancel.is_set():
+            try:
+                line = self._child.request(request, ctx.cancel)
+            except ChildUnavailable as exc:
+                raise BackendUnavailable(str(exc)) from exc
+            except ChildCancelled:
                 return CancelledSignal()
-            child.stdin.write(json.dumps(ctx.to_obj(), ensure_ascii=False) + "\n")
-            child.stdin.flush()
-            line = child.stdout.readline()
-        if not line:
-            if ctx.cancel.is_set():
-                return CancelledSignal()
+        if line is None:
             return StepOutcome(result="failure", error="backend process closed its output")
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             return StepOutcome(result="failure", error=f"bad outcome line: {exc}")
+        problem = _outcome_problem(obj)
+        if problem:
+            return StepOutcome(result="failure", error=f"bad outcome line: {problem}")
         if obj.get("result") == "cancelled":
             return CancelledSignal()
-        writes = obj.get("memory_writes", {}) or {}
+        writes = obj.get("memory_writes", {})
         if ctx.store is not None:
             for key in sorted(writes):
                 ctx.store.put(key, value_from_literal(writes[key]))
         return StepOutcome(
             result=obj.get("result", "failure"),
             summary=obj.get("summary", ""),
-            edge_decisions=obj.get("edge_decisions") or {},
+            edge_decisions=obj.get("edge_decisions", {}),
             memory_writes=tuple(sorted(writes)),
             error=obj.get("error", ""),
             duration=obj.get("duration", 0),
         )
+
+
+def _outcome_problem(obj) -> str | None:
+    """What is wrong with a child's decoded outcome, or None. Absent fields
+    take StepOutcome's defaults (result: failure)."""
+    if not isinstance(obj, dict):
+        return f"not a JSON object: {type(obj).__name__}"
+    if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
+        return f"result must be success, failure or cancelled, got {obj['result']!r}"
+    duration = obj.get("duration", 0)
+    if (
+        isinstance(duration, bool)
+        or not isinstance(duration, (int, float))
+        or not math.isfinite(duration)
+        or duration < 0
+    ):
+        return f"duration must be a finite number >= 0, got {duration!r}"
+    for name in ("edge_decisions", "memory_writes"):
+        if not isinstance(obj.get(name, {}), dict):
+            return f"{name} must be an object, got {obj[name]!r}"
+    for name in ("summary", "error"):
+        if not isinstance(obj.get(name, ""), str):
+            return f"{name} must be a string, got {obj[name]!r}"
+    return None

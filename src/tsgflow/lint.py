@@ -14,20 +14,22 @@ Rules, by category:
 A step with no directives and no Terminate is an unmarked termination point
 when it is the last step in source order, and a missing-next-step defect
 otherwise. Semantic clarity checks beyond these rules are delegated to an
-optional external analyzer process (same line protocol as the engine's
-process backend); its findings are reported under CP and are not part of
-the deterministic contract.
+optional external analyzer: a child process started for each request and
+spoken to through linechild.LineChild, the client the engine's process
+backend uses too. Its findings are reported under CP and are not part of
+the deterministic contract; a child that cannot start, times out or answers
+malformed findings raises AnalyzerFailed.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .document import TsgDocument, parse_tsg, step_id_key
+from .linechild import ChildTimeout, ChildUnavailable, LineChild
 from .queryprep import iter_placeholders
 
 RULE_CATEGORY = {
@@ -62,8 +64,8 @@ class ManifestMissing(LintError):
 
 
 class AnalyzerFailed(LintError):
-    """The external analyzer timed out or answered something other than a
-    JSON list of finding objects."""
+    """The external analyzer could not start, timed out or answered something
+    other than a JSON list of finding objects."""
 
 
 @dataclass(frozen=True)
@@ -236,26 +238,28 @@ class ExternalAnalyzer:
         self.command = command
 
     def findings(self, doc: TsgDocument) -> list[LintFinding]:
-        """Findings of one request; AnalyzerFailed on a timeout or a bad answer.
+        """Findings of one request; AnalyzerFailed when the child cannot
+        start, times out or answers something other than a list of findings.
 
-        A child that exits non-zero or prints nothing contributes no findings.
+        A child that exits non-zero or gives no or a blank answer contributes
+        no findings.
         """
-        request = json.dumps({"tsg_id": doc.tsg_id, "text": doc.source}) + "\n"
+        request = json.dumps({"tsg_id": doc.tsg_id, "text": doc.source})
+        child = LineChild(self.command)
         try:
-            proc = subprocess.run(
-                self.command, input=request, capture_output=True, text=True, timeout=60
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise AnalyzerFailed(f"analyzer timed out after {exc.timeout} s") from exc
-        if proc.returncode != 0 or not proc.stdout.strip():
+            line = child.request(request)
+        except (ChildUnavailable, ChildTimeout) as exc:
+            raise AnalyzerFailed(f"analyzer {exc}") from exc
+        finally:
+            code = child.close()
+        if code != 0 or line is None or not line.strip():
             return []
-        first = proc.stdout.splitlines()[0]
         try:
-            answer = json.loads(first)
+            answer = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise AnalyzerFailed(f"analyzer answer is not JSON: {first[:80]!r}") from exc
+            raise AnalyzerFailed(f"analyzer answer is not JSON: {line[:80]!r}") from exc
         if not isinstance(answer, list):
-            raise AnalyzerFailed(f"analyzer answer is not a list: {first[:80]!r}")
+            raise AnalyzerFailed(f"analyzer answer is not a list: {line[:80]!r}")
         out = []
         for raw in answer:
             try:

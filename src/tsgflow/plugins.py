@@ -115,11 +115,6 @@ class PluginRegistry:
     def descriptors(self) -> list[PluginDescriptor]:
         return [self._plugins[n][0] for n in self.names()]
 
-    def descriptor(self, name: str) -> PluginDescriptor:
-        if name not in self._plugins:
-            raise UnknownPlugin(name)
-        return self._plugins[name][0]
-
     def invoke(self, name: str, args: dict, store) -> PluginResult:
         if name not in self._plugins:
             raise UnknownPlugin(name)

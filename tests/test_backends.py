@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from test_engine import bundle_of, linear_dag
+from tsgflow import linechild
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
@@ -16,6 +19,7 @@ from tsgflow.engine import (
     RunConfig,
     RunStatus,
     ScriptedBackend,
+    StepContext,
     StepOutcome,
     run,
 )
@@ -58,6 +62,115 @@ def test_process_backend_child_crash_is_failure():
     assert result.status is RunStatus.EXHAUSTED
     failed = [e for e in result.trace if e.kind == "node_failed"]
     assert failed and "closed its output" in failed[0].detail["error"]
+
+
+@pytest.mark.parametrize(
+    "answer, problem",
+    [
+        ("[]", "not a JSON object: list"),
+        ('{"result": "success", "duration": "5"}', "duration must be a finite number"),
+        ('{"result": "success", "duration": true}', "duration must be a finite number"),
+        ('{"result": "success", "duration": -1}', "duration must be a finite number"),
+        ('{"result": "success", "duration": NaN}', "duration must be a finite number"),
+        ('{"result": "done"}', "result must be success, failure or cancelled"),
+        ('{"result": "success", "edge_decisions": []}', "edge_decisions must be an object"),
+        ('{"result": "success", "memory_writes": "x"}', "memory_writes must be an object"),
+        ('{"result": "success", "summary": 3}', "summary must be a string"),
+        ('{"result": "failure", "error": null}', "error must be a string"),
+    ],
+)
+def test_process_backend_bad_outcome_fails_step(answer, problem):
+    code = f"import sys\nfor _ in sys.stdin:\n    print({answer!r}, flush=True)"
+    backend = ProcessBackend([sys.executable, "-c", code])
+    try:
+        result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=0))
+    finally:
+        backend.close()
+    assert result.status is RunStatus.EXHAUSTED
+    [failed] = [e for e in result.trace if e.kind == "node_failed"]
+    assert failed.detail["error"].startswith(f"bad outcome line: {problem}")
+
+
+# Reads requests and never answers; with a file argument, first writes its pid there.
+HANG = (
+    "import os, sys, time\n"
+    "if len(sys.argv) > 1:\n"
+    "    open(sys.argv[1], 'w').write(str(os.getpid()))\n"
+    "sys.stdin.readline()\n"
+    "time.sleep(60)\n"
+)
+
+
+def test_process_backend_hung_child_fails_by_deadline(monkeypatch):
+    monkeypatch.setattr(linechild, "REQUEST_TIMEOUT_S", 0.5)
+    backend = ProcessBackend([sys.executable, "-c", HANG])
+    begun = time.monotonic()
+    try:
+        result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=0))
+    finally:
+        backend.close()
+    # deadline, then the grace period before the kill, plus slack for a loaded host
+    assert time.monotonic() - begun < 0.5 + linechild.CLOSE_GRACE_S + 2
+    assert result.status is RunStatus.EXHAUSTED
+    [failed] = [e for e in result.trace if e.kind == "node_failed"]
+    assert failed.detail["error"] == "ChildTimeout: timed out after 0.5 s"
+
+
+def test_process_backend_cancel_mid_request(tmp_path):
+    pid_file = tmp_path / "pid"
+    backend = ProcessBackend([sys.executable, "-c", HANG, str(pid_file)])
+    ctx = StepContext(
+        run_id="r", node_id="step1", step_id="1", step_title="", step_text="",
+        incident={}, outgoing_edges=[], history=[], plugins=[], templates=[],
+        memory_refs=[], attempt=1,
+    )
+
+    def cancel_once_started():
+        while not pid_file.exists() and time.monotonic() - begun < 10:
+            time.sleep(0.01)
+        ctx.cancel.set()
+
+    begun = time.monotonic()
+    canceller = threading.Thread(target=cancel_once_started)
+    canceller.start()
+    try:
+        outcome = backend.execute(ctx)
+    finally:
+        canceller.join(timeout=15)
+        backend.close()
+    assert isinstance(outcome, CancelledSignal)
+    assert time.monotonic() - begun < 10  # the deadline is 60 s
+    assert not canceller.is_alive()
+    with pytest.raises(ProcessLookupError):  # killed and reaped
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_process_backend_restarts_after_timeout(monkeypatch, tmp_path):
+    """The first child hangs; the retry runs in a second child that answers."""
+    monkeypatch.setattr(linechild, "REQUEST_TIMEOUT_S", 0.5)
+    pids = tmp_path / "pids"
+    code = (
+        "import json, os, sys, time\n"
+        "log = sys.argv[1]\n"
+        "with open(log, 'a') as f:\n"
+        "    f.write(f'{os.getpid()}\\n')\n"
+        "first = len(open(log).read().split()) == 1\n"
+        "for line in sys.stdin:\n"
+        "    if first:\n"
+        "        time.sleep(60)\n"
+        "    edges = json.loads(line)['outgoing_edges']\n"
+        "    decisions = {e['id']: 'enable' for e in edges}\n"
+        "    print(json.dumps({'result': 'success', 'edge_decisions': decisions}), flush=True)\n"
+    )
+    backend = ProcessBackend([sys.executable, "-c", code, str(pids)])
+    try:
+        result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=1))
+    finally:
+        backend.close()
+    assert result.status is RunStatus.CONCLUDED
+    kinds = [e.kind for e in result.trace if e.subject == "step1"]
+    assert kinds == ["node_started", "node_failed", "node_retried", "node_started", "node_succeeded"]
+    assert len(set(pids.read_text().split())) == 2
 
 
 def _scaled(scenario: dict, factor: float) -> dict:

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +9,7 @@ import pytest
 
 from conftest import FIG4_DIR
 from corpus import build_lint_corpus
+from tsgflow import linechild
 from tsgflow.cli import main
 from tsgflow.document import parse_tsg
 from tsgflow.lint import (
@@ -257,16 +257,20 @@ def test_external_analyzer_hook(fig4_bundle):
     assert "availability-drop" in findings[0].message
 
 
-def _fake_run(stdout: str | None):
-    """subprocess.run stand-in: a child that prints `stdout`, or times out
+def _child_printing(stdout: str | None) -> list[str]:
+    """A child that reads one request and prints `stdout`, or never answers
     when it is None."""
+    if stdout is None:
+        code = "import sys, time; sys.stdin.readline(); time.sleep(60)"
+    else:
+        code = f"import sys; sys.stdin.readline(); sys.stdout.write({stdout!r})"
+    return [sys.executable, "-c", code]
 
-    def run(command, input, capture_output, text, timeout):
-        if stdout is None:
-            raise subprocess.TimeoutExpired(command, timeout)
-        return subprocess.CompletedProcess(command, 0, stdout=stdout, stderr="")
 
-    return run
+def _short_deadline(monkeypatch) -> str:
+    """Cut the request deadline to 0.5 s; returns the timeout text it gives."""
+    monkeypatch.setattr(linechild, "REQUEST_TIMEOUT_S", 0.5)
+    return "timed out after 0.5 s"
 
 
 @pytest.mark.parametrize(
@@ -281,14 +285,16 @@ def _fake_run(stdout: str | None):
     ],
 )
 def test_external_analyzer_failures_are_named(monkeypatch, fig4_bundle, stdout, message):
-    monkeypatch.setattr(subprocess, "run", _fake_run(stdout))
+    if stdout is None:  # the 60 s text, under a deadline a test can wait for
+        message = _short_deadline(monkeypatch)
     with pytest.raises(AnalyzerFailed, match=message):
-        lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(["analyzer"]))
+        lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(_child_printing(stdout)))
 
 
-def test_external_analyzer_quiet_child_adds_nothing(monkeypatch, fig4_bundle):
-    monkeypatch.setattr(subprocess, "run", _fake_run("\n"))
-    assert lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(["analyzer"])) == []
+def test_external_analyzer_quiet_child_adds_nothing(fig4_bundle):
+    assert lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(_child_printing("\n"))) == []
+    failing = [sys.executable, "-c", "import sys; sys.stdin.readline(); print('[1]'); sys.exit(3)"]
+    assert lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(failing)) == []
 
 
 def test_cli_lint_analyzer(monkeypatch, capsys):
@@ -297,7 +303,8 @@ def test_cli_lint_analyzer(monkeypatch, capsys):
     assert main(["lint", tsg, "--analyzer", command]) == 0
     assert "CP-ACTION-VAGUE [CP/warning]" in capsys.readouterr().out
 
-    for stdout in (None, "not json\n", "{}\n"):
-        monkeypatch.setattr(subprocess, "run", _fake_run(stdout))
-        assert main(["lint", tsg, "--analyzer", "analyzer"]) == 1
+    _short_deadline(monkeypatch)
+    commands = [_child_printing(stdout) for stdout in (None, "not json\n", "{}\n")]
+    for command in commands + [["/does/not/exist"]]:
+        assert main(["lint", tsg, "--analyzer", shlex.join(command)]) == 1
         assert capsys.readouterr().err.startswith("error: AnalyzerFailed: analyzer ")
