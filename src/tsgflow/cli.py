@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .dag import DagError, extract_dag, serialize_dag, validate_dag
-from .document import TsgParseError, parse_tsg
+from .document import TsgParseError, parse_tsg, read_guide
 from .engine import EngineError, RunStatus
 from .harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
 from .lint import ExternalAnalyzer, LintError, findings_to_json, lint
@@ -41,6 +41,21 @@ def _parse_k_range(text: str) -> list[int]:
     if not ks:
         raise argparse.ArgumentTypeError(f"expected K or A..B with integers A <= B, got {text!r}")
     return ks
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers >= `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,29 +85,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a bundle against a scenario")
     p_run.add_argument("bundle")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--executors", type=int, default=1)
+    p_run.add_argument("--executors", type=_int_at_least(1), default=1)
     p_run.add_argument("--mode", choices=("virtual", "wall"), default="virtual")
-    p_run.add_argument("--retry", type=int, default=2)
+    p_run.add_argument("--retry", type=_int_at_least(0), default=2)
     p_run.add_argument("--trace")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across executor counts")
     p_sweep.add_argument("bundle")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--executors", required=True, metavar="A..B", type=_parse_k_range)
-    p_sweep.add_argument("--retry", type=int, default=2)
+    p_sweep.add_argument("--retry", type=_int_at_least(0), default=2)
     p_sweep.add_argument("--report")
     p_sweep.add_argument("--baseline", help="sequential-DAG bundle for the serial baseline")
 
     p_oracle = sub.add_parser("oracle", help="independent makespan bounds for a scenario")
     p_oracle.add_argument("bundle")
     p_oracle.add_argument("--scenario", required=True)
-    p_oracle.add_argument("--retry", type=int, default=2)
+    p_oracle.add_argument("--retry", type=_int_at_least(0), default=2)
 
     return parser
 
 
 def _cmd_lint(args) -> int:
-    doc = parse_tsg(Path(args.tsg).read_text(encoding="utf-8"))
+    doc = parse_tsg(read_guide(args.tsg))
     analyzer = ExternalAnalyzer(shlex.split(args.analyzer)) if args.analyzer else None
     findings = lint(doc, analyzer=analyzer)
     if args.json:
@@ -104,7 +119,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    doc = parse_tsg(Path(args.tsg).read_text(encoding="utf-8"))
+    doc = parse_tsg(read_guide(args.tsg))
     if args.what == "dag":
         dag = extract_dag(doc)
         report = validate_dag(dag)
@@ -122,7 +137,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    _, templates = load_manifest(Path(args.manifest).read_text(encoding="utf-8"))
+    _, templates = load_manifest(Path(args.manifest).read_text(encoding="utf-8"), args.manifest)
     by_name = {t.name: t for t in templates}
     if args.template not in by_name:
         print(f"error: no template named {args.template!r} in manifest", file=sys.stderr)

@@ -40,7 +40,7 @@ class DuplicateEdge(DagError):
     pass
 
 
-class SchemaViolation(Exception):
+class SchemaViolation(DagError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 
 class TsgParseError(Exception):
@@ -48,6 +49,19 @@ class DuplicateStepId(TsgParseError):
 
 class MissingEntryStep(TsgParseError):
     pass
+
+
+class GuideNotUtf8(TsgParseError):
+    pass
+
+
+def read_guide(path: str | Path) -> str:
+    """The text of a guide file; raises GuideNotUtf8, naming the file, when
+    it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GuideNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 _DOC_HEADER_RE = re.compile(r"^# TSG:\s*(?P<id>\S+)\s+—\s+(?P<title>.+?)\s*$")

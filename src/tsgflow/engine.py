@@ -20,13 +20,14 @@ ascending node id order, and newly ready nodes are dispatched to idle
 executors before the next completion is applied, so a node can legitimately
 start and then be cancelled within one virtual instant.
 
-The virtual clock makes runs fully deterministic: a backend reports each
-attempt's duration and the loop is a discrete-event simulation. Wall-clock
-mode runs up to k executor threads for real and uses measured durations.
+One scheduler loop serves both clocks. On the virtual clock a backend
+reports each attempt's duration and the loop is a discrete-event simulation,
+so runs are fully deterministic; on the wall clock up to k steps run on
+threads of their own and durations are measured.
 
-ScriptedBackend replays scenario scripts. ProcessBackend sends each step to
-a child process through linechild.LineChild, which gives every step a
-deadline, honours the run's cancel event and restarts a crashed child.
+ScriptedBackend replays scenarios on the run's clock. ProcessBackend sends
+each step to a child process through linechild.LineChild, which gives every
+step a deadline, honours the run's cancel event and restarts a crashed child.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import queue
 import threading
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
-from typing import Callable
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
 from .document import TsgDocument, TsgStep
@@ -188,6 +189,7 @@ class StepContext:
     attempt: int
     store: RunScope | None = None
     cancel: threading.Event = field(default_factory=threading.Event)
+    clock: str = "virtual"  # the run's RunConfig.clock; not part of to_obj()
 
     def to_obj(self) -> dict:
         """Plain JSON-ready form; every sequence and mapping is a list or dict."""
@@ -245,7 +247,6 @@ class Bundle:
     doc: TsgDocument | None
     dag: ExecutionDag
     templates: list[QueryTemplate] = field(default_factory=list)
-    fixtures_dir: object = None
     registry: object = None
     compiled: CompiledDag | None = field(default=None, repr=False, compare=False)
     static_contexts: StaticContexts | None = field(default=None, repr=False, compare=False)
@@ -272,7 +273,7 @@ class RunState:
         self.failed: set[str] = set()
         self.ready: list[tuple[float, tuple, str]] = []  # heap (enqueue t, id key, node)
         self.queued: set[str] = set()
-        self.running: dict[str, float] = {}  # node -> start time
+        self.running: set[str] = set()
         self.clock: float = 0
         self.status = RunStatus.RUNNING
         self.conclusion: str | None = None
@@ -310,9 +311,9 @@ class RunState:
         self.queued.discard(node_id)
         return node_id
 
-    def mark_running(self, node_id: str, t: float) -> int:
+    def mark_running(self, node_id: str) -> int:
         self.queued.discard(node_id)
-        self.running[node_id] = t
+        self.running.add(node_id)
         self.attempts[node_id] = self.attempts.get(node_id, 0) + 1
         return self.attempts[node_id]
 
@@ -401,7 +402,7 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
         raise UnknownNode(node_id)
     if node_id not in state.running:
         raise StaleOutcome(f"{node_id} is not running")
-    state.running.pop(node_id)
+    state.running.remove(node_id)
     attempt = state.attempts.get(node_id, 0)
 
     if outcome.result == "failure":
@@ -591,6 +592,7 @@ class _RunInputs:
     plugins: list[dict]
     templates: list[str]
     cancel: threading.Event
+    clock: str
 
 
 def _build_context(state: RunState, node_id: str, inputs: _RunInputs) -> StepContext:
@@ -610,6 +612,7 @@ def _build_context(state: RunState, node_id: str, inputs: _RunInputs) -> StepCon
         attempt=state.attempts.get(node_id, 0) + 1,
         store=inputs.scope,
         cancel=inputs.cancel,
+        clock=inputs.clock,
     )
 
 
@@ -700,12 +703,11 @@ def run(
         plugins=plugin_descriptors,
         templates=[t.name for t in bundle.templates],
         cancel=threading.Event(),
+        clock=config.clock,
     )
-    ctx_for = lambda node: _build_context(state, node, inputs)  # noqa: E731
-    if config.clock == "virtual":
-        _loop_virtual(state, backend, config.max_executors, ctx_for, scope)
-    else:
-        _loop_wall(state, backend, config.max_executors, ctx_for, scope, inputs.cancel)
+    clock = (_VirtualClock(backend, state.compiled.sort_key) if config.clock == "virtual"
+             else _WallClock(backend))
+    _schedule(state, clock, config.max_executors, inputs)
 
     executed, seen = [], set()
     for ev in state.trace:
@@ -726,94 +728,91 @@ def run(
 
 def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome | CancelledSignal:
     try:
-        return backend.execute(ctx)
+        outcome = backend.execute(ctx)
     except EngineError:
         raise
     except Exception as exc:  # backend-defined errors become failure outcomes
         return StepOutcome(result="failure", error=f"{type(exc).__name__}: {exc}")
+    if isinstance(outcome, CancelledSignal) and not ctx.cancel.is_set():
+        raise EngineError(f"{ctx.node_id}: backend returned a cancel marker unrequested")
+    return outcome
 
 
-def _loop_virtual(
-    state: RunState,
-    backend: ExecutorBackend,
-    k: int,
-    ctx_for: Callable[[str], StepContext],
-    scope: RunScope | None,
-) -> None:
-    completions: list[tuple[float, tuple, str, StepOutcome]] = []
-    _complete_start(state)
-    while state.status is RunStatus.RUNNING:
-        while state.ready and len(state.running) < k:
-            node_id = state.pop_ready()
-            ctx = ctx_for(node_id)
-            attempt = state.mark_running(node_id, state.clock)
-            state.emit("node_started", node_id, {"attempt": attempt})
-            outcome = _execute_guarded(backend, ctx)
-            if isinstance(outcome, CancelledSignal):
-                raise EngineError(f"{node_id}: backend returned a cancel marker unrequested")
-            heapq.heappush(
-                completions,
-                (state.clock + outcome.duration, state.sort_key(node_id), node_id, outcome),
-            )
-        if not state.running:
-            break
-        t, _, node_id, outcome = heapq.heappop(completions)
-        state.clock = t
-        apply_outcome(state, node_id, outcome)
-        if outcome.result == "success":
-            _record_memory_refs(state, scope, outcome)
-    _finish(state)
+class _VirtualClock:
+    """Runs a step on the scheduler thread; it completes at its start plus
+    its reported duration, same-instant completions in node order."""
+
+    def __init__(self, backend: ExecutorBackend, sort_key: Mapping[str, tuple]):
+        self._backend = backend
+        self._sort_key = sort_key
+        self._t: float = 0
+        self._due: list[tuple[float, tuple, str, StepOutcome]] = []  # heap
+
+    def now(self) -> float:
+        return self._t
+
+    def start(self, node_id: str, ctx: StepContext) -> None:
+        outcome = _execute_guarded(self._backend, ctx)
+        end = self._t + outcome.duration
+        heapq.heappush(self._due, (end, self._sort_key[node_id], node_id, outcome))
+
+    def next_done(self) -> tuple[float, str, StepOutcome]:
+        self._t, _, node_id, outcome = heapq.heappop(self._due)
+        return self._t, node_id, outcome
 
 
-def _loop_wall(
-    state: RunState,
-    backend: ExecutorBackend,
-    k: int,
-    ctx_for: Callable[[str], StepContext],
-    scope: RunScope | None,
-    cancel: threading.Event,
-) -> None:
-    """`cancel` is the run's one cancel event, shared by all its contexts; it
-    is set at conclusion, when the only nodes left to see it are those still
-    running."""
-    import queue as queue_mod
+class _WallClock:
+    """Runs each step on its own daemon thread; its duration is measured."""
 
-    done: queue_mod.Queue = queue_mod.Queue()
-    t0 = time.monotonic()
-    now = lambda: time.monotonic() - t0  # noqa: E731
+    def __init__(self, backend: ExecutorBackend):
+        self._backend = backend
+        self._done = queue.SimpleQueue()
+        self._t0 = time.monotonic()
 
-    def worker(node_id: str, ctx: StepContext) -> None:
+    def now(self) -> float:
+        return time.monotonic() - self._t0
+
+    def start(self, node_id: str, ctx: StepContext) -> None:
+        threading.Thread(target=self._work, args=(node_id, ctx), daemon=True).start()
+
+    def _work(self, node_id: str, ctx: StepContext) -> None:
         begun = time.monotonic()
         try:
-            outcome = _execute_guarded(backend, ctx)
+            outcome = _execute_guarded(self._backend, ctx)
         except EngineError as exc:  # re-raised on the scheduler thread
-            done.put((node_id, exc, time.monotonic() - begun))
-            return
-        done.put((node_id, outcome, time.monotonic() - begun))
+            outcome = exc
+        self._done.put((node_id, outcome, time.monotonic() - begun))
 
+    def next_done(self) -> tuple[float, str, StepOutcome]:
+        node_id, outcome, elapsed = self._done.get()
+        if isinstance(outcome, EngineError):
+            raise outcome
+        return self.now(), node_id, replace(outcome, duration=elapsed)
+
+
+def _schedule(
+    state: RunState, clock: _VirtualClock | _WallClock, k: int, inputs: _RunInputs
+) -> None:
+    """The one scheduler loop. The run's cancel event is set at conclusion,
+    when the only nodes left to see it are those still running."""
     _complete_start(state)
     while state.status is RunStatus.RUNNING:
         while state.ready and len(state.running) < k:
             node_id = state.pop_ready()
-            ctx = ctx_for(node_id)
-            attempt = state.mark_running(node_id, now())
-            state.clock = now()
+            ctx = _build_context(state, node_id, inputs)
+            attempt = state.mark_running(node_id)
+            state.clock = clock.now()
             state.emit("node_started", node_id, {"attempt": attempt})
-            threading.Thread(target=worker, args=(node_id, ctx), daemon=True).start()
+            clock.start(node_id, ctx)
         if not state.running:
             break
-        node_id, outcome, elapsed = done.get()
-        state.clock = now()
-        if isinstance(outcome, EngineError):
-            raise outcome
-        if isinstance(outcome, CancelledSignal):
-            raise EngineError(f"{node_id}: backend returned a cancel marker unrequested")
-        apply_outcome(state, node_id, replace(outcome, duration=elapsed))
+        state.clock, node_id, outcome = clock.next_done()
+        apply_outcome(state, node_id, outcome)
         if outcome.result == "success":
-            _record_memory_refs(state, scope, outcome)
-        if state.status is RunStatus.CONCLUDED:
-            cancel.set()
-    state.clock = now()
+            _record_memory_refs(state, inputs.scope, outcome)
+    state.clock = clock.now()
+    if state.status is RunStatus.CONCLUDED:
+        inputs.cancel.set()
     _finish(state)
 
 
@@ -824,19 +823,18 @@ class ScriptedBackend(ExecutorBackend):
 
     The n-th execution of a node replays its n-th attempt; the last attempt
     repeats if the node is retried beyond the script. Attempt latencies
-    drive the virtual clock (and real sleeps in wall mode).
+    drive the virtual clock; on the wall clock (`ctx.clock`) they are waited out.
     """
 
-    def __init__(self, steps: dict[str, list[dict]], wall: bool = False):
+    def __init__(self, steps: dict[str, list[dict]]):
         self._steps = steps
-        self.wall = wall
 
     @classmethod
-    def from_scenario(cls, scenario: dict, wall: bool = False) -> "ScriptedBackend":
+    def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
         steps = {}
         for node_id, spec in scenario.get("steps", {}).items():
             steps[node_id] = spec["attempts"] if isinstance(spec, dict) else list(spec)
-        return cls(steps, wall=wall)
+        return cls(steps)
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
         attempts = self._steps.get(ctx.node_id)
@@ -844,7 +842,7 @@ class ScriptedBackend(ExecutorBackend):
             raise ScenarioIncomplete(f"scenario has no attempts for {ctx.node_id}")
         attempt = attempts[min(ctx.attempt - 1, len(attempts) - 1)]
         latency = attempt.get("latency", 0)
-        if self.wall and latency:
+        if ctx.clock == "wall" and latency:
             if ctx.cancel.wait(timeout=latency):
                 return CancelledSignal()
         if ctx.store is not None:

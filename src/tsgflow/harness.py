@@ -23,7 +23,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 from .dag import InvalidDag, compile_dag, extract_dag, load_dag
-from .document import parse_tsg
+from .document import parse_tsg, read_guide
 from .engine import Bundle, RunConfig, RunResult, ScriptedBackend, run, trace_to_jsonl
 from .oracle import MakespanOracle, oracle_makespan
 from .plugins import build_mock_registry
@@ -43,7 +43,7 @@ def load_bundle(path: str | Path) -> Bundle:
     tsg_path = root / "tsg.md"
     if not tsg_path.exists():
         raise HarnessError(f"bundle {root} has no tsg.md")
-    doc = parse_tsg(tsg_path.read_text(encoding="utf-8"))
+    doc = parse_tsg(read_guide(tsg_path))
 
     dag_path = root / "dag.json"
     if dag_path.exists():
@@ -57,7 +57,7 @@ def load_bundle(path: str | Path) -> Bundle:
 
     qpp_path = root / "qpp.json"
     if qpp_path.exists():
-        _, templates = load_manifest(qpp_path.read_text(encoding="utf-8"))
+        _, templates = load_manifest(qpp_path.read_text(encoding="utf-8"), str(qpp_path))
     else:
         templates = extract_templates(doc)
 
@@ -69,7 +69,6 @@ def load_bundle(path: str | Path) -> Bundle:
         doc=doc,
         dag=dag,
         templates=templates,
-        fixtures_dir=fixtures_dir if fixtures_dir.is_dir() else None,
         registry=registry,
         compiled=compiled,
     )
@@ -157,7 +156,7 @@ def run_scenario(
     clock: str = "virtual",
     trace_path: str | Path | None = None,
 ) -> RunResult:
-    backend = ScriptedBackend.from_scenario(scenario, wall=(clock == "wall"))
+    backend = ScriptedBackend.from_scenario(scenario)
     result = run(
         bundle,
         backend,

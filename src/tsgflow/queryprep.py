@@ -45,6 +45,10 @@ class UnrenderableValue(TemplateError):
     pass
 
 
+class ManifestInvalid(TemplateError):
+    pass
+
+
 _TOKEN_RE = re.compile(r"\{\{|\}\}|\{(?P<name>[A-Za-z][A-Za-z0-9_]*)\}")
 
 
@@ -166,15 +170,44 @@ def dump_manifest(tsg_id: str, templates: list[QueryTemplate]) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def load_manifest(text: str) -> tuple[str, list[QueryTemplate]]:
-    obj = json.loads(text)
-    templates = [
-        QueryTemplate(
-            name=raw["name"],
-            language_tag=raw.get("language", ""),
-            text=raw["text"],
-            placeholders=tuple(raw.get("placeholders", scan_placeholders(raw["text"]))),
+def load_manifest(text: str, source: str = "manifest") -> tuple[str, list[QueryTemplate]]:
+    """Read a manifest as dump_manifest writes it. Raises ManifestInvalid,
+    naming `source` and the first part at fault, for text that is not JSON,
+    a template that is not an object with a string name and text, or a
+    placeholder list that is not the placeholders of its template's text."""
+
+    def bad(what: str):
+        raise ManifestInvalid(f"{source}: {what}")
+
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ManifestInvalid(f"{source}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("templates", []), list):
+        bad("top level must be an object with a templates array")
+    if not isinstance(obj.get("tsg_id", ""), str):
+        bad("tsg_id must be a string")
+    templates = []
+    for i, raw in enumerate(obj.get("templates", [])):
+        if not (isinstance(raw, dict) and isinstance(raw.get("name"), str)
+                and isinstance(raw.get("text"), str)):
+            bad(f"templates[{i}] must be an object with a string name and text")
+        if not isinstance(raw.get("language", ""), str):
+            bad(f"templates[{i}].language must be a string")
+        found = scan_placeholders(raw["text"])
+        placeholders = raw.get("placeholders", found)
+        if not (
+            isinstance(placeholders, list)
+            and all(isinstance(name, str) for name in placeholders)
+            and sorted(placeholders) == sorted(found)
+        ):
+            bad(f"templates[{i}].placeholders must list the placeholders of its text")
+        templates.append(
+            QueryTemplate(
+                name=raw["name"],
+                language_tag=raw.get("language", ""),
+                text=raw["text"],
+                placeholders=tuple(placeholders),
+            )
         )
-        for raw in obj.get("templates", [])
-    ]
     return obj.get("tsg_id", ""), templates

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BUNDLES
 from test_engine import bundle_of, linear_dag
-from tsgflow import linechild
+from tsgflow import linechild, load_bundle, load_scenario
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
     CancelledSignal,
+    EngineError,
     ExecutorBackend,
     ProcessBackend,
     RunConfig,
@@ -183,7 +185,7 @@ def _scaled(scenario: dict, factor: float) -> dict:
 
 def test_wall_clock_parallel_run(fig5_bundle, fig5_scenario):
     scenario = _scaled(fig5_scenario, 0.01)
-    backend = ScriptedBackend.from_scenario(scenario, wall=True)
+    backend = ScriptedBackend.from_scenario(scenario)
     result = run(
         bundle_of(fig5_bundle.dag),
         backend,
@@ -199,7 +201,7 @@ def test_wall_clock_parallel_run(fig5_bundle, fig5_scenario):
 
 def test_wall_clock_cancellation_event(fig5_bundle, fig5_scenario):
     scenario = _scaled(fig5_scenario, 0.02)
-    backend = ScriptedBackend.from_scenario(scenario, wall=True)
+    backend = ScriptedBackend.from_scenario(scenario)
     result = run(
         bundle_of(fig5_bundle.dag), backend,
         RunConfig(max_executors=3, clock="wall"),
@@ -218,7 +220,7 @@ def test_wall_clock_retry():
         {"result": "failure", "latency": 0.01, "error": "flaky"},
         {"result": "success", "latency": 0.01, "edge_decisions": {"edge_step1_end": "enable"}},
     ]}
-    backend = ScriptedBackend.from_scenario({"steps": steps}, wall=True)
+    backend = ScriptedBackend.from_scenario({"steps": steps})
     result = run(bundle_of(dag), backend, RunConfig(max_executors=1, retry_limit=1, clock="wall"))
     assert result.status is RunStatus.CONCLUDED
     kinds = [e.kind for e in result.trace if e.subject == "step1"]
@@ -230,8 +232,7 @@ def test_wall_clock_engine_error_propagates():
     backend = ScriptedBackend.from_scenario(
         {"steps": {"step1": {"attempts": [
             {"result": "success", "latency": 0.01,
-             "edge_decisions": {"edge_step1_step2": "enable"}}]}}},
-        wall=True,
+             "edge_decisions": {"edge_step1_step2": "enable"}}]}}}
     )
     import pytest as _pytest
 
@@ -257,7 +258,7 @@ def test_wall_clock_conclusion_cancels_only_running_nodes():
                 "edge_decisions": {edge_id(step, "end"): "enable"}}]
         for step, latency in (("step1", 0.05), ("step2", 30), ("step3", 30))
     }
-    inner = ScriptedBackend.from_scenario({"steps": steps}, wall=True)
+    inner = ScriptedBackend.from_scenario({"steps": steps})
     returned = {}
     step2_done = threading.Event()
 
@@ -277,3 +278,47 @@ def test_wall_clock_conclusion_cancels_only_running_nodes():
     assert isinstance(returned["step1"], StepOutcome)
     assert isinstance(returned["step2"], CancelledSignal)
     assert "step3" not in returned
+
+
+@pytest.mark.parametrize("bundle_dir", sorted(BUNDLES.iterdir()), ids=lambda p: p.name)
+def test_wall_clock_at_one_executor_replays_the_virtual_trace(bundle_dir):
+    """At k=1 nothing runs concurrently, so both clocks give one event
+    order; only measured durations and the recorded clock differ."""
+    bundle = load_bundle(bundle_dir)
+
+    def events(scenario, clock):
+        result = run(bundle, ScriptedBackend.from_scenario(scenario),
+                     RunConfig(max_executors=1, clock=clock), incident=scenario["incident"])
+        return [(e.kind, e.subject,
+                 {k: v for k, v in e.detail.items() if k not in ("duration", "clock")})
+                for e in result.trace]
+
+    for path in sorted((bundle_dir / "scenarios").glob("*.json")):
+        scenario = _scaled(load_scenario(bundle_dir, str(path)), 0.001)
+        assert events(scenario, "wall") == events(scenario, "virtual")
+
+
+def test_scripted_latency_follows_the_run_clock():
+    def timed(latency, clock):
+        attempt = {"result": "success", "latency": latency,
+                   "edge_decisions": {"edge_step1_end": "enable"}}
+        backend = ScriptedBackend.from_scenario({"steps": {"step1": [attempt]}})
+        begun = time.monotonic()
+        result = run(bundle_of(linear_dag(1)), backend, RunConfig(clock=clock))
+        assert result.status is RunStatus.CONCLUDED
+        return time.monotonic() - begun, result.makespan
+
+    elapsed, makespan = timed(0.2, "wall")
+    assert elapsed >= 0.2 and makespan >= 0.2
+    elapsed, makespan = timed(30, "virtual")
+    assert elapsed < 1 and makespan == 30
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_unrequested_cancel_marker_is_an_engine_error(clock):
+    class CancelsUnasked(ExecutorBackend):
+        def execute(self, ctx):
+            return CancelledSignal()
+
+    with pytest.raises(EngineError, match="step1: backend returned a cancel marker unrequested"):
+        run(bundle_of(linear_dag(1)), CancelsUnasked(), RunConfig(clock=clock))

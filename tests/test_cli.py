@@ -159,3 +159,60 @@ def test_cli_outputs_byte_stable(tmp_path):
             "--executors", "3", "--trace", str(path),
         ]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _bundle_copy(tmp_path):
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(FIG5_DIR, bundle_dir)
+    return bundle_dir
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--executors", "1..2"], ["oracle"]],
+                         ids=["run", "sweep", "oracle"])
+def test_malformed_dag_json_exits_one_with_named_error(tmp_path, capsys, command):
+    bundle_dir = _bundle_copy(tmp_path)
+    (bundle_dir / "dag.json").write_text("{not json", encoding="utf-8")
+    code = main([command[0], str(bundle_dir), "--scenario", "dependency_issue", *command[1:]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: SchemaViolation: /: not valid JSON")
+
+
+def test_bad_manifest_exits_one_with_named_error(tmp_path, capsys):
+    bundle_dir = _bundle_copy(tmp_path)
+    (bundle_dir / "qpp.json").write_text("{not json", encoding="utf-8")
+    assert main(["run", str(bundle_dir), "--scenario", "dependency_issue"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ManifestInvalid: {bundle_dir / 'qpp.json'}: not valid JSON")
+
+    manifest = tmp_path / "qpp.json"
+    manifest.write_text(json.dumps({"tsg_id": "t", "templates": [{"name": "q"}]}), encoding="utf-8")
+    assert main(["prepare", str(manifest), "q"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: ManifestInvalid: {manifest}: templates[0] must be an object with a string name and text")
+
+
+def test_guide_not_utf8_exits_one_with_named_error(tmp_path, capsys):
+    bundle_dir = _bundle_copy(tmp_path)
+    guide = bundle_dir / "tsg.md"
+    guide.write_bytes(guide.read_bytes().replace("—".encode(), b"\x97", 1))
+    for argv in (["lint", str(guide)], ["extract", "dag", str(guide), "-o", str(tmp_path / "d.json")],
+                 ["run", str(bundle_dir), "--scenario", "dependency_issue"]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: GuideNotUtf8: {guide}: not UTF-8")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--executors", "0"], "argument --executors: expected an integer >= 1, got '0'"),
+    (["run", "--executors", "two"], "argument --executors: expected an integer >= 1, got 'two'"),
+    (["run", "--retry", "-1"], "argument --retry: expected an integer >= 0, got '-1'"),
+    (["sweep", "--executors", "1..2", "--retry", "-1"],
+     "argument --retry: expected an integer >= 0, got '-1'"),
+    (["oracle", "--retry", "-1"], "argument --retry: expected an integer >= 0, got '-1'"),
+], ids=["run-executors-0", "run-executors-text", "run-retry", "sweep-retry", "oracle-retry"])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(FIG5_DIR), "--scenario", "dependency_issue", *argv[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tsgflow {argv[0]}")
+    assert message in err

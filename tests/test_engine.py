@@ -64,12 +64,12 @@ def _state_with_running(dag, path):
     for node_id, decisions in path[:-1]:
         popped = state.pop_ready()
         assert popped == node_id
-        state.mark_running(node_id, state.clock)
+        state.mark_running(node_id)
         apply_outcome(state, node_id, StepOutcome("success", edge_decisions=decisions))
     last = path[-1][0]
     popped = state.pop_ready()
     assert popped == last
-    state.mark_running(last, state.clock)
+    state.mark_running(last)
     return state
 
 
@@ -129,7 +129,7 @@ def test_unconditional_edges_must_enable():
     state = RunState(dag, retry_limit=0)
     _complete_start(state)
     state.pop_ready()
-    state.mark_running("step1", 0)
+    state.mark_running("step1")
     with pytest.raises(InvalidEdgeDecision):
         apply_outcome(state, "step1",
                       StepOutcome("success", edge_decisions={"edge_step1_step2": "disable"}))

@@ -11,6 +11,7 @@ from tsgflow.document import parse_tsg
 from tsgflow.queryprep import (
     DuplicateTemplateName,
     EmptyTemplate,
+    ManifestInvalid,
     MissingParameter,
     PreparedQuery,
     QueryTemplate,
@@ -115,6 +116,26 @@ def test_manifest_roundtrip(fig4_bundle):
     assert tsg_id == "availability-drop"
     assert [t.name for t in loaded] == sorted(t.name for t in templates)
     assert dump_manifest(tsg_id, loaded) == text
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{not json", "not valid JSON"),
+    ("[]", "top level must be an object with a templates array"),
+    ('{"templates": {}}', "top level must be an object with a templates array"),
+    ('{"tsg_id": 1, "templates": []}', "tsg_id must be a string"),
+    ('{"templates": ["q"]}', "templates[0] must be an object with a string name and text"),
+    ('{"templates": [{"name": "q"}]}', "templates[0] must be an object with a string name and text"),
+    ('{"templates": [{"name": "q", "text": "x", "language": 3}]}',
+     "templates[0].language must be a string"),
+    ('{"templates": [{"name": "q", "text": "{a} {b}", "placeholders": ["a"]}]}',
+     "templates[0].placeholders must list the placeholders of its text"),
+    ('{"templates": [{"name": "q", "text": "{a}", "placeholders": "a"}]}',
+     "templates[0].placeholders must list the placeholders of its text"),
+])
+def test_load_manifest_names_the_fault(text, message):
+    with pytest.raises(ManifestInvalid) as exc:
+        load_manifest(text, "qpp.json")
+    assert str(exc.value).startswith(f"qpp.json: {message}")
 
 
 def test_corpus_extraction_and_instantiation():
