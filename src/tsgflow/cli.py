@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .dag import DagError, extract_dag, serialize_dag, validate_dag
-from .document import TsgParseError, parse_tsg, read_guide
+from .document import FileNotUtf8, TsgParseError, parse_tsg, read_utf8
 from .engine import EngineError, RunStatus
 from .harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
 from .lint import ExternalAnalyzer, LintError, findings_to_json, lint
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_lint(args) -> int:
-    doc = parse_tsg(read_guide(args.tsg))
+    doc = parse_tsg(read_utf8(args.tsg))
     analyzer = ExternalAnalyzer(shlex.split(args.analyzer)) if args.analyzer else None
     findings = lint(doc, analyzer=analyzer)
     if args.json:
@@ -119,7 +119,7 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    doc = parse_tsg(read_guide(args.tsg))
+    doc = parse_tsg(read_utf8(args.tsg))
     if args.what == "dag":
         dag = extract_dag(doc)
         report = validate_dag(dag)
@@ -137,7 +137,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_prepare(args) -> int:
-    _, templates = load_manifest(Path(args.manifest).read_text(encoding="utf-8"), args.manifest)
+    _, templates = load_manifest(read_utf8(args.manifest), args.manifest)
     by_name = {t.name: t for t in templates}
     if args.template not in by_name:
         print(f"error: no template named {args.template!r} in manifest", file=sys.stderr)
@@ -245,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TsgParseError, DagError, TemplateError, EngineError, HarnessError, LintError) as exc:
+    except (TsgParseError, FileNotUtf8, DagError, TemplateError, EngineError, HarnessError,
+            LintError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

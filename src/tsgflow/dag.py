@@ -44,6 +44,7 @@ class SchemaViolation(DagError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
 
 
 def edge_id(source: str, target: str) -> str:

@@ -51,17 +51,17 @@ class MissingEntryStep(TsgParseError):
     pass
 
 
-class GuideNotUtf8(TsgParseError):
-    pass
+class FileNotUtf8(Exception):
+    """A guide, DAG or query-template manifest file that is not UTF-8."""
 
 
-def read_guide(path: str | Path) -> str:
-    """The text of a guide file; raises GuideNotUtf8, naming the file, when
-    it is not UTF-8."""
+def read_utf8(path: str | Path) -> str:
+    """The text of a guide, DAG or manifest file; raises FileNotUtf8, naming
+    the file, when it is not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise GuideNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+        raise FileNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 _DOC_HEADER_RE = re.compile(r"^# TSG:\s*(?P<id>\S+)\s+—\s+(?P<title>.+?)\s*$")

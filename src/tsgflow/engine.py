@@ -707,7 +707,11 @@ def run(
     )
     clock = (_VirtualClock(backend, state.compiled.sort_key) if config.clock == "virtual"
              else _WallClock(backend))
-    _schedule(state, clock, config.max_executors, inputs)
+    try:
+        _schedule(state, clock, config.max_executors, inputs)
+    finally:
+        # whether the run concluded or raised, the steps still running stop
+        inputs.cancel.set()
 
     executed, seen = [], set()
     for ev in state.trace:
@@ -793,8 +797,7 @@ class _WallClock:
 def _schedule(
     state: RunState, clock: _VirtualClock | _WallClock, k: int, inputs: _RunInputs
 ) -> None:
-    """The one scheduler loop. The run's cancel event is set at conclusion,
-    when the only nodes left to see it are those still running."""
+    """The one scheduler loop."""
     _complete_start(state)
     while state.status is RunStatus.RUNNING:
         while state.ready and len(state.running) < k:
@@ -811,8 +814,6 @@ def _schedule(
         if outcome.result == "success":
             _record_memory_refs(state, inputs.scope, outcome)
     state.clock = clock.now()
-    if state.status is RunStatus.CONCLUDED:
-        inputs.cancel.set()
     _finish(state)
 
 

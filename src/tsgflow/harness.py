@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
-from .dag import InvalidDag, compile_dag, extract_dag, load_dag
-from .document import parse_tsg, read_guide
+from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
+from .document import parse_tsg, read_utf8
 from .engine import Bundle, RunConfig, RunResult, ScriptedBackend, run, trace_to_jsonl
 from .oracle import MakespanOracle, oracle_makespan
 from .plugins import build_mock_registry
@@ -43,11 +43,14 @@ def load_bundle(path: str | Path) -> Bundle:
     tsg_path = root / "tsg.md"
     if not tsg_path.exists():
         raise HarnessError(f"bundle {root} has no tsg.md")
-    doc = parse_tsg(read_guide(tsg_path))
+    doc = parse_tsg(read_utf8(tsg_path))
 
     dag_path = root / "dag.json"
     if dag_path.exists():
-        dag = load_dag(dag_path.read_text(encoding="utf-8"))
+        try:
+            dag = load_dag(read_utf8(dag_path))
+        except SchemaViolation as exc:
+            raise SchemaViolation(f"{dag_path}: {exc.path}", exc.message) from None
     else:
         dag = extract_dag(doc)
     try:
@@ -57,7 +60,7 @@ def load_bundle(path: str | Path) -> Bundle:
 
     qpp_path = root / "qpp.json"
     if qpp_path.exists():
-        _, templates = load_manifest(qpp_path.read_text(encoding="utf-8"), str(qpp_path))
+        _, templates = load_manifest(read_utf8(qpp_path), str(qpp_path))
     else:
         templates = extract_templates(doc)
 

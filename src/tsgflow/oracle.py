@@ -1,10 +1,13 @@
 """Independent brute-force oracles for scheduler behavior and makespans.
 
-Everything here recomputes run state from scratch by naive fixpoint
-scanning instead of the engine's incremental event-driven propagation, so
-the two sides of every check stay independent:
+Everything here recomputes run state from scratch instead of following the
+engine's incremental event-driven propagation, so the two sides of every
+check stay independent. Each call builds its own view of the DAG: a
+topological order (Kahn's algorithm, ties broken by node_sort_key) and each
+node's incoming and outgoing edges. It shares no index with the engine.
 
-  * fixpoint_states: tri-state closure for a set of applied outcomes.
+  * fixpoint_states: tri-state closure for a set of applied outcomes,
+    settled in one pass over the topological order.
   * serial_simulation: the k=1 FIFO execution a scheduler must produce,
     state recomputed from scratch after every step.
   * timed_analysis: earliest possible conclusion time with unbounded
@@ -13,16 +16,22 @@ the two sides of every check stay independent:
 
 Width uses Dilworth's theorem: over the transitive closure restricted to
 executed nodes, the maximum antichain equals node count minus a maximum
-bipartite matching.
+bipartite matching (Fulkerson's reduction). The closure is one Python-int
+bitset per node; the matching is Kuhn's augmenting-path search over it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import END, START, ExecutionDag, node_sort_key
 from .engine import ScenarioIncomplete
+
+
+class NotADag(ValueError):
+    """The graph has a cycle, so it has no topological order."""
 
 
 @dataclass(frozen=True)
@@ -53,62 +62,86 @@ def replay_final_outcome(attempts: list[dict], retry_limit: int) -> FinalOutcome
     return FinalOutcome("failure", None, total, executions)
 
 
+class _View:
+    """The oracle's own view of a DAG: topological order and edge lists."""
+
+    def __init__(self, dag: ExecutionDag):
+        self.dag = dag
+        self.kind = {n.id: n.kind for n in dag.nodes}
+        self.incoming: dict[str, list] = {n.id: [] for n in dag.nodes}
+        self.outgoing: dict[str, list] = {n.id: [] for n in dag.nodes}
+        for e in dag.edges:
+            self.outgoing[e.source].append(e)
+            self.incoming[e.target].append(e)
+        # edges into end by id: the smallest enabled one names the conclusion
+        self.into_end = sorted(self.incoming.get(END, []), key=lambda e: e.id)
+
+        indegree = {n: len(ins) for n, ins in self.incoming.items()}
+        frontier = [(node_sort_key(n), n) for n, d in indegree.items() if d == 0]
+        heapq.heapify(frontier)
+        self.order: list[str] = []
+        while frontier:
+            _, u = heapq.heappop(frontier)
+            self.order.append(u)
+            for e in self.outgoing[u]:
+                indegree[e.target] -= 1
+                if indegree[e.target] == 0:
+                    heapq.heappush(frontier, (node_sort_key(e.target), e.target))
+        if len(self.order) < len(indegree):
+            stuck = min((n for n, d in indegree.items() if d), key=node_sort_key)
+            raise NotADag(f"{dag.tsg_id}: cycle through {stuck}: no topological order")
+
+
+def _settle(
+    view: _View, outcome_of: Callable[[str], FinalOutcome | None]
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Tri-state closure in one pass over the topological order.
+
+    Each node takes its state from its (already settled) incoming edges:
+    start is enabled; end is enabled once any edge into it is; any other
+    node is resolved once all its incoming edges are, enabled if one of them
+    is. Its outgoing edges then follow from that state and, for an enabled
+    node, `outcome_of(node)`: None leaves them unknown.
+    """
+    node_state = {n.id: "unknown" for n in view.dag.nodes}
+    edge_state = {e.id: "unknown" for e in view.dag.edges}
+    for u in view.order:
+        states = [edge_state[e.id] for e in view.incoming[u]]
+        if u == START:
+            state = "enabled"
+        elif u == END:
+            state = "enabled" if "enabled" in states else "unknown"
+        elif not states or "unknown" in states:
+            state = "unknown"
+        else:
+            state = "enabled" if "enabled" in states else "disabled"
+        node_state[u] = state
+        outcome = outcome_of(u) if state == "enabled" else None
+        for e in view.outgoing[u]:
+            if u == START:
+                edge_state[e.id] = "enabled"
+            elif state == "disabled" or (outcome is not None and outcome.result == "failure"):
+                edge_state[e.id] = "disabled"
+            elif outcome is not None:
+                edge_state[e.id] = "enabled" if outcome.decisions.get(e.id) == "enable" else "disabled"
+    return node_state, edge_state
+
+
 def fixpoint_states(
     dag: ExecutionDag, applied: dict[str, FinalOutcome]
 ) -> tuple[dict[str, str], dict[str, str]]:
-    """Naive tri-state closure: rescan all rules until nothing changes.
+    """Tri-state closure of the applied outcomes, from scratch.
 
     `applied` maps completed nodes to their final outcomes. Returns
     (node_state, edge_state) with values "unknown" | "enabled" | "disabled".
     """
-    node_state = {n.id: "unknown" for n in dag.nodes}
-    edge_state = {e.id: "unknown" for e in dag.edges}
-    node_state[START] = "enabled"
-    edges = sorted(dag.edges, key=lambda e: e.id)
-    incoming: dict[str, list] = {n.id: [] for n in dag.nodes}
-    for e in dag.edges:
-        incoming[e.target].append(e)
-
-    changed = True
-    while changed:
-        changed = False
-        for e in edges:
-            if edge_state[e.id] != "unknown":
-                continue
-            desired = None
-            if e.source == START:
-                desired = "enabled"
-            elif node_state[e.source] == "disabled":
-                desired = "disabled"
-            elif node_state[e.source] == "enabled" and e.source in applied:
-                outcome = applied[e.source]
-                if outcome.result == "failure":
-                    desired = "disabled"
-                else:
-                    desired = "enabled" if outcome.decisions.get(e.id) == "enable" else "disabled"
-            if desired is not None:
-                edge_state[e.id] = desired
-                changed = True
-        for n in dag.nodes:
-            if n.id == START or node_state[n.id] != "unknown":
-                continue
-            ins = incoming[n.id]
-            states = [edge_state[e.id] for e in ins]
-            if n.id == END:
-                if any(s == "enabled" for s in states):
-                    node_state[END] = "enabled"
-                    changed = True
-                continue
-            if ins and all(s != "unknown" for s in states):
-                node_state[n.id] = "enabled" if any(s == "enabled" for s in states) else "disabled"
-                changed = True
-    return node_state, edge_state
+    return _settle(_View(dag), applied.get)
 
 
-def _conclusion_of(dag: ExecutionDag, edge_state: dict[str, str]) -> tuple[str, str] | None:
+def _conclusion_of(view: _View, edge_state: dict[str, str]) -> tuple[str, str] | None:
     """(edge id, conclusion) of the smallest-id enabled edge into end."""
-    for e in sorted(dag.edges, key=lambda e: e.id):
-        if e.target == END and edge_state[e.id] == "enabled":
+    for e in view.into_end:
+        if edge_state[e.id] == "enabled":
             return e.id, e.conclusion or ""
     return None
 
@@ -126,42 +159,36 @@ class SerialSim:
 
 
 def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> SerialSim:
-    """Brute-force k=1 FIFO run: one execution at a time, full rescan after each.
+    """Brute-force k=1 FIFO run: one execution at a time, full closure after each.
 
     Ready ordering matches the scheduler contract: FIFO by enqueue time with
     ties broken by ascending node id; a retried node re-enters the queue at
     its failure time.
     """
+    view = _View(dag)
     applied: dict[str, FinalOutcome] = {}
     attempts_done: dict[str, int] = {}
     ready: list[tuple[float, tuple, str]] = []
-    queued: set[str] = set()
     ever_enqueued: set[str] = set()
     executed: list[str] = []
     starts: list[str] = []
     t = 0.0
 
     def refresh(enqueue_time: float) -> tuple[dict[str, str], dict[str, str]]:
-        node_state, edge_state = fixpoint_states(dag, applied)
-        for n in dag.nodes:
-            if (
-                n.kind == "step"
-                and node_state[n.id] == "enabled"
-                and n.id not in ever_enqueued
-            ):
-                ever_enqueued.add(n.id)
-                queued.add(n.id)
-                heapq.heappush(ready, (enqueue_time, node_sort_key(n.id), n.id))
+        node_state, edge_state = _settle(view, applied.get)
+        for node, state in node_state.items():
+            if view.kind[node] == "step" and state == "enabled" and node not in ever_enqueued:
+                ever_enqueued.add(node)
+                heapq.heappush(ready, (enqueue_time, node_sort_key(node), node))
         return node_state, edge_state
 
     node_state, edge_state = refresh(0.0)
     if node_state[END] == "enabled":  # start wired straight into end
-        eid, conclusion = _conclusion_of(dag, edge_state)
+        eid, conclusion = _conclusion_of(view, edge_state)
         return SerialSim("concluded", conclusion, eid, [], [], 0.0, node_state, edge_state)
 
     while ready:
         _, _, node = heapq.heappop(ready)
-        queued.discard(node)
         attempts = steps.get(node)
         if not attempts:
             raise ScenarioIncomplete(f"scenario has no attempts for {node}")
@@ -175,7 +202,6 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
         if attempt.get("result") == "failure":
             if attempts_done[node] <= retry_limit:
                 heapq.heappush(ready, (t, node_sort_key(node), node))
-                queued.add(node)
                 continue
             applied[node] = FinalOutcome("failure", None, 0.0, attempts_done[node])
         else:
@@ -184,7 +210,7 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
             )
         node_state, edge_state = refresh(t)
         if node_state[END] == "enabled":
-            eid, conclusion = _conclusion_of(dag, edge_state)
+            eid, conclusion = _conclusion_of(view, edge_state)
             return SerialSim("concluded", conclusion, eid, executed, starts, t, node_state, edge_state)
 
     return SerialSim("exhausted", None, None, executed, starts, t, node_state, edge_state)
@@ -199,49 +225,30 @@ class TimedAnalysis:
     node_ready: dict[str, float]
 
 
-def _topological(dag: ExecutionDag) -> list[str]:
-    indegree = {n.id: 0 for n in dag.nodes}
-    for e in dag.edges:
-        indegree[e.target] += 1
-    frontier = sorted((n for n, d in indegree.items() if d == 0), key=node_sort_key)
-    order = []
-    while frontier:
-        u = frontier.pop(0)
-        order.append(u)
-        for e in dag.edges:
-            if e.source == u:
-                indegree[e.target] -= 1
-                if indegree[e.target] == 0:
-                    frontier.append(e.target)
-        frontier.sort(key=lambda n: node_sort_key(n))
-    return order
-
-
 def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> TimedAnalysis:
     """Unbounded-executor timing of the realized run (longest-path analysis)."""
+    view = _View(dag)
     applied: dict[str, FinalOutcome] = {}
-    while True:
-        node_state, edge_state = fixpoint_states(dag, applied)
-        new = [
-            n.id
-            for n in dag.nodes
-            if n.kind == "step" and node_state[n.id] == "enabled" and n.id not in applied
-        ]
-        if not new:
-            break
-        for node in new:
-            attempts = steps.get(node)
-            if not attempts:
-                raise ScenarioIncomplete(f"scenario has no attempts for {node}")
-            applied[node] = replay_final_outcome(attempts, retry_limit)
+
+    def replay(node: str) -> FinalOutcome | None:
+        """Every enabled step runs to its final outcome, in topological order."""
+        if view.kind[node] != "step":
+            return None
+        attempts = steps.get(node)
+        if not attempts:
+            raise ScenarioIncomplete(f"scenario has no attempts for {node}")
+        applied[node] = replay_final_outcome(attempts, retry_limit)
+        return applied[node]
+
+    node_state, edge_state = _settle(view, replay)
 
     edge_time: dict[str, float] = {}
     node_ready: dict[str, float] = {START: 0.0}
-    for u in _topological(dag):
-        if u != START and node_state.get(u) not in ("enabled", "disabled"):
+    for u in view.order:
+        if u != START and node_state[u] not in ("enabled", "disabled"):
             continue
         if u != START:
-            ins = [e for e in dag.edges if e.target == u]
+            ins = view.incoming[u]
             if any(e.id not in edge_time for e in ins):
                 continue
             node_ready[u] = max((edge_time[e.id] for e in ins), default=0.0)
@@ -249,14 +256,14 @@ def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit:
             continue
         latency = applied[u].total_latency if u in applied else 0.0
         finish = node_ready[u] + (latency if node_state[u] == "enabled" else 0.0)
-        for e in dag.edges:
-            if e.source == u and edge_state[e.id] != "unknown":
+        for e in view.outgoing[u]:
+            if edge_state[e.id] != "unknown":
                 edge_time[e.id] = finish
 
     conclusion_time = None
     concluding_edge = None
-    for e in sorted(dag.edges, key=lambda e: e.id):
-        if e.target == END and edge_state[e.id] == "enabled" and e.id in edge_time:
+    for e in view.into_end:
+        if edge_state[e.id] == "enabled" and e.id in edge_time:
             if conclusion_time is None or edge_time[e.id] < conclusion_time:
                 conclusion_time = edge_time[e.id]
                 concluding_edge = e.id
@@ -269,76 +276,57 @@ def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit:
         and n.id in node_ready
         and (conclusion_time is None or node_ready[n.id] <= conclusion_time)
     ]
-    width = max_antichain(dag, executed)
+    width = _width(view, executed)
     return TimedAnalysis(conclusion_time, concluding_edge, executed, width, node_ready)
 
 
 def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
     """Maximum set of mutually unordered nodes among `nodes` (Dilworth)."""
+    return _width(_View(dag), nodes)
+
+
+def _width(view: _View, nodes: list[str]) -> int:
     if not nodes:
         return 0
-    adjacency: dict[str, set[str]] = {n.id: set() for n in dag.nodes}
-    for e in dag.edges:
-        adjacency[e.source].add(e.target)
-    reach: dict[str, set[str]] = {}
+    # bit i stands for the i-th node in topological order; below[u] is the
+    # set of nodes reachable from u, built from its successors' sets
+    bit = {u: 1 << i for i, u in enumerate(view.order)}
+    below: dict[str, int] = {}
+    for u in reversed(view.order):
+        reach = 0
+        for e in view.outgoing[u]:
+            reach |= bit[e.target] | below[e.target]
+        below[u] = reach
+    chosen = 0
+    for u in nodes:
+        chosen |= bit[u]
+    match: dict[int, str] = {}  # right vertex's bit -> its matched left node
 
-    def reachable(u: str) -> set[str]:
-        if u in reach:
-            return reach[u]
-        seen: set[str] = set()
-        frontier = list(adjacency[u])
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(adjacency[v])
-        reach[u] = seen
-        return seen
-
-    index = {n: i for i, n in enumerate(nodes)}
-    pairs = [
-        (index[u], index[v])
-        for u in nodes
-        for v in reachable(u)
-        if v in index and v != u
-    ]
-    right_of: dict[int, list[int]] = {i: [] for i in range(len(nodes))}
-    for u, v in pairs:
-        right_of[u].append(v)
-
-    match_right: dict[int, int] = {}
-
-    def augment(root: int) -> bool:
-        """Kuhn's depth-first augmenting-path search from `root`. The explicit
-        stack visits and matches exactly as the recursive form would, with
-        path length independent of Python's recursion limit."""
-        visited: set[int] = set()
-        stack = [(root, iter(right_of[root]))]
+    def augment(root: str) -> bool:
+        """Kuhn's depth-first augmenting-path search from `root`, candidates
+        lowest bit (earliest in topological order) first. The explicit stack
+        keeps path length independent of Python's recursion limit."""
+        visited = 0
+        stack = [(root, below[root] & chosen)]  # (left node, its right candidates)
         via: list[int] = []  # via[i]: the right vertex that led from stack[i] to stack[i + 1]
         while stack:
-            u, candidates = stack[-1]
-            for v in candidates:
-                if v in visited:
-                    continue
-                visited.add(v)
-                via.append(v)
-                if v not in match_right:
-                    for (left, _), right in zip(stack, via):
-                        match_right[right] = left
-                    return True
-                stack.append((match_right[v], iter(right_of[match_right[v]])))
-                break
-            else:
+            candidates = stack[-1][1] & ~visited
+            if not candidates:
                 stack.pop()
                 if via:
                     via.pop()
+                continue
+            v = candidates & -candidates
+            visited |= v
+            via.append(v)
+            if v not in match:
+                for (left, _), right in zip(stack, via):
+                    match[right] = left
+                return True
+            stack.append((match[v], below[match[v]] & chosen))
         return False
 
-    matching = 0
-    for u in range(len(nodes)):
-        if augment(u):
-            matching += 1
+    matching = sum(augment(u) for u in dict.fromkeys(nodes))
     return len(nodes) - matching
 
 

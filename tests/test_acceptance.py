@@ -47,11 +47,10 @@ def test_criterion_1_scheduler_closure_equivalence():
             steps_from_assignment(assignments[0], failing={node})
             for node in step_ids[: min(3, len(step_ids))]
         ]
+        bundle = bundle_of(dag)  # run() compiles it once, on the first case
         for steps in scenarios:
             cases += 1
-            result = run(
-                bundle_of(dag), scripted(steps), RunConfig(max_executors=1, retry_limit=0)
-            )
+            result = run(bundle, scripted(steps), RunConfig(max_executors=1, retry_limit=0))
             sim = serial_simulation(dag, steps, retry_limit=0)
             same = (
                 result.executed == sim.executed

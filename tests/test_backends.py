@@ -20,6 +20,7 @@ from tsgflow.engine import (
     ProcessBackend,
     RunConfig,
     RunStatus,
+    ScenarioIncomplete,
     ScriptedBackend,
     StepContext,
     StepOutcome,
@@ -240,6 +241,35 @@ def test_wall_clock_engine_error_propagates():
 
     with _pytest.raises(ScenarioIncomplete):
         run(bundle_of(dag), backend, RunConfig(max_executors=1, clock="wall"))
+
+
+def test_wall_clock_run_that_raises_cancels_its_running_steps():
+    """k=2: step1 has no attempts, so run() raises while step2 waits out a
+    3 s latency. The raise cancels the run, and step2 returns at once."""
+    nodes = [DagNode("start", "start", "run start")]
+    edges = []
+    for step in ("step1", "step2"):
+        nodes.append(DagNode(step, "step", step, step_ref=step[4:]))
+        edges += [DagEdge(edge_id("start", step), "start", step),
+                  DagEdge(edge_id(step, "end"), step, "end", None, f"via {step}")]
+    dag = ExecutionDag("raising", nodes + [DagNode("end", "end", "run end")], edges)
+    inner = ScriptedBackend.from_scenario({"steps": {"step2": [
+        {"result": "success", "latency": 3, "edge_decisions": {"edge_step2_end": "enable"}}]}})
+    step2_thread = []
+    step2_started = threading.Event()
+
+    class Recording(ExecutorBackend):
+        def execute(self, ctx):
+            if ctx.node_id == "step2":
+                step2_thread.append(threading.current_thread())
+                step2_started.set()
+            return inner.execute(ctx)
+
+    with pytest.raises(ScenarioIncomplete, match="step1"):
+        run(bundle_of(dag), Recording(), RunConfig(max_executors=2, clock="wall"))
+    assert step2_started.wait(timeout=1)
+    step2_thread[0].join(timeout=1)
+    assert not step2_thread[0].is_alive()
 
 
 def test_wall_clock_conclusion_cancels_only_running_nodes():

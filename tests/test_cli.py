@@ -174,7 +174,8 @@ def test_malformed_dag_json_exits_one_with_named_error(tmp_path, capsys, command
     (bundle_dir / "dag.json").write_text("{not json", encoding="utf-8")
     code = main([command[0], str(bundle_dir), "--scenario", "dependency_issue", *command[1:]])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: SchemaViolation: /: not valid JSON")
+    assert capsys.readouterr().err.startswith(
+        f"error: SchemaViolation: {bundle_dir / 'dag.json'}: /: not valid JSON")
 
 
 def test_bad_manifest_exits_one_with_named_error(tmp_path, capsys):
@@ -198,7 +199,24 @@ def test_guide_not_utf8_exits_one_with_named_error(tmp_path, capsys):
     for argv in (["lint", str(guide)], ["extract", "dag", str(guide), "-o", str(tmp_path / "d.json")],
                  ["run", str(bundle_dir), "--scenario", "dependency_issue"]):
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: GuideNotUtf8: {guide}: not UTF-8")
+        assert capsys.readouterr().err.startswith(f"error: FileNotUtf8: {guide}: not UTF-8")
+
+
+def test_bundle_files_not_utf8_exit_one_naming_the_file(tmp_path, capsys):
+    bundle_dir = _bundle_copy(tmp_path)
+    for name in ("dag.json", "qpp.json"):
+        path = bundle_dir / name
+        path.write_bytes(b"{\x97}")
+        assert main(["run", str(bundle_dir), "--scenario", "dependency_issue"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: FileNotUtf8: {path}: not UTF-8: invalid start byte at byte 1")
+        path.unlink()
+
+    manifest = tmp_path / "qpp.json"
+    manifest.write_bytes(b"{\x97}")
+    assert main(["prepare", str(manifest), "q"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: FileNotUtf8: {manifest}: not UTF-8: invalid start byte at byte 1")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,0 +1,244 @@
+"""The one-pass oracle against the reference oracle it replaced.
+
+tests/oracle_reference.py keeps the fixpoint-rescan, wave and closure-pair
+forms of the oracle. Every function here must return the same result as
+its reference, compared by repr so dict order counts too, on fixture
+bundles, random DAGs with tied latencies, failures and retries, random
+applied sets and node subsets, and long chains. The one allowed difference:
+when several enabled steps have no attempts, timed_analysis names the
+first of them in topological order, so only the error type is compared
+when more than one step is missing.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from pathlib import Path
+
+import pytest
+
+import oracle_reference as reference
+from randdag import random_scripted_dag, success_assignments
+from test_engine import linear_dag
+from tsgflow import load_bundle, load_scenario
+from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id
+from tsgflow.engine import ScenarioIncomplete
+from tsgflow.oracle import (
+    FinalOutcome,
+    NotADag,
+    fixpoint_states,
+    max_antichain,
+    oracle_makespan,
+    serial_simulation,
+    timed_analysis,
+)
+
+BUNDLES = Path(__file__).parent / "fixtures" / "bundles"
+SCENARIOS = {
+    "availability_fig4": "dependency_issue",
+    "availability_fig5": "dependency_issue",
+    "triple_probe": "all_fallback",
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ScenarioIncomplete as exc:
+        return f"ScenarioIncomplete: {exc}"
+
+
+def assert_same(dag, steps, retry_limit, missing=0) -> None:
+    """serial_simulation and timed_analysis agree with the reference; with
+    more than one step missing, timed_analysis agrees on the error type."""
+    assert _outcome(serial_simulation, dag, steps, retry_limit) == _outcome(
+        reference.serial_simulation, dag, steps, retry_limit)
+    new = _outcome(timed_analysis, dag, steps, retry_limit)
+    old = _outcome(reference.timed_analysis, dag, steps, retry_limit)
+    if missing > 1:
+        new, old = new.partition(":")[0], old.partition(":")[0]
+    assert new == old
+
+
+def _steps_of(scenario: dict) -> dict[str, list[dict]]:
+    return {node: (spec["attempts"] if isinstance(spec, dict) else spec)
+            for node, spec in scenario["steps"].items()}
+
+
+def test_fixture_bundles_with_steps_dropped():
+    cases = 0
+    for name, scenario_name in SCENARIOS.items():
+        bundle = load_bundle(BUNDLES / name)
+        steps = _steps_of(load_scenario(BUNDLES / name, scenario_name))
+        nodes = sorted(steps)
+        dropped = [()] + [(a,) for a in nodes] + [
+            (a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+        for drop in dropped:
+            kept = {node: attempts for node, attempts in steps.items() if node not in drop}
+            for retry_limit in range(3):
+                assert_same(bundle.dag, kept, retry_limit, missing=len(drop))
+                cases += 1
+    assert cases > 300
+
+
+def _random_attempts(rng: random.Random, decisions: dict[str, str]) -> list[dict]:
+    attempts = []
+    for _ in range(rng.randint(1, 3)):
+        latency = rng.randint(0, 3)
+        if rng.random() < 0.3:
+            attempts.append({"result": "failure", "latency": latency, "error": "x"})
+        else:
+            attempts.append({"result": "success", "latency": latency,
+                             "edge_decisions": dict(decisions)})
+    return attempts
+
+
+def _forward_dag(rng: random.Random, n: int, density: float) -> ExecutionDag:
+    """Start, n steps and end, edges only from earlier to later positions.
+    Step ids are a random permutation of positions, so the topological
+    tie-break does not follow position; node and edge lists are shuffled;
+    some steps may have no incoming edge."""
+    ids = [f"step{i}" for i in rng.sample(range(1, n + 1), n)]
+    order = [START] + ids + [END]
+    edges = {}
+    for a, src in enumerate(order[:-1]):
+        later = order[a + 1:]
+        fanout = [dst for dst in later if rng.random() < density] or [rng.choice(later)]
+        for dst in fanout:
+            edges[(src, dst)] = DagEdge(edge_id(src, dst), src, dst, None,
+                                        f"via {src}" if dst == END else None)
+    nodes = [DagNode(i, "start" if i == START else "end" if i == END else "step", i)
+             for i in order]
+    edge_list = list(edges.values())
+    rng.shuffle(nodes)
+    rng.shuffle(edge_list)
+    return ExecutionDag("forward", nodes, edge_list)
+
+
+def _random_decisions(rng: random.Random, dag: ExecutionDag) -> dict[str, dict[str, str]]:
+    out = {}
+    for node in dag.step_nodes():
+        out[node.id] = {e.id: rng.choice(("enable", "enable", "disable"))
+                        for e in dag.edges if e.source == node.id and rng.random() < 0.9}
+    return out
+
+
+def test_random_dags_with_tied_latencies_failures_and_retries():
+    rng = random.Random(20261018)
+    randdags = 0
+    for i in range(1400):
+        if i % 4 == 3:
+            dag = _forward_dag(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
+            assignment = _random_decisions(rng, dag)
+        else:
+            dag = random_scripted_dag(rng)
+            assignment = rng.choice(success_assignments(dag))
+        steps = {node: _random_attempts(rng, decisions) for node, decisions in assignment.items()}
+        missing = 0
+        if rng.random() < 0.15:
+            missing = rng.randint(1, 2)
+            for node in rng.sample(sorted(steps), min(missing, len(steps))):
+                del steps[node]
+        assert_same(dag, steps, rng.randint(0, 2), missing)
+        randdags += i % 4 != 3
+    assert randdags >= 1000
+
+
+def _random_applied(rng: random.Random, dag: ExecutionDag) -> dict[str, FinalOutcome]:
+    applied = {}
+    for node, decisions in _random_decisions(rng, dag).items():
+        if rng.random() < 0.5:
+            continue
+        if rng.random() < 0.2:
+            applied[node] = FinalOutcome("failure", None, 0.0, 1)
+        else:
+            applied[node] = FinalOutcome("success", decisions, 0.0, 1)
+    return applied
+
+
+def test_fixpoint_states_on_random_applied_sets():
+    rng = random.Random(7)
+    for i in range(600):
+        dag = (_forward_dag(rng, rng.randint(1, 15), rng.choice((0.1, 0.4)))
+               if i % 2 else random_scripted_dag(rng))
+        applied = _random_applied(rng, dag)
+        assert repr(fixpoint_states(dag, applied)) == repr(reference.fixpoint_states(dag, applied))
+
+
+def test_max_antichain_on_random_subsets_and_wide_dags():
+    rng = random.Random(11)
+    for i in range(400):
+        dag = (_forward_dag(rng, rng.randint(1, 20), rng.choice((0.05, 0.2, 0.5)))
+               if i % 2 else random_scripted_dag(rng))
+        ids = [n.id for n in dag.nodes]
+        nodes = rng.sample(ids, rng.randint(0, len(ids)))
+        assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes)
+    for n, density in ((60, 0.01), (120, 0.02), (200, 0.01), (200, 0.05)):
+        dag = _forward_dag(rng, n, density)
+        nodes = [node.id for node in dag.step_nodes()]
+        assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 120])
+def test_chains(n):
+    """Each step succeeds, some after a retried failure; a second run has
+    the middle step fail for good."""
+    dag = linear_dag(n)
+    rng = random.Random(n)
+    steps = {}
+    for i in range(1, n + 1):
+        success = {"result": "success", "latency": rng.randint(0, 3),
+                   "edge_decisions": {dag.edges[i].id: "enable"}}
+        failure = {"result": "failure", "latency": rng.randint(0, 3), "error": "x"}
+        steps[f"step{i}"] = [failure, success] if rng.random() < 0.2 else [success]
+    assert_same(dag, steps, retry_limit=2)
+    steps[f"step{(n + 1) // 2}"] = [{"result": "failure", "latency": 1, "error": "x"}]
+    assert_same(dag, steps, retry_limit=1)
+    nodes = [node.id for node in dag.step_nodes()]
+    assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes) == 1
+
+
+def test_oracle_makespan_on_a_500_step_chain_is_not_cubic():
+    dag = linear_dag(500)
+    steps = {f"step{i}": [{"result": "success", "latency": 1,
+                           "edge_decisions": {dag.edges[i].id: "enable"}}]
+             for i in range(1, 501)}
+    started = time.monotonic()
+    oracle = oracle_makespan(dag, {"steps": steps})
+    elapsed = time.monotonic() - started
+    assert (oracle.critical_path_to_conclusion, oracle.serial_sum, oracle.width) == (500, 500, 1)
+    assert elapsed < 10, f"took {elapsed:.1f}s"
+
+
+def test_scenario_incomplete_names_the_first_missing_step_in_topological_order():
+    """start -> step1 -> step2 and start -> step3: step3 is enabled a wave
+    before step2, but step2 comes first in topological order (ties by id)."""
+    edges = [(START, "step1"), ("step1", "step2"), (START, "step3"), ("step2", END), ("step3", END)]
+    dag = ExecutionDag(
+        "pinned",
+        [DagNode(START, "start"), DagNode("step1", "step"), DagNode("step2", "step"),
+         DagNode("step3", "step"), DagNode(END, "end")],
+        [DagEdge(edge_id(a, b), a, b) for a, b in edges],
+    )
+    steps = {"step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}]}
+    with pytest.raises(ScenarioIncomplete, match="no attempts for step2$"):
+        timed_analysis(dag, steps, 0)
+    with pytest.raises(ScenarioIncomplete, match="no attempts for step3$"):
+        reference.timed_analysis(dag, steps, 0)
+    with pytest.raises(ScenarioIncomplete, match="no attempts for step2$"):
+        oracle_makespan(dag, {"steps": steps})
+
+
+def test_cyclic_graph_is_a_named_error():
+    edges = [(START, "step1"), ("step1", "step2"), ("step2", "step1"), ("step2", END)]
+    dag = ExecutionDag(
+        "loop",
+        [DagNode(START, "start"), DagNode("step1", "step"), DagNode("step2", "step"),
+         DagNode(END, "end")],
+        [DagEdge(edge_id(a, b), a, b) for a, b in edges],
+    )
+    with pytest.raises(NotADag, match="loop: cycle through step1"):
+        fixpoint_states(dag, {})
+    with pytest.raises(NotADag):
+        max_antichain(dag, ["step1"])
