@@ -19,6 +19,10 @@ from .document import TsgDocument, step_id_key
 START = "start"
 END = "end"
 
+_id = attrgetter("id")
+_source = attrgetter("source")
+_target = attrgetter("target")
+
 
 class DagError(Exception):
     """Raised when a document cannot be turned into a valid DAG."""
@@ -90,11 +94,11 @@ class ExecutionDag:
     nodes: list[DagNode]
     edges: list[DagEdge]
 
-    def outgoing(self, node_id: str) -> list[DagEdge]:
-        return sorted((e for e in self.edges if e.source == node_id), key=lambda e: e.id)
-
     def step_nodes(self) -> list[DagNode]:
         return [n for n in self.nodes if n.kind == "step"]
+
+
+_Edges = dict[str, list[DagEdge]]  # node id -> edges, in edge order
 
 
 @dataclass(frozen=True)
@@ -163,42 +167,50 @@ def extract_dag(doc: TsgDocument) -> ExecutionDag:
 
     dag = ExecutionDag(tsg_id=doc.tsg_id, nodes=nodes, edges=edges)
 
-    cycle = _find_cycle(dag)
+    outgoing, _ = _edge_index(dag)
+    cycle = _find_cycle(outgoing)
     if cycle:
         raise CycleDetected("cycle through edges: " + ", ".join(cycle))
-    unreachable = _unreachable_from_start(dag)
+    unreachable = outgoing.keys() - _reached([START], outgoing, _target)
     if unreachable:
         raise Unreachable("unreachable from start: " + ", ".join(sorted(unreachable)))
     return dag
 
 
-def _adjacency(dag: ExecutionDag) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {n.id: [] for n in dag.nodes}
+def _edge_index(dag: ExecutionDag) -> tuple[_Edges, _Edges]:
+    """Each node's outgoing and incoming edges, in edge order, from one pass
+    over the edges. A repeated node id gets one entry; an edge is listed
+    under its source and under its target where each is a node, so an edge
+    from an unknown node still counts as entering its target."""
+    outgoing: _Edges = {n.id: [] for n in dag.nodes}
+    incoming: _Edges = {node_id: [] for node_id in outgoing}
     for e in dag.edges:
-        if e.source in adj:
-            adj[e.source].append(e.target)
-    return adj
+        if e.source in outgoing:
+            outgoing[e.source].append(e)
+        if e.target in incoming:
+            incoming[e.target].append(e)
+    return outgoing, incoming
 
 
-def _is_acyclic(adj: dict[str, list[str]]) -> bool:
+def _is_acyclic(outgoing: _Edges) -> bool:
     """Kahn's in-degree test (Kahn 1962): peel off nodes with no incoming
     edge until none is left; the graph is acyclic iff every node goes.
 
-    Targets outside `adj` count for nothing, as in the depth-first search.
+    Targets that are not nodes count for nothing, as in the depth-first search.
     """
-    in_degree = Counter(chain.from_iterable(adj.values()))
-    ready = [u for u in adj if not in_degree[u]]
+    in_degree = Counter(map(_target, chain.from_iterable(outgoing.values())))
+    ready = [u for u in outgoing if not in_degree[u]]
     peeled = 0
     while ready:
         peeled += 1
-        for v in adj[ready.pop()]:
+        for v in map(_target, outgoing[ready.pop()]):
             in_degree[v] -= 1
-            if not in_degree[v] and v in adj:
+            if not in_degree[v] and v in outgoing:
                 ready.append(v)
-    return peeled == len(adj)
+    return peeled == len(outgoing)
 
 
-def _find_cycle(dag: ExecutionDag) -> list[str]:
+def _find_cycle(outgoing: _Edges) -> list[str]:
     """Return the edge ids of one cycle, or [] when acyclic.
 
     Kahn's test settles an acyclic graph in O(V + E) without sorting. A
@@ -207,21 +219,20 @@ def _find_cycle(dag: ExecutionDag) -> list[str]:
     in node_sort_key order and successors in edge order, and the cycle
     reported is the first back edge met.
     """
-    adj = _adjacency(dag)
-    if _is_acyclic(adj):
+    if _is_acyclic(outgoing):
         return []
-    return _dfs_cycle(adj)
+    return _dfs_cycle(outgoing)
 
 
-def _dfs_cycle(adj: dict[str, list[str]]) -> list[str]:
+def _dfs_cycle(outgoing: _Edges) -> list[str]:
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in adj}
-    for root in sorted(adj, key=node_sort_key):
+    color = {n: WHITE for n in outgoing}
+    for root in sorted(outgoing, key=node_sort_key):
         if color[root] != WHITE:
             continue
         color[root] = GRAY
         path = [root]
-        successors = [iter(adj[root])]
+        successors = [map(_target, outgoing[root])]
         while successors:
             for v in successors[-1]:
                 if v not in color:
@@ -232,7 +243,7 @@ def _dfs_cycle(adj: dict[str, list[str]]) -> list[str]:
                 if color[v] == WHITE:
                     color[v] = GRAY
                     path.append(v)
-                    successors.append(iter(adj[v]))
+                    successors.append(map(_target, outgoing[v]))
                     break
             else:
                 successors.pop()
@@ -240,26 +251,28 @@ def _dfs_cycle(adj: dict[str, list[str]]) -> list[str]:
     return []
 
 
-def _unreachable_from_start(dag: ExecutionDag) -> set[str]:
-    adj = _adjacency(dag)
-    seen = set()
-    frontier = [START] if START in adj else []
+def _reached(roots: list[str], edges: _Edges, follow) -> set[str]:
+    """Every id reached from `roots` along `edges`, going from an edge to
+    follow(edge); an id that is not a node is reached but leads nowhere."""
+    seen: set[str] = set()
+    frontier = list(roots)
     while frontier:
         u = frontier.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        frontier.extend(v for v in adj.get(u, []) if v in adj)
-    return {n.id for n in dag.nodes} - seen
+        if u not in seen:
+            seen.add(u)
+            frontier.extend(map(follow, edges.get(u, ())))
+    return seen
 
 
 def validate_dag(dag: ExecutionDag) -> ValidationReport:
     """Check every ExecutionDag invariant; violations are data, not errors."""
+    return _validate(dag, *_edge_index(dag))
+
+
+def _validate(dag: ExecutionDag, outgoing: _Edges, incoming: _Edges) -> ValidationReport:
     report = ValidationReport()
     add = report.violations.append
 
-    node_ids = [n.id for n in dag.nodes]
-    id_set = set(node_ids)
     seen: set[str] = set()
     for n in dag.nodes:
         if n.id in seen:
@@ -291,7 +304,7 @@ def validate_dag(dag: ExecutionDag) -> ValidationReport:
                     f"expected canonical id {edge_id(e.source, e.target)!r}",
                 )
             )
-        if e.source not in id_set or e.target not in id_set:
+        if e.source not in outgoing or e.target not in outgoing:
             add(Violation("unknown-endpoint", e.id, "edge references a node not in the DAG"))
         if e.condition is not None and (
             e.condition.label not in ("Y", "N") or not e.condition.question.strip()
@@ -301,34 +314,24 @@ def validate_dag(dag: ExecutionDag) -> ValidationReport:
             add(Violation("conclusion-not-terminal", e.id, "conclusion on an edge not into end"))
 
     for n in dag.nodes:
-        if n.kind == "start" and any(e.target == n.id for e in dag.edges):
+        if n.kind == "start" and incoming[n.id]:
             add(Violation("start-incoming", n.id, "start node has incoming edges"))
-        if n.kind == "end" and any(e.source == n.id for e in dag.edges):
+        if n.kind == "end" and outgoing[n.id]:
             add(Violation("end-outgoing", n.id, "end node has outgoing edges"))
 
-    cycle = _find_cycle(dag)
+    cycle = _find_cycle(outgoing)
     if cycle:
         add(Violation("cycle", cycle[0], "cycle through edges: " + ", ".join(cycle)))
         return report  # reachability is not meaningful on cyclic graphs
 
-    for node_id in sorted(_unreachable_from_start(dag), key=node_sort_key):
+    unreachable = outgoing.keys() - _reached([START], outgoing, _target)
+    for node_id in sorted(unreachable, key=node_sort_key):
         add(Violation("unreachable-node", node_id, "node not reachable from start"))
 
     # Every node must be able to reach end, so termination points exist on
     # every path; this subsumes "step node with no outgoing edges".
-    reverse: dict[str, list[str]] = {n.id: [] for n in dag.nodes}
-    for e in dag.edges:
-        if e.target in reverse:
-            reverse[e.target].append(e.source)
-    reaches_end = set()
-    frontier = [n.id for n in ends]
-    while frontier:
-        u = frontier.pop()
-        if u in reaches_end:
-            continue
-        reaches_end.add(u)
-        frontier.extend(reverse.get(u, []))
-    for node_id in sorted(id_set - reaches_end, key=node_sort_key):
+    reaches_end = _reached([n.id for n in ends], incoming, _source)
+    for node_id in sorted(outgoing.keys() - reaches_end, key=node_sort_key):
         add(Violation("end-unreachable", node_id, "no path from node to end"))
 
     report.violations.sort(key=lambda v: (v.code, v.subject))
@@ -347,10 +350,11 @@ class InvalidDag(DagError):
 class CompiledDag:
     """An ExecutionDag validated once and indexed for the scheduler.
 
-    Built by compile_dag. Every table is read-only after construction:
-    `nodes` and `edges` map ids to elements, `outgoing` holds each node's
-    edges sorted by id, `in_degree` counts incoming edges and `sort_key`
-    holds node_sort_key of every node.
+    Built by compile_dag from the same one-pass edge index its validation
+    reads. Every table is read-only after construction: `nodes` and `edges`
+    map ids to elements, `outgoing` holds each node's edges sorted by id,
+    `in_degree` counts incoming edges and `sort_key` holds node_sort_key of
+    every node.
     """
 
     dag: ExecutionDag
@@ -362,25 +366,19 @@ class CompiledDag:
 
 
 def compile_dag(dag: ExecutionDag) -> CompiledDag:
-    """Validate `dag` and index it in O(E log E); raise InvalidDag on violations."""
-    report = validate_dag(dag)
+    """Validate `dag` and index it in O(E log E) from one pass over its edges;
+    raise InvalidDag on violations."""
+    outgoing, incoming = _edge_index(dag)
+    report = _validate(dag, outgoing, incoming)
     if not report.ok:
         raise InvalidDag(report.violations)
-    nodes = {n.id: n for n in dag.nodes}
-    outgoing: dict[str, list[DagEdge]] = {node_id: [] for node_id in nodes}
-    in_degree = dict.fromkeys(nodes, 0)
-    for e in dag.edges:
-        outgoing[e.source].append(e)
-        in_degree[e.target] += 1
     return CompiledDag(
         dag=dag,
-        nodes=nodes,
+        nodes={n.id: n for n in dag.nodes},
         edges={e.id: e for e in dag.edges},
-        outgoing={
-            node_id: tuple(sorted(out, key=lambda e: e.id)) for node_id, out in outgoing.items()
-        },
-        in_degree=in_degree,
-        sort_key={node_id: node_sort_key(node_id) for node_id in nodes},
+        outgoing={node_id: tuple(sorted(out, key=_id)) for node_id, out in outgoing.items()},
+        in_degree={node_id: len(ins) for node_id, ins in incoming.items()},
+        sort_key={node_id: node_sort_key(node_id) for node_id in outgoing},
     )
 
 
@@ -417,13 +415,13 @@ def serialize_dag(dag: ExecutionDag) -> str:
         f'    {{\n      "id": {q(n.id)},\n      "kind": {q(n.kind)},\n'
         f'      "description": {q(n.description)},\n'
         f'      "step_ref": {"null" if n.step_ref is None else q(n.step_ref)}\n    }}'
-        for n in sorted(dag.nodes, key=attrgetter("id"))
+        for n in sorted(dag.nodes, key=_id)
     ]
     edges = [
         f'    {{\n      "id": {q(e.id)},\n      "from": {q(e.source)},\n      "to": {q(e.target)},\n'
         f'      "condition": {_condition_json(e.condition)},\n'
         f'      "conclusion": {"null" if e.conclusion is None else q(e.conclusion)}\n    }}'
-        for e in sorted(dag.edges, key=attrgetter("id"))
+        for e in sorted(dag.edges, key=_id)
     ]
     return (
         f'{{\n  "tsg_id": {q(dag.tsg_id)},\n  "nodes": {_json_array(nodes)},\n'
@@ -524,10 +522,8 @@ def load_dag(text: str) -> ExecutionDag:
 
 
 def structurally_equal(a: ExecutionDag, b: ExecutionDag) -> bool:
-    key_n = lambda n: n.id  # noqa: E731
-    key_e = lambda e: e.id  # noqa: E731
     return (
         a.tsg_id == b.tsg_id
-        and sorted(a.nodes, key=key_n) == sorted(b.nodes, key=key_n)
-        and sorted(a.edges, key=key_e) == sorted(b.edges, key=key_e)
+        and sorted(a.nodes, key=_id) == sorted(b.nodes, key=_id)
+        and sorted(a.edges, key=_id) == sorted(b.edges, key=_id)
     )

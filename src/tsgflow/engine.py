@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 
-from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
+from .dag import END, START, CompiledDag, ExecutionDag, InvalidDag, compile_dag
 from .document import TsgDocument, TsgStep
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import MemoryRef, MemoryStore, RunScope, value_from_literal
@@ -96,7 +96,6 @@ class RunStatus(Enum):
     RUNNING = "running"
     CONCLUDED = "concluded"
     EXHAUSTED = "exhausted"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -265,7 +264,6 @@ class RunState:
     def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = 2):
         compiled = dag if isinstance(dag, CompiledDag) else _compile(dag)
         self.compiled = compiled
-        self.dag = compiled.dag
         self.retry_limit = retry_limit
         self.node_state = dict.fromkeys(compiled.nodes, ElementState.UNKNOWN)
         self.edge_state = dict.fromkeys(compiled.edges, ElementState.UNKNOWN)
@@ -282,19 +280,14 @@ class RunState:
         self.history: list[dict] = []
         self.memory_refs: list[MemoryRef] = []
         self.memory_ref_entries: list[dict] = []  # {"key", "kind"} of each ref, for contexts
-        self._seq = 0
         self._in_resolved = dict.fromkeys(compiled.nodes, 0)
         self._in_enabled = dict.fromkeys(compiled.nodes, 0)
         self.node_state[START] = ElementState.ENABLED
 
-    def sort_key(self, node_id: str) -> tuple:
-        return self.compiled.sort_key[node_id]
-
     # -- trace ---------------------------------------------------------------
 
     def emit(self, kind: str, subject: str, detail: dict | None = None) -> TraceEvent:
-        event = TraceEvent(self.clock, self._seq, kind, subject, detail or {})
-        self._seq += 1
+        event = TraceEvent(self.clock, len(self.trace), kind, subject, detail or {})
         self.trace.append(event)
         return event
 
@@ -379,13 +372,10 @@ class RunState:
         self.node_state[node_id] = ElementState.DISABLED
         self.emit("node_disabled", node_id, {"reason": "all incoming edges disabled"})
 
-    def outgoing_edges(self, node_id: str) -> tuple[DagEdge, ...]:
-        return self.compiled.outgoing[node_id]
-
     def disabled_nodes(self) -> list[str]:
         return sorted(
             (n for n, s in self.node_state.items() if s is ElementState.DISABLED),
-            key=self.sort_key,
+            key=self.compiled.sort_key.__getitem__,
         )
 
 
@@ -406,28 +396,21 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     attempt = state.attempts.get(node_id, 0)
 
     if outcome.result == "failure":
-        if attempt <= state.retry_limit:
-            state.emit(
-                "node_failed",
-                node_id,
-                {"attempt": attempt, "error": outcome.error, "final": False},
-            )
-            state.emit("node_retried", node_id, {"next_attempt": attempt + 1})
-            state.history.append(
-                {"node": node_id, "result": "failure", "summary": outcome.error, "attempt": attempt}
-            )
-            state.enqueue(node_id, state.clock)
-            return state
+        final = attempt > state.retry_limit
         state.emit(
             "node_failed",
             node_id,
-            {"attempt": attempt, "error": outcome.error, "final": True},
+            {"attempt": attempt, "error": outcome.error, "final": final},
         )
-        state.failed.add(node_id)
         state.history.append(
             {"node": node_id, "result": "failure", "summary": outcome.error, "attempt": attempt}
         )
-        for edge in state.outgoing_edges(node_id):
+        if not final:
+            state.emit("node_retried", node_id, {"next_attempt": attempt + 1})
+            state.enqueue(node_id, state.clock)
+            return state
+        state.failed.add(node_id)
+        for edge in state.compiled.outgoing[node_id]:
             if state.status is not RunStatus.RUNNING:
                 break
             state.resolve_edge(edge.id, ElementState.DISABLED, via="failure")
@@ -436,7 +419,7 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     if outcome.result != "success":
         raise EngineError(f"outcome result must be success or failure, got {outcome.result!r}")
 
-    outgoing = state.outgoing_edges(node_id)
+    outgoing = state.compiled.outgoing[node_id]
     decisions = dict(outcome.edge_decisions or {})
     expected = {e.id for e in outgoing}
     missing = expected - set(decisions)
@@ -488,7 +471,7 @@ class RunResult:
 
 
 def _complete_start(state: RunState) -> None:
-    for edge in state.outgoing_edges(START):
+    for edge in state.compiled.outgoing[START]:
         if state.status is not RunStatus.RUNNING:
             break
         state.resolve_edge(edge.id, ElementState.ENABLED, via=START)
@@ -626,7 +609,7 @@ def _record_memory_refs(state: RunState, scope: RunScope | None, outcome: StepOu
 
 
 def _cancel_remaining(state: RunState) -> None:
-    for node_id in sorted(state.running, key=state.sort_key):
+    for node_id in sorted(state.running, key=state.compiled.sort_key.__getitem__):
         state.emit("node_cancelled", node_id, {"phase": "running"})
     state.running.clear()
     while state.ready:
@@ -643,7 +626,7 @@ def _finish(state: RunState) -> None:
         state.status = RunStatus.EXHAUSTED
         detail = {
             "status": "exhausted",
-            "failed": sorted(state.failed, key=state.sort_key),
+            "failed": sorted(state.failed, key=state.compiled.sort_key.__getitem__),
             "disabled": state.disabled_nodes(),
         }
     state.emit("run_terminated", "run", detail)

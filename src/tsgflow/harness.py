@@ -273,7 +273,7 @@ def sweep(
 
     report = SweepReport(
         tsg_id=bundle.dag.tsg_id,
-        scenario_id=scenario.get("incident", {}).get("id", "scenario"),
+        scenario_id=(scenario.get("incident") or {}).get("id", "scenario"),
         entries=entries,
         baseline_kind=baseline_kind,
         baseline_makespan=baseline_makespan,

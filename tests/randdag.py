@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from tsgflow.dag import DagEdge, DagNode, EdgeCondition, END, START, ExecutionDag, edge_id, node_sort_key
+from tsgflow.dag import (
+    END, START, DagEdge, DagNode, EdgeCondition, ExecutionDag, compile_dag, edge_id, node_sort_key,
+)
 
 
 def random_scripted_dag(rng: random.Random, max_conditional: int = 3) -> ExecutionDag:
@@ -55,9 +57,10 @@ def success_assignments(dag: ExecutionDag) -> list[dict[str, dict[str, str]]]:
     """Every combination of conditional-arm decisions; unconditional edges
     are always enabled."""
     names = sorted((n.id for n in dag.step_nodes()), key=node_sort_key)
+    compiled = compile_dag(dag)
     options: list[list[dict[str, str]]] = []
     for node_id in names:
-        outgoing = dag.outgoing(node_id)
+        outgoing = compiled.outgoing[node_id]
         conditional = [e for e in outgoing if e.condition is not None]
         base = {e.id: "enable" for e in outgoing if e.condition is None}
         node_options = []

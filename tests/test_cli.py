@@ -219,6 +219,31 @@ def test_bundle_files_not_utf8_exit_one_naming_the_file(tmp_path, capsys):
         f"error: FileNotUtf8: {manifest}: not UTF-8: invalid start byte at byte 1")
 
 
+def test_sweep_of_scenario_with_null_incident(tmp_path, capsys):
+    bundle_dir = _bundle_copy(tmp_path)
+    scenario = json.loads((bundle_dir / "scenarios" / "dependency_issue.json").read_text())
+    scenario["incident"] = None
+    (bundle_dir / "scenarios" / "no_incident.json").write_text(json.dumps(scenario))
+    report_path = tmp_path / "report.json"
+    code = main(["sweep", str(bundle_dir), "--scenario", "no_incident", "--executors", "1..2",
+                 "--report", str(report_path)])
+    assert code == 0
+    assert json.loads(report_path.read_text())["scenario_id"] == "scenario"
+
+
+@pytest.mark.parametrize("argv", [["lint", str(FIG5_DIR)], ["run", str(FIG5_DIR), "--scenario", "."]],
+                         ids=["lint", "run"])
+def test_directory_in_place_of_a_file_exits_one(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory: ")
+
+
+def test_missing_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing.md"
+    assert main(["lint", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["run", "--executors", "0"], "argument --executors: expected an integer >= 1, got '0'"),
     (["run", "--executors", "two"], "argument --executors: expected an integer >= 1, got 'two'"),

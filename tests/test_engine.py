@@ -51,10 +51,6 @@ def bundle_of(dag) -> Bundle:
     return Bundle(doc=None, dag=dag, templates=[])
 
 
-def all_enable(dag, node_id):
-    return {e.id: "enable" for e in dag.outgoing(node_id)}
-
-
 # -- apply_outcome ------------------------------------------------------------
 
 def _state_with_running(dag, path):
@@ -390,9 +386,13 @@ def test_final_failure_disables_long_chain():
 # -- compile once -------------------------------------------------------------
 
 def _count_validations(monkeypatch) -> list:
+    """Count validations: validate_dag and compile_dag both validate
+    through tsgflow.dag._validate."""
     calls = []
-    real = tsgflow.dag.validate_dag
-    monkeypatch.setattr(tsgflow.dag, "validate_dag", lambda dag: calls.append(dag) or real(dag))
+    real = tsgflow.dag._validate
+    monkeypatch.setattr(
+        tsgflow.dag, "_validate", lambda dag, *index: calls.append(dag) or real(dag, *index)
+    )
     return calls
 
 
