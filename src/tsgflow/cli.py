@@ -19,6 +19,7 @@ import argparse
 import json
 import shlex
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .dag import DagError, extract_dag, serialize_dag, validate_dag
@@ -219,15 +220,7 @@ def _cmd_oracle(args) -> int:
     bundle = load_bundle(args.bundle)
     scenario = load_scenario(args.bundle, args.scenario)
     oracle = oracle_makespan(bundle.dag, scenario, retry_limit=args.retry)
-    print(
-        json.dumps(
-            {
-                "critical_path_to_conclusion": oracle.critical_path_to_conclusion,
-                "serial_sum": oracle.serial_sum,
-                "width": oracle.width,
-            }
-        )
-    )
+    print(json.dumps(asdict(oracle)))
     return 0
 
 

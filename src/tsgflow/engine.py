@@ -800,14 +800,45 @@ def _schedule(
     _finish(state)
 
 
+# -- scenario scripts ---------------------------------------------------------
+# The one reader of attempt scripts, shared by ScriptedBackend, the oracle and
+# load_scenario: the step forms, the attempt an execution replays, and each
+# field's value when an attempt leaves it out.
+
+ATTEMPT_DEFAULTS = {"result": "success", "latency": 0, "edge_decisions": {}, "summary": "",
+                    "error": "scripted failure", "memory_writes": {}}
+
+
+def scenario_steps(scenario: dict) -> dict[str, list[dict]]:
+    """Node id -> attempt list, from either step form: a bare list of
+    attempts or {"attempts": [...]}. The lists are the scenario's own."""
+    return {node_id: spec.get("attempts") if isinstance(spec, dict) else spec
+            for node_id, spec in scenario.get("steps", {}).items()}
+
+
+def scripted_attempt(steps: Mapping[str, list[dict]], node_id: str, n: int) -> dict:
+    """The attempt that the n-th execution of a node replays (n counts from
+    1); the last attempt repeats when the node runs more often than its
+    script is long."""
+    attempts = steps.get(node_id)
+    if not attempts:
+        raise ScenarioIncomplete(f"scenario has no attempts for {node_id}")
+    return attempts[min(n, len(attempts)) - 1]
+
+
+def attempt_value(attempt: dict, name: str):
+    """An attempt's `name` field, or its default when the attempt leaves it out."""
+    return attempt.get(name, ATTEMPT_DEFAULTS[name])
+
+
 # -- backends -----------------------------------------------------------------
 
 class ScriptedBackend(ExecutorBackend):
     """Deterministic backend replaying per-node attempt scripts.
 
-    The n-th execution of a node replays its n-th attempt; the last attempt
-    repeats if the node is retried beyond the script. Attempt latencies
-    drive the virtual clock; on the wall clock (`ctx.clock`) they are waited out.
+    Each execution replays the attempt that scripted_attempt picks. Attempt
+    latencies drive the virtual clock; on the wall clock (`ctx.clock`) they
+    are waited out.
     """
 
     def __init__(self, steps: dict[str, list[dict]]):
@@ -815,34 +846,29 @@ class ScriptedBackend(ExecutorBackend):
 
     @classmethod
     def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
-        steps = {}
-        for node_id, spec in scenario.get("steps", {}).items():
-            steps[node_id] = spec["attempts"] if isinstance(spec, dict) else list(spec)
-        return cls(steps)
+        return cls(scenario_steps(scenario))
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        attempts = self._steps.get(ctx.node_id)
-        if not attempts:
-            raise ScenarioIncomplete(f"scenario has no attempts for {ctx.node_id}")
-        attempt = attempts[min(ctx.attempt - 1, len(attempts) - 1)]
-        latency = attempt.get("latency", 0)
+        attempt = scripted_attempt(self._steps, ctx.node_id, ctx.attempt)
+        latency = attempt_value(attempt, "latency")
         if ctx.clock == "wall" and latency:
             if ctx.cancel.wait(timeout=latency):
                 return CancelledSignal()
+        writes = attempt_value(attempt, "memory_writes")
         if ctx.store is not None:
-            for key in sorted(attempt.get("memory_writes", {})):
-                ctx.store.put(key, value_from_literal(attempt["memory_writes"][key]))
-        if attempt.get("result") == "failure":
+            for key in sorted(writes):
+                ctx.store.put(key, value_from_literal(writes[key]))
+        if attempt_value(attempt, "result") == "failure":
             return StepOutcome(
                 result="failure",
-                error=attempt.get("error", "scripted failure"),
+                error=attempt_value(attempt, "error"),
                 duration=latency,
             )
         return StepOutcome(
             result="success",
-            summary=attempt.get("summary", ""),
-            edge_decisions=dict(attempt.get("edge_decisions", {})),
-            memory_writes=tuple(sorted(attempt.get("memory_writes", {}))),
+            summary=attempt_value(attempt, "summary"),
+            edge_decisions=dict(attempt_value(attempt, "edge_decisions")),
+            memory_writes=tuple(sorted(writes)),
             duration=latency,
         )
 

@@ -18,13 +18,14 @@ own k=1 run; the report states which.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 
 from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
-from .engine import Bundle, RunConfig, RunResult, ScriptedBackend, run, trace_to_jsonl
+from .engine import (ATTEMPT_DEFAULTS, Bundle, RunConfig, RunResult, ScriptedBackend, run,
+                     scenario_steps, trace_to_jsonl)
 from .oracle import MakespanOracle, oracle_makespan
 from .plugins import build_mock_registry
 from .queryprep import extract_templates, load_manifest
@@ -98,14 +99,15 @@ def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:
     raise HarnessError(f"scenario {name_or_path!r} not found")
 
 
-# (field, value when absent, test over a list of values, what a value must be)
+# (field, test over a list of values, what a value must be); an attempt that
+# leaves a field out is tested on its ATTEMPT_DEFAULTS value
 _ATTEMPT_RULES = (
-    ("result", "success", lambda vs: set(vs) <= {"success", "failure"}, "'success' or 'failure'"),
+    ("result", lambda vs: set(vs) <= {"success", "failure"}, "'success' or 'failure'"),
     # a NaN latency makes the sum NaN, which is not >= 0
-    ("latency", 0,
+    ("latency",
      lambda vs: set(map(type, vs)) <= {int, float} and min(vs, default=0) >= 0 and sum(vs) >= 0,
      "a number >= 0"),
-    ("edge_decisions", {}, lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),
+    ("edge_decisions", lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),
 )
 
 
@@ -130,7 +132,7 @@ def _check_scenario(scenario, source: str) -> None:
     steps = scenario.get("steps", {})
     if not isinstance(steps, dict):
         bad("steps must map node ids to attempts")
-    lists = [spec.get("attempts") if isinstance(spec, dict) else spec for spec in steps.values()]
+    lists = list(scenario_steps(scenario).values())
     if not set(map(type, lists)) <= {list}:
         node = next(node for node, attempts in zip(steps, lists) if type(attempts) is not list)
         bad(f'steps.{node} must be a list of attempts or {{"attempts": [...]}}')
@@ -144,8 +146,8 @@ def _check_scenario(scenario, source: str) -> None:
     attempts = list(chain.from_iterable(lists))
     if not set(map(type, attempts)) <= {dict}:
         bad(where(next(k for k, a in enumerate(attempts) if type(a) is not dict)) + " must be an object")
-    for field, default, ok, what in _ATTEMPT_RULES:
-        values = list(map(dict.get, attempts, repeat(field), repeat(default)))
+    for field, ok, what in _ATTEMPT_RULES:
+        values = list(map(dict.get, attempts, repeat(field), repeat(ATTEMPT_DEFAULTS[field])))
         if not ok(values):
             k = next(k for k, v in enumerate(values) if not ok([v]))
             bad(f"{where(k)}.{field} must be {what}")
@@ -179,15 +181,6 @@ class SweepEntry:
     cancelled: int
     status: str
 
-    def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "makespan": self.makespan,
-            "executed": self.executed,
-            "cancelled": self.cancelled,
-            "status": self.status,
-        }
-
 
 @dataclass
 class SweepReport:
@@ -205,14 +198,10 @@ class SweepReport:
         return {
             "tsg_id": self.tsg_id,
             "scenario_id": self.scenario_id,
-            "entries": [e.to_obj() for e in self.entries],
+            "entries": [asdict(e) for e in self.entries],
             "baseline": {"kind": self.baseline_kind, "makespan": self.baseline_makespan},
             "reductions": {str(k): v for k, v in sorted(self.reductions.items())},
-            "oracle": {
-                "critical_path_to_conclusion": self.oracle.critical_path_to_conclusion,
-                "serial_sum": self.oracle.serial_sum,
-                "width": self.oracle.width,
-            },
+            "oracle": asdict(self.oracle),
             "bounds_ok": self.bounds_ok,
             "saturation_ok": self.saturation_ok,
         }

@@ -32,17 +32,7 @@ from .document import TsgDocument, parse_tsg, step_id_key
 from .linechild import ChildTimeout, ChildUnavailable, LineChild
 from .queryprep import iter_placeholders
 
-RULE_CATEGORY = {
-    "CF-NEXT-MISSING": "CF",
-    "CF-NEXT-DANGLING": "CF",
-    "DF-INPUT-UNKNOWN": "DF",
-    "DI-HARDCODED-TIME": "DI",
-    "PS-TERMINATION-UNMARKED": "PS",
-    "PS-STEP-ORDER": "PS",
-    "PS-PARSE": "PS",
-    "CP-UNQUANTIFIED": "CP",
-}
-
+# rule id -> severity; a rule's category is the prefix of its id
 RULE_SEVERITY = {
     "CF-NEXT-MISSING": "error",
     "CF-NEXT-DANGLING": "error",
@@ -80,8 +70,12 @@ class LintFinding:
         return f"{file}:{self.line}: {self.rule} [{self.category}/{self.severity}] {self.message}"
 
 
+def _category(rule: str) -> str:
+    return rule.split("-", 1)[0]
+
+
 def _finding(rule: str, line: int, message: str) -> LintFinding:
-    return LintFinding(rule, RULE_CATEGORY[rule], line, message, RULE_SEVERITY[rule])
+    return LintFinding(rule, _category(rule), line, message, RULE_SEVERITY[rule])
 
 
 _AGO_RE = re.compile(r"\bago\(\s*\d+(?:\.\d+)?\s*(?:ms|s|m|h|d)\s*\)")
@@ -342,7 +336,7 @@ def _match_document(
                 continue
             if best is None or abs(f.line - line) < abs(best.line - line):
                 best = f
-        category = RULE_CATEGORY.get(rule, "PS")
+        category = _category(rule) if rule in RULE_SEVERITY else "PS"
         metrics = evaluation.per_category.setdefault(category, CategoryMetrics())
         if best is not None:
             unmatched.remove(best)

@@ -187,9 +187,7 @@ def value_from_literal(x) -> MemoryValue:
 
 def _scalar_to_json(x):
     if isinstance(x, datetime):
-        if x.tzinfo is None:
-            x = x.replace(tzinfo=timezone.utc)
-        return {"$ts": x.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")}
+        return {"$ts": format_timestamp(x)}
     return x
 
 def _scalar_from_json(x):
@@ -200,9 +198,15 @@ def _scalar_from_json(x):
 def parse_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
+def format_timestamp(dt: datetime) -> str:
+    """ISO-8601 text in UTC with a `Z` suffix; a naive datetime is taken as UTC."""
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
 def _cell_to_json(cell, col_type: str):
     if col_type == "timestamp" and isinstance(cell, datetime):
-        return _scalar_to_json(cell)["$ts"]
+        return format_timestamp(cell)
     return cell
 
 def _cell_from_json(cell, col_type: str):
@@ -259,7 +263,7 @@ class ContextSummary:
 
 def _render_cell(cell, cap: int | None) -> str:
     if isinstance(cell, datetime):
-        text = _scalar_to_json(cell)["$ts"]
+        text = format_timestamp(cell)
     elif isinstance(cell, bool):
         text = "true" if cell else "false"
     else:

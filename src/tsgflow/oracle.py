@@ -4,7 +4,10 @@ Everything here recomputes run state from scratch instead of following the
 engine's incremental event-driven propagation, so the two sides of every
 check stay independent. Each call builds its own view of the DAG: a
 topological order (Kahn's algorithm, ties broken by node_sort_key) and each
-node's incoming and outgoing edges. It shares no index with the engine.
+node's incoming and outgoing edges. It shares no index with the engine;
+the one thing it takes from the engine is the scenario reader
+(scenario_steps, scripted_attempt, attempt_value), because two readings of
+one script would be two formats, not two opinions.
 
   * fixpoint_states: tri-state closure for a set of applied outcomes,
     settled in one pass over the topological order.
@@ -27,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import END, START, ExecutionDag, node_sort_key
-from .engine import ScenarioIncomplete
+from .engine import attempt_value, scenario_steps, scripted_attempt
 
 
 class NotADag(ValueError):
@@ -42,24 +45,19 @@ class FinalOutcome:
     executions: int
 
 
-def replay_final_outcome(attempts: list[dict], retry_limit: int) -> FinalOutcome:
-    """Replay a node's attempt list under the retry budget.
+def replay_final_outcome(steps: dict[str, list[dict]], node: str, retry_limit: int) -> FinalOutcome:
+    """Replay a node's attempts under the retry budget.
 
     Returns the outcome that ends the node's lifecycle and the total latency
-    consumed across all replayed attempts (the last attempt repeats when the
-    script is shorter than the budget allows).
+    consumed across all replayed attempts.
     """
-    if not attempts:
-        raise ScenarioIncomplete("empty attempt list")
     total = 0.0
-    executions = 0
-    for i in range(retry_limit + 1):
-        attempt = attempts[min(i, len(attempts) - 1)]
-        total += attempt.get("latency", 0)
-        executions += 1
-        if attempt.get("result") == "success":
-            return FinalOutcome("success", dict(attempt.get("edge_decisions", {})), total, executions)
-    return FinalOutcome("failure", None, total, executions)
+    for n in range(1, retry_limit + 2):
+        attempt = scripted_attempt(steps, node, n)
+        total += attempt_value(attempt, "latency")
+        if attempt_value(attempt, "result") != "failure":
+            return FinalOutcome("success", dict(attempt_value(attempt, "edge_decisions")), total, n)
+    return FinalOutcome("failure", None, total, retry_limit + 1)
 
 
 class _View:
@@ -189,24 +187,20 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
 
     while ready:
         _, _, node = heapq.heappop(ready)
-        attempts = steps.get(node)
-        if not attempts:
-            raise ScenarioIncomplete(f"scenario has no attempts for {node}")
-        i = attempts_done.get(node, 0)
-        attempt = attempts[min(i, len(attempts) - 1)]
-        attempts_done[node] = i + 1
+        n = attempts_done[node] = attempts_done.get(node, 0) + 1
+        attempt = scripted_attempt(steps, node, n)
         starts.append(node)
         if node not in executed:
             executed.append(node)
-        t += attempt.get("latency", 0)
-        if attempt.get("result") == "failure":
-            if attempts_done[node] <= retry_limit:
+        t += attempt_value(attempt, "latency")
+        if attempt_value(attempt, "result") == "failure":
+            if n <= retry_limit:
                 heapq.heappush(ready, (t, node_sort_key(node), node))
                 continue
-            applied[node] = FinalOutcome("failure", None, 0.0, attempts_done[node])
+            applied[node] = FinalOutcome("failure", None, 0.0, n)
         else:
             applied[node] = FinalOutcome(
-                "success", dict(attempt.get("edge_decisions", {})), 0.0, attempts_done[node]
+                "success", dict(attempt_value(attempt, "edge_decisions")), 0.0, n
             )
         node_state, edge_state = refresh(t)
         if node_state[END] == "enabled":
@@ -234,10 +228,7 @@ def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit:
         """Every enabled step runs to its final outcome, in topological order."""
         if view.kind[node] != "step":
             return None
-        attempts = steps.get(node)
-        if not attempts:
-            raise ScenarioIncomplete(f"scenario has no attempts for {node}")
-        applied[node] = replay_final_outcome(attempts, retry_limit)
+        applied[node] = replay_final_outcome(steps, node, retry_limit)
         return applied[node]
 
     node_state, edge_state = _settle(view, replay)
@@ -341,10 +332,7 @@ def oracle_makespan(dag: ExecutionDag, scenario: dict, retry_limit: int = 2) -> 
     """Independent bounds for a scenario: earliest conclusion with unbounded
     executors, the k=1 serial makespan under FIFO ordering, and the realized
     parallelism width."""
-    steps = {
-        node: (spec["attempts"] if isinstance(spec, dict) else list(spec))
-        for node, spec in scenario.get("steps", {}).items()
-    }
+    steps = scenario_steps(scenario)
     timed = timed_analysis(dag, steps, retry_limit)
     serial = serial_simulation(dag, steps, retry_limit)
     return MakespanOracle(

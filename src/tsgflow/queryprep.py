@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime
 
 from .document import TsgDocument
+from .memory import format_timestamp
 
 
 class TemplateError(Exception):
@@ -124,9 +125,7 @@ def render_param(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, datetime):
-        if value.tzinfo is None:
-            value = value.replace(tzinfo=timezone.utc)
-        return value.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+        return format_timestamp(value)
     if isinstance(value, (list, tuple)):
         return ", ".join(render_param(v) for v in value)
     raise UnrenderableValue(f"no text rendering for {type(value).__name__}")

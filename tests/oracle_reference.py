@@ -175,7 +175,7 @@ def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit:
             attempts = steps.get(node)
             if not attempts:
                 raise ScenarioIncomplete(f"scenario has no attempts for {node}")
-            applied[node] = replay_final_outcome(attempts, retry_limit)
+            applied[node] = replay_final_outcome(steps, node, retry_limit)
 
     edge_time: dict[str, float] = {}
     node_ready: dict[str, float] = {START: 0.0}

@@ -60,3 +60,19 @@ def test_only_the_line_client_imports_subprocess():
             if any(name.split(".")[0] == "subprocess" for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["linechild.py"]
+
+
+def test_oracle_takes_only_the_scenario_reader_from_the_engine():
+    """The oracle checks the engine, so of engine.py it may use only the
+    scenario reader and its error: not RunState, apply_outcome or CompiledDag."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "engine":
+                names |= {alias.name for alias in node.names}
+            elif any(alias.name == "engine" for alias in node.names):
+                names.add("engine")  # the whole module
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[-1] == "engine" for alias in node.names):
+                names.add("engine")
+    assert names <= {"ScenarioIncomplete", "scenario_steps", "scripted_attempt", "attempt_value"}

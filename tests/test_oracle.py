@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import copy
+import json
 import random
 import sys
 
 import pytest
 
+from conftest import BUNDLES
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from test_engine import bundle_of, linear_dag, scripted
+from tsgflow import load_bundle, load_scenario
 from tsgflow.dag import validate_dag
-from tsgflow.engine import ElementState, RunConfig, ScenarioIncomplete, run
+from tsgflow.engine import ElementState, RunConfig, ScenarioIncomplete, run, scenario_steps
+from tsgflow.harness import run_scenario
 from tsgflow.oracle import (
     fixpoint_states,
     max_antichain,
@@ -17,13 +22,6 @@ from tsgflow.oracle import (
     serial_simulation,
     timed_analysis,
 )
-
-
-def steps_of(scenario: dict) -> dict[str, list[dict]]:
-    return {
-        node: (spec["attempts"] if isinstance(spec, dict) else spec)
-        for node, spec in scenario["steps"].items()
-    }
 
 
 def assert_engine_matches_serial_oracle(dag, steps, retry_limit=0):
@@ -45,10 +43,48 @@ def assert_engine_matches_serial_oracle(dag, steps, retry_limit=0):
 
 
 def test_oracle_fig5_case(fig5_bundle, fig5_scenario):
-    oracle = oracle_makespan(fig5_bundle.dag, fig5_scenario)
-    assert oracle.critical_path_to_conclusion == 22
-    assert oracle.serial_sum == 35
-    assert oracle.width == 3
+    # both step forms: {"attempts": [...]} as in the file, and a bare list
+    for scenario in (fig5_scenario, {"steps": scenario_steps(fig5_scenario)}):
+        oracle = oracle_makespan(fig5_bundle.dag, scenario)
+        assert oracle.critical_path_to_conclusion == 22
+        assert oracle.serial_sum == 35
+        assert oracle.width == 3
+
+
+# the value each of these attempt fields has when an attempt leaves it out
+DEFAULTS = {"result": "success", "latency": 0, "edge_decisions": {}, "summary": ""}
+
+
+def without_defaults(scenario: dict) -> dict:
+    """The scenario with every attempt field that holds its default left out."""
+    stripped = copy.deepcopy(scenario)
+    for attempts in scenario_steps(stripped).values():
+        for attempt in attempts:
+            for name, default in DEFAULTS.items():
+                value = attempt.get(name)
+                if type(value) is type(default) and value == default:
+                    del attempt[name]
+    return stripped
+
+
+def test_fields_left_at_their_default_can_be_left_out(tmp_path):
+    """A fixture scenario with its default-valued fields left out gives the
+    same trace at every k, and the same serial, timed and makespan oracles."""
+    for path in sorted(BUNDLES.glob("*/scenarios/*.json")):
+        bundle_dir = path.parent.parent
+        bundle = load_bundle(bundle_dir)
+        original = load_scenario(bundle_dir, str(path))
+        stripped_path = tmp_path / f"{bundle_dir.name}-{path.name}"
+        stripped_path.write_text(json.dumps(without_defaults(original)), encoding="utf-8")
+        stripped = load_scenario(bundle_dir, str(stripped_path))
+        assert stripped != original
+        for k in range(1, 5):
+            assert (run_scenario(bundle, stripped, executors=k).trace_jsonl()
+                    == run_scenario(bundle, original, executors=k).trace_jsonl())
+        for check in (serial_simulation, timed_analysis):
+            assert (check(bundle.dag, scenario_steps(stripped), 2)
+                    == check(bundle.dag, scenario_steps(original), 2)), check.__name__
+        assert oracle_makespan(bundle.dag, stripped) == oracle_makespan(bundle.dag, original)
 
 
 def test_oracle_linear_chain():
@@ -82,7 +118,7 @@ def test_oracle_triple(triple_bundle, triple_scenario):
 
 
 def test_oracle_requires_complete_scenario(fig5_bundle, fig5_scenario):
-    steps = steps_of(fig5_scenario)
+    steps = scenario_steps(fig5_scenario)
     steps.pop("step2")
     with pytest.raises(ScenarioIncomplete):
         oracle_makespan(fig5_bundle.dag, {"steps": steps})
@@ -91,11 +127,11 @@ def test_oracle_requires_complete_scenario(fig5_bundle, fig5_scenario):
 def test_replay_final_outcome():
     attempts = [{"result": "failure", "latency": 2}, {"result": "success", "latency": 3,
                                                       "edge_decisions": {}}]
-    out = replay_final_outcome(attempts, retry_limit=1)
+    out = replay_final_outcome({"step1": attempts}, "step1", retry_limit=1)
     assert out.result == "success"
     assert out.total_latency == 5
     assert out.executions == 2
-    out = replay_final_outcome(attempts[:1], retry_limit=2)
+    out = replay_final_outcome({"step1": attempts[:1]}, "step1", retry_limit=2)
     assert out.result == "failure"
     assert out.total_latency == 6  # last attempt repeats
 
@@ -151,7 +187,7 @@ def test_max_antichain_long_chain_within_recursion_limit():
 
 
 def test_timed_analysis_executed_set(fig5_bundle, fig5_scenario):
-    timed = timed_analysis(fig5_bundle.dag, steps_of(fig5_scenario), retry_limit=2)
+    timed = timed_analysis(fig5_bundle.dag, scenario_steps(fig5_scenario), retry_limit=2)
     assert timed.conclusion_time == 22
     assert set(timed.executed) == {
         "step1", "step2", "step3.1", "step3.2", "step3.3", "step3.4", "step4.1", "step4.2",
@@ -166,7 +202,7 @@ def test_engine_matches_oracle_on_bundles(fig4_bundle, fig4_scenario, fig5_bundl
         (fig5_bundle, fig5_scenario),
         (triple_bundle, triple_scenario),
     ):
-        assert_engine_matches_serial_oracle(bundle.dag, steps_of(scenario), retry_limit=2)
+        assert_engine_matches_serial_oracle(bundle.dag, scenario_steps(scenario), retry_limit=2)
 
 
 def test_engine_matches_oracle_randomized_small():
@@ -196,7 +232,7 @@ def test_makespan_bounds_invariant(fig4_bundle, fig4_scenario, fig5_bundle, fig5
         for k in range(1, 7):
             result = run(
                 bundle_of(bundle.dag),
-                scripted(steps_of(scenario)),
+                scripted(scenario_steps(scenario)),
                 RunConfig(max_executors=k, retry_limit=2),
             )
             makespans[k] = result.makespan

@@ -23,7 +23,7 @@ from randdag import random_scripted_dag, success_assignments
 from test_engine import linear_dag
 from tsgflow import load_bundle, load_scenario
 from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id
-from tsgflow.engine import ScenarioIncomplete
+from tsgflow.engine import ScenarioIncomplete, scenario_steps
 from tsgflow.oracle import (
     FinalOutcome,
     NotADag,
@@ -61,16 +61,11 @@ def assert_same(dag, steps, retry_limit, missing=0) -> None:
     assert new == old
 
 
-def _steps_of(scenario: dict) -> dict[str, list[dict]]:
-    return {node: (spec["attempts"] if isinstance(spec, dict) else spec)
-            for node, spec in scenario["steps"].items()}
-
-
 def test_fixture_bundles_with_steps_dropped():
     cases = 0
     for name, scenario_name in SCENARIOS.items():
         bundle = load_bundle(BUNDLES / name)
-        steps = _steps_of(load_scenario(BUNDLES / name, scenario_name))
+        steps = scenario_steps(load_scenario(BUNDLES / name, scenario_name))
         nodes = sorted(steps)
         dropped = [()] + [(a,) for a in nodes] + [
             (a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
