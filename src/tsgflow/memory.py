@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
@@ -526,25 +526,135 @@ def table_to_csv(table: Table) -> str:
     return buf.getvalue()
 
 
+def _is_plain(text: str) -> bool:
+    """True when the excel dialect splits `text` only on "," and "\n".
+
+    That holds when the text has no quote, carriage return or NUL (which
+    csv.reader rejects before Python 3.11), no blank line, and no line
+    longer than csv.field_size_limit(), so no field can exceed the limit. A
+    run of more than `limit` characters without a newline covers a whole
+    block of `limit // 2 + 1` characters starting at a multiple of that
+    size, so one find per block rules such lines out.
+    """
+    if any(c in text for c in '"\r\0') or "\n\n" in text or text.startswith("\n"):
+        return False
+    step = csv.field_size_limit() // 2 + 1
+    return all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
+
+
+def _plain_chunks(text: str):
+    """Yield the header row, the type row, then one flat cell list per chunk.
+
+    The text must be plain (_is_plain): each line is one row, cut at ",".
+    Each chunk's lines are sliced out of the text when it is read; an
+    io.StringIO would hold a copy of the whole text, four bytes a character.
+    """
+    start, size = 0, len(text)
+
+    def lines(count: int) -> list[str]:
+        """The next `count` lines, without their "\n"."""
+        nonlocal start
+        if start >= size:
+            return []
+        end = start
+        for _ in range(count):
+            end = text.find("\n", end) + 1 or size
+            if end == size:
+                break
+        block = text[start : end - 1 if text[end - 1] == "\n" else end]
+        start = end
+        return block.split("\n")
+
+    head = [line.split(",") for line in lines(2)]
+    yield from head
+    width, first = len(head[0]) if head else 0, 0
+    while chunk := lines(CSV_CHUNK_ROWS):
+        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+            _check_widths([line.split(",") for line in chunk], width, first)
+        yield ",".join(chunk).split(",")
+        first += len(chunk)
+
+
+def _read_rows(reader, count: int, first: int) -> list[list[str]]:
+    """Up to `count` rows from a csv reader; `first` is the first one's row index.
+
+    A csv.Error (a field over csv.field_size_limit()) becomes InvalidValue
+    naming the row: extend keeps the rows read before the error.
+    """
+    rows: list[list[str]] = []
+    try:
+        rows.extend(islice(reader, count))
+    except csv.Error as exc:
+        at = first + len(rows)
+        where = f"row {at}" if at >= 0 else ("header row", "type row")[at + 2]
+        raise InvalidValue(f"{where}: {exc}") from None
+    return rows
+
+
+def _reader_chunks(text: str):
+    """Yield the header row, the type row, then one flat cell list per chunk.
+
+    Everything is read through csv.reader. A table with no columns yields
+    its chunks of empty rows instead, since a flat list of no cells cannot
+    count them.
+    """
+    reader = csv.reader(io.StringIO(text))
+    head = _read_rows(reader, 2, -2)
+    yield from head
+    width, first = len(head[0]) if head else 0, 0
+    while chunk := _read_rows(reader, CSV_CHUNK_ROWS, first):
+        _check_widths(chunk, width, first)
+        yield list(chain.from_iterable(chunk)) if width else chunk
+        first += len(chunk)
+
+
+def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int):
+    """Rows of decoded values from one chunk's flat cell list.
+
+    Column i is cells[i::width]. A cell its column type cannot decode raises
+    InvalidValue naming its row (`first` is the chunk's first row index) and
+    column; only the failing column is decoded again, cell by cell, to find
+    the row.
+    """
+    width = len(columns)
+    decoded = []
+    for i, col_type in enumerate(types):
+        texts = cells[i::width]
+        decode = _COLUMN_DECODERS.get(col_type)
+        if decode is None:
+            decoded.append(texts)
+            continue
+        try:
+            decoded.append(list(decode(texts)))
+        except ValueError:
+            for row, cell in enumerate(texts, first):
+                try:
+                    next(decode((cell,)))
+                except ValueError as exc:
+                    raise InvalidValue(f"row {row}, column {columns[i]!r}: {exc}") from None
+            raise
+    return map(list, zip(*decoded))
+
+
 def table_from_csv(text: str) -> Table:
     """Inverse of table_to_csv.
 
-    Data rows are read CSV_CHUNK_ROWS at a time; each chunk is checked for
-    ragged rows, transposed, decoded column by column and transposed back,
-    so raw cell texts live only as long as their chunk.
+    Data rows are read CSV_CHUNK_ROWS at a time into one flat list of cell
+    texts per chunk, checked for ragged rows, cut into columns by slicing,
+    decoded column by column and transposed into rows, so raw cell texts
+    live only as long as their chunk. A plain text (_is_plain) is cut at
+    "," and "\n" directly; any other goes through csv.reader. Both give the
+    same cells.
     """
-    reader = csv.reader(io.StringIO(text))
-    columns, types = next(reader, None), next(reader, None)
+    chunks = _plain_chunks(text) if _is_plain(text) else _reader_chunks(text)
+    columns, types = next(chunks, None), next(chunks, None)
     if types is None:
         raise InvalidValue("CSV table needs a header row and a type row")
     _check_schema(columns, types)
-    decoders = [_COLUMN_DECODERS.get(t, iter) for t in types]
     rows: list[list] = []
-    while chunk := list(islice(reader, CSV_CHUNK_ROWS)):
-        _check_widths(chunk, len(columns), len(rows))
+    for cells in chunks:
         if not columns:
-            rows += ([] for _ in chunk)  # zip(*chunk) would drop empty rows
+            rows += cells  # the reader's empty rows; see _reader_chunks
             continue
-        decoded = [decode(cells) for decode, cells in zip(decoders, zip(*chunk))]
-        rows += map(list, zip(*decoded))
+        rows += _decode_chunk(cells, columns, types, len(rows))
     return Table(columns, types, rows)

@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 
-from .memory import KeyNotFound, MemoryRef, Table, parse_timestamp, table_from_csv
+from .memory import (
+    KeyNotFound,
+    MemoryRef,
+    MemoryStoreError,
+    Table,
+    parse_timestamp,
+    table_from_csv,
+)
 
 
 class PluginError(Exception):
@@ -78,12 +85,23 @@ class PluginResult:
     message: str = ""
 
 
+def _is_timestamp(v) -> bool:
+    """A datetime-like value, or a text that parse_timestamp reads."""
+    if not isinstance(v, str):
+        return hasattr(v, "isoformat")
+    try:
+        parse_timestamp(v)
+    except ValueError:
+        return False
+    return True
+
+
 _KIND_CHECKS = {
     "text": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "decimal": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
-    "timestamp": lambda v: isinstance(v, str) or hasattr(v, "isoformat"),
+    "timestamp": _is_timestamp,
     "record": lambda v: isinstance(v, dict),
     "any": lambda v: True,
 }
@@ -270,17 +288,42 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
 
 # -- fixture-backed mock plugins ---------------------------------------------
 
+def _objects(value, keys: tuple[str, ...]) -> bool:
+    """True when `value` is a list of objects that each hold every key in `keys`."""
+    return isinstance(value, list) and all(
+        isinstance(x, dict) and all(k in x for k in keys) for x in value
+    )
+
+
 class FixtureSet:
-    """Read-only view of fixtures/<tsg_id>/ for the mock plugins."""
+    """Read-only view of fixtures/<tsg_id>/ for the mock plugins.
+
+    A fixture file that is not UTF-8, not JSON, not a CSV table or not of
+    the shape its plugin reads raises PluginFailure naming its path.
+    """
 
     def __init__(self, fixtures_dir: str | Path, tsg_id: str):
         self.root = Path(fixtures_dir) / tsg_id
+
+    def _json(self, path: Path):
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise PluginFailure(f"{path}: not a UTF-8 JSON file: {exc}") from exc
+
+    def _table(self, path: Path) -> Table:
+        try:
+            return table_from_csv(path.read_text(encoding="utf-8"))
+        except (ValueError, MemoryStoreError) as exc:  # bad UTF-8 or a bad table
+            raise PluginFailure(f"{path}: not a CSV table: {exc}") from exc
 
     def query_table(self, query: str, template: str | None, bindings: dict | None) -> Table:
         index_path = self.root / "queries" / "index.json"
         if not index_path.exists():
             raise PluginFailure(f"no query fixtures at {index_path}")
-        entries = json.loads(index_path.read_text(encoding="utf-8"))
+        entries = self._json(index_path)
+        if not _objects(entries, ("file",)) or not all(isinstance(e["file"], str) for e in entries):
+            raise PluginFailure(f'{index_path}: expected a list of {{"file": ..., ...}} objects')
         chosen = None
         for entry in entries:
             if entry.get("query") == query:
@@ -295,19 +338,52 @@ class FixtureSet:
                     break
         if chosen is None:
             raise PluginFailure("no fixture matches the query")
-        return table_from_csv((self.root / "queries" / chosen["file"]).read_text(encoding="utf-8"))
+        return self._table(self.root / "queries" / chosen["file"])
 
     def metric_series(self, metric: str) -> Table:
         path = self.root / "metrics" / f"{metric}.csv"
         if not path.exists():
             raise PluginFailure(f"no fixture series for metric {metric!r}")
-        return table_from_csv(path.read_text(encoding="utf-8"))
+        table = self._table(path)
+        if "timestamp" not in table.types:
+            raise PluginFailure(f"{path}: a series needs a timestamp column")
+        return table
 
-    def devops(self) -> dict:
+    def _devops(self) -> tuple[Path, dict]:
         path = self.root / "devops.json"
         if not path.exists():
             raise PluginFailure(f"no devops fixture at {path}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = self._json(path)
+        if not isinstance(data, dict):
+            raise PluginFailure(f"{path}: expected a JSON object")
+        return path, data
+
+    def deployments(self) -> list[tuple]:
+        """(id, service, ring, started, finished) per deployment; finished may be None."""
+        path, data = self._devops()
+        deployments = data.get("deployments", [])
+        if not _objects(deployments, ("id", "started")):
+            raise PluginFailure(f'{path}: "deployments" must list {{"id", "started", ...}} objects')
+        try:
+            return [
+                (
+                    d["id"], d.get("service", ""), d.get("ring", ""), parse_timestamp(d["started"]),
+                    parse_timestamp(d["finished"]) if d.get("finished") else None,
+                )
+                for d in deployments
+            ]
+        except (ValueError, AttributeError) as exc:  # AttributeError: not a string
+            raise PluginFailure(f"{path}: a deployment time is not a timestamp: {exc}") from exc
+
+    def code_changes(self, deployment_id: str) -> list[dict]:
+        path, data = self._devops()
+        changes = data.get("code_changes", {})
+        found = changes.get(deployment_id, []) if isinstance(changes, dict) else None
+        if not _objects(found, ("change_id",)):
+            raise PluginFailure(
+                f'{path}: "code_changes" must map ids to lists of {{"change_id", ...}} objects'
+            )
+        return found
 
 
 def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry:
@@ -363,12 +439,11 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
     def devops_deployments(args, store):
         lo = _as_datetime(args["from"])
         hi = _as_datetime(args["to"])
-        rows = []
-        for dep in fixtures.devops().get("deployments", []):
-            started = parse_timestamp(dep["started"])
-            finished = parse_timestamp(dep["finished"]) if dep.get("finished") else None
-            if started <= hi and (finished is None or finished >= lo):
-                rows.append([dep["id"], dep.get("service", ""), dep.get("ring", ""), started])
+        rows = [
+            [dep_id, service, ring, started]
+            for dep_id, service, ring, started, finished in fixtures.deployments()
+            if started <= hi and (finished is None or finished >= lo)
+        ]
         table = Table(
             ["id", "service", "ring", "started"],
             ["text", "text", "text", "timestamp"],
@@ -387,7 +462,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
     )
 
     def devops_code_changes(args, store):
-        changes = fixtures.devops().get("code_changes", {}).get(args["deployment_id"], [])
+        changes = fixtures.code_changes(args["deployment_id"])
         rows = [
             [c["change_id"], c.get("file", ""), c.get("author", ""), c.get("summary", "")]
             for c in changes

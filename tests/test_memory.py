@@ -320,6 +320,19 @@ def test_csv_ragged_rows_name_the_row():
         table_from_csv("\n".join(lines) + "\n")
 
 
+def test_csv_undecodable_cell_names_row_and_column():
+    with pytest.raises(InvalidValue, match=(
+            r"^row 1, column 'n': invalid literal for int\(\) with base 10: 'x'$")):
+        table_from_csv("s,n\ntext,integer\na,1\nb,x\n")
+    with pytest.raises(InvalidValue, match=r"^row 0, column 'd': could not convert string"):
+        table_from_csv('s,d\ntext,decimal\n"a,b",high\n')  # through csv.reader
+    late = CSV_CHUNK_ROWS + 3
+    lines = ["s,at", "text,timestamp"] + [f"x{i},2026-03-01T00:00:00Z" for i in range(late + 4)]
+    lines[2 + late] = f"x{late},soon"
+    with pytest.raises(InvalidValue, match=rf"^row {late}, column 'at': Invalid isoformat string"):
+        table_from_csv("\n".join(lines))
+
+
 _PY_TYPES = {"text": str, "integer": int, "decimal": float, "boolean": bool, "timestamp": datetime}
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import shutil
 import statistics
 from datetime import datetime, timezone
 from random import Random
@@ -299,6 +300,117 @@ def test_log_query_394_row_fixture(tmp_path, store):
     assert stored.byte_size >= 25_000
     assert ref.summary.rendered_bytes <= 2048
     assert len(ref.summary.sample) == 3
+
+
+FIG4_TSG = "availability-drop"
+WINDOW = {"from": "2026-03-01T00:00:00Z", "to": "2026-03-01T09:00:00Z"}
+
+
+def _fixture_copy(tmp_path, relative: str, content: str):
+    """A copy of the fig4 fixtures with `relative` rewritten, its registry and the file's path."""
+    shutil.copytree(FIXTURES / FIG4_TSG, tmp_path / FIG4_TSG)
+    path = tmp_path / FIG4_TSG / relative
+    path.write_text(content, encoding="utf-8")
+    return build_mock_registry(tmp_path, FIG4_TSG), path
+
+
+def _top_exceptions_args(bundle):
+    prepared = _prepared_top_exceptions(bundle)
+    return {"query": prepared.text, "template": "top_exceptions", "bindings": prepared.bindings}
+
+
+def _fails_naming(registry, name, args, path):
+    with pytest.raises(PluginFailure) as info:
+        registry.invoke(name, args, MemoryStore())
+    assert str(path) in str(info.value)
+    return str(info.value)
+
+
+def test_query_index_that_is_not_json_names_its_path(tmp_path, fig4_bundle):
+    registry, path = _fixture_copy(tmp_path, "queries/index.json", "[{not json")
+    message = _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+    assert "not a UTF-8 JSON file" in message
+
+
+def test_devops_file_that_is_not_json_names_its_path(tmp_path):
+    registry, path = _fixture_copy(tmp_path, "devops.json", '{"deployments": [')
+    _fails_naming(registry, "devops_deployments", WINDOW, path)
+    _fails_naming(registry, "devops_code_changes", {"deployment_id": "dep-2026-03-01-a"}, path)
+
+
+@pytest.mark.parametrize("index", ["[1, 2]", '{"query": "x", "file": "a.csv"}',
+                                   '[{"query": "x"}]', '[{"query": "x", "file": 3}]'])
+def test_query_index_of_the_wrong_shape_names_its_path(tmp_path, fig4_bundle, index):
+    registry, path = _fixture_copy(tmp_path, "queries/index.json", index)
+    _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+
+
+@pytest.mark.parametrize("devops", [
+    "[1, 2]",
+    '{"deployments": {"id": "d"}}',
+    '{"deployments": [1]}',
+    '{"deployments": [{"id": "d"}]}',
+    '{"deployments": [{"id": "d", "started": "soon"}]}',
+    '{"deployments": [{"id": "d", "started": 5}]}',
+    '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": "later"}]}',
+])
+def test_devops_deployments_of_the_wrong_shape_name_the_path(tmp_path, devops):
+    registry, path = _fixture_copy(tmp_path, "devops.json", devops)
+    _fails_naming(registry, "devops_deployments", WINDOW, path)
+
+
+@pytest.mark.parametrize("devops", [
+    "[1, 2]",
+    '{"code_changes": []}',
+    '{"code_changes": {"d": {"a": 1}}}',
+    '{"code_changes": {"d": [1]}}',
+    '{"code_changes": {"d": [{"file": "x"}]}}',
+])
+def test_devops_code_changes_of_the_wrong_shape_name_the_path(tmp_path, devops):
+    registry, path = _fixture_copy(tmp_path, "devops.json", devops)
+    _fails_naming(registry, "devops_code_changes", {"deployment_id": "d"}, path)
+
+
+@pytest.mark.parametrize("csv_text", [
+    "ExceptionType,Count\ntext,integer\nTimeout,many\n",  # a cell that does not decode
+    "ExceptionType,Count\ntext,integer\nTimeout,1,2\n",  # a ragged row
+    "ExceptionType,Count\ntext,number\n",  # an unknown column type
+    "ExceptionType\n",  # no type row
+])
+def test_query_csv_that_does_not_decode_names_its_path(tmp_path, fig4_bundle, csv_text):
+    registry, path = _fixture_copy(tmp_path, "queries/top_exceptions.csv", csv_text)
+    message = _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+    assert "not a CSV table" in message
+
+
+@pytest.mark.parametrize("csv_text", [
+    "ts,value\ntimestamp,decimal\n2026-03-01T02:00:00Z,high\n",
+    "ts,value\ntimestamp,decimal\nyesterday,99.5\n",
+    "value\ndecimal\n99.5\n",  # no timestamp column to window on
+])
+def test_metric_csv_that_does_not_decode_names_its_path(tmp_path, csv_text):
+    registry, path = _fixture_copy(tmp_path, "metrics/availability_web.csv", csv_text)
+    _fails_naming(registry, "metric_fetch", {"metric": "availability_web", **WINDOW}, path)
+
+
+def test_fixture_csv_that_is_not_utf8_names_its_path(tmp_path, fig4_bundle):
+    registry, path = _fixture_copy(tmp_path, "queries/top_exceptions.csv", "")
+    path.write_bytes(b"ExceptionType\ntext\n\xff\n")
+    _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+
+
+@pytest.mark.parametrize("name, args, bad", [
+    ("metric_fetch", {"metric": "availability_web", "from": "yesterday",
+                      "to": "2026-03-01T05:00:00Z"}, "from"),
+    ("metric_fetch", {"metric": "availability_web", "from": "2026-03-01T02:00:00Z",
+                      "to": "2026-13-01T00:00:00Z"}, "to"),
+    ("devops_deployments", {"from": "yesterday", "to": "2026-03-01T09:00:00Z"}, "from"),
+    ("devops_deployments", {"from": "2026-03-01T00:00:00Z", "to": ""}, "to"),
+])
+def test_timestamp_argument_that_does_not_parse_is_a_schema_violation(registry, store, name,
+                                                                       args, bad):
+    with pytest.raises(ArgSchemaViolation, match=rf"^{name}: argument '{bad}' is not a timestamp$"):
+        registry.invoke(name, args, store)
 
 
 def test_store_single_key_atomicity():
