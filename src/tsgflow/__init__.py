@@ -7,6 +7,7 @@ parallel execution of independent steps, with a blackboard memory for
 structured data exchanged between plugins.
 """
 
+from .backends import ProcessBackend, ScriptedBackend
 from .dag import (
     CompiledDag,
     DagEdge,
@@ -22,11 +23,9 @@ from .document import TsgDocument, TsgStep, entry_step, parse_tsg, serialize_tsg
 from .engine import (
     Bundle,
     ExecutorBackend,
-    ProcessBackend,
     RunConfig,
     RunResult,
     RunStatus,
-    ScriptedBackend,
     StepContext,
     StepOutcome,
     apply_outcome,

@@ -1,0 +1,143 @@
+"""Executor backends: what runs a step for the engine's scheduler.
+
+ScriptedBackend replays scenarios on the run's clock. ProcessBackend sends
+each step to a child process through linechild.LineChild, which gives every
+step a deadline, honours the run's cancel event and restarts a crashed child.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import threading
+
+from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
+from .linechild import ChildCancelled, ChildUnavailable, LineChild
+from .memory import value_from_literal
+from .scenario import attempt_value, scenario_steps, scripted_attempt
+
+
+def _put_writes(ctx: StepContext, writes: dict) -> tuple[str, ...]:
+    """Put a step's memory writes {key: literal} into the run's store in key
+    order, and return the keys in that order for the step's outcome."""
+    keys = tuple(sorted(writes))
+    if ctx.store is not None:
+        for key in keys:
+            ctx.store.put(key, value_from_literal(writes[key]))
+    return keys
+
+
+class ScriptedBackend(ExecutorBackend):
+    """Deterministic backend replaying per-node attempt scripts.
+
+    Each execution replays the attempt that scripted_attempt picks. Attempt
+    latencies drive the virtual clock; on the wall clock (`ctx.clock`) they
+    are waited out.
+    """
+
+    def __init__(self, steps: dict[str, list[dict]]):
+        self._steps = steps
+
+    @classmethod
+    def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
+        return cls(scenario_steps(scenario))
+
+    def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
+        attempt = scripted_attempt(self._steps, ctx.node_id, ctx.attempt)
+        latency = attempt_value(attempt, "latency")
+        if ctx.clock == "wall" and latency:
+            if ctx.cancel.wait(timeout=latency):
+                return CancelledSignal()
+        keys = _put_writes(ctx, attempt_value(attempt, "memory_writes"))
+        if attempt_value(attempt, "result") == "failure":
+            return StepOutcome(
+                result="failure",
+                error=attempt_value(attempt, "error"),
+                duration=latency,
+            )
+        return StepOutcome(
+            result="success",
+            summary=attempt_value(attempt, "summary"),
+            edge_decisions=dict(attempt_value(attempt, "edge_decisions")),
+            memory_writes=keys,
+            duration=latency,
+        )
+
+
+class ProcessBackend(ExecutorBackend):
+    """Line-protocol backend: one StepContext JSON per line to the child's
+    stdin, one StepOutcome JSON per line from its stdout.
+
+    The child is a single long-lived LineChild, so steps are serialized with
+    a lock. Each step has the client's deadline: a step whose child does not
+    answer in time fails with ChildTimeout. A cancel closes the child's stdin
+    and kills it after a grace period; the engine reports the step as
+    cancelled, not failed. A crashed or timed-out child is replaced by a fresh
+    one on the next step. An answer that is not a well-formed outcome object
+    fails its step. The child may return memory writes as {key: literal};
+    this wrapper applies them to the run's store.
+    """
+
+    def __init__(self, command: list[str]):
+        self.command = command
+        self._child = LineChild(command)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Stop the child, after any step still talking to it."""
+        with self._lock:
+            self._child.close()
+
+    def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
+        request = json.dumps(ctx.to_obj(), ensure_ascii=False)
+        with self._lock:
+            try:
+                line = self._child.request(request, ctx.cancel)
+            except ChildUnavailable as exc:
+                raise BackendUnavailable(str(exc)) from exc
+            except ChildCancelled:
+                return CancelledSignal()
+        if line is None:
+            return StepOutcome(result="failure", error="backend process closed its output")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return StepOutcome(result="failure", error=f"bad outcome line: {exc}")
+        problem = _outcome_problem(obj)
+        if problem:
+            return StepOutcome(result="failure", error=f"bad outcome line: {problem}")
+        if obj.get("result") == "cancelled":
+            return CancelledSignal()
+        keys = _put_writes(ctx, obj.get("memory_writes", {}))
+        return StepOutcome(
+            result=obj.get("result", "failure"),
+            summary=obj.get("summary", ""),
+            edge_decisions=obj.get("edge_decisions", {}),
+            memory_writes=keys,
+            error=obj.get("error", ""),
+            duration=obj.get("duration", 0),
+        )
+
+
+def _outcome_problem(obj) -> str | None:
+    """What is wrong with a child's decoded outcome, or None. Absent fields
+    take StepOutcome's defaults (result: failure)."""
+    if not isinstance(obj, dict):
+        return f"not a JSON object: {type(obj).__name__}"
+    if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
+        return f"result must be success, failure or cancelled, got {obj['result']!r}"
+    duration = obj.get("duration", 0)
+    if (
+        isinstance(duration, bool)
+        or not isinstance(duration, (int, float))
+        or not math.isfinite(duration)
+        or duration < 0
+    ):
+        return f"duration must be a finite number >= 0, got {duration!r}"
+    for name in ("edge_decisions", "memory_writes"):
+        if not isinstance(obj.get(name, {}), dict):
+            return f"{name} must be an object, got {obj[name]!r}"
+    for name in ("summary", "error"):
+        if not isinstance(obj.get(name, ""), str):
+            return f"{name} must be a string, got {obj[name]!r}"
+    return None

@@ -29,6 +29,7 @@ from .harness import HarnessError, load_bundle, load_scenario, run_scenario, swe
 from .lint import ExternalAnalyzer, LintError, findings_to_json, lint
 from .oracle import oracle_makespan
 from .queryprep import TemplateError, dump_manifest, extract_templates, load_manifest, prepare_query
+from .scenario import ScenarioError
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -188,9 +189,7 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.bundle, args.scenario)
     baseline = None
     if args.baseline:
-        base_bundle = load_bundle(args.baseline)
-        base_scenario = load_scenario(args.baseline, args.scenario)
-        baseline = (base_bundle, base_scenario)
+        baseline = (load_bundle(args.baseline), load_scenario(args.baseline, args.scenario))
     report = sweep(
         bundle,
         scenario,
@@ -239,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (TsgParseError, FileNotUtf8, DagError, TemplateError, EngineError, HarnessError,
-            LintError) as exc:
+            ScenarioError, LintError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

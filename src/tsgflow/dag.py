@@ -221,10 +221,6 @@ def _find_cycle(outgoing: _Edges) -> list[str]:
     """
     if _is_acyclic(outgoing):
         return []
-    return _dfs_cycle(outgoing)
-
-
-def _dfs_cycle(outgoing: _Edges) -> list[str]:
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in outgoing}
     for root in sorted(outgoing, key=node_sort_key):

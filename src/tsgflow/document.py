@@ -81,9 +81,8 @@ _DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->.+?)\s*$"
 _DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.+?)\s*$")
 _ARM_SPLIT_RE = re.compile(r";\s*(?=[YN]\s*->)")
 _ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.+?)\s*$")
-_ARM_STEP_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")
+_STEP_REF_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")  # a parallel item or an arm's target
 _ARM_TERMINATE_RE = re.compile(r"^Terminate\((?P<conclusion>.*)\)$")
-_PARALLEL_ITEM_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")
 
 # First characters of every overlay line form: the fence, the step and
 # document headers, Inputs:, Next:, Produces:, Terminate: and "- " directives.
@@ -193,7 +192,7 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
     if m:
         targets = []
         for item in m.group("targets").split(","):
-            im = _PARALLEL_ITEM_RE.match(item.strip())
+            im = _STEP_REF_RE.match(item.strip())
             if not im:
                 return [], f"bad parallel target {item.strip()!r}"
             targets.append(im.group("id"))
@@ -215,7 +214,7 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
             labels_seen.add(label)
             target = am.group("target")
             cond = Condition(question=question, label=label)
-            sm = _ARM_STEP_RE.match(target)
+            sm = _STEP_REF_RE.match(target)
             if sm:
                 directives.append(
                     NextDirective("conditional", (sm.group("id"),), line, condition=cond)

@@ -24,17 +24,12 @@ One scheduler loop serves both clocks. On the virtual clock a backend
 reports each attempt's duration and the loop is a discrete-event simulation,
 so runs are fully deterministic; on the wall clock up to k steps run on
 threads of their own and durations are measured.
-
-ScriptedBackend replays scenarios on the run's clock. ProcessBackend sends
-each step to a child process through linechild.LineChild, which gives every
-step a deadline, honours the run's cancel event and restarts a crashed child.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import math
 import queue
 import threading
 import time
@@ -45,9 +40,9 @@ from itertools import islice
 
 from .dag import END, START, CompiledDag, ExecutionDag, InvalidDag, compile_dag
 from .document import TsgDocument, TsgStep
-from .linechild import ChildCancelled, ChildUnavailable, LineChild
-from .memory import MemoryRef, MemoryStore, RunScope, value_from_literal
+from .memory import MemoryRef, MemoryStore, RunScope
 from .queryprep import QueryTemplate
+from .scenario import ScenarioIncomplete
 
 
 class EngineError(Exception):
@@ -79,10 +74,6 @@ class InvalidEdgeDecision(EngineError):
 
 
 class BackendUnavailable(EngineError):
-    pass
-
-
-class ScenarioIncomplete(EngineError):
     pass
 
 
@@ -213,8 +204,9 @@ class ExecutorBackend:
     """Contract for step execution; implementations decide the edges.
 
     execute() must return a StepOutcome (or a CancelledSignal after the
-    context's cancel event fires). Exceptions other than EngineError are
-    surfaced as failure outcomes and go through the retry machinery.
+    context's cancel event fires). Exceptions other than EngineError and
+    ScenarioIncomplete are surfaced as failure outcomes and go through the
+    retry machinery.
     """
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
@@ -286,10 +278,8 @@ class RunState:
 
     # -- trace ---------------------------------------------------------------
 
-    def emit(self, kind: str, subject: str, detail: dict | None = None) -> TraceEvent:
-        event = TraceEvent(self.clock, len(self.trace), kind, subject, detail or {})
-        self.trace.append(event)
-        return event
+    def emit(self, kind: str, subject: str, detail: dict | None = None) -> None:
+        self.trace.append(TraceEvent(self.clock, len(self.trace), kind, subject, detail or {}))
 
     # -- queue ---------------------------------------------------------------
 
@@ -305,7 +295,6 @@ class RunState:
         return node_id
 
     def mark_running(self, node_id: str) -> int:
-        self.queued.discard(node_id)
         self.running.add(node_id)
         self.attempts[node_id] = self.attempts.get(node_id, 0) + 1
         return self.attempts[node_id]
@@ -371,12 +360,6 @@ class RunState:
             raise EngineError(f"node {node_id} already resolved")
         self.node_state[node_id] = ElementState.DISABLED
         self.emit("node_disabled", node_id, {"reason": "all incoming edges disabled"})
-
-    def disabled_nodes(self) -> list[str]:
-        return sorted(
-            (n for n, s in self.node_state.items() if s is ElementState.DISABLED),
-            key=self.compiled.sort_key.__getitem__,
-        )
 
 
 def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunState:
@@ -624,10 +607,12 @@ def _finish(state: RunState) -> None:
                   "edge": state.concluding_edge}
     else:
         state.status = RunStatus.EXHAUSTED
+        by_id = state.compiled.sort_key.__getitem__
+        disabled = [n for n, s in state.node_state.items() if s is ElementState.DISABLED]
         detail = {
             "status": "exhausted",
-            "failed": sorted(state.failed, key=state.compiled.sort_key.__getitem__),
-            "disabled": state.disabled_nodes(),
+            "failed": sorted(state.failed, key=by_id),
+            "disabled": sorted(disabled, key=by_id),
         }
     state.emit("run_terminated", "run", detail)
 
@@ -696,11 +681,7 @@ def run(
         # whether the run concluded or raised, the steps still running stop
         inputs.cancel.set()
 
-    executed, seen = [], set()
-    for ev in state.trace:
-        if ev.kind == "node_started" and ev.subject not in seen:
-            seen.add(ev.subject)
-            executed.append(ev.subject)
+    executed = list(dict.fromkeys(ev.subject for ev in state.trace if ev.kind == "node_started"))
     cancelled = [ev.subject for ev in state.trace if ev.kind == "node_cancelled"]
     return RunResult(
         status=state.status,
@@ -713,10 +694,14 @@ def run(
     )
 
 
+# these end the run; any other error a backend raises fails its step
+_RUN_ERRORS = (EngineError, ScenarioIncomplete)
+
+
 def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome | CancelledSignal:
     try:
         outcome = backend.execute(ctx)
-    except EngineError:
+    except _RUN_ERRORS:
         raise
     except Exception as exc:  # backend-defined errors become failure outcomes
         return StepOutcome(result="failure", error=f"{type(exc).__name__}: {exc}")
@@ -766,13 +751,13 @@ class _WallClock:
         begun = time.monotonic()
         try:
             outcome = _execute_guarded(self._backend, ctx)
-        except EngineError as exc:  # re-raised on the scheduler thread
+        except _RUN_ERRORS as exc:  # re-raised on the scheduler thread
             outcome = exc
         self._done.put((node_id, outcome, time.monotonic() - begun))
 
     def next_done(self) -> tuple[float, str, StepOutcome]:
         node_id, outcome, elapsed = self._done.get()
-        if isinstance(outcome, EngineError):
+        if isinstance(outcome, _RUN_ERRORS):
             raise outcome
         return self.now(), node_id, replace(outcome, duration=elapsed)
 
@@ -798,158 +783,3 @@ def _schedule(
             _record_memory_refs(state, inputs.scope, outcome)
     state.clock = clock.now()
     _finish(state)
-
-
-# -- scenario scripts ---------------------------------------------------------
-# The one reader of attempt scripts, shared by ScriptedBackend, the oracle and
-# load_scenario: the step forms, the attempt an execution replays, and each
-# field's value when an attempt leaves it out.
-
-ATTEMPT_DEFAULTS = {"result": "success", "latency": 0, "edge_decisions": {}, "summary": "",
-                    "error": "scripted failure", "memory_writes": {}}
-
-
-def scenario_steps(scenario: dict) -> dict[str, list[dict]]:
-    """Node id -> attempt list, from either step form: a bare list of
-    attempts or {"attempts": [...]}. The lists are the scenario's own."""
-    return {node_id: spec.get("attempts") if isinstance(spec, dict) else spec
-            for node_id, spec in scenario.get("steps", {}).items()}
-
-
-def scripted_attempt(steps: Mapping[str, list[dict]], node_id: str, n: int) -> dict:
-    """The attempt that the n-th execution of a node replays (n counts from
-    1); the last attempt repeats when the node runs more often than its
-    script is long."""
-    attempts = steps.get(node_id)
-    if not attempts:
-        raise ScenarioIncomplete(f"scenario has no attempts for {node_id}")
-    return attempts[min(n, len(attempts)) - 1]
-
-
-def attempt_value(attempt: dict, name: str):
-    """An attempt's `name` field, or its default when the attempt leaves it out."""
-    return attempt.get(name, ATTEMPT_DEFAULTS[name])
-
-
-# -- backends -----------------------------------------------------------------
-
-class ScriptedBackend(ExecutorBackend):
-    """Deterministic backend replaying per-node attempt scripts.
-
-    Each execution replays the attempt that scripted_attempt picks. Attempt
-    latencies drive the virtual clock; on the wall clock (`ctx.clock`) they
-    are waited out.
-    """
-
-    def __init__(self, steps: dict[str, list[dict]]):
-        self._steps = steps
-
-    @classmethod
-    def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
-        return cls(scenario_steps(scenario))
-
-    def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        attempt = scripted_attempt(self._steps, ctx.node_id, ctx.attempt)
-        latency = attempt_value(attempt, "latency")
-        if ctx.clock == "wall" and latency:
-            if ctx.cancel.wait(timeout=latency):
-                return CancelledSignal()
-        writes = attempt_value(attempt, "memory_writes")
-        if ctx.store is not None:
-            for key in sorted(writes):
-                ctx.store.put(key, value_from_literal(writes[key]))
-        if attempt_value(attempt, "result") == "failure":
-            return StepOutcome(
-                result="failure",
-                error=attempt_value(attempt, "error"),
-                duration=latency,
-            )
-        return StepOutcome(
-            result="success",
-            summary=attempt_value(attempt, "summary"),
-            edge_decisions=dict(attempt_value(attempt, "edge_decisions")),
-            memory_writes=tuple(sorted(writes)),
-            duration=latency,
-        )
-
-
-class ProcessBackend(ExecutorBackend):
-    """Line-protocol backend: one StepContext JSON per line to the child's
-    stdin, one StepOutcome JSON per line from its stdout.
-
-    The child is a single long-lived LineChild, so steps are serialized with
-    a lock. Each step has the client's deadline: a step whose child does not
-    answer in time fails with ChildTimeout. A cancel closes the child's stdin
-    and kills it after a grace period; the engine reports the step as
-    cancelled, not failed. A crashed or timed-out child is replaced by a fresh
-    one on the next step. An answer that is not a well-formed outcome object
-    fails its step. The child may return memory writes as {key: literal};
-    this wrapper applies them to the run's store.
-    """
-
-    def __init__(self, command: list[str]):
-        self.command = command
-        self._child = LineChild(command)
-        self._lock = threading.Lock()
-
-    def close(self) -> None:
-        """Stop the child, after any step still talking to it."""
-        with self._lock:
-            self._child.close()
-
-    def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        request = json.dumps(ctx.to_obj(), ensure_ascii=False)
-        with self._lock:
-            try:
-                line = self._child.request(request, ctx.cancel)
-            except ChildUnavailable as exc:
-                raise BackendUnavailable(str(exc)) from exc
-            except ChildCancelled:
-                return CancelledSignal()
-        if line is None:
-            return StepOutcome(result="failure", error="backend process closed its output")
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return StepOutcome(result="failure", error=f"bad outcome line: {exc}")
-        problem = _outcome_problem(obj)
-        if problem:
-            return StepOutcome(result="failure", error=f"bad outcome line: {problem}")
-        if obj.get("result") == "cancelled":
-            return CancelledSignal()
-        writes = obj.get("memory_writes", {})
-        if ctx.store is not None:
-            for key in sorted(writes):
-                ctx.store.put(key, value_from_literal(writes[key]))
-        return StepOutcome(
-            result=obj.get("result", "failure"),
-            summary=obj.get("summary", ""),
-            edge_decisions=obj.get("edge_decisions", {}),
-            memory_writes=tuple(sorted(writes)),
-            error=obj.get("error", ""),
-            duration=obj.get("duration", 0),
-        )
-
-
-def _outcome_problem(obj) -> str | None:
-    """What is wrong with a child's decoded outcome, or None. Absent fields
-    take StepOutcome's defaults (result: failure)."""
-    if not isinstance(obj, dict):
-        return f"not a JSON object: {type(obj).__name__}"
-    if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
-        return f"result must be success, failure or cancelled, got {obj['result']!r}"
-    duration = obj.get("duration", 0)
-    if (
-        isinstance(duration, bool)
-        or not isinstance(duration, (int, float))
-        or not math.isfinite(duration)
-        or duration < 0
-    ):
-        return f"duration must be a finite number >= 0, got {duration!r}"
-    for name in ("edge_decisions", "memory_writes"):
-        if not isinstance(obj.get(name, {}), dict):
-            return f"{name} must be an object, got {obj[name]!r}"
-    for name in ("summary", "error"):
-        if not isinstance(obj.get(name, ""), str):
-            return f"{name} must be a string, got {obj[name]!r}"
-    return None

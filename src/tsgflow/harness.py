@@ -17,25 +17,20 @@ own k=1 run; the report states which.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
 from pathlib import Path
 
+from .backends import ScriptedBackend
 from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
-from .engine import (ATTEMPT_DEFAULTS, Bundle, RunConfig, RunResult, ScriptedBackend, run,
-                     scenario_steps, trace_to_jsonl)
+from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
 from .oracle import MakespanOracle, oracle_makespan
 from .plugins import build_mock_registry
 from .queryprep import extract_templates, load_manifest
+from .scenario import read_scenario
 
 
 class HarnessError(Exception):
-    pass
-
-
-class ScenarioInvalid(HarnessError):
     pass
 
 
@@ -90,67 +85,8 @@ def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:
     ]
     for candidate in candidates:
         if candidate.exists():
-            try:
-                scenario = json.loads(candidate.read_text(encoding="utf-8"))
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ScenarioInvalid(f"scenario {candidate}: not valid JSON: {exc}") from None
-            _check_scenario(scenario, str(candidate))
-            return scenario
+            return read_scenario(candidate)
     raise HarnessError(f"scenario {name_or_path!r} not found")
-
-
-# (field, test over a list of values, what a value must be); an attempt that
-# leaves a field out is tested on its ATTEMPT_DEFAULTS value
-_ATTEMPT_RULES = (
-    ("result", lambda vs: set(vs) <= {"success", "failure"}, "'success' or 'failure'"),
-    # a NaN latency makes the sum NaN, which is not >= 0
-    ("latency",
-     lambda vs: set(map(type, vs)) <= {int, float} and min(vs, default=0) >= 0 and sum(vs) >= 0,
-     "a number >= 0"),
-    ("edge_decisions", lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),
-)
-
-
-def _check_scenario(scenario, source: str) -> None:
-    """Raise ScenarioInvalid naming the first part of `scenario` that the
-    oracle or ScriptedBackend cannot read: the top level, `incident` and
-    `steps` objects, each step's attempt list, and each attempt's object,
-    `result`, `latency` and `edge_decisions`. (A bad `memory_writes` fails
-    its attempt with a named error when the step runs.)
-
-    A scenario is as large as its guide, so each rule runs over every
-    attempt at once, inside builtins; attempts are looked at one by one only
-    to name a bad one."""
-
-    def bad(what: str):
-        raise ScenarioInvalid(f"scenario {source}: {what}")
-
-    if not isinstance(scenario, dict):
-        bad("top level must be a JSON object")
-    if not isinstance(scenario.get("incident") or {}, dict):
-        bad("incident must be an object")
-    steps = scenario.get("steps", {})
-    if not isinstance(steps, dict):
-        bad("steps must map node ids to attempts")
-    lists = list(scenario_steps(scenario).values())
-    if not set(map(type, lists)) <= {list}:
-        node = next(node for node, attempts in zip(steps, lists) if type(attempts) is not list)
-        bad(f'steps.{node} must be a list of attempts or {{"attempts": [...]}}')
-
-    def where(k: int) -> str:
-        for node, attempts in zip(steps, lists):
-            if k < len(attempts):
-                return f"steps.{node}.attempts[{k}]"
-            k -= len(attempts)
-
-    attempts = list(chain.from_iterable(lists))
-    if not set(map(type, attempts)) <= {dict}:
-        bad(where(next(k for k, a in enumerate(attempts) if type(a) is not dict)) + " must be an object")
-    for field, ok, what in _ATTEMPT_RULES:
-        values = list(map(dict.get, attempts, repeat(field), repeat(ATTEMPT_DEFAULTS[field])))
-        if not ok(values):
-            k = next(k for k, v in enumerate(values) if not ok([v]))
-            bad(f"{where(k)}.{field} must be {what}")
 
 
 def run_scenario(
@@ -217,12 +153,11 @@ def sweep(
     """Run the scenario once per executor count and report the comparison."""
     if not k_values or any(k < 1 for k in k_values):
         raise HarnessError("k_values must be non-empty with every k >= 1")
-    ks = sorted(set(k_values))
     oracle = oracle_makespan(bundle.dag, scenario, retry_limit)
 
     entries = []
     makespans: dict[int, float] = {}
-    for k in ks:
+    for k in sorted(set(k_values)):
         result = run_scenario(bundle, scenario, executors=k, retry_limit=retry_limit)
         makespans[k] = result.makespan
         entries.append(
@@ -260,7 +195,7 @@ def sweep(
     saturated = [m for k, m in sorted(makespans.items()) if k >= oracle.width]
     saturation_ok = all(m == saturated[0] for m in saturated) if saturated else True
 
-    report = SweepReport(
+    return SweepReport(
         tsg_id=bundle.dag.tsg_id,
         scenario_id=(scenario.get("incident") or {}).get("id", "scenario"),
         entries=entries,
@@ -271,4 +206,3 @@ def sweep(
         bounds_ok=bounds_ok,
         saturation_ok=saturation_ok,
     )
-    return report

@@ -1,7 +1,7 @@
 """One child process spoken to in lines: a request line to its stdin, one
 answer line from its stdout.
 
-The engine's ProcessBackend and the linter's ExternalAnalyzer both talk to
+backends.ProcessBackend and the linter's ExternalAnalyzer both talk to
 their children through LineChild, so starting, framing, the deadline, cancel
 and crash handling live here only. Every request has the deadline
 REQUEST_TIMEOUT_S; a request that passes it, or whose cancel event is set,

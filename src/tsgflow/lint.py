@@ -15,8 +15,8 @@ A step with no directives and no Terminate is an unmarked termination point
 when it is the last step in source order, and a missing-next-step defect
 otherwise. Semantic clarity checks beyond these rules are delegated to an
 optional external analyzer: a child process started for each request and
-spoken to through linechild.LineChild, the client the engine's process
-backend uses too. Its findings are reported under CP and are not part of
+spoken to through linechild.LineChild, the client that
+backends.ProcessBackend uses too. Its findings are reported under CP and are not part of
 the deterministic contract; a child that cannot start, times out or answers
 malformed findings raises AnalyzerFailed.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .document import TsgDocument, parse_tsg, step_id_key
@@ -200,23 +200,8 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
 
 
 def findings_to_json(findings: list[LintFinding]) -> str:
-    return (
-        json.dumps(
-            [
-                {
-                    "rule": f.rule,
-                    "category": f.category,
-                    "line": f.line,
-                    "message": f.message,
-                    "severity": f.severity,
-                }
-                for f in findings
-            ],
-            indent=2,
-            ensure_ascii=False,
-        )
-        + "\n"
-    )
+    """A JSON list of findings, each an object of LintFinding's fields in order."""
+    return json.dumps([asdict(f) for f in findings], indent=2, ensure_ascii=False) + "\n"
 
 
 class ExternalAnalyzer:

@@ -54,9 +54,6 @@ class CorruptLog(MemoryStoreError):
     """A whole record of a FileBackedStore log does not decode."""
 
 
-Scalar = str | int | float | bool | datetime
-
-
 def _is_scalar(x) -> bool:
     return isinstance(x, (str, int, float, bool, datetime))
 
@@ -198,11 +195,13 @@ def _scalar_from_json(x):
 def parse_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
+def as_utc(dt: datetime) -> datetime:
+    """`dt` itself when it has an offset; a naive `dt` is taken as UTC."""
+    return dt if dt.tzinfo is not None else dt.replace(tzinfo=timezone.utc)
+
 def format_timestamp(dt: datetime) -> str:
     """ISO-8601 text in UTC with a `Z` suffix; a naive datetime is taken as UTC."""
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    return as_utc(dt).astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 def _cell_to_json(cell, col_type: str):
     if col_type == "timestamp" and isinstance(cell, datetime):

@@ -4,10 +4,10 @@ Everything here recomputes run state from scratch instead of following the
 engine's incremental event-driven propagation, so the two sides of every
 check stay independent. Each call builds its own view of the DAG: a
 topological order (Kahn's algorithm, ties broken by node_sort_key) and each
-node's incoming and outgoing edges. It shares no index with the engine;
-the one thing it takes from the engine is the scenario reader
-(scenario_steps, scripted_attempt, attempt_value), because two readings of
-one script would be two formats, not two opinions.
+node's incoming and outgoing edges. It imports nothing from the engine; it
+reads scripts through scenario.py (scenario_steps, scripted_attempt,
+attempt_value), the reader backends.ScriptedBackend uses too, because
+two readings of one script would be two formats, not two opinions.
 
   * fixpoint_states: tri-state closure for a set of applied outcomes,
     settled in one pass over the topological order.
@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import END, START, ExecutionDag, node_sort_key
-from .engine import attempt_value, scenario_steps, scripted_attempt
+from .scenario import attempt_value, scenario_steps, scripted_attempt
 
 
 class NotADag(ValueError):

@@ -22,6 +22,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .memory import (
     MemoryRef,
     MemoryStoreError,
     Table,
+    as_utc,
     parse_timestamp,
     table_from_csv,
 )
@@ -86,9 +88,9 @@ class PluginResult:
 
 
 def _is_timestamp(v) -> bool:
-    """A datetime-like value, or a text that parse_timestamp reads."""
+    """A datetime, or a text that parse_timestamp reads."""
     if not isinstance(v, str):
-        return hasattr(v, "isoformat")
+        return isinstance(v, datetime)
     try:
         parse_timestamp(v)
     except ValueError:
@@ -173,10 +175,9 @@ def _next_key(store, prefix: str) -> str:
     return f"{prefix}.{free}"
 
 
-def _as_datetime(v):
-    if isinstance(v, str):
-        return parse_timestamp(v)
-    return v
+def _as_datetime(v) -> datetime:
+    """A timestamp argument as an aware datetime; a naive one is taken as UTC."""
+    return as_utc(parse_timestamp(v) if isinstance(v, str) else v)
 
 
 # -- analysis operations -----------------------------------------------------
@@ -269,14 +270,11 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
     if op not in ("mean", "max", "min"):
         raise PluginError(f"unknown aggregate op {op!r}")
 
-    if value.kind == "table":
-        if col is None:
-            series = _numeric_series(store, key)
-        else:
-            t = value.payload
-            if t.types[col] not in ("integer", "decimal"):
-                raise NonNumeric(f"{key}: column is not numeric")
-            series = list(map(float, map(itemgetter(col), t.rows)))
+    if col is not None:  # a key#column reference, so a table's column
+        t = value.payload
+        if t.types[col] not in ("integer", "decimal"):
+            raise NonNumeric(f"{key}: column is not numeric")
+        series = list(map(float, map(itemgetter(col), t.rows)))
     else:
         series = _numeric_series(store, key)
     if not series:

@@ -63,11 +63,7 @@ def iter_placeholders(text: str):
 
 def scan_placeholders(text: str) -> list[str]:
     """Ordered, de-duplicated placeholder names in a template."""
-    seen: list[str] = []
-    for name, _, _ in iter_placeholders(text):
-        if name not in seen:
-            seen.append(name)
-    return seen
+    return list(dict.fromkeys(name for name, _, _ in iter_placeholders(text)))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from corpus import build_lint_corpus, build_qpp_corpus
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from test_engine import bundle_of, linear_dag, scripted
 from tsgflow.dag import validate_dag
+from tsgflow.backends import ScriptedBackend
 from tsgflow.document import parse_tsg
-from tsgflow.engine import RunConfig, RunStatus, ScriptedBackend, run
+from tsgflow.engine import RunConfig, RunStatus, run
 from tsgflow.harness import sweep
 from tsgflow.lint import evaluate_lint, lint
 from tsgflow.memory import memory_value, render_context

@@ -11,21 +11,20 @@ import pytest
 from conftest import BUNDLES
 from test_engine import bundle_of, linear_dag
 from tsgflow import linechild, load_bundle, load_scenario
+from tsgflow.backends import ProcessBackend, ScriptedBackend
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
     CancelledSignal,
     EngineError,
     ExecutorBackend,
-    ProcessBackend,
     RunConfig,
     RunStatus,
-    ScenarioIncomplete,
-    ScriptedBackend,
     StepContext,
     StepOutcome,
     run,
 )
+from tsgflow.scenario import ScenarioIncomplete
 
 LOOPBACK = Path(__file__).parent / "fixtures" / "loopback_backend.py"
 
@@ -237,7 +236,7 @@ def test_wall_clock_engine_error_propagates():
     )
     import pytest as _pytest
 
-    from tsgflow.engine import ScenarioIncomplete
+    from tsgflow.scenario import ScenarioIncomplete
 
     with _pytest.raises(ScenarioIncomplete):
         run(bundle_of(dag), backend, RunConfig(max_executors=1, clock="wall"))

@@ -142,13 +142,36 @@ def test_bad_executor_range_is_a_usage_error(capsys):
     ('{"steps": {"step1": {"attempts": [{"latency": "slow"}]}}}',
      "steps.step1.attempts[0].latency must be a number >= 0"),
     ('{"incident": "INC-1", "steps": {}}', "incident must be an object"),
-], ids=["bad-json", "steps-not-object", "top-level-list", "latency-text", "incident-text"])
+    ('{"steps": {"step1": [{"memory_writes": ["x"]}]}}',
+     "steps.step1.attempts[0].memory_writes must be a JSON object"),
+    ('{"steps": {"step1": [{}, {"summary": 5}]}}', "steps.step1.attempts[1].summary must be a string"),
+    ('{"steps": {"step1": [{"result": "failure", "error": null}]}}',
+     "steps.step1.attempts[0].error must be a string"),
+], ids=["bad-json", "steps-not-object", "top-level-list", "latency-text", "incident-text",
+        "memory-writes-list", "summary-number", "error-null"])
 def test_bad_scenario_exits_one_with_named_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")
     code = main([command[0], str(FIG5_DIR), "--scenario", str(path), *command[1:]])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: ScenarioInvalid: scenario {path}: {message}")
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--mode", "virtual"], ["run", "--mode", "wall"], ["sweep", "--executors", "1..2"],
+    ["oracle"],
+], ids=["run-virtual", "run-wall", "sweep", "oracle"])
+def test_scenario_without_a_step_exits_one_with_named_error(tmp_path, capsys, command):
+    scenario = json.loads((FIG5_DIR / "scenarios" / "dependency_issue.json").read_text())
+    del scenario["steps"]["step2"]
+    for step in scenario["steps"].values():  # quick on the wall clock; the error is the same
+        for attempt in step["attempts"]:
+            attempt["latency"] /= 1000
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code = main([command[0], str(FIG5_DIR), "--scenario", str(path), *command[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ScenarioIncomplete: scenario has no attempts for step2\n"
 
 
 def test_cli_outputs_byte_stable(tmp_path):

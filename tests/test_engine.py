@@ -5,6 +5,7 @@ import pytest
 import tsgflow.dag
 from conftest import FIG5_DIR
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
+from tsgflow.backends import ScriptedBackend
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
     Bundle,
@@ -17,8 +18,6 @@ from tsgflow.engine import (
     RunConfig,
     RunState,
     RunStatus,
-    ScenarioIncomplete,
-    ScriptedBackend,
     StaleOutcome,
     StepOutcome,
     UnknownNode,
@@ -27,6 +26,7 @@ from tsgflow.engine import (
     run,
 )
 from tsgflow.harness import load_bundle
+from tsgflow.scenario import ScenarioIncomplete
 
 
 def linear_dag(n=1, tsg_id="linear"):

@@ -62,17 +62,34 @@ def test_only_the_line_client_imports_subprocess():
     assert sorted(set(importers)) == ["linechild.py"]
 
 
-def test_oracle_takes_only_the_scenario_reader_from_the_engine():
-    """The oracle checks the engine, so of engine.py it may use only the
-    scenario reader and its error: not RunState, apply_outcome or CompiledDag."""
-    names = set()
-    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))):
+def _package_imports(module: str) -> set[str]:
+    """The tsgflow modules that src/tsgflow/<module>.py imports from."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[-1] == "engine":
-                names |= {alias.name for alias in node.names}
-            elif any(alias.name == "engine" for alias in node.names):
-                names.add("engine")  # the whole module
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != "tsgflow":
+                continue
+            inner = parts[1:] if node.level == 0 else [p for p in parts if p]
+            if inner:
+                found.add(inner[0])
+            else:  # from . import engine
+                found |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            if any(alias.name.split(".")[-1] == "engine" for alias in node.names):
-                names.add("engine")
-    assert names <= {"ScenarioIncomplete", "scenario_steps", "scripted_attempt", "attempt_value"}
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "tsgflow" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_oracle_imports_nothing_from_the_engine():
+    """The oracle checks the engine, so it reads DAGs through dag.py and
+    scripts through scenario.py, and nothing of engine.py."""
+    assert _package_imports("oracle") <= {"dag", "scenario"}
+
+
+def test_scenario_format_imports_none_of_its_readers():
+    """scenario.py owns the scenario format; the engine, the backends, the
+    harness and the oracle read it, so it imports none of them."""
+    assert not _package_imports("scenario") & {"engine", "backends", "harness", "oracle"}

@@ -73,7 +73,8 @@ def test_put_returns_ref_with_summary():
 
 def test_ref_summary_rendered_on_first_read(monkeypatch, fig4_bundle, fig4_scenario):
     import tsgflow.memory
-    from tsgflow.engine import RunConfig, ScriptedBackend, run
+    from tsgflow.backends import ScriptedBackend
+    from tsgflow.engine import RunConfig, run
 
     rendered = []
     real = tsgflow.memory.render_context

@@ -12,7 +12,7 @@ from randdag import random_scripted_dag, steps_from_assignment, success_assignme
 from test_engine import bundle_of, linear_dag, scripted
 from tsgflow import load_bundle, load_scenario
 from tsgflow.dag import validate_dag
-from tsgflow.engine import ElementState, RunConfig, ScenarioIncomplete, run, scenario_steps
+from tsgflow.engine import ElementState, RunConfig, run
 from tsgflow.harness import run_scenario
 from tsgflow.oracle import (
     fixpoint_states,
@@ -22,6 +22,7 @@ from tsgflow.oracle import (
     serial_simulation,
     timed_analysis,
 )
+from tsgflow.scenario import ScenarioIncomplete, scenario_steps
 
 
 def assert_engine_matches_serial_oracle(dag, steps, retry_limit=0):

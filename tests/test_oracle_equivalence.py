@@ -23,7 +23,7 @@ from randdag import random_scripted_dag, success_assignments
 from test_engine import linear_dag
 from tsgflow import load_bundle, load_scenario
 from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id
-from tsgflow.engine import ScenarioIncomplete, scenario_steps
+from tsgflow.scenario import ScenarioIncomplete, scenario_steps
 from tsgflow.oracle import (
     FinalOutcome,
     NotADag,

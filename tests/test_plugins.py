@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import shutil
 import statistics
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from random import Random
 
 import pytest
@@ -410,6 +410,34 @@ def test_fixture_csv_that_is_not_utf8_names_its_path(tmp_path, fig4_bundle):
 def test_timestamp_argument_that_does_not_parse_is_a_schema_violation(registry, store, name,
                                                                        args, bad):
     with pytest.raises(ArgSchemaViolation, match=rf"^{name}: argument '{bad}' is not a timestamp$"):
+        registry.invoke(name, args, store)
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("metric_fetch", {"metric": "availability_web"}),
+    ("devops_deployments", {}),
+])
+@pytest.mark.parametrize("naive", [
+    {"from": "2026-03-01T02:00:00", "to": "2026-03-01T05:00:00"},
+    {"from": datetime(2026, 3, 1, 2), "to": datetime(2026, 3, 1, 5)},
+], ids=["text", "datetime"])
+def test_naive_timestamp_argument_is_read_as_utc(registry, name, extra, naive):
+    """A time without an offset selects the same rows as that time with `Z`."""
+    rows = []
+    for window in (naive, {"from": "2026-03-01T02:00:00Z", "to": "2026-03-01T05:00:00Z"}):
+        store = MemoryStore()
+        result = registry.invoke(name, {**extra, **window}, store)
+        rows.append(store.get(result.refs[0].key).payload.rows)
+    assert rows[0] == rows[1] != []
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("metric_fetch", {"metric": "availability_web"}),
+    ("devops_deployments", {}),
+])
+def test_date_argument_is_a_schema_violation(registry, store, name, extra):
+    args = {**extra, "from": date(2026, 3, 1), "to": "2026-03-01T05:00:00Z"}
+    with pytest.raises(ArgSchemaViolation, match=rf"^{name}: argument 'from' is not a timestamp$"):
         registry.invoke(name, args, store)
 
 
