@@ -14,7 +14,7 @@ import threading
 from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import value_from_literal
-from .scenario import attempt_value, scenario_steps, scripted_attempt
+from .scenario import attempt_fields, scenario_steps, scripted_attempt
 
 
 def _put_writes(ctx: StepContext, writes: dict) -> tuple[str, ...]:
@@ -43,25 +43,15 @@ class ScriptedBackend(ExecutorBackend):
         return cls(scenario_steps(scenario))
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        attempt = scripted_attempt(self._steps, ctx.node_id, ctx.attempt)
-        latency = attempt_value(attempt, "latency")
+        result, latency, decisions, summary, error, writes = attempt_fields(
+            scripted_attempt(self._steps, ctx.node_id, ctx.attempt))
         if ctx.clock == "wall" and latency:
             if ctx.cancel.wait(timeout=latency):
                 return CancelledSignal()
-        keys = _put_writes(ctx, attempt_value(attempt, "memory_writes"))
-        if attempt_value(attempt, "result") == "failure":
-            return StepOutcome(
-                result="failure",
-                error=attempt_value(attempt, "error"),
-                duration=latency,
-            )
-        return StepOutcome(
-            result="success",
-            summary=attempt_value(attempt, "summary"),
-            edge_decisions=dict(attempt_value(attempt, "edge_decisions")),
-            memory_writes=keys,
-            duration=latency,
-        )
+        keys = _put_writes(ctx, writes) if writes else ()
+        if result == "failure":
+            return StepOutcome("failure", error=error, duration=latency)
+        return StepOutcome("success", summary, dict(decisions), keys, duration=latency)
 
 
 class ProcessBackend(ExecutorBackend):

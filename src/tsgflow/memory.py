@@ -388,7 +388,7 @@ class MemoryStore:
         value = memory_value(value)
         with self._lock:
             self._store(key, value)
-        return self.ref(key)
+        return MemoryRef(key, value.kind, value)
 
     def _store(self, key: str, value: MemoryValue) -> None:
         self._data[key] = value

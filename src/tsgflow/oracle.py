@@ -6,7 +6,7 @@ check stay independent. Each call builds its own view of the DAG: a
 topological order (Kahn's algorithm, ties broken by node_sort_key) and each
 node's incoming and outgoing edges. It imports nothing from the engine; it
 reads scripts through scenario.py (scenario_steps, scripted_attempt,
-attempt_value), the reader backends.ScriptedBackend uses too, because
+attempt_fields), the reader backends.ScriptedBackend uses too, because
 two readings of one script would be two formats, not two opinions.
 
   * fixpoint_states: tri-state closure for a set of applied outcomes,
@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import END, START, ExecutionDag, node_sort_key
-from .scenario import attempt_value, scenario_steps, scripted_attempt
+from .scenario import attempt_fields, scenario_steps, scripted_attempt
 
 
 class NotADag(ValueError):
@@ -53,10 +53,10 @@ def replay_final_outcome(steps: dict[str, list[dict]], node: str, retry_limit: i
     """
     total = 0.0
     for n in range(1, retry_limit + 2):
-        attempt = scripted_attempt(steps, node, n)
-        total += attempt_value(attempt, "latency")
-        if attempt_value(attempt, "result") != "failure":
-            return FinalOutcome("success", dict(attempt_value(attempt, "edge_decisions")), total, n)
+        result, latency, decisions = attempt_fields(scripted_attempt(steps, node, n))[:3]
+        total += latency
+        if result != "failure":
+            return FinalOutcome("success", dict(decisions), total, n)
     return FinalOutcome("failure", None, total, retry_limit + 1)
 
 
@@ -188,20 +188,18 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
     while ready:
         _, _, node = heapq.heappop(ready)
         n = attempts_done[node] = attempts_done.get(node, 0) + 1
-        attempt = scripted_attempt(steps, node, n)
+        result, latency, decisions = attempt_fields(scripted_attempt(steps, node, n))[:3]
         starts.append(node)
         if node not in executed:
             executed.append(node)
-        t += attempt_value(attempt, "latency")
-        if attempt_value(attempt, "result") == "failure":
+        t += latency
+        if result == "failure":
             if n <= retry_limit:
                 heapq.heappush(ready, (t, node_sort_key(node), node))
                 continue
             applied[node] = FinalOutcome("failure", None, 0.0, n)
         else:
-            applied[node] = FinalOutcome(
-                "success", dict(attempt_value(attempt, "edge_decisions")), 0.0, n
-            )
+            applied[node] = FinalOutcome("success", dict(decisions), 0.0, n)
         node_state, edge_state = refresh(t)
         if node_state[END] == "enabled":
             eid, conclusion = _conclusion_of(view, edge_state)

@@ -416,7 +416,10 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
         lo = _as_datetime(args["from"])
         hi = _as_datetime(args["to"])
         ts_col = table.types.index("timestamp")
-        rows = [row for row in table.rows if lo <= row[ts_col] <= hi]
+        try:
+            rows = [row for row in table.rows if lo <= row[ts_col] <= hi]
+        except TypeError:  # cells without an offset: read them as UTC, like an argument
+            rows = [row for row in table.rows if lo <= as_utc(row[ts_col]) <= hi]
         out = Table(list(table.columns), list(table.types), rows)
         ref = store.put(_next_key(store, "plugin.metric_fetch"), out)
         return PluginResult(status="ok", refs=[ref], message=f"{out.row_count} points")

@@ -47,9 +47,11 @@ def scripted_attempt(steps: Mapping[str, list[dict]], node_id: str, n: int) -> d
     return attempts[min(n, len(attempts)) - 1]
 
 
-def attempt_value(attempt: dict, name: str):
-    """An attempt's `name` field, or its default when the attempt leaves it out."""
-    return attempt.get(name, ATTEMPT_DEFAULTS[name])
+def attempt_fields(attempt: dict) -> tuple:
+    """Every field of an attempt, each one it leaves out at its default, in
+    ATTEMPT_DEFAULTS order: result, latency, edge_decisions, summary, error,
+    memory_writes."""
+    return tuple(map(attempt.get, ATTEMPT_DEFAULTS, ATTEMPT_DEFAULTS.values()))
 
 
 def read_scenario(path: Path) -> dict:

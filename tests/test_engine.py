@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 import tsgflow.dag
@@ -25,7 +27,7 @@ from tsgflow.engine import (
     apply_outcome,
     run,
 )
-from tsgflow.harness import load_bundle
+from tsgflow.harness import load_bundle, load_scenario
 from tsgflow.scenario import ScenarioIncomplete
 
 
@@ -118,6 +120,59 @@ def test_apply_outcome_contract_violations(fig4_bundle):
         apply_outcome(state, "stepX", StepOutcome("success", edge_decisions={}))
     with pytest.raises(StaleOutcome):
         apply_outcome(state, "step2", StepOutcome("success", edge_decisions={}))
+
+
+_TO_32, _TO_41 = "edge_step3.1_step3.2", "edge_step3.1_step4.1"
+
+
+@pytest.mark.parametrize("decisions, error, message", [
+    ({_TO_32: "enable"}, IncompleteEdgeDecisions, f"step3.1: missing: {_TO_41}"),
+    ({_TO_32: "enable", _TO_41: "disable", "edge_x": "enable"}, IncompleteEdgeDecisions,
+     "step3.1: not outgoing edges: edge_x"),
+    ({_TO_32: "enable", "edge_y": "enable", "edge_x": "disable"}, IncompleteEdgeDecisions,
+     f"step3.1: missing: {_TO_41}; not outgoing edges: edge_x, edge_y"),
+    (None, IncompleteEdgeDecisions, f"step3.1: missing: {_TO_32}, {_TO_41}"),
+    ({}, IncompleteEdgeDecisions, f"step3.1: missing: {_TO_32}, {_TO_41}"),
+    ({_TO_32: "maybe", _TO_41: "disable"}, InvalidEdgeDecision,
+     f"{_TO_32}: decision must be enable|disable"),
+    # a gap is reported before an invalid value
+    ({_TO_32: "maybe"}, IncompleteEdgeDecisions, f"step3.1: missing: {_TO_41}"),
+], ids=["missing", "extra", "missing-and-extra", "none", "empty",
+        "invalid-value", "invalid-and-missing"])
+def test_apply_outcome_decision_errors_are_exact(fig4_bundle, decisions, error, message):
+    state = _fig4_state_at_step31(fig4_bundle.dag)
+    trace_length = len(state.trace)
+    with pytest.raises(error) as caught:
+        apply_outcome(state, "step3.1", StepOutcome("success", edge_decisions=decisions))
+    assert str(caught.value) == message
+    assert len(state.trace) == trace_length  # nothing was emitted or resolved
+    assert state.edge_state[_TO_32] is ElementState.UNKNOWN
+
+
+@pytest.mark.parametrize("decisions", [
+    [(_TO_32, "disable"), (_TO_41, "enable")],
+    ((_TO_41, "enable"), (_TO_32, "disable")),
+    {_TO_41: "enable", _TO_32: "disable"}.items(),
+], ids=["list-of-pairs", "tuple-of-pairs", "items-view"])
+def test_apply_outcome_accepts_whatever_dict_accepts(fig4_bundle, decisions):
+    state = _fig4_state_at_step31(fig4_bundle.dag)
+    apply_outcome(state, "step3.1", StepOutcome("success", edge_decisions=decisions))
+    assert state.edge_state[_TO_32] is ElementState.DISABLED
+    assert state.edge_state[_TO_41] is ElementState.ENABLED
+    assert "step4.1" in state.queued
+
+
+def test_runs_leave_the_scenario_unchanged():
+    """Outcomes may share the scenario's data; no run may change it."""
+    scenario = load_scenario(FIG5_DIR, "dependency_issue")
+    before = copy.deepcopy(scenario)
+    bundle = load_bundle(FIG5_DIR)
+    backend = ScriptedBackend.from_scenario(scenario)
+    for k in (1, 2, 3, 4):
+        result = run(bundle, backend, RunConfig(max_executors=k), incident=scenario["incident"])
+        assert result.status is RunStatus.CONCLUDED
+        assert any(ev.kind == "memory_put" for ev in result.trace)
+    assert scenario == before
 
 
 def test_unconditional_edges_must_enable():
@@ -551,3 +606,22 @@ def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):
         edge.id = "renamed"
     with pytest.raises(AttributeError):
         edge["condition"].label = "N"
+
+    # the records behave as read-only mappings over one tuple of values
+    assert list(edge) == ["id", "to", "condition", "conclusion"] and len(edge) == 4
+    assert list(edge.keys()) == list(edge) and list(edge.values()) == [edge[k] for k in edge]
+    with pytest.raises(KeyError):
+        edge["from"]
+    with pytest.raises(KeyError):
+        edge["_values"]
+    plain = {"id": edge["id"], "to": edge["to"],
+             "condition": dict(edge["condition"]), "conclusion": edge["conclusion"]}
+    assert edge == plain and plain == edge and dict(edge) == plain
+    assert edge != {**plain, "to": "elsewhere"} and edge != dict(list(plain.items())[:3])
+    condition = edge["condition"]
+    assert list(condition) == ["question", "label"] and len(condition) == 2
+    assert condition == {"question": condition["question"], "label": condition["label"]}
+    for name in ("label", "_values", "extra"):
+        with pytest.raises(AttributeError, match="ConditionEntry is read-only"):
+            setattr(condition, name, "N")
+    assert condition["label"] in ("Y", "N")

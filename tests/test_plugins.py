@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from conftest import FIG4_DIR
-from tsgflow.memory import MemoryStore, RunScope, Table
+from tsgflow.memory import MemoryStore, RunScope, Table, table_to_csv
 from tsgflow.plugins import (
     ArgSchemaViolation,
     LengthMismatch,
@@ -429,6 +429,26 @@ def test_naive_timestamp_argument_is_read_as_utc(registry, name, extra, naive):
         result = registry.invoke(name, {**extra, **window}, store)
         rows.append(store.get(result.refs[0].key).payload.rows)
     assert rows[0] == rows[1] != []
+
+
+@pytest.mark.parametrize("window", [
+    WINDOW,
+    {"from": "2026-03-01T02:00:00Z", "to": "2026-03-01T05:00:00"},
+    {"from": "2026-03-01T04:30:00+02:00", "to": "2026-03-01T04:30:00"},
+])
+def test_metric_csv_without_offsets_is_read_as_utc(tmp_path, registry, window):
+    """Timestamps with `Z` stripped from a metric CSV select the same rows."""
+    original = (FIXTURES / FIG4_TSG / "metrics/availability_upstream.csv").read_text(encoding="utf-8")
+    assert original.count("Z") > 2
+    naive_registry, _ = _fixture_copy(tmp_path, "metrics/availability_upstream.csv",
+                                      original.replace("Z", ""))
+    csvs = []
+    for reg in (registry, naive_registry):
+        store = MemoryStore()
+        result = reg.invoke("metric_fetch", {"metric": "availability_upstream", **window}, store)
+        csvs.append(table_to_csv(store.get(result.refs[0].key).payload))
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count("\n") > 3  # header, type row and some points
 
 
 @pytest.mark.parametrize("name, extra", [
