@@ -31,6 +31,7 @@ from .engine import (
     apply_outcome,
     run,
 )
+from .errors import TsgflowError
 from .harness import load_bundle, load_scenario, run_scenario, sweep
 from .lint import LintFinding, evaluate_lint, lint
 from .memory import (
@@ -78,6 +79,7 @@ __all__ = [
     "Table",
     "TsgDocument",
     "TsgStep",
+    "TsgflowError",
     "apply_outcome",
     "build_mock_registry",
     "compile_dag",

@@ -8,7 +8,7 @@ step a deadline, honours the run's cancel event and restarts a crashed child.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import threading
 
 from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
@@ -117,11 +117,11 @@ def _outcome_problem(obj) -> str | None:
     if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
         return f"result must be success, failure or cancelled, got {obj['result']!r}"
     duration = obj.get("duration", 0)
+    # NaN fails both comparisons; an int past the float range is not finite
     if (
         isinstance(duration, bool)
         or not isinstance(duration, (int, float))
-        or not math.isfinite(duration)
-        or duration < 0
+        or not 0 <= duration <= sys.float_info.max
     ):
         return f"duration must be a finite number >= 0, got {duration!r}"
     for name in ("edge_decisions", "memory_writes"):

@@ -11,6 +11,9 @@
     tsgflow oracle <bundle_dir> --scenario <s>
 
 Exit codes: 0 success, 1 findings or errors of severity error, 2 usage.
+`main` is the one place an error becomes exit 1: any TsgflowError prints
+`error: <ClassName>: <message>` and an OSError `error: <message>`. argparse
+is the one place for exit 2, `--param` without `=` included.
 """
 
 from __future__ import annotations
@@ -22,14 +25,20 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .dag import DagError, extract_dag, serialize_dag, validate_dag
-from .document import FileNotUtf8, TsgParseError, parse_tsg, read_utf8
-from .engine import EngineError, RunStatus
-from .harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
-from .lint import ExternalAnalyzer, LintError, findings_to_json, lint
+from .dag import extract_dag, serialize_dag, validate_dag
+from .document import parse_tsg, read_utf8
+from .engine import RunStatus
+from .errors import TsgflowError
+from .harness import load_bundle, load_scenario, run_scenario, sweep
+from .lint import ExternalAnalyzer, findings_to_json, lint
 from .oracle import oracle_makespan
-from .queryprep import TemplateError, dump_manifest, extract_templates, load_manifest, prepare_query
-from .scenario import ScenarioError
+from .queryprep import (
+    dump_manifest,
+    extract_templates,
+    load_manifest,
+    prepare_query,
+    template_named,
+)
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -60,6 +69,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _key_value(text: str) -> tuple[str, str]:
+    """An argparse type for `K=V`, split at the first `=`."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected K=V, got {text!r}")
+    return key, value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsgflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prepare = sub.add_parser("prepare", help="instantiate a query template")
     p_prepare.add_argument("manifest")
     p_prepare.add_argument("template")
-    p_prepare.add_argument("--param", action="append", default=[], metavar="K=V")
+    p_prepare.add_argument("--param", action="append", default=[], metavar="K=V",
+                           type=_key_value)
 
     p_run = sub.add_parser("run", help="execute a bundle against a scenario")
     p_run.add_argument("bundle")
@@ -140,18 +158,8 @@ def _cmd_extract(args) -> int:
 
 def _cmd_prepare(args) -> int:
     _, templates = load_manifest(read_utf8(args.manifest), args.manifest)
-    by_name = {t.name: t for t in templates}
-    if args.template not in by_name:
-        print(f"error: no template named {args.template!r} in manifest", file=sys.stderr)
-        return 1
-    params = {}
-    for raw in args.param:
-        key, sep, value = raw.partition("=")
-        if not sep:
-            print(f"error: --param needs K=V, got {raw!r}", file=sys.stderr)
-            return 2
-        params[key] = value
-    prepared = prepare_query(by_name[args.template], params)
+    template = template_named(templates, args.template)
+    prepared = prepare_query(template, dict(args.param))
     sys.stdout.write(prepared.text)
     if not prepared.text.endswith("\n"):
         sys.stdout.write("\n")
@@ -199,7 +207,8 @@ def _cmd_sweep(args) -> int:
     )
     if args.report:
         Path(args.report).write_text(
-            json.dumps(report.to_obj(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
+            json.dumps(report.to_obj(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8",
+            errors="backslashreplace",  # as in run_scenario's trace
         )
     for entry in report.entries:
         reduction = report.reductions.get(entry.k, 0.0)
@@ -237,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TsgParseError, FileNotUtf8, DagError, TemplateError, EngineError, HarnessError,
-            ScenarioError, LintError) as exc:
+    except TsgflowError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,6 +15,7 @@ from itertools import chain
 from operator import attrgetter
 
 from .document import TsgDocument, step_id_key
+from .errors import TsgflowError
 
 START = "start"
 END = "end"
@@ -24,7 +25,7 @@ _source = attrgetter("source")
 _target = attrgetter("target")
 
 
-class DagError(Exception):
+class DagError(TsgflowError):
     """Raised when a document cannot be turned into a valid DAG."""
 
 

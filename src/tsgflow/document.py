@@ -38,8 +38,10 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import TsgflowError
 
-class TsgParseError(Exception):
+
+class TsgParseError(TsgflowError):
     """Fatal structural problem in a TSG document."""
 
 
@@ -51,7 +53,7 @@ class MissingEntryStep(TsgParseError):
     pass
 
 
-class FileNotUtf8(Exception):
+class FileNotUtf8(TsgflowError):
     """A guide, DAG or query-template manifest file that is not UTF-8."""
 
 

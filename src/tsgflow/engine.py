@@ -40,12 +40,13 @@ from itertools import islice
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
 from .document import TsgDocument, TsgStep
+from .errors import TsgflowError
 from .memory import MemoryRef, MemoryStore, RunScope
 from .queryprep import QueryTemplate
 from .scenario import ScenarioIncomplete
 
 
-class EngineError(Exception):
+class EngineError(TsgflowError):
     pass
 
 

@@ -24,13 +24,14 @@ from .backends import ScriptedBackend
 from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
 from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
+from .errors import TsgflowError
 from .oracle import MakespanOracle, oracle_makespan
 from .plugins import build_mock_registry
 from .queryprep import extract_templates, load_manifest
 from .scenario import read_scenario
 
 
-class HarnessError(Exception):
+class HarnessError(TsgflowError):
     pass
 
 
@@ -105,7 +106,9 @@ def run_scenario(
         incident=scenario.get("incident"),
     )
     if trace_path is not None:
-        Path(trace_path).write_text(trace_to_jsonl(result.trace), encoding="utf-8")
+        # a lone surrogate from a JSON \u escape is written as that escape again
+        Path(trace_path).write_text(trace_to_jsonl(result.trace), encoding="utf-8",
+                                    errors="backslashreplace")
     return result
 
 

@@ -18,20 +18,22 @@ import threading
 import time
 from select import PIPE_BUF
 
+from .errors import TsgflowError
+
 REQUEST_TIMEOUT_S = 60
 CLOSE_GRACE_S = 1  # between closing the child's stdin and killing it
 _CANCEL_POLL_S = 0.05  # how often a request waiting on its child looks at cancel
 
 
-class ChildUnavailable(Exception):
+class ChildUnavailable(TsgflowError):
     """The child process cannot be started."""
 
 
-class ChildTimeout(Exception):
+class ChildTimeout(TsgflowError):
     """The child gave no answer line within REQUEST_TIMEOUT_S."""
 
 
-class ChildCancelled(Exception):
+class ChildCancelled(TsgflowError):
     """The request's cancel event was set before the answer arrived."""
 
 

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .document import TsgDocument, parse_tsg, step_id_key
+from .errors import TsgflowError
 from .linechild import ChildTimeout, ChildUnavailable, LineChild
 from .queryprep import iter_placeholders
 
@@ -45,7 +46,7 @@ RULE_SEVERITY = {
 }
 
 
-class LintError(Exception):
+class LintError(TsgflowError):
     pass
 
 
@@ -251,7 +252,7 @@ class ExternalAnalyzer:
                         severity=raw.get("severity", "warning"),
                     )
                 )
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}") from exc
         return out
 

@@ -27,12 +27,14 @@ from itertools import chain, islice, repeat
 from operator import itemgetter, methodcaller
 from pathlib import Path
 
+from .errors import TsgflowError
+
 COLUMN_TYPES = ("text", "integer", "decimal", "timestamp", "boolean")
 DEFAULT_SAMPLE_ROWS = 3
 DEFAULT_CONTEXT_BUDGET = 2048
 
 
-class MemoryStoreError(Exception):
+class MemoryStoreError(TsgflowError):
     pass
 
 
@@ -169,14 +171,21 @@ def value_from_literal(x) -> MemoryValue:
     """Coerce a JSON literal (from a scenario or wire message) to a MemoryValue.
 
     A dict with "columns", "types" and "rows" keys becomes a table; other
-    dicts become records.
+    dicts become records. A table literal that is not lists of columns,
+    types and equally long rows, or whose timestamp cell does not parse,
+    raises InvalidValue.
     """
     if isinstance(x, dict) and {"columns", "types", "rows"} <= set(x):
-        types = list(x["types"])
-        rows = [
-            [_cell_from_json(cell, types[i]) for i, cell in enumerate(row)] for row in x["rows"]
-        ]
-        return MemoryValue("table", Table(list(x["columns"]), types, rows))
+        columns, types, rows = x["columns"], x["types"], x["rows"]
+        if not (isinstance(columns, list) and isinstance(types, list) and isinstance(rows, list)
+                and all(isinstance(row, list) for row in rows)):
+            raise InvalidValue("a table literal holds lists of columns, types and rows")
+        _check_widths(rows, len(types))  # before types[i] is read; Table checks the rest
+        try:
+            rows = [[_cell_from_json(cell, types[i]) for i, cell in enumerate(row)] for row in rows]
+        except ValueError as exc:  # a timestamp cell that does not parse
+            raise InvalidValue(f"table literal: {exc}") from None
+        return MemoryValue("table", Table(list(columns), list(types), rows))
     return memory_value(x)
 
 
@@ -200,8 +209,12 @@ def as_utc(dt: datetime) -> datetime:
     return dt if dt.tzinfo is not None else dt.replace(tzinfo=timezone.utc)
 
 def format_timestamp(dt: datetime) -> str:
-    """ISO-8601 text in UTC with a `Z` suffix; a naive datetime is taken as UTC."""
-    return as_utc(dt).astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    """ISO-8601 text in UTC with a `Z` suffix; a naive datetime is taken as UTC.
+    A time whose UTC form is out of datetime's range keeps its own offset."""
+    try:
+        return as_utc(dt).astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+    except OverflowError:  # 0001-01-01T00:00:00+05:00 falls before year 1 in UTC
+        return dt.isoformat()
 
 def _cell_to_json(cell, col_type: str):
     if col_type == "timestamp" and isinstance(cell, datetime):
@@ -441,7 +454,11 @@ class FileBackedStore(MemoryStore):
                 break
             try:
                 record = json.loads(raw[offset + 4 : end].decode("utf-8"))
-                self._data[record["key"]] = decode_value(record["value"])
+                key = record["key"]
+                if not isinstance(key, str):
+                    raise InvalidKey(f"key {key!r} is not a string")
+                _check_key(key)
+                self._data[key] = decode_value(record["value"])
             except (ValueError, LookupError, TypeError, AttributeError, MemoryStoreError) as exc:
                 raise CorruptLog(f"{self.path}: record at byte {offset}: {exc!r}") from exc
             offset = end

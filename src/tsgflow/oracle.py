@@ -29,11 +29,11 @@ import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dag import END, START, ExecutionDag, node_sort_key
+from .dag import END, START, DagError, ExecutionDag, node_sort_key
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
 
 
-class NotADag(ValueError):
+class NotADag(DagError, ValueError):
     """The graph has a cycle, so it has no topological order."""
 
 

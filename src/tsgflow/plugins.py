@@ -26,6 +26,7 @@ from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
 
+from .errors import TsgflowError
 from .memory import (
     KeyNotFound,
     MemoryRef,
@@ -37,7 +38,7 @@ from .memory import (
 )
 
 
-class PluginError(Exception):
+class PluginError(TsgflowError):
     pass
 
 
@@ -201,16 +202,22 @@ def pearson_correlation(xs: list[float], ys: list[float]) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _floats(key: str, values) -> list[float]:
+    """`values` as floats; NonNumeric for an integer too large for a float."""
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        raise NonNumeric(f"{key}: a value is too large for a float") from None
+
+
 def _numeric_series(store, key: str) -> list[float]:
     """Numeric list, or the single numeric column of a table, under `key`."""
     value = store.get(key)
     if value.kind == "list":
-        out = []
         for x in value.payload:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise NonNumeric(f"{key}: list holds a non-numeric value")
-            out.append(float(x))
-        return out
+        return _floats(key, value.payload)
     if value.kind == "table":
         t: Table = value.payload
         numeric = [i for i, ty in enumerate(t.types) if ty in ("integer", "decimal")]
@@ -218,7 +225,7 @@ def _numeric_series(store, key: str) -> list[float]:
             raise NonNumeric(
                 f"{key}: expected exactly one numeric column, found {len(numeric)}"
             )
-        return list(map(float, map(itemgetter(numeric[0]), t.rows)))
+        return _floats(key, map(itemgetter(numeric[0]), t.rows))
     raise NonNumeric(f"{key}: value kind {value.kind!r} is not a numeric series")
 
 
@@ -274,7 +281,7 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
         t = value.payload
         if t.types[col] not in ("integer", "decimal"):
             raise NonNumeric(f"{key}: column is not numeric")
-        series = list(map(float, map(itemgetter(col), t.rows)))
+        series = _floats(key, map(itemgetter(col), t.rows))
     else:
         series = _numeric_series(store, key)
     if not series:
@@ -357,7 +364,8 @@ class FixtureSet:
         return path, data
 
     def deployments(self) -> list[tuple]:
-        """(id, service, ring, started, finished) per deployment; finished may be None."""
+        """(id, service, ring, started, finished) per deployment; finished may be
+        None. A time without an offset is read as UTC, like a plugin argument."""
         path, data = self._devops()
         deployments = data.get("deployments", [])
         if not _objects(deployments, ("id", "started")):
@@ -365,8 +373,9 @@ class FixtureSet:
         try:
             return [
                 (
-                    d["id"], d.get("service", ""), d.get("ring", ""), parse_timestamp(d["started"]),
-                    parse_timestamp(d["finished"]) if d.get("finished") else None,
+                    d["id"], d.get("service", ""), d.get("ring", ""),
+                    as_utc(parse_timestamp(d["started"])),
+                    as_utc(parse_timestamp(d["finished"])) if d.get("finished") else None,
                 )
                 for d in deployments
             ]

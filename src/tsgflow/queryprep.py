@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .document import TsgDocument
+from .errors import TsgflowError
 from .memory import format_timestamp
 
 
-class TemplateError(Exception):
+class TemplateError(TsgflowError):
     pass
 
 
@@ -125,6 +126,15 @@ def render_param(value) -> str:
     if isinstance(value, (list, tuple)):
         return ", ".join(render_param(v) for v in value)
     raise UnrenderableValue(f"no text rendering for {type(value).__name__}")
+
+
+def template_named(templates: list[QueryTemplate], name: str) -> QueryTemplate:
+    """The template called `name` (the last one, should a manifest repeat a
+    name); TemplateError when there is none."""
+    found = {t.name: t for t in templates}.get(name)
+    if found is None:
+        raise TemplateError(f"no template named {name!r} in manifest")
+    return found
 
 
 def prepare_query(template: QueryTemplate, params: dict) -> PreparedQuery:

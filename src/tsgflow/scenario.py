@@ -9,12 +9,15 @@ script means, and it imports none of them.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Mapping
 from itertools import chain, repeat
 from pathlib import Path
 
+from .errors import TsgflowError
 
-class ScenarioError(Exception):
+
+class ScenarioError(TsgflowError):
     pass
 
 
@@ -68,10 +71,13 @@ def read_scenario(path: Path) -> dict:
 # (field, test over a list of values, what a value must be); an attempt that
 # leaves a field out is tested on its ATTEMPT_DEFAULTS value
 _ATTEMPT_RULES = (
-    ("result", lambda vs: set(vs) <= {"success", "failure"}, "'success' or 'failure'"),
-    # a NaN latency makes the sum NaN, which is not >= 0
+    ("result", lambda vs: set(map(type, vs)) <= {str} and set(vs) <= {"success", "failure"},
+     "'success' or 'failure'"),
+    # a NaN latency makes the sum NaN, which is not >= 0; the max test, made
+    # before the sum, keeps out Infinity and integers too large for a float
     ("latency",
-     lambda vs: set(map(type, vs)) <= {int, float} and min(vs, default=0) >= 0 and sum(vs) >= 0,
+     lambda vs: set(map(type, vs)) <= {int, float} and min(vs, default=0) >= 0
+     and max(vs, default=0) <= sys.float_info.max and sum(vs) >= 0,
      "a number >= 0"),
     ("edge_decisions", lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),
     ("memory_writes", lambda vs: set(map(type, vs)) <= {dict}, "a JSON object"),

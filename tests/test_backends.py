@@ -93,6 +93,17 @@ def test_process_backend_bad_outcome_fails_step(answer, problem):
     assert failed.detail["error"].startswith(f"bad outcome line: {problem}")
 
 
+def test_process_backend_duration_past_the_float_range_fails_step(monkeypatch):
+    """An integer duration too large for a float is a bad outcome line, not
+    an OverflowError from the finiteness test."""
+    backend = ProcessBackend(["never-started"])
+    answer = '{"result": "success", "duration": 1%s}' % ("0" * 400)
+    monkeypatch.setattr(backend._child, "request", lambda line, cancel=None: answer)
+    result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=0))
+    [failed] = [e for e in result.trace if e.kind == "node_failed"]
+    assert failed.detail["error"].startswith("bad outcome line: duration must be a finite number")
+
+
 # Reads requests and never answers; with a file argument, first writes its pid there.
 HANG = (
     "import os, sys, time\n"

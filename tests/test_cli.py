@@ -67,6 +67,26 @@ def test_prepare_missing_param(tmp_path, capsys):
     assert "MissingParameter" in capsys.readouterr().err
 
 
+def test_prepare_unknown_template_is_a_named_error(tmp_path, capsys):
+    qpp_out = tmp_path / "qpp.json"
+    main(["extract", "qpp", str(FIG4_DIR / "tsg.md"), "-o", str(qpp_out)])
+    capsys.readouterr()
+    assert main(["prepare", str(qpp_out), "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TemplateError: no template named 'x' in manifest\n"
+
+
+def test_prepare_param_without_equals_is_a_usage_error(tmp_path, capsys):
+    qpp_out = tmp_path / "qpp.json"
+    main(["extract", "qpp", str(FIG4_DIR / "tsg.md"), "-o", str(qpp_out)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["prepare", str(qpp_out), "top_exceptions", "--param", "x"])
+    assert exc.value.code == 2
+    assert "argument --param: expected K=V, got 'x'" in capsys.readouterr().err
+
+
 def test_run_writes_trace_and_summary(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     code = main([
@@ -147,8 +167,15 @@ def test_bad_executor_range_is_a_usage_error(capsys):
     ('{"steps": {"step1": [{}, {"summary": 5}]}}', "steps.step1.attempts[1].summary must be a string"),
     ('{"steps": {"step1": [{"result": "failure", "error": null}]}}',
      "steps.step1.attempts[0].error must be a string"),
+    ('{"steps": {"step1": [{"result": ["success"]}]}}',
+     "steps.step1.attempts[0].result must be 'success' or 'failure'"),
+    ('{"steps": {"step1": [{"latency": 1}, {"latency": 1e999}]}}',
+     "steps.step1.attempts[1].latency must be a number >= 0"),
+    ('{"steps": {"step1": [{"latency": 1.5}, {"latency": 1%s}]}}' % ("0" * 400),
+     "steps.step1.attempts[1].latency must be a number >= 0"),
 ], ids=["bad-json", "steps-not-object", "top-level-list", "latency-text", "incident-text",
-        "memory-writes-list", "summary-number", "error-null"])
+        "memory-writes-list", "summary-number", "error-null", "result-list", "latency-infinite",
+        "latency-past-float"])
 def test_bad_scenario_exits_one_with_named_error(tmp_path, capsys, command, text, message):
     path = tmp_path / "scenario.json"
     path.write_text(text, encoding="utf-8")

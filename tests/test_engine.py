@@ -10,6 +10,7 @@ from randdag import random_scripted_dag, steps_from_assignment, success_assignme
 from tsgflow.backends import ScriptedBackend
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.engine import (
+    BackendUnavailable,
     Bundle,
     ConfigInvalid,
     DagInvalid,
@@ -27,7 +28,12 @@ from tsgflow.engine import (
     apply_outcome,
     run,
 )
+from tsgflow.errors import TsgflowError
 from tsgflow.harness import load_bundle, load_scenario
+from tsgflow.linechild import ChildTimeout
+from tsgflow.memory import InvalidValue
+from tsgflow.plugins import PluginFailure
+from tsgflow.queryprep import TemplateError
 from tsgflow.scenario import ScenarioIncomplete
 
 
@@ -256,6 +262,42 @@ def test_scenario_incomplete():
             {"result": "success", "latency": 1,
              "edge_decisions": {"edge_step1_step2": "enable"}}]}),
             RunConfig(max_executors=1))
+
+
+class _Raising(ExecutorBackend):
+    """A backend whose every step raises `error`."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+    def execute(self, ctx):
+        raise self.error
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("error", [
+    PluginFailure("no fixture"), InvalidValue("bad cell"), ChildTimeout("no answer"),
+    TemplateError("no template"),
+], ids=lambda e: type(e).__name__)
+def test_other_tsgflow_errors_from_a_backend_fail_the_step(clock, error):
+    """Only EngineError and ScenarioIncomplete end a run: any other
+    TsgflowError a backend raises fails its step, which is retried."""
+    assert isinstance(error, TsgflowError)
+    result = run(bundle_of(linear_dag(1)), _Raising(error),
+                 RunConfig(max_executors=1, retry_limit=2, clock=clock))
+    assert result.status is RunStatus.EXHAUSTED
+    failed = [e.detail for e in result.trace if e.kind == "node_failed"]
+    message = f"{type(error).__name__}: {error}"
+    assert failed == [{"attempt": n, "error": message, "final": n == 3} for n in (1, 2, 3)]
+    assert result.trace[-1].detail["failed"] == ["step1"]
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("error", [BackendUnavailable("gone"), ScenarioIncomplete("unscripted")],
+                         ids=lambda e: type(e).__name__)
+def test_engine_and_scenario_errors_from_a_backend_end_the_run(clock, error):
+    with pytest.raises(type(error), match=str(error)):
+        run(bundle_of(linear_dag(1)), _Raising(error), RunConfig(max_executors=1, clock=clock))
 
 
 def test_config_and_dag_validation(fig4_bundle):

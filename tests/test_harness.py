@@ -48,6 +48,17 @@ def test_run_scenario_writes_trace(tmp_path, fig4_bundle, fig4_scenario):
     assert len(lines) == len(result.trace)
 
 
+def test_trace_keeps_a_lone_surrogate_as_its_json_escape(tmp_path, fig5_bundle, fig5_scenario):
+    """A scenario's "\\ud800" escape decodes to a character UTF-8 cannot hold;
+    the trace writes it as that escape again instead of failing."""
+    scenario = json.loads(json.dumps(fig5_scenario))
+    scenario["steps"]["step1"]["attempts"][0]["summary"] = "top exception \ud800"
+    trace = tmp_path / "trace.jsonl"
+    run_scenario(fig5_bundle, scenario, trace_path=trace)
+    summaries = [json.loads(line)["detail"].get("summary") for line in trace.read_text().splitlines()]
+    assert "top exception \ud800" in summaries
+
+
 def test_sweep_against_sequential_baseline(fig5_bundle, fig5_scenario, fig4_bundle, fig4_scenario):
     report = sweep(
         fig5_bundle, fig5_scenario, [1, 2, 3, 4, 5],

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
+import tsgflow
+from tsgflow.errors import TsgflowError
 from tsgflow.linechild import LineChild
+from tsgflow.oracle import NotADag
 
 SRC = Path(__file__).parent.parent / "src" / "tsgflow"
 
@@ -93,3 +99,27 @@ def test_scenario_format_imports_none_of_its_readers():
     """scenario.py owns the scenario format; the engine, the backends, the
     harness and the oracle read it, so it imports none of them."""
     assert not _package_imports("scenario") & {"engine", "backends", "harness", "oracle"}
+
+
+def test_every_tsgflow_exception_is_a_tsgflow_error():
+    """One root: a caller catches any tsgflow failure as TsgflowError, and it
+    is the only class that derives from Exception directly."""
+    defined = []
+    for info in pkgutil.iter_modules(tsgflow.__path__):
+        module = importlib.import_module(f"tsgflow.{info.name}")
+        defined += [
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and issubclass(cls, Exception)
+        ]
+    assert len(defined) > 40
+    assert [c.__name__ for c in defined if not issubclass(c, TsgflowError)] == []
+    assert [c.__name__ for c in defined if Exception in c.__bases__] == ["TsgflowError"]
+
+
+def test_error_root_imports_nothing_from_the_package():
+    """Every module imports errors.py, so it imports none of them."""
+    assert _package_imports("errors") == set()
+
+
+def test_not_a_dag_is_still_a_value_error():
+    assert issubclass(NotADag, ValueError)

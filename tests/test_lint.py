@@ -282,6 +282,7 @@ def _short_deadline(monkeypatch) -> str:
         ('"findings"\n', "not a list"),
         ("[1]\n", "finding is malformed"),
         ('[{"line": "seven"}]\n', "finding is malformed"),
+        ('[{"line": Infinity}]\n', "finding is malformed"),
     ],
 )
 def test_external_analyzer_failures_are_named(monkeypatch, fig4_bundle, stdout, message):

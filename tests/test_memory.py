@@ -1,6 +1,8 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import json
+import struct
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,14 @@ def test_file_backed_store_names_a_corrupt_record(tmp_path):
         FileBackedStore(path)
 
 
+def test_file_backed_store_names_a_record_whose_key_is_not_a_string(tmp_path):
+    path = tmp_path / "memory.log"
+    record = json.dumps({"key": 5, "value": encode_value(memory_value(1))}).encode("utf-8")
+    path.write_bytes(struct.pack(">I", len(record)) + record)
+    with pytest.raises(CorruptLog, match=r"record at byte 0: InvalidKey\("):
+        FileBackedStore(path)
+
+
 def test_run_scope_isolation():
     store = MemoryStore()
     one = RunScope(store, "run-1")
@@ -267,6 +277,26 @@ def test_value_from_literal_table():
     )
     assert value.kind == "table"
     assert value.payload.rows[0][0] == datetime(2026, 3, 1, tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("literal", [
+    {"columns": ["t"], "types": "timestamp", "rows": []},
+    {"columns": ["t"], "types": ["timestamp"], "rows": 5},
+    {"columns": ["t"], "types": ["timestamp"], "rows": [1.5]},
+    {"columns": ["t"], "types": ["timestamp"], "rows": [["2026-03-01T00:00:00Z", 1]]},
+    {"columns": ["t"], "types": ["timestamp"], "rows": [["yesterday"]]},
+], ids=["types-not-a-list", "rows-not-a-list", "row-not-a-list", "row-too-long", "bad-timestamp"])
+def test_malformed_table_literal_is_invalid_value(literal):
+    with pytest.raises(InvalidValue):
+        value_from_literal(literal)
+
+
+def test_timestamp_out_of_range_in_utc_keeps_its_offset():
+    """Year 1 at +05:00 has no UTC form inside datetime's range."""
+    early = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5)))
+    table = Table(["t"], ["timestamp"], [[early]])
+    assert table_to_csv(table) == "t\ntimestamp\n0001-01-01T00:00:00+05:00\n"
+    assert decode_value(encode_value(memory_value(table))).payload == table
 
 
 _scalars = st.one_of(

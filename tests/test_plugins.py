@@ -214,6 +214,14 @@ def test_aggregate_errors(store):
         analysis_aggregate(store, "words", "median")
 
 
+def test_integer_too_large_for_a_float_is_non_numeric(store):
+    store.put("big", Table(["n"], ["integer"], [[10**400], [1]]))
+    store.put("bigs", [10**400, 1])
+    for key in ("big#n", "big", "bigs"):
+        with pytest.raises(NonNumeric, match="too large for a float"):
+            analysis_aggregate(store, key, "mean")
+
+
 def test_aggregate_plugin_returns_table_as_ref(registry, store):
     store.put("exc", Table(["kind", "count"], ["text", "integer"], [["a", 3], ["b", 41]]))
     result = registry.invoke("analysis.aggregate", {"key": "exc#count", "op": "top_k", "k": 1}, store)
@@ -449,6 +457,21 @@ def test_metric_csv_without_offsets_is_read_as_utc(tmp_path, registry, window):
         csvs.append(table_to_csv(store.get(result.refs[0].key).payload))
     assert csvs[0] == csvs[1]
     assert csvs[0].count("\n") > 3  # header, type row and some points
+
+
+def test_devops_times_without_offsets_are_read_as_utc(tmp_path, registry):
+    """`started`/`finished` times with `Z` stripped from devops.json select the
+    same deployments, and `started` reads back as the same UTC time."""
+    original = (FIXTURES / FIG4_TSG / "devops.json").read_text(encoding="utf-8")
+    assert original.count('Z"') > 2
+    naive_registry, _ = _fixture_copy(tmp_path, "devops.json", original.replace('Z"', '"'))
+    csvs = []
+    for reg in (registry, naive_registry):
+        store = MemoryStore()
+        result = reg.invoke("devops_deployments", WINDOW, store)
+        csvs.append(table_to_csv(store.get(result.refs[0].key).payload))
+    assert csvs[0] == csvs[1]
+    assert csvs[0].count("\n") > 2  # header, type row and a deployment
 
 
 @pytest.mark.parametrize("name, extra", [
