@@ -13,7 +13,9 @@
 Exit codes: 0 success, 1 findings or errors of severity error, 2 usage.
 `main` is the one place an error becomes exit 1: any TsgflowError prints
 `error: <ClassName>: <message>` and an OSError `error: <message>`. argparse
-is the one place for exit 2, `--param` without `=` included.
+is the one place for exit 2, `--param` without `=` included. Input text
+that reaches stdout or stderr goes through `_escaped`, so a lone surrogate
+from a JSON input prints as its escape instead of failing the stream.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ def _key_value(text: str) -> tuple[str, str]:
     return key, value
 
 
+def _escaped(text: str) -> str:
+    """`text` with each lone surrogate (what a `\\ud800` escape in a JSON
+    input decodes to) written as that escape, as the trace and report files
+    write it, so that a strict UTF-8 stream takes it."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsgflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,10 +140,10 @@ def _cmd_lint(args) -> int:
     analyzer = ExternalAnalyzer(shlex.split(args.analyzer)) if args.analyzer else None
     findings = lint(doc, analyzer=analyzer)
     if args.json:
-        sys.stdout.write(findings_to_json(findings))
+        sys.stdout.write(_escaped(findings_to_json(findings)))
     else:
         for f in findings:
-            print(f.render(args.tsg))
+            print(_escaped(f.render(args.tsg)))
     return 1 if any(f.severity == "error" for f in findings) else 0
 
 
@@ -160,7 +169,7 @@ def _cmd_prepare(args) -> int:
     _, templates = load_manifest(read_utf8(args.manifest), args.manifest)
     template = template_named(templates, args.template)
     prepared = prepare_query(template, dict(args.param))
-    sys.stdout.write(prepared.text)
+    sys.stdout.write(_escaped(prepared.text))
     if not prepared.text.endswith("\n"):
         sys.stdout.write("\n")
     return 0
@@ -177,18 +186,14 @@ def _cmd_run(args) -> int:
         clock=args.mode,
         trace_path=args.trace,
     )
-    print(
-        json.dumps(
-            {
-                "status": result.status.value,
-                "conclusion": result.conclusion,
-                "makespan": result.makespan,
-                "executed": result.executed,
-                "cancelled": result.cancelled,
-            },
-            ensure_ascii=False,
-        )
-    )
+    summary = {
+        "status": result.status.value,
+        "conclusion": result.conclusion,
+        "makespan": result.makespan,
+        "executed": result.executed,
+        "cancelled": result.cancelled,
+    }
+    print(_escaped(json.dumps(summary, ensure_ascii=False)))
     return 0 if result.status is RunStatus.CONCLUDED else 1
 
 
@@ -247,10 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except TsgflowError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(_escaped(f"error: {type(exc).__name__}: {exc}"), file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_escaped(f"error: {exc}"), file=sys.stderr)
         return 1
 
 

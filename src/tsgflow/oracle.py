@@ -1,6 +1,6 @@
 """Independent brute-force oracles for scheduler behavior and makespans.
 
-Everything here recomputes run state from scratch instead of following the
+Every state here comes from a closure computed from scratch, not from the
 engine's incremental event-driven propagation, so the two sides of every
 check stay independent. Each call builds its own view of the DAG: a
 topological order (Kahn's algorithm, ties broken by node_sort_key) and each
@@ -11,8 +11,9 @@ two readings of one script would be two formats, not two opinions.
 
   * fixpoint_states: tri-state closure for a set of applied outcomes,
     settled in one pass over the topological order.
-  * serial_simulation: the k=1 FIFO execution a scheduler must produce,
-    state recomputed from scratch after every step.
+  * simulate: the run a scheduler with k executors must produce: states
+    settled once, then attempts placed in time on a completion heap.
+    serial_simulation is its k=1 case.
   * timed_analysis: earliest possible conclusion time with unbounded
     executors (longest-path over the realized subgraph), the executed node
     set, and the realized parallelism width (maximum antichain).
@@ -29,7 +30,7 @@ import heapq
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dag import END, START, DagError, ExecutionDag, node_sort_key
+from .dag import END, START, DagEdge, DagError, ExecutionDag, node_sort_key
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
 
 
@@ -68,11 +69,10 @@ class _View:
         self.kind = {n.id: n.kind for n in dag.nodes}
         self.incoming: dict[str, list] = {n.id: [] for n in dag.nodes}
         self.outgoing: dict[str, list] = {n.id: [] for n in dag.nodes}
-        for e in dag.edges:
+        # lists by edge id: the smallest enabled edge into end concludes
+        for e in sorted(dag.edges, key=lambda e: e.id):
             self.outgoing[e.source].append(e)
             self.incoming[e.target].append(e)
-        # edges into end by id: the smallest enabled one names the conclusion
-        self.into_end = sorted(self.incoming.get(END, []), key=lambda e: e.id)
 
         indegree = {n: len(ins) for n, ins in self.incoming.items()}
         frontier = [(node_sort_key(n), n) for n, d in indegree.items() if d == 0]
@@ -136,14 +136,6 @@ def fixpoint_states(
     return _settle(_View(dag), applied.get)
 
 
-def _conclusion_of(view: _View, edge_state: dict[str, str]) -> tuple[str, str] | None:
-    """(edge id, conclusion) of the smallest-id enabled edge into end."""
-    for e in view.into_end:
-        if edge_state[e.id] == "enabled":
-            return e.id, e.conclusion or ""
-    return None
-
-
 @dataclass
 class SerialSim:
     status: str  # "concluded" | "exhausted"
@@ -156,56 +148,78 @@ class SerialSim:
     edge_state: dict[str, str]
 
 
-def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> SerialSim:
-    """Brute-force k=1 FIFO run: one execution at a time, full closure after each.
+def simulate(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int, k: int) -> SerialSim:
+    """The run a scheduler with k executors must produce.
 
-    Ready ordering matches the scheduler contract: FIFO by enqueue time with
-    ties broken by ascending node id; a retried node re-enters the queue at
-    its failure time.
+    One closure settles every element's final state from each step's
+    replay_final_outcome; a step with no script decides None, so its edges
+    stay unknown and placing it raises ScenarioIncomplete. A loop then places
+    attempts on k executors under the README's ordering rules, and a node's
+    final completion resolves its edges to their settled states at that
+    instant: a target left with no unresolved incoming edge is enqueued if
+    enabled and resolved in turn if disabled. The first enabled edge into
+    end concludes; the end states are the closure of the applied outcomes.
     """
     view = _View(dag)
-    applied: dict[str, FinalOutcome] = {}
-    attempts_done: dict[str, int] = {}
-    ready: list[tuple[float, tuple, str]] = []
-    ever_enqueued: set[str] = set()
-    executed: list[str] = []
+    outcomes: dict[str, FinalOutcome] = {}
+
+    def decide(node: str) -> FinalOutcome | None:
+        if view.kind[node] == "step" and steps.get(node):
+            outcomes[node] = replay_final_outcome(steps, node, retry_limit)
+        return outcomes.get(node)
+
+    node_state, edge_state = _settle(view, decide)
+    unresolved = {u: len(ins) for u, ins in view.incoming.items()}
+    ready: list[tuple[float, tuple, str]] = []  # heap (enqueue t, id key, node)
+    running: list[tuple[float, tuple, str, bool]] = []  # heap (finish t, id key, node, retried)
+    attempts: dict[str, int] = {}  # in first-start order
     starts: list[str] = []
+    applied: dict[str, FinalOutcome] = {}
+
+    def complete(node: str, t: float) -> DagEdge | None:
+        """Resolve `node`'s edges, and those of every node this leaves
+        disabled, at time t; return the edge into end that concludes."""
+        pending = [node]
+        while pending:
+            for e in view.outgoing[pending.pop()]:
+                if e.target == END:
+                    if edge_state[e.id] == "enabled":
+                        return e
+                    continue
+                unresolved[e.target] -= 1
+                if not unresolved[e.target]:
+                    if node_state[e.target] == "enabled":
+                        heapq.heappush(ready, (t, node_sort_key(e.target), e.target))
+                    else:
+                        pending.append(e.target)
+        return None
+
     t = 0.0
-
-    def refresh(enqueue_time: float) -> tuple[dict[str, str], dict[str, str]]:
-        node_state, edge_state = _settle(view, applied.get)
-        for node, state in node_state.items():
-            if view.kind[node] == "step" and state == "enabled" and node not in ever_enqueued:
-                ever_enqueued.add(node)
-                heapq.heappush(ready, (enqueue_time, node_sort_key(node), node))
-        return node_state, edge_state
-
-    node_state, edge_state = refresh(0.0)
-    if node_state[END] == "enabled":  # start wired straight into end
-        eid, conclusion = _conclusion_of(view, edge_state)
-        return SerialSim("concluded", conclusion, eid, [], [], 0.0, node_state, edge_state)
-
-    while ready:
-        _, _, node = heapq.heappop(ready)
-        n = attempts_done[node] = attempts_done.get(node, 0) + 1
-        result, latency, decisions = attempt_fields(scripted_attempt(steps, node, n))[:3]
-        starts.append(node)
-        if node not in executed:
-            executed.append(node)
-        t += latency
-        if result == "failure":
-            if n <= retry_limit:
-                heapq.heappush(ready, (t, node_sort_key(node), node))
-                continue
-            applied[node] = FinalOutcome("failure", None, 0.0, n)
+    concluding = complete(START, t)
+    while concluding is None:
+        while ready and len(running) < k:
+            _, key, node = heapq.heappop(ready)
+            n = attempts[node] = attempts.get(node, 0) + 1
+            result, latency = attempt_fields(scripted_attempt(steps, node, n))[:2]
+            starts.append(node)
+            heapq.heappush(running, (t + latency, key, node, result == "failure" and n <= retry_limit))
+        if not running:
+            break
+        t, key, node, retried = heapq.heappop(running)
+        if retried:
+            heapq.heappush(ready, (t, key, node))
         else:
-            applied[node] = FinalOutcome("success", dict(decisions), 0.0, n)
-        node_state, edge_state = refresh(t)
-        if node_state[END] == "enabled":
-            eid, conclusion = _conclusion_of(view, edge_state)
-            return SerialSim("concluded", conclusion, eid, executed, starts, t, node_state, edge_state)
+            applied[node] = outcomes[node]
+            concluding = complete(node, t)
 
-    return SerialSim("exhausted", None, None, executed, starts, t, node_state, edge_state)
+    status, conclusion, edge = ("exhausted", None, None) if concluding is None else (
+        "concluded", concluding.conclusion or "", concluding.id)
+    return SerialSim(status, conclusion, edge, list(attempts), starts, t, *_settle(view, applied.get))
+
+
+def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> SerialSim:
+    """The k=1 run: one execution at a time, in FIFO order."""
+    return simulate(dag, steps, retry_limit, 1)
 
 
 @dataclass
@@ -251,7 +265,7 @@ def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit:
 
     conclusion_time = None
     concluding_edge = None
-    for e in view.into_end:
+    for e in view.incoming.get(END, ()):
         if edge_state[e.id] == "enabled" and e.id in edge_time:
             if conclusion_time is None or edge_time[e.id] < conclusion_time:
                 conclusion_time = edge_time[e.id]

@@ -89,3 +89,54 @@ def steps_from_assignment(
                 {"result": "success", "latency": latency, "edge_decisions": dict(decisions)}
             ]
     return steps
+
+
+def random_wide_dag(rng: random.Random, n_steps: int) -> ExecutionDag:
+    """A valid DAG of n_steps steps that start fans out into, so that several
+    steps are often ready at once. Each step has one to three edges to the
+    next six steps or to end, about a third of them as a conditional Y/N
+    pair; a step left without an incoming edge gets one from start or an
+    earlier step."""
+    node_ids = [f"step{i}" for i in range(1, n_steps + 1)]
+    edges: dict[tuple[str, str], DagEdge] = {}
+
+    def add(src: str, dst: str, condition: EdgeCondition | None = None) -> None:
+        conclusion = f"done via {src}" if dst == END else None
+        edges[(src, dst)] = DagEdge(edge_id(src, dst), src, dst, condition, conclusion)
+
+    for dst in rng.sample(node_ids, rng.randint(1, min(5, n_steps))):
+        add(START, dst)
+    for i, src in enumerate(node_ids):
+        later = node_ids[i + 1 : i + 7]
+        if not later or rng.random() < 0.15:
+            later.append(END)
+        targets = rng.sample(later, min(len(later), rng.randint(1, 3)))
+        if len(targets) >= 2 and rng.random() < 0.35:
+            question = f"does probe {i + 1} hit"
+            add(src, targets[0], EdgeCondition(question, "Y"))
+            add(src, targets[1], EdgeCondition(question, "N"))
+        else:
+            for dst in targets:
+                add(src, dst)
+    for j, dst in enumerate(node_ids):
+        if not any(d == dst for (_, d) in edges):
+            add(rng.choice([START] + node_ids[:j]), dst)
+
+    nodes = (
+        [DagNode(START, "start", "run start")]
+        + [DagNode(node_id, "step", f"step {i}", step_ref=str(i))
+           for i, node_id in enumerate(node_ids, 1)]
+        + [DagNode(END, "end", "run end")]
+    )
+    return ExecutionDag(tsg_id=f"wide-{rng.randrange(10**9)}", nodes=nodes, edges=list(edges.values()))
+
+
+def random_decisions(rng: random.Random, dag: ExecutionDag) -> dict[str, dict[str, str]]:
+    """One complete success-decision map per step: unconditional edges
+    enabled, each conditional edge enabled or disabled at random."""
+    compiled = compile_dag(dag)
+    return {
+        n.id: {e.id: "enable" if e.condition is None or rng.random() < 0.5 else "disable"
+               for e in compiled.outgoing[n.id]}
+        for n in dag.step_nodes()
+    }

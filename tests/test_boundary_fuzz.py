@@ -171,16 +171,20 @@ class _Check:
             return None
 
     def cli(self, argv: list[str]) -> None:
-        err = io.StringIO()
+        # strict UTF-8 streams, as a terminal's are: text they cannot encode
+        # (a lone surrogate) raises here as it would there
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            with redirect_stdout(out), redirect_stderr(err):
                 code = main(argv)
             ok = code in (0, 1)
         except SystemExit as exc:  # argparse's usage error
             code, ok = f"SystemExit({exc.code})", exc.code == 2
         except Exception as exc:
             code, ok = f"{type(exc).__name__}: {exc}", False
-        if not ok or "Traceback" in err.getvalue():
+        err.flush()
+        if not ok or b"Traceback" in err.buffer.getvalue():
             self.failures.append(f"{self.where}: main({argv!r}) gave {code}"[:300])
 
 

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsgflow
 from conftest import FIG4_DIR, FIG5_DIR
 from corpus import build_lint_corpus
+from tsgflow import load_bundle
 from tsgflow.cli import main
+from tsgflow.dag import serialize_dag
 
 
 def test_lint_clean_exits_zero(capsys):
@@ -267,6 +274,34 @@ def test_bundle_files_not_utf8_exit_one_naming_the_file(tmp_path, capsys):
     assert main(["prepare", str(manifest), "q"]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: FileNotUtf8: {manifest}: not UTF-8: invalid start byte at byte 1")
+
+
+def _cli_strict_utf8(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m tsgflow.cli argv` with strict UTF-8 stdout and stderr."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=str(Path(tsgflow.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "tsgflow.cli", *argv], env=env,
+                          capture_output=True, timeout=60)
+
+
+def test_lone_surrogates_reach_stdout_as_escapes(tmp_path):
+    """A `\\ud800` escape in dag.json or qpp.json decodes to a lone
+    surrogate; run and prepare print it as that escape, not a traceback."""
+    bundle_dir = _bundle_copy(tmp_path)
+    dag_text = serialize_dag(load_bundle(bundle_dir).dag)
+    (bundle_dir / "dag.json").write_text(
+        dag_text.replace('"transfer to upstream team"', '"transfer \\ud800"'), encoding="utf-8")
+    done = _cli_strict_utf8("run", str(bundle_dir), "--scenario", "dependency_issue")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["conclusion"] == "transfer \ud800"
+
+    manifest = tmp_path / "qpp.json"
+    manifest.write_text(json.dumps({"tsg_id": "t", "templates": [
+        {"name": "q", "language": "kql", "placeholders": [], "text": "where x == '\ud800'"}]}),
+        encoding="utf-8")
+    done = _cli_strict_utf8("prepare", str(manifest), "q")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == b"where x == '\\ud800'\n"
 
 
 def test_sweep_of_scenario_with_null_incident(tmp_path, capsys):

@@ -4,13 +4,20 @@ import copy
 import json
 import random
 import sys
+import time
 
 import pytest
 
 from conftest import BUNDLES
-from randdag import random_scripted_dag, steps_from_assignment, success_assignments
+from randdag import (
+    random_decisions,
+    random_scripted_dag,
+    random_wide_dag,
+    steps_from_assignment,
+    success_assignments,
+)
 from test_engine import bundle_of, linear_dag, scripted
-from tsgflow import load_bundle, load_scenario
+from tsgflow import load_bundle, load_scenario, oracle
 from tsgflow.dag import validate_dag
 from tsgflow.engine import ElementState, RunConfig, run
 from tsgflow.harness import run_scenario
@@ -20,19 +27,32 @@ from tsgflow.oracle import (
     oracle_makespan,
     replay_final_outcome,
     serial_simulation,
+    simulate,
     timed_analysis,
 )
-from tsgflow.scenario import ScenarioIncomplete, scenario_steps
+from tsgflow.scenario import ScenarioIncomplete, attempt_fields, scenario_steps, scripted_attempt
 
 
-def assert_engine_matches_serial_oracle(dag, steps, retry_limit=0):
-    result = run(
-        bundle_of(dag),
-        scripted(steps),
-        RunConfig(max_executors=1, retry_limit=retry_limit),
-    )
-    sim = serial_simulation(dag, steps, retry_limit)
+def assert_engine_matches_oracle(dag, steps, retry_limit=0, k=1):
+    """run() at k executors and simulate() agree on what ran, in which
+    order, how the run ended and when; a missing script ends both with the
+    same ScenarioIncomplete."""
+    try:
+        result = run(
+            bundle_of(dag),
+            scripted(steps),
+            RunConfig(max_executors=k, retry_limit=retry_limit),
+        )
+    except ScenarioIncomplete as exc:
+        with pytest.raises(ScenarioIncomplete) as raised:
+            simulate(dag, steps, retry_limit, k)
+        assert str(raised.value) == str(exc)
+        return None, None
+    sim = simulate(dag, steps, retry_limit, k)
+    if k == 1:
+        assert serial_simulation(dag, steps, retry_limit) == sim
     assert result.executed == sim.executed
+    assert [ev.subject for ev in result.trace if ev.kind == "node_started"] == sim.starts
     assert result.status.value == sim.status
     assert result.conclusion == sim.conclusion
     assert result.makespan == sim.total_time
@@ -203,7 +223,7 @@ def test_engine_matches_oracle_on_bundles(fig4_bundle, fig4_scenario, fig5_bundl
         (fig5_bundle, fig5_scenario),
         (triple_bundle, triple_scenario),
     ):
-        assert_engine_matches_serial_oracle(bundle.dag, scenario_steps(scenario), retry_limit=2)
+        assert_engine_matches_oracle(bundle.dag, scenario_steps(scenario), retry_limit=2)
 
 
 def test_engine_matches_oracle_randomized_small():
@@ -214,14 +234,114 @@ def test_engine_matches_oracle_randomized_small():
         assert validate_dag(dag).ok
         assignments = success_assignments(dag)
         for assignment in assignments:
-            assert_engine_matches_serial_oracle(dag, steps_from_assignment(assignment))
+            assert_engine_matches_oracle(dag, steps_from_assignment(assignment))
             cases += 1
         step_ids = sorted(assignment)
         for failing in step_ids[: min(3, len(step_ids))]:
             steps = steps_from_assignment(assignments[0], failing={failing})
-            assert_engine_matches_serial_oracle(dag, steps)
+            assert_engine_matches_oracle(dag, steps)
             cases += 1
     assert cases > 300
+
+
+def _random_case(rng: random.Random, wide: bool):
+    """A valid DAG with a complete script: a randdag DAG with one of its
+    success assignments, or a wide DAG of 10-30 steps with random decisions.
+    Each step succeeds, fails once and then succeeds, or always fails, each
+    attempt with an integer latency 0-3 so that many completions tie."""
+    if wide:
+        dag = random_wide_dag(rng, rng.randint(10, 30))
+        assignment = random_decisions(rng, dag)
+    else:
+        dag = random_scripted_dag(rng)
+        assignment = rng.choice(success_assignments(dag))
+    steps = {}
+    for node, decisions in assignment.items():
+        success = {"result": "success", "latency": rng.randint(0, 3), "edge_decisions": decisions}
+        failure = {"result": "failure", "latency": rng.randint(0, 3), "error": "x"}
+        steps[node] = rng.choice(([success], [success], [failure, success], [failure]))
+    return dag, steps, rng.randint(0, 2)
+
+
+def test_engine_matches_simulation_at_every_k():
+    """Zero mismatches between run() and simulate() at k=1..5 on small and
+    wide DAGs; one case in ten drops a step's script."""
+    rng = random.Random(20261018)
+    cases = incomplete = 0
+    for i in range(360):
+        dag, steps, retry_limit = _random_case(rng, wide=i % 2 == 1)
+        if rng.random() < 0.1:
+            del steps[rng.choice(sorted(steps))]
+        for k in range(1, 6):
+            result, _ = assert_engine_matches_oracle(dag, steps, retry_limit, k)
+            cases += 1
+            incomplete += result is None
+    assert cases >= 1800 and 0 < incomplete < cases / 5
+
+
+def _started_work(steps, starts) -> float:
+    """The summed latency of every attempt in `starts` (a node's n-th start
+    replays its n-th attempt)."""
+    seen: dict[str, int] = {}
+    work = 0.0
+    for node in starts:
+        n = seen[node] = seen.get(node, 0) + 1
+        work += attempt_fields(scripted_attempt(steps, node, n))[1]
+    return work
+
+
+def test_graham_bound_and_saturation_at_the_realized_width():
+    """Graham's list-scheduling bound T_k <= W_k / k + T_inf holds for every
+    concluded run, where W_k is the work the k-run started and T_inf the
+    unbounded-executor conclusion time; and, as sweep's saturation_ok
+    claims, every k at or above the realized width gives one makespan."""
+    rng = random.Random(1969)
+    saturated_checks = 0
+    for i in range(600):
+        dag, steps, retry_limit = _random_case(rng, wide=i % 2 == 1)
+        timed = timed_analysis(dag, steps, retry_limit)
+        makespans = {}
+        for k in range(1, 9):
+            sim = simulate(dag, steps, retry_limit, k)
+            makespans[k] = sim.total_time
+            if sim.status == "concluded":
+                work = _started_work(steps, sim.starts)
+                assert sim.total_time * k <= work + k * timed.conclusion_time, (i, k)
+        saturated = {m for k, m in makespans.items() if k >= timed.width}
+        assert len(saturated) <= 1, (i, timed.width, makespans)
+        saturated_checks += len(saturated)
+    assert saturated_checks > 500
+
+
+def test_simulate_settles_at_most_twice(monkeypatch, fig5_bundle, fig5_scenario):
+    """One simulate call is two closures however many steps run: on a
+    2000-step chain and on a fixture bundle at k=1..4."""
+    settles = []
+    settle = oracle._settle
+    monkeypatch.setattr(oracle, "_settle", lambda *args: settles.append(1) or settle(*args))
+    dag = linear_dag(2000)
+    steps = {f"step{i}": [{"result": "success", "latency": 1,
+                           "edge_decisions": {dag.edges[i].id: "enable"}}]
+             for i in range(1, 2001)}
+    assert simulate(dag, steps, 2, 1).total_time == 2000
+    assert len(settles) <= 2
+    for k in range(1, 5):
+        settles.clear()
+        simulate(fig5_bundle.dag, scenario_steps(fig5_scenario), 2, k)
+        assert 0 < len(settles) <= 2
+
+
+def test_oracle_makespan_on_a_10000_step_chain_is_linear():
+    n = 10_000
+    dag = linear_dag(n)
+    steps = {f"step{i}": [{"result": "success", "latency": 1,
+                           "edge_decisions": {dag.edges[i].id: "enable"}}]
+             for i in range(1, n + 1)}
+    started = time.monotonic()
+    result = oracle_makespan(dag, {"steps": steps})
+    elapsed = time.monotonic() - started
+    assert (result.critical_path_to_conclusion, result.serial_sum, result.width) == (n, n, 1)
+    assert elapsed < 30, f"took {elapsed:.1f}s"
 
 
 def test_makespan_bounds_invariant(fig4_bundle, fig4_scenario, fig5_bundle, fig5_scenario,
@@ -251,6 +371,6 @@ def test_engine_enabled_state_matches_fixpoint_when_exhausted():
                    "edge_decisions": {"edge_step1_step2": "enable"}}],
         "step2": [{"result": "failure", "latency": 1, "error": "x"}],
     }
-    result, sim = assert_engine_matches_serial_oracle(dag, steps, retry_limit=0)
+    result, sim = assert_engine_matches_oracle(dag, steps, retry_limit=0)
     assert result.state.node_state["step2"] is ElementState.ENABLED
     assert sim.node_state["step2"] == "enabled"
