@@ -78,7 +78,8 @@ def main() -> None:
     oracle = oracle_makespan(parallel.dag, parallel_scenario)
     print(f"oracle: critical path {oracle.critical_path_to_conclusion}, "
           f"serial sum {oracle.serial_sum}, width {oracle.width}")
-    print(f"bounds_ok={report.bounds_ok} saturation_ok={report.saturation_ok}")
+    print(f"bounds_ok={report.bounds_ok} saturation_ok={report.saturation_ok} "
+          f"oracle_ok={report.oracle_ok}")
 
     banner("early termination")
     result = run(parallel, ScriptedBackend.from_scenario(parallel_scenario),

@@ -44,8 +44,8 @@ from .queryprep import (
 
 
 def _parse_k_range(text: str) -> list[int]:
-    """`K` or `A..B` (A <= B) as a list of executor counts; argparse turns the
-    ArgumentTypeError into a usage error."""
+    """`K` or `A..B` (1 <= A <= B) as a list of executor counts; argparse
+    turns the ArgumentTypeError into a usage error."""
     lo, sep, hi = text.partition("..")
     try:
         ks = list(range(int(lo), int(hi if sep else lo) + 1))
@@ -53,6 +53,8 @@ def _parse_k_range(text: str) -> list[int]:
         ks = []
     if not ks:
         raise argparse.ArgumentTypeError(f"expected K or A..B with integers A <= B, got {text!r}")
+    if ks[0] < 1:
+        raise argparse.ArgumentTypeError(f"expected executor counts >= 1, got {text!r}")
     return ks
 
 
@@ -224,7 +226,7 @@ def _cmd_sweep(args) -> int:
     print(
         f"baseline={report.baseline_kind}({report.baseline_makespan}) "
         f"width={report.oracle.width} bounds_ok={report.bounds_ok} "
-        f"saturation_ok={report.saturation_ok}"
+        f"saturation_ok={report.saturation_ok} oracle_ok={report.oracle_ok}"
     )
     return 0
 

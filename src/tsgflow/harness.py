@@ -10,9 +10,10 @@ A bundle directory holds:
 
 A sweep runs the same scenario once per executor count in virtual time and
 reports makespans, reductions against a serial baseline, and the oracle's
-bound and saturation checks. The baseline is the k=1 run of a provided
-sequential-DAG variant of the bundle when one is given, else the bundle's
-own k=1 run; the report states which.
+checks: each run against the oracle's simulation at its k, Graham's bound
+and saturation. The baseline is the k=1 run of a provided sequential-DAG
+variant of the bundle when one is given, else the bundle's own k=1 run; the
+report states which.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
 from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
 from .errors import TsgflowError
-from .oracle import MakespanOracle, oracle_makespan
+from .oracle import MakespanOracle, oracle_makespan, simulate, started_work
 from .plugins import build_mock_registry
 from .queryprep import extract_templates, load_manifest
-from .scenario import read_scenario
+from .scenario import read_scenario, scenario_steps
 
 
 class HarnessError(TsgflowError):
@@ -132,6 +133,7 @@ class SweepReport:
     reductions: dict[int, float] = field(default_factory=dict)
     bounds_ok: bool = True
     saturation_ok: bool = True
+    oracle_ok: bool = True
 
     def to_obj(self) -> dict:
         return {
@@ -143,6 +145,7 @@ class SweepReport:
             "oracle": asdict(self.oracle),
             "bounds_ok": self.bounds_ok,
             "saturation_ok": self.saturation_ok,
+            "oracle_ok": self.oracle_ok,
         }
 
 
@@ -153,16 +156,30 @@ def sweep(
     retry_limit: int = 2,
     baseline: tuple[Bundle, dict] | None = None,
 ) -> SweepReport:
-    """Run the scenario once per executor count and report the comparison."""
+    """Run the scenario once per executor count and report the comparison.
+
+    oracle_ok: every run's executed steps, conclusion and makespan equal the
+    oracle's simulation at its k. bounds_ok: every concluded run has
+    T_inf <= T_k <= W_k/k + T_inf (Graham), W_k the work the k-run started.
+    T_k <= T_1 is not claimed: list scheduling has timing anomalies.
+    """
     if not k_values or any(k < 1 for k in k_values):
         raise HarnessError("k_values must be non-empty with every k >= 1")
     oracle = oracle_makespan(bundle.dag, scenario, retry_limit)
+    t_inf = oracle.critical_path_to_conclusion
+    steps = scenario_steps(scenario)
 
     entries = []
     makespans: dict[int, float] = {}
+    oracle_ok = bounds_ok = True
     for k in sorted(set(k_values)):
         result = run_scenario(bundle, scenario, executors=k, retry_limit=retry_limit)
-        makespans[k] = result.makespan
+        sim = simulate(bundle.dag, steps, retry_limit, k)
+        m = makespans[k] = result.makespan
+        oracle_ok = oracle_ok and (result.executed, result.conclusion, m) == (
+            sim.executed, sim.conclusion, sim.total_time)
+        if sim.status == "concluded":  # then so did the unbounded run: t_inf is set
+            bounds_ok = bounds_ok and t_inf <= m <= started_work(steps, sim.starts) / k + t_inf
         entries.append(
             SweepEntry(
                 k=k,
@@ -190,11 +207,6 @@ def sweep(
         for k, m in makespans.items()
     }
 
-    bounds_ok = all(
-        (oracle.critical_path_to_conclusion is None or m >= oracle.critical_path_to_conclusion)
-        and m <= oracle.serial_sum
-        for m in makespans.values()
-    )
     saturated = [m for k, m in sorted(makespans.items()) if k >= oracle.width]
     saturation_ok = all(m == saturated[0] for m in saturated) if saturated else True
 
@@ -208,4 +220,5 @@ def sweep(
         reductions=reductions,
         bounds_ok=bounds_ok,
         saturation_ok=saturation_ok,
+        oracle_ok=oracle_ok,
     )

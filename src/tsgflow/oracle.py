@@ -13,10 +13,13 @@ two readings of one script would be two formats, not two opinions.
     settled in one pass over the topological order.
   * simulate: the run a scheduler with k executors must produce: states
     settled once, then attempts placed in time on a completion heap.
-    serial_simulation is its k=1 case.
-  * timed_analysis: earliest possible conclusion time with unbounded
-    executors (longest-path over the realized subgraph), the executed node
-    set, and the realized parallelism width (maximum antichain).
+    serial_simulation is its k=1 case; with one executor per node it is the
+    unbounded run, whose makespan is the earliest possible conclusion T_inf.
+  * oracle_makespan: the serial makespan, T_inf, and the realized
+    parallelism width: the maximum antichain of the unbounded run's
+    executed steps.
+  * started_work: W_k, the summed latency of the attempts a k-run started,
+    for Graham's bound T_k <= W_k/k + T_inf.
 
 Width uses Dilworth's theorem: over the transitive closure restricted to
 executed nodes, the maximum antichain equals node count minus a maximum
@@ -222,73 +225,9 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
     return simulate(dag, steps, retry_limit, 1)
 
 
-@dataclass
-class TimedAnalysis:
-    conclusion_time: float | None
-    concluding_edge: str | None
-    executed: list[str]
-    width: int
-    node_ready: dict[str, float]
-
-
-def timed_analysis(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> TimedAnalysis:
-    """Unbounded-executor timing of the realized run (longest-path analysis)."""
-    view = _View(dag)
-    applied: dict[str, FinalOutcome] = {}
-
-    def replay(node: str) -> FinalOutcome | None:
-        """Every enabled step runs to its final outcome, in topological order."""
-        if view.kind[node] != "step":
-            return None
-        applied[node] = replay_final_outcome(steps, node, retry_limit)
-        return applied[node]
-
-    node_state, edge_state = _settle(view, replay)
-
-    edge_time: dict[str, float] = {}
-    node_ready: dict[str, float] = {START: 0.0}
-    for u in view.order:
-        if u != START and node_state[u] not in ("enabled", "disabled"):
-            continue
-        if u != START:
-            ins = view.incoming[u]
-            if any(e.id not in edge_time for e in ins):
-                continue
-            node_ready[u] = max((edge_time[e.id] for e in ins), default=0.0)
-        if u == END:
-            continue
-        latency = applied[u].total_latency if u in applied else 0.0
-        finish = node_ready[u] + (latency if node_state[u] == "enabled" else 0.0)
-        for e in view.outgoing[u]:
-            if edge_state[e.id] != "unknown":
-                edge_time[e.id] = finish
-
-    conclusion_time = None
-    concluding_edge = None
-    for e in view.incoming.get(END, ()):
-        if edge_state[e.id] == "enabled" and e.id in edge_time:
-            if conclusion_time is None or edge_time[e.id] < conclusion_time:
-                conclusion_time = edge_time[e.id]
-                concluding_edge = e.id
-
-    executed = [
-        n.id
-        for n in dag.nodes
-        if n.kind == "step"
-        and node_state[n.id] == "enabled"
-        and n.id in node_ready
-        and (conclusion_time is None or node_ready[n.id] <= conclusion_time)
-    ]
-    width = _width(view, executed)
-    return TimedAnalysis(conclusion_time, concluding_edge, executed, width, node_ready)
-
-
 def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
     """Maximum set of mutually unordered nodes among `nodes` (Dilworth)."""
-    return _width(_View(dag), nodes)
-
-
-def _width(view: _View, nodes: list[str]) -> int:
+    view = _View(dag)
     if not nodes:
         return 0
     # bit i stands for the i-th node in topological order; below[u] is the
@@ -340,15 +279,28 @@ class MakespanOracle:
     width: int
 
 
+def started_work(steps: dict[str, list[dict]], starts: list[str]) -> float:
+    """The summed latency of every attempt in `starts` (a node's n-th start
+    replays its n-th attempt)."""
+    seen: dict[str, int] = {}
+    work = 0.0
+    for node in starts:
+        n = seen[node] = seen.get(node, 0) + 1
+        work += attempt_fields(scripted_attempt(steps, node, n))[1]
+    return work
+
+
 def oracle_makespan(dag: ExecutionDag, scenario: dict, retry_limit: int = 2) -> MakespanOracle:
-    """Independent bounds for a scenario: earliest conclusion with unbounded
-    executors, the k=1 serial makespan under FIFO ordering, and the realized
-    parallelism width."""
+    """Independent bounds for a scenario: the k=1 serial makespan under FIFO
+    ordering, and from the unbounded run (one executor per node) the
+    earliest conclusion and the realized parallelism width. Raises
+    ScenarioIncomplete when either run starts a step that has no script; a
+    step that neither run reaches needs none."""
     steps = scenario_steps(scenario)
-    timed = timed_analysis(dag, steps, retry_limit)
     serial = serial_simulation(dag, steps, retry_limit)
+    unbounded = simulate(dag, steps, retry_limit, len(dag.nodes))
     return MakespanOracle(
-        critical_path_to_conclusion=timed.conclusion_time,
+        critical_path_to_conclusion=unbounded.total_time if unbounded.status == "concluded" else None,
         serial_sum=serial.total_time,
-        width=timed.width,
+        width=max_antichain(dag, unbounded.executed),
     )

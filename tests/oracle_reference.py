@@ -10,10 +10,21 @@ checks the one-pass oracle in tsgflow.oracle against them.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
 from tsgflow.dag import END, START, ExecutionDag, node_sort_key
 from tsgflow.engine import ScenarioIncomplete
-from tsgflow.oracle import FinalOutcome, SerialSim, TimedAnalysis, replay_final_outcome
+from tsgflow.oracle import FinalOutcome, SerialSim, replay_final_outcome
+
+
+# the record timed_analysis returns, as tsgflow.oracle defined it
+@dataclass
+class TimedAnalysis:
+    conclusion_time: float | None
+    concluding_edge: str | None
+    executed: list[str]
+    width: int
+    node_ready: dict[str, float]
 
 
 def fixpoint_states(

@@ -135,6 +135,7 @@ def test_sweep_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "k=3 makespan=22" in out
     assert "reduction=48.8%" in out
+    assert report["bounds_ok"] and report["saturation_ok"] and report["oracle_ok"]
 
 
 def test_oracle_command(capsys):
@@ -151,13 +152,31 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_bad_executor_range_is_a_usage_error(capsys):
-    for bad in ("x..3", "3..1", "2..", "two"):
+    syntax, bound = "expected K or A..B with integers A <= B", "expected executor counts >= 1"
+    for bad, message in (("x..3", syntax), ("3..1", syntax), ("2..", syntax), ("two", syntax),
+                         ("0", bound), ("0..2", bound), ("-1..2", bound)):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", str(FIG5_DIR), "--scenario", "dependency_issue", "--executors", bad])
+            # the = form, as argparse reads a separate "-1..2" as an option
+            main(["sweep", str(FIG5_DIR), "--scenario", "dependency_issue", f"--executors={bad}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: tsgflow sweep")
-        assert f"argument --executors: expected K or A..B with integers A <= B, got {bad!r}" in err
+        assert f"argument --executors: {message}, got {bad!r}" in err
+
+
+def test_oracle_and_sweep_leave_out_a_step_no_run_reaches(tmp_path, capsys):
+    """fig5 without step5's script: every run concludes before step5 would
+    start, so both commands report as they do with it."""
+    scenario = json.loads((FIG5_DIR / "scenarios" / "dependency_issue.json").read_text())
+    del scenario["steps"]["step5"]
+    path = tmp_path / "no_step5.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["oracle", str(FIG5_DIR), "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "critical_path_to_conclusion": 22, "serial_sum": 35, "width": 3}
+    assert main(["sweep", str(FIG5_DIR), "--scenario", str(path), "--executors", "1..5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "baseline=self-k1(35) width=3 bounds_ok=True saturation_ok=True oracle_ok=True")
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--executors", "1..2"], ["oracle"]],
@@ -344,3 +363,12 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: tsgflow {argv[0]}")
     assert message in err
+
+
+def test_walkthrough_demo_runs():
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, str(root / "demos" / "walkthrough.py")], env=env,
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "bounds_ok=True saturation_ok=True oracle_ok=True" in done.stdout

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import FIG4_DIR, FIG5_DIR, TRIPLE_DIR
+from tsgflow import harness
 from tsgflow.harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
 
 
@@ -67,7 +68,7 @@ def test_sweep_against_sequential_baseline(fig5_bundle, fig5_scenario, fig4_bund
     assert report.baseline_kind == "sequential-bundle"
     assert report.baseline_makespan == 43
     assert [e.makespan for e in report.entries] == [35, 26, 22, 22, 22]
-    assert report.bounds_ok and report.saturation_ok
+    assert report.oracle_ok and report.bounds_ok and report.saturation_ok
     assert round(report.reductions[3] * 100, 1) == 48.8
     obj = report.to_obj()
     assert obj["oracle"] == {
@@ -83,13 +84,51 @@ def test_sweep_self_baseline(triple_bundle, triple_scenario):
     assert [e.k for e in report.entries] == [1, 3, 5]
     assert report.reductions[1] == 0.0
     assert 0.329 <= report.reductions[3] <= 0.706
-    assert report.bounds_ok and report.saturation_ok
+    assert report.oracle_ok and report.bounds_ok and report.saturation_ok
 
 
 def test_sweep_self_baseline_without_k1(triple_bundle, triple_scenario):
     report = sweep(triple_bundle, triple_scenario, [3, 4])
     assert report.baseline_kind == "self-k1"
     assert report.baseline_makespan == 105  # computed with an extra k=1 run
+
+
+def _tamper(monkeypatch, k, field, change):
+    """Make the engine's run at k executors report `change(result)` as its
+    `field`."""
+    engine_run = harness.run_scenario
+
+    def run_scenario(bundle, scenario, executors=1, **kwargs):
+        result = engine_run(bundle, scenario, executors, **kwargs)
+        if executors == k:
+            setattr(result, field, change(result))
+        return result
+
+    monkeypatch.setattr(harness, "run_scenario", run_scenario)
+
+
+@pytest.mark.parametrize("field,change", [
+    ("makespan", lambda r: r.makespan + 1),
+    ("executed", lambda r: r.executed[:-1]),
+    ("conclusion", lambda r: "other"),
+])
+def test_sweep_reports_a_run_the_oracle_disagrees_with(monkeypatch, fig5_bundle, fig5_scenario,
+                                                      field, change):
+    """oracle_ok turns false when one k's run differs from the oracle's
+    simulation in its makespan, executed steps or conclusion."""
+    _tamper(monkeypatch, 2, field, change)
+    assert not sweep(fig5_bundle, fig5_scenario, [1, 2, 3]).oracle_ok
+    assert sweep(fig5_bundle, fig5_scenario, [1, 3]).oracle_ok
+
+
+@pytest.mark.parametrize("makespan", [21.5, 37])
+def test_sweep_bounds_reject_a_makespan_outside_graham(monkeypatch, fig5_bundle, fig5_scenario,
+                                                        makespan):
+    """fig5 at k=3: T_inf = 22, and the k=3 run starts attempts worth
+    W_3 = 43, cancelled step3.4's included, so 22 <= T_3 <= 43 / 3 + 22."""
+    _tamper(monkeypatch, 3, "makespan", lambda r: makespan)
+    assert not sweep(fig5_bundle, fig5_scenario, [1, 2, 3]).bounds_ok
+    assert sweep(fig5_bundle, fig5_scenario, [1, 2]).bounds_ok
 
 
 def test_sweep_reductions_recomputed_from_makespans(fig5_bundle, fig5_scenario):

@@ -4,10 +4,13 @@ tests/oracle_reference.py keeps the fixpoint-rescan, wave and closure-pair
 forms of the oracle. Every function here must return the same result as
 its reference, compared by repr so dict order counts too, on fixture
 bundles, random DAGs with tied latencies, failures and retries, random
-applied sets and node subsets, and long chains. The one allowed difference:
-when several enabled steps have no attempts, timed_analysis names the
-first of them in topological order, so only the error type is compared
-when more than one step is missing.
+applied sets and node subsets, and long chains.
+
+The reference's timed_analysis, a longest-path model that does not use
+simulate, checks oracle_makespan's unbounded run from a second side:
+wherever it returns, the two conclusion times are equal, and the oracle's
+width is at most the reference's (the reference also counts steps that
+become ready exactly at the conclusion).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from tsgflow.oracle import (
     max_antichain,
     oracle_makespan,
     serial_simulation,
-    timed_analysis,
 )
 
 BUNDLES = Path(__file__).parent / "fixtures" / "bundles"
@@ -49,20 +51,25 @@ def _outcome(fn, *args):
         return f"ScenarioIncomplete: {exc}"
 
 
-def assert_same(dag, steps, retry_limit, missing=0) -> None:
-    """serial_simulation and timed_analysis agree with the reference; with
-    more than one step missing, timed_analysis agrees on the error type."""
+def assert_same(dag, steps, retry_limit) -> bool:
+    """serial_simulation agrees with the reference; wherever the reference's
+    timed_analysis returns, oracle_makespan returns its conclusion time as
+    T_inf and a width no larger than its width. Returns whether the
+    reference returned."""
     assert _outcome(serial_simulation, dag, steps, retry_limit) == _outcome(
         reference.serial_simulation, dag, steps, retry_limit)
-    new = _outcome(timed_analysis, dag, steps, retry_limit)
-    old = _outcome(reference.timed_analysis, dag, steps, retry_limit)
-    if missing > 1:
-        new, old = new.partition(":")[0], old.partition(":")[0]
-    assert new == old
+    try:
+        timed = reference.timed_analysis(dag, steps, retry_limit)
+    except ScenarioIncomplete:
+        return False
+    oracle = oracle_makespan(dag, {"steps": steps}, retry_limit)
+    assert oracle.critical_path_to_conclusion == timed.conclusion_time
+    assert oracle.width <= timed.width
+    return True
 
 
 def test_fixture_bundles_with_steps_dropped():
-    cases = 0
+    cases = timed = 0
     for name, scenario_name in SCENARIOS.items():
         bundle = load_bundle(BUNDLES / name)
         steps = scenario_steps(load_scenario(BUNDLES / name, scenario_name))
@@ -72,9 +79,9 @@ def test_fixture_bundles_with_steps_dropped():
         for drop in dropped:
             kept = {node: attempts for node, attempts in steps.items() if node not in drop}
             for retry_limit in range(3):
-                assert_same(bundle.dag, kept, retry_limit, missing=len(drop))
+                timed += assert_same(bundle.dag, kept, retry_limit)
                 cases += 1
-    assert cases > 300
+    assert cases > 300 and timed > 9
 
 
 def _random_attempts(rng: random.Random, decisions: dict[str, str]) -> list[dict]:
@@ -121,7 +128,7 @@ def _random_decisions(rng: random.Random, dag: ExecutionDag) -> dict[str, dict[s
 
 def test_random_dags_with_tied_latencies_failures_and_retries():
     rng = random.Random(20261018)
-    randdags = 0
+    randdags = timed = 0
     for i in range(1400):
         if i % 4 == 3:
             dag = _forward_dag(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
@@ -130,14 +137,12 @@ def test_random_dags_with_tied_latencies_failures_and_retries():
             dag = random_scripted_dag(rng)
             assignment = rng.choice(success_assignments(dag))
         steps = {node: _random_attempts(rng, decisions) for node, decisions in assignment.items()}
-        missing = 0
         if rng.random() < 0.15:
-            missing = rng.randint(1, 2)
-            for node in rng.sample(sorted(steps), min(missing, len(steps))):
+            for node in rng.sample(sorted(steps), min(rng.randint(1, 2), len(steps))):
                 del steps[node]
-        assert_same(dag, steps, rng.randint(0, 2), missing)
+        timed += assert_same(dag, steps, rng.randint(0, 2))
         randdags += i % 4 != 3
-    assert randdags >= 1000
+    assert randdags >= 1000 and timed > 1100
 
 
 def _random_applied(rng: random.Random, dag: ExecutionDag) -> dict[str, FinalOutcome]:
@@ -208,7 +213,9 @@ def test_oracle_makespan_on_a_500_step_chain_is_not_cubic():
 
 def test_scenario_incomplete_names_the_first_missing_step_in_topological_order():
     """start -> step1 -> step2 and start -> step3: step3 is enabled a wave
-    before step2, but step2 comes first in topological order (ties by id)."""
+    before step2, so the wave-based reference names it; but step2 comes
+    first in topological order (ties by id), and the k=1 run, which
+    enqueues both at t=0, starts step2 first."""
     edges = [(START, "step1"), ("step1", "step2"), (START, "step3"), ("step2", END), ("step3", END)]
     dag = ExecutionDag(
         "pinned",
@@ -217,8 +224,6 @@ def test_scenario_incomplete_names_the_first_missing_step_in_topological_order()
         [DagEdge(edge_id(a, b), a, b) for a, b in edges],
     )
     steps = {"step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}]}
-    with pytest.raises(ScenarioIncomplete, match="no attempts for step2$"):
-        timed_analysis(dag, steps, 0)
     with pytest.raises(ScenarioIncomplete, match="no attempts for step3$"):
         reference.timed_analysis(dag, steps, 0)
     with pytest.raises(ScenarioIncomplete, match="no attempts for step2$"):
