@@ -37,9 +37,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
+from types import MappingProxyType
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
-from .document import TsgDocument, TsgStep
+from .document import TsgDocument
 from .errors import TsgflowError
 from .memory import MemoryRef, MemoryStore, RunScope
 from .queryprep import QueryTemplate
@@ -173,10 +174,11 @@ class StepContext:
 
     Read-only for backends. `history` and `memory_refs` are snapshots taken
     at dispatch; the plugin, template and memory-ref entries are shared by
-    every context of the run, the outgoing-edge mappings (read-only records,
-    see _Record) by every run of the bundle, and `cancel` by every context
-    of the run. The engine builds one per dispatch and passes the fields by
-    position, so a new field goes last, with a default.
+    every context of the run, the outgoing-edge mappings (read-only
+    mappingproxy entries, see StaticContext) by every run of the bundle, and
+    `cancel` by every context of the run. The engine builds one per
+    dispatch and passes the fields by position, so a new field goes last,
+    with a default.
     """
 
     run_id: str
@@ -480,61 +482,16 @@ def _complete_start(state: RunState) -> None:
         state.resolve_edge(edge, _ENABLED, via=START)
 
 
-class _Record(Mapping):
-    """Read-only mapping whose keys are its subclass's `_keys` and whose
-    values are held in one tuple, so building one takes a single
-    object.__setattr__. A bundle keeps its records as long as it lives; a
-    four-key record and its tuple take about half the memory of a dict
-    behind a read-only proxy (120 against 231 bytes)."""
-
-    __slots__ = ("_values",)
-    _keys: tuple[str, ...] = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self._keys):
-            raise TypeError(f"{type(self).__name__} takes {len(self._keys)} values")
-        object.__setattr__(self, "_values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
-
-    def __getitem__(self, key):
-        if key not in self._keys:
-            raise KeyError(key)
-        return self._values[self._keys.index(key)]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self)!r})"
-
-
-class EdgeEntry(_Record):
-    """An outgoing edge as a step context lists it."""
-
-    __slots__ = ()
-    _keys = ("id", "to", "condition", "conclusion")
-
-
-class ConditionEntry(_Record):
-    """The condition of an EdgeEntry."""
-
-    __slots__ = ()
-    _keys = ("question", "label")
-
-
 @dataclass(slots=True)
 class StaticContext:
-    """The parts of a node's StepContext that no run changes."""
+    """The parts of a node's StepContext that no run changes. Each of
+    `edges` is a read-only mappingproxy with the keys id, to, condition and
+    conclusion; a condition is None or a mappingproxy of question and label."""
 
     step_id: str | None
     title: str
     text: str
-    edges: tuple[EdgeEntry, ...]
+    edges: tuple[MappingProxyType, ...]
 
 
 class StaticContexts(dict):
@@ -545,32 +502,28 @@ class StaticContexts(dict):
         super().__init__()
         self.compiled = compiled
         self.doc = doc
-        self._steps: dict[str, TsgStep] | None = None
+        # reversed, so the first step of each id wins
+        self._steps = {step.id: step for step in reversed(doc.steps)} if doc is not None else {}
 
     def __missing__(self, node_id: str) -> StaticContext:
         node = self.compiled.nodes[node_id]
         title, text = node.description, ""
-        step = self._step(node.step_ref) if node.step_ref is not None else None
+        step = self._steps.get(node.step_ref)
         if step is not None:
             title, text = step.title, step.body_text()
         edges = tuple(
-            EdgeEntry(
-                e.id,
-                e.target,
-                ConditionEntry(e.condition.question, e.condition.label) if e.condition else None,
-                e.conclusion,
-            )
+            MappingProxyType({
+                "id": e.id,
+                "to": e.target,
+                "condition": MappingProxyType(
+                    {"question": e.condition.question, "label": e.condition.label}
+                ) if e.condition else None,
+                "conclusion": e.conclusion,
+            })
             for e in self.compiled.outgoing[node_id]
         )
         entry = self[node_id] = StaticContext(node.step_ref, title, text, edges)
         return entry
-
-    def _step(self, step_id: str) -> TsgStep | None:
-        if self._steps is None:
-            self._steps = {}
-            for step in self.doc.steps if self.doc is not None else ():
-                self._steps.setdefault(step.id, step)
-        return self._steps.get(step_id)
 
 
 @dataclass(slots=True)

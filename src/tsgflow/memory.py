@@ -267,7 +267,6 @@ class ContextSummary:
     kind: str
     row_count: int | None
     column_count: int | None
-    schema: list[tuple[str, str]] | None
     sample: list[list[str]] | str
     text: str
     rendered_bytes: int
@@ -332,7 +331,6 @@ def render_context(
             kind="table",
             row_count=t.row_count,
             column_count=t.column_count,
-            schema=list(zip(t.columns, t.types)),
             sample=sample,
             text=text,
             rendered_bytes=len(text.encode("utf-8")),
@@ -356,7 +354,6 @@ def render_context(
         kind=value.kind,
         row_count=None,
         column_count=None,
-        schema=None,
         sample=text,
         text=text,
         rendered_bytes=len(text.encode("utf-8")),

@@ -226,8 +226,10 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
 
 
 def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
-    """Maximum set of mutually unordered nodes among `nodes` (Dilworth)."""
+    """Maximum set of mutually unordered nodes among `nodes` (Dilworth); a
+    repeated id counts once."""
     view = _View(dag)
+    nodes = list(dict.fromkeys(nodes))
     if not nodes:
         return 0
     # bit i stands for the i-th node in topological order; below[u] is the
@@ -268,7 +270,7 @@ def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
             stack.append((match[v], below[match[v]] & chosen))
         return False
 
-    matching = sum(augment(u) for u in dict.fromkeys(nodes))
+    matching = sum(augment(u) for u in nodes)
     return len(nodes) - matching
 
 

@@ -649,7 +649,7 @@ def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):
     with pytest.raises(AttributeError):
         edge["condition"].label = "N"
 
-    # the records behave as read-only mappings over one tuple of values
+    # the entries are read-only mappingproxies over plain dicts
     assert list(edge) == ["id", "to", "condition", "conclusion"] and len(edge) == 4
     assert list(edge.keys()) == list(edge) and list(edge.values()) == [edge[k] for k in edge]
     with pytest.raises(KeyError):
@@ -664,6 +664,6 @@ def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):
     assert list(condition) == ["question", "label"] and len(condition) == 2
     assert condition == {"question": condition["question"], "label": condition["label"]}
     for name in ("label", "_values", "extra"):
-        with pytest.raises(AttributeError, match="ConditionEntry is read-only"):
+        with pytest.raises(AttributeError, match="'mappingproxy' object has no attribute"):
             setattr(condition, name, "N")
     assert condition["label"] in ("Y", "N")

@@ -187,6 +187,14 @@ def test_max_antichain_shapes(fig5_bundle):
     assert max_antichain(dag, []) == 0
 
 
+def test_max_antichain_counts_a_repeated_id_once(fig5_bundle):
+    dag = fig5_bundle.dag
+    assert max_antichain(dag, ["step1", "step1"]) == 1
+    assert max_antichain(dag, ["step3.1", "step3.2", "step3.1"]) == 1
+    assert max_antichain(dag, ["step3.1", "step3.2"]) == 1
+    assert max_antichain(dag, ["step2", "step3.1", "step2", "step4.1"]) == 3
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

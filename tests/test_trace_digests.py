@@ -20,7 +20,7 @@ from pathlib import Path
 from randdag import random_scripted_dag, success_assignments
 from tsgflow.backends import ScriptedBackend
 from tsgflow.engine import Bundle, RunConfig, run
-from tsgflow.harness import load_bundle, load_scenario, run_scenario
+from tsgflow.harness import load_bundle, load_scenario
 
 TESTS_DIR = Path(__file__).parent
 BUNDLES = TESTS_DIR / "fixtures" / "bundles"
@@ -61,14 +61,17 @@ def _random_steps(rng: random.Random, assignment: dict) -> dict[str, list[dict]]
     return steps
 
 
-def traced_runs():
-    """(name, RunResult) for every pinned case, in a fixed order."""
+def run_cases():
+    """(name, bundle, backend, config, incident) for every pinned case, in a
+    fixed order."""
     for bundle_dir in sorted(p for p in BUNDLES.iterdir() if p.is_dir()):
         bundle = load_bundle(bundle_dir)
         for path in sorted((bundle_dir / "scenarios").glob("*.json")):
             scenario = load_scenario(bundle_dir, str(path))
             for k in (1, 2, 3, 4):
-                yield f"{bundle_dir.name}/{path.stem}/k{k}", run_scenario(bundle, scenario, k)
+                yield (f"{bundle_dir.name}/{path.stem}/k{k}", bundle,
+                       ScriptedBackend.from_scenario(scenario), RunConfig(max_executors=k),
+                       scenario.get("incident"))
     rng = random.Random(RANDOM_SEED)
     for i in range(RANDOM_DAGS):
         dag = random_scripted_dag(rng)
@@ -77,8 +80,13 @@ def traced_runs():
         bundle = Bundle(doc=None, dag=dag)
         for k in (1, 2, 3, 4):
             config = RunConfig(max_executors=k, retry_limit=retry_limit)
-            result = run(bundle, ScriptedBackend(steps), config, incident={"id": f"r{i}"})
-            yield f"random/{i}/k{k}", result
+            yield f"random/{i}/k{k}", bundle, ScriptedBackend(steps), config, {"id": f"r{i}"}
+
+
+def traced_runs():
+    """(name, RunResult) for every pinned case, in a fixed order."""
+    for name, bundle, backend, config, incident in run_cases():
+        yield name, run(bundle, backend, config, incident=incident)
 
 
 def trace_digests() -> dict[str, str]:
