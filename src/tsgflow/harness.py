@@ -26,7 +26,7 @@ from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
 from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
 from .errors import TsgflowError
-from .oracle import MakespanOracle, oracle_makespan, simulate, started_work
+from .oracle import MakespanOracle, Simulator, started_work
 from .plugins import build_mock_registry
 from .queryprep import extract_templates, load_manifest
 from .scenario import read_scenario, scenario_steps
@@ -165,16 +165,17 @@ def sweep(
     """
     if not k_values or any(k < 1 for k in k_values):
         raise HarnessError("k_values must be non-empty with every k >= 1")
-    oracle = oracle_makespan(bundle.dag, scenario, retry_limit)
-    t_inf = oracle.critical_path_to_conclusion
     steps = scenario_steps(scenario)
+    simulator = Simulator(bundle.dag, steps, retry_limit)
+    oracle = simulator.makespan()
+    t_inf = oracle.critical_path_to_conclusion
 
     entries = []
     makespans: dict[int, float] = {}
     oracle_ok = bounds_ok = True
     for k in sorted(set(k_values)):
         result = run_scenario(bundle, scenario, executors=k, retry_limit=retry_limit)
-        sim = simulate(bundle.dag, steps, retry_limit, k)
+        sim = simulator.run(k)
         m = makespans[k] = result.makespan
         oracle_ok = oracle_ok and (result.executed, result.conclusion, m) == (
             sim.executed, sim.conclusion, sim.total_time)

@@ -95,15 +95,40 @@ def _check_widths(rows, width: int, first: int = 0) -> None:
             raise InvalidValue(f"row {i} has {len(row)} cells, expected {width}")
 
 
+def _check_cells(t: Table) -> None:
+    """Raise TypeError, as encode_value would, for a cell it cannot encode;
+    a column is checked cell by cell only when it holds an unexpected type."""
+    for i, col_type in enumerate(t.types):
+        timestamps = col_type == "timestamp"
+        column = itemgetter(i)
+        if not set(map(type, map(column, t.rows))) <= (
+            _TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS
+        ):
+            _check_encodable(map(column, t.rows), timestamps)
+
+
 @dataclass
 class Table:
     columns: list[str]
     types: list[str]
     rows: list[list]
 
+    # True when every cell has its column's type by construction: set by
+    # table_from_csv and kept by with_rows, so a put skips the cell scan. A
+    # class attribute, not a field: no constructor argument sets it, and
+    # equality and repr ignore it.
+    _cells_typed = False
+
     def __post_init__(self):
         _check_schema(self.columns, self.types)
         _check_widths(self.rows, len(self.columns))
+
+    def with_rows(self, rows: list[list]) -> Table:
+        """A table of this table's columns and types holding `rows`, each a row
+        of this table or a copy of one; it keeps this table's typed mark."""
+        table = Table(list(self.columns), list(self.types), rows)
+        table._cells_typed = self._cells_typed
+        return table
 
     @property
     def row_count(self) -> int:
@@ -134,15 +159,9 @@ class MemoryValue:
         elif self.kind == "table":
             if not isinstance(self.payload, Table):
                 raise InvalidValue("table payload must be a Table")
-            t: Table = self.payload
-            _check_encodable(t.columns, False)
-            for i, col_type in enumerate(t.types):
-                timestamps = col_type == "timestamp"
-                column = itemgetter(i)
-                if not set(map(type, map(column, t.rows))) <= (
-                    _TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS
-                ):
-                    _check_encodable(map(column, t.rows), timestamps)
+            _check_encodable(self.payload.columns, False)
+            if not self.payload._cells_typed:
+                _check_cells(self.payload)
         else:
             raise InvalidValue(f"unknown value kind {self.kind!r}")
 
@@ -509,17 +528,30 @@ class RunScope:
 
 # -- CSV interchange --------------------------------------------------------
 
-CSV_CHUNK_ROWS = 2048
+CSV_CHUNK_ROWS = 2048  # rows per chunk read through csv.reader
+CSV_BLOCK_CHARS = 1 << 17  # characters per block cut from a plain text
 
-# Column decoders: each maps an iterable of cell texts to an iterator of
-# values, with the per-cell work done inside builtins. A timestamp decodes
-# exactly as parse_timestamp does; text cells are kept as they are.
+# Column decoders: each maps a sequence of cell texts to a list of values,
+# with the per-cell work done inside builtins. A timestamp decodes exactly
+# as parse_timestamp does; text cells are kept as they are. A boolean is
+# looked up, and only a column holding a spelling other than "true" or
+# "false" is decoded again as cell.strip().lower() == "true".
 _ZULU_TO_OFFSET = methodcaller("replace", "Z", "+00:00")
+_BOOLEANS = {"true": True, "false": False}
+
+
+def _decode_booleans(cells) -> list[bool]:
+    values = list(map(_BOOLEANS.get, cells))
+    if None in values:
+        values = list(map("true".__eq__, map(str.lower, map(str.strip, cells))))
+    return values
+
+
 _COLUMN_DECODERS = {
-    "integer": lambda cells: map(int, cells),
-    "decimal": lambda cells: map(float, cells),
-    "boolean": lambda cells: map("true".__eq__, map(str.lower, map(str.strip, cells))),
-    "timestamp": lambda cells: map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells)),
+    "integer": lambda cells: list(map(int, cells)),
+    "decimal": lambda cells: list(map(float, cells)),
+    "boolean": _decode_booleans,
+    "timestamp": lambda cells: list(map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells))),
 }
 
 
@@ -556,36 +588,38 @@ def _is_plain(text: str) -> bool:
 
 
 def _plain_chunks(text: str):
-    """Yield the header row, the type row, then one flat cell list per chunk.
+    """Yield the header row, the type row, then one flat cell list per block.
 
     The text must be plain (_is_plain): each line is one row, cut at ",".
-    Each chunk's lines are sliced out of the text when it is read; an
-    io.StringIO would hold a copy of the whole text, four bytes a character.
+    The data rows are cut in blocks of at most CSV_BLOCK_CHARS characters,
+    each ending at the last "\n" inside it (a line longer than a block is a
+    block of its own), and a block becomes cells with one replace and one
+    split. A block with a line that has other than width - 1 commas raises
+    InvalidValue without naming the row; table_from_csv names it.
     """
-    start, size = 0, len(text)
+    size = len(text) - text.endswith("\n")
 
-    def lines(count: int) -> list[str]:
-        """The next `count` lines, without their "\n"."""
-        nonlocal start
-        if start >= size:
-            return []
-        end = start
-        for _ in range(count):
-            end = text.find("\n", end) + 1 or size
-            if end == size:
-                break
-        block = text[start : end - 1 if text[end - 1] == "\n" else end]
-        start = end
-        return block.split("\n")
+    def line_end(at: int) -> int:
+        end = text.find("\n", at, size)
+        return size if end < 0 else end
 
-    head = [line.split(",") for line in lines(2)]
+    start, head = 0, []
+    while len(head) < 2 and start < size:
+        end = line_end(start)
+        head.append(text[start:end].split(","))
+        start = end + 1
     yield from head
-    width, first = len(head[0]) if head else 0, 0
-    while chunk := lines(CSV_CHUNK_ROWS):
-        if set(map(str.count, chunk, repeat(","))) != {width - 1}:
-            _check_widths([line.split(",") for line in chunk], width, first)
-        yield ",".join(chunk).split(",")
-        first += len(chunk)
+    width = len(head[0]) if head else 0
+    while start < size:
+        stop = start + CSV_BLOCK_CHARS
+        end = size if stop >= size else text.rfind("\n", start, stop + 1)
+        if end < 0:  # no line ends within the block
+            end = line_end(stop)
+        block = text[start:end]
+        start = end + 1
+        if set(map(str.count, block.split("\n"), repeat(","))) != {width - 1}:
+            raise InvalidValue("a ragged row")
+        yield block.replace("\n", ",").split(",")
 
 
 def _read_rows(reader, count: int, first: int) -> list[list[str]]:
@@ -638,28 +672,20 @@ def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int)
             decoded.append(texts)
             continue
         try:
-            decoded.append(list(decode(texts)))
+            decoded.append(decode(texts))
         except ValueError:
             for row, cell in enumerate(texts, first):
                 try:
-                    next(decode((cell,)))
+                    decode((cell,))
                 except ValueError as exc:
                     raise InvalidValue(f"row {row}, column {columns[i]!r}: {exc}") from None
             raise
     return map(list, zip(*decoded))
 
 
-def table_from_csv(text: str) -> Table:
-    """Inverse of table_to_csv.
-
-    Data rows are read CSV_CHUNK_ROWS at a time into one flat list of cell
-    texts per chunk, checked for ragged rows, cut into columns by slicing,
-    decoded column by column and transposed into rows, so raw cell texts
-    live only as long as their chunk. A plain text (_is_plain) is cut at
-    "," and "\n" directly; any other goes through csv.reader. Both give the
-    same cells.
-    """
-    chunks = _plain_chunks(text) if _is_plain(text) else _reader_chunks(text)
+def _decode_table(chunks) -> Table:
+    """The table of a header row, a type row and flat cell lists (see
+    _plain_chunks and _reader_chunks), its cells decoded chunk by chunk."""
     columns, types = next(chunks, None), next(chunks, None)
     if types is None:
         raise InvalidValue("CSV table needs a header row and a type row")
@@ -670,4 +696,27 @@ def table_from_csv(text: str) -> Table:
             rows += cells  # the reader's empty rows; see _reader_chunks
             continue
         rows += _decode_chunk(cells, columns, types, len(rows))
-    return Table(columns, types, rows)
+    table = Table(columns, types, rows)
+    table._cells_typed = True  # each column's cells come from its decoder
+    return table
+
+
+def table_from_csv(text: str) -> Table:
+    """Inverse of table_to_csv.
+
+    Data rows are read a block or chunk at a time into one flat list of
+    cell texts, checked for ragged rows, cut into columns by slicing,
+    decoded column by column and transposed into rows, so raw cell texts
+    live only as long as their block. A plain text (_is_plain) is cut in
+    blocks at "," and "\n" directly. Any other text, and a plain one that
+    does not decode, goes through csv.reader CSV_CHUNK_ROWS rows at a time,
+    so the error raised does not depend on the block size: it is the first
+    in chunk order, a chunk's ragged row before its cells that do not
+    decode, and those column by column.
+    """
+    if _is_plain(text):
+        try:
+            return _decode_table(_plain_chunks(text))
+        except InvalidValue:
+            pass  # named below, as for any other text
+    return _decode_table(_reader_chunks(text))

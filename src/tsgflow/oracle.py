@@ -2,12 +2,13 @@
 
 Every state here comes from a closure computed from scratch, not from the
 engine's incremental event-driven propagation, so the two sides of every
-check stay independent. Each call builds its own view of the DAG: a
-topological order (Kahn's algorithm, ties broken by node_sort_key) and each
-node's incoming and outgoing edges. It imports nothing from the engine; it
-reads scripts through scenario.py (scenario_steps, scripted_attempt,
-attempt_fields), the reader backends.ScriptedBackend uses too, because
-two readings of one script would be two formats, not two opinions.
+check stay independent. Each call, or each Simulator, builds its own view
+of the DAG: a topological order (Kahn's algorithm, ties broken by
+node_sort_key) and each node's incoming and outgoing edges. It imports
+nothing from the engine; it reads scripts through scenario.py
+(scenario_steps, scripted_attempt, attempt_fields), the reader
+backends.ScriptedBackend uses too, because two readings of one script
+would be two formats, not two opinions.
 
   * fixpoint_states: tri-state closure for a set of applied outcomes,
     settled in one pass over the topological order.
@@ -15,6 +16,7 @@ two readings of one script would be two formats, not two opinions.
     settled once, then attempts placed in time on a completion heap.
     serial_simulation is its k=1 case; with one executor per node it is the
     unbounded run, whose makespan is the earliest possible conclusion T_inf.
+    A Simulator runs it at several k from one view, each k once.
   * oracle_makespan: the serial makespan, T_inf, and the realized
     parallelism width: the maximum antichain of the unbounded run's
     executed steps.
@@ -152,6 +154,11 @@ class SerialSim:
 
 
 def simulate(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int, k: int) -> SerialSim:
+    """The run a scheduler with k executors must produce (see _simulate)."""
+    return _simulate(_View(dag), steps, retry_limit, k)
+
+
+def _simulate(view: _View, steps: dict[str, list[dict]], retry_limit: int, k: int) -> SerialSim:
     """The run a scheduler with k executors must produce.
 
     One closure settles every element's final state from each step's
@@ -163,7 +170,6 @@ def simulate(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int, 
     enabled and resolved in turn if disabled. The first enabled edge into
     end concludes; the end states are the closure of the applied outcomes.
     """
-    view = _View(dag)
     outcomes: dict[str, FinalOutcome] = {}
 
     def decide(node: str) -> FinalOutcome | None:
@@ -228,7 +234,10 @@ def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_lim
 def max_antichain(dag: ExecutionDag, nodes: list[str]) -> int:
     """Maximum set of mutually unordered nodes among `nodes` (Dilworth); a
     repeated id counts once."""
-    view = _View(dag)
+    return _max_antichain(_View(dag), nodes)
+
+
+def _max_antichain(view: _View, nodes: list[str]) -> int:
     nodes = list(dict.fromkeys(nodes))
     if not nodes:
         return 0
@@ -292,17 +301,37 @@ def started_work(steps: dict[str, list[dict]], starts: list[str]) -> float:
     return work
 
 
+class Simulator:
+    """simulate() for one DAG, script set and retry limit at any k, from one
+    view of the DAG; each k is simulated once."""
+
+    def __init__(self, dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int):
+        self._view = _View(dag)
+        self._steps = steps
+        self._retry_limit = retry_limit
+        self._runs: dict[int, SerialSim] = {}
+
+    def run(self, k: int) -> SerialSim:
+        if k not in self._runs:
+            self._runs[k] = _simulate(self._view, self._steps, self._retry_limit, k)
+        return self._runs[k]
+
+    def makespan(self) -> MakespanOracle:
+        """oracle_makespan's bounds: the k=1 run first, then the unbounded one."""
+        serial = self.run(1)
+        unbounded = self.run(len(self._view.dag.nodes))
+        concluded = unbounded.status == "concluded"
+        return MakespanOracle(
+            critical_path_to_conclusion=unbounded.total_time if concluded else None,
+            serial_sum=serial.total_time,
+            width=_max_antichain(self._view, unbounded.executed),
+        )
+
+
 def oracle_makespan(dag: ExecutionDag, scenario: dict, retry_limit: int = 2) -> MakespanOracle:
     """Independent bounds for a scenario: the k=1 serial makespan under FIFO
     ordering, and from the unbounded run (one executor per node) the
     earliest conclusion and the realized parallelism width. Raises
     ScenarioIncomplete when either run starts a step that has no script; a
     step that neither run reaches needs none."""
-    steps = scenario_steps(scenario)
-    serial = serial_simulation(dag, steps, retry_limit)
-    unbounded = simulate(dag, steps, retry_limit, len(dag.nodes))
-    return MakespanOracle(
-        critical_path_to_conclusion=unbounded.total_time if unbounded.status == "concluded" else None,
-        serial_sum=serial.total_time,
-        width=max_antichain(dag, unbounded.executed),
-    )
+    return Simulator(dag, scenario_steps(scenario), retry_limit).makespan()

@@ -272,7 +272,7 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
         if k < 0:
             raise PluginError(f"top_k needs k >= 0, got {k}")
         top = heapq.nlargest(k, t.rows, key=itemgetter(col))
-        return Table(list(t.columns), list(t.types), [list(r) for r in top])
+        return t.with_rows([list(r) for r in top])
 
     if op not in ("mean", "max", "min"):
         raise PluginError(f"unknown aggregate op {op!r}")
@@ -303,30 +303,42 @@ def _objects(value, keys: tuple[str, ...]) -> bool:
 class FixtureSet:
     """Read-only view of fixtures/<tsg_id>/ for the mock plugins.
 
-    A fixture file that is not UTF-8, not JSON, not a CSV table or not of
-    the shape its plugin reads raises PluginFailure naming its path.
+    Each fixture file is read with one open. A missing query index, metric
+    series or devops.json raises PluginFailure saying which is missing; any
+    other file that cannot be read (missing, a directory, unreadable), or
+    that is not UTF-8, not JSON, not a CSV table or not of the shape its
+    plugin reads, raises PluginFailure naming its path.
     """
 
     def __init__(self, fixtures_dir: str | Path, tsg_id: str):
         self.root = Path(fixtures_dir) / tsg_id
 
-    def _json(self, path: Path):
+    @staticmethod
+    def _read(path: Path, missing: str | None) -> str:
+        """The file's text; PluginFailure(`missing`) when it does not exist and
+        `missing` is given, PluginFailure naming the path for any other OSError."""
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return path.read_text(encoding="utf-8")
+        except OSError as exc:
+            if missing is not None and isinstance(exc, FileNotFoundError):
+                raise PluginFailure(missing) from None
+            raise PluginFailure(f"{path}: cannot read fixture file: {exc.strerror or exc}") from exc
+
+    def _json(self, path: Path, missing: str):
+        try:
+            return json.loads(self._read(path, missing))
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise PluginFailure(f"{path}: not a UTF-8 JSON file: {exc}") from exc
 
-    def _table(self, path: Path) -> Table:
+    def _table(self, path: Path, missing: str | None = None) -> Table:
         try:
-            return table_from_csv(path.read_text(encoding="utf-8"))
+            return table_from_csv(self._read(path, missing))
         except (ValueError, MemoryStoreError) as exc:  # bad UTF-8 or a bad table
             raise PluginFailure(f"{path}: not a CSV table: {exc}") from exc
 
     def query_table(self, query: str, template: str | None, bindings: dict | None) -> Table:
         index_path = self.root / "queries" / "index.json"
-        if not index_path.exists():
-            raise PluginFailure(f"no query fixtures at {index_path}")
-        entries = self._json(index_path)
+        entries = self._json(index_path, f"no query fixtures at {index_path}")
         if not _objects(entries, ("file",)) or not all(isinstance(e["file"], str) for e in entries):
             raise PluginFailure(f'{index_path}: expected a list of {{"file": ..., ...}} objects')
         chosen = None
@@ -347,18 +359,14 @@ class FixtureSet:
 
     def metric_series(self, metric: str) -> Table:
         path = self.root / "metrics" / f"{metric}.csv"
-        if not path.exists():
-            raise PluginFailure(f"no fixture series for metric {metric!r}")
-        table = self._table(path)
+        table = self._table(path, f"no fixture series for metric {metric!r}")
         if "timestamp" not in table.types:
             raise PluginFailure(f"{path}: a series needs a timestamp column")
         return table
 
     def _devops(self) -> tuple[Path, dict]:
         path = self.root / "devops.json"
-        if not path.exists():
-            raise PluginFailure(f"no devops fixture at {path}")
-        data = self._json(path)
+        data = self._json(path, f"no devops fixture at {path}")
         if not isinstance(data, dict):
             raise PluginFailure(f"{path}: expected a JSON object")
         return path, data
@@ -429,7 +437,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
             rows = [row for row in table.rows if lo <= row[ts_col] <= hi]
         except TypeError:  # cells without an offset: read them as UTC, like an argument
             rows = [row for row in table.rows if lo <= as_utc(row[ts_col]) <= hi]
-        out = Table(list(table.columns), list(table.types), rows)
+        out = table.with_rows(rows)
         ref = store.put(_next_key(store, "plugin.metric_fetch"), out)
         return PluginResult(status="ok", refs=[ref], message=f"{out.row_count} points")
 

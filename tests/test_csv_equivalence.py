@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -20,8 +22,10 @@ from hypothesis import strategies as st
 import csv_reference
 from conftest import BUNDLES
 from test_memory import _csv_tables
+from tsgflow import memory
 from tsgflow.memory import (
     COLUMN_TYPES,
+    CSV_BLOCK_CHARS,
     CSV_CHUNK_ROWS,
     InvalidValue,
     Table,
@@ -75,17 +79,32 @@ _BAD_CELLS = {"integer": "1.5", "decimal": "one", "timestamp": "soon"}
 
 
 @st.composite
-def _plain_texts(draw):
+def _plain_texts(draw, data_chars=None):
+    """A plain CSV text, perhaps with a ragged row or a cell that does not
+    decode. With `data_chars`, a strategy for a length, the data rows are
+    just enough to reach the length it draws, and the faulty rows are drawn
+    near that length as often as anywhere."""
     types = draw(st.lists(st.sampled_from(COLUMN_TYPES), min_size=1, max_size=4))
     distinct = draw(st.lists(st.tuples(*(_PLAIN_CELLS[t] for t in types)), min_size=1, max_size=5))
-    n = draw(st.one_of(
-        st.integers(0, 12),
-        st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
-                         2 * CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1]),
-    ))
+    near = []
+    if data_chars is None:
+        n = draw(st.one_of(
+            st.integers(0, 12),
+            st.sampled_from([CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                             2 * CSV_CHUNK_ROWS, 2 * CSV_CHUNK_ROWS + 1]),
+        ))
+    else:
+        target, n, chars = draw(data_chars), 0, 0
+        while chars < target:
+            chars += len(",".join(distinct[n % len(distinct)])) + 1
+            n += 1
+        near = list(range(max(n - 3, 0), n))
+    row_index = st.integers(0, max(n - 1, 0))
+    if near:
+        row_index |= st.sampled_from(near)
     rows = [list(distinct[i % len(distinct)]) for i in range(n)]
     if rows and draw(st.booleans()):  # a ragged row
-        row = rows[draw(st.integers(0, n - 1))]
+        row = rows[draw(row_index)]
         if draw(st.booleans()):
             row.append(draw(_PLAIN_TEXT))
         else:
@@ -93,7 +112,7 @@ def _plain_texts(draw):
     if rows and draw(st.integers(0, 4)) == 0:  # a cell that does not decode
         col = draw(st.integers(0, len(types) - 1))
         if types[col] in _BAD_CELLS:
-            row = rows[draw(st.integers(0, n - 1))]
+            row = rows[draw(row_index)]
             if col < len(row):
                 row[col] = _BAD_CELLS[types[col]]
     header = [draw(_PLAIN_TEXT) or f"c{i}" for i in range(len(types))]
@@ -110,6 +129,126 @@ def test_plain_texts_match_the_reference(text):
     blank_line = "\n\n" in text or text.startswith("\n")
     assert _is_plain(text) is not blank_line
     assert_matches_reference(text)
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(_plain_texts(data_chars=st.integers(CSV_BLOCK_CHARS - 40, CSV_BLOCK_CHARS + 40)
+                    | st.integers(2 * CSV_BLOCK_CHARS - 40, 2 * CSV_BLOCK_CHARS + 40)))
+def test_texts_around_the_block_size_match_the_reference(text):
+    assert_matches_reference(text)
+
+
+def _block_chars(n: int):
+    """memory.CSV_BLOCK_CHARS set to n while the context lasts."""
+    return mock.patch.object(memory, "CSV_BLOCK_CHARS", n)
+
+
+@st.composite
+def _texts_and_block_sizes(draw):
+    """A plain text, and a block size at one of its first data lines' ends,
+    one character short of it or one past it."""
+    text = draw(_plain_texts())
+    data = text.split("\n", 2)[2] if text.count("\n") >= 2 else ""
+    ends, at = [], -1
+    while len(ends) < 20 and (at := data.find("\n", at + 1)) >= 0:
+        ends.append(at)
+    end = draw(st.sampled_from(ends + [len(data)]))
+    return text, max(end + draw(st.integers(-1, 1)), 1)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(_texts_and_block_sizes())
+def test_small_blocks_match_the_reference(case):
+    text, block = case
+    with _block_chars(block):
+        assert_matches_reference(text)
+
+
+def _fixed_rows(n: int, width: int = 2) -> list[str]:
+    """n data lines of `width` integer cells, each line 8 * width - 1 characters."""
+    return [",".join(f"{i:07d}" for _ in range(width)) for i in range(n)]
+
+
+def test_block_boundaries_match_the_reference():
+    line = 15 + 1  # a _fixed_rows line and its newline
+    per_block = (CSV_BLOCK_CHARS + 1) // line  # the first row after a boundary
+    assert per_block * line - 1 < CSV_BLOCK_CHARS < (per_block + 1) * line - 1  # it straddles
+    head = "a,b\ninteger,integer\n"
+    rows = _fixed_rows(2 * per_block + 5)
+    for text in [
+        head + "\n".join(rows),
+        head + "\n".join(rows) + "\n",
+        head + "\n".join(rows[:per_block]),  # exactly one block
+        head + "\n".join(rows[:per_block]) + "\n",
+        head + "\n".join(rows[:per_block + 1]),
+        head + "\n".join(rows[:per_block + 1]) + "\n",
+    ]:
+        assert_matches_reference(text)
+    # a newline exactly at the block size: 3 characters a line divide it plus one
+    assert (CSV_BLOCK_CHARS + 1) % 3 == 0
+    short = [f"{i % 100:02d}" for i in range(2 * (CSV_BLOCK_CHARS + 1) // 3 + 2)]
+    for n in (len(short), (CSV_BLOCK_CHARS + 1) // 3, (CSV_BLOCK_CHARS + 1) // 3 + 1):
+        for end in ("", "\n"):
+            assert_matches_reference("n\ninteger\n" + "\n".join(short[:n]) + end)
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_faults_in_the_first_row_after_a_boundary_match_the_reference(block):
+    block = block or CSV_BLOCK_CHARS
+    per_block = (block + 1) // (15 + 1)
+    for fault in (",7", ",x"):  # a ragged row, a cell that does not decode
+        rows = _fixed_rows(3 * per_block)
+        with _block_chars(block):
+            blocks = list(memory._plain_chunks("a,b\nt,t\n" + "\n".join(rows)))
+            assert len(blocks[2]) == 2 * per_block  # so row per_block starts a block
+        if fault == ",7":
+            rows[per_block] += fault
+        else:
+            rows[per_block] = rows[per_block][:8] + "x"
+        text = "a,b\ninteger,integer\n" + "\n".join(rows) + "\n"
+        with _block_chars(block):
+            assert_matches_reference(text)
+            with pytest.raises(InvalidValue, match=rf"^row {per_block}[ ,]"):
+                table_from_csv(text)
+
+
+def test_a_line_longer_than_a_block_matches_the_reference():
+    long = "x" * 30
+    texts = [f"a,b\ntext,text\n{long},{long}\ny,z\n", f"a,b\ntext,text\ny,z\n{long},{long}",
+             f"a,b\ntext,text\ny,z\n{long},{long},{long}\ny,z\n", f"a\ntext\n{long}\n{long}\n"]
+    with _block_chars(8):
+        for text in texts:
+            assert_matches_reference(text)
+    # at the real block size such a line needs a raised field limit to be plain
+    old = csv.field_size_limit(4 * CSV_BLOCK_CHARS)
+    try:
+        long = "x" * (CSV_BLOCK_CHARS + 5)
+        for text in (f"a,b\ntext,text\ny,z\n{long},w\ny,z", f"a\ntext\n{long}\n"):
+            assert _is_plain(text)
+            assert_matches_reference(text)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_seeded_multi_block_log_matches_the_reference():
+    rng = Random(20261019)
+    start = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    lines = ["TIMESTAMP,ExceptionType,Count,LatencyMs,Retried",
+             "timestamp,text,integer,decimal,boolean"]
+    for i in range(9000):
+        at = (start + timedelta(seconds=rng.randrange(40_000))).isoformat().replace("+00:00", "Z")
+        kind = f"{rng.choice(['Timeout', 'Queue', 'Auth'])}Exception{rng.randint(0, 40)}"
+        retried = "true" if rng.random() < 0.3 else "false"
+        lines.append(f"{at},{kind},{rng.randrange(1, 10**6)},{rng.uniform(1, 900)!r},{retried}")
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 3 * CSV_BLOCK_CHARS
+    assert _is_plain(text)
+    table = table_from_csv(text)
+    assert table == csv_reference.table_from_csv(text)
+    assert table.row_count == 9000
+    assert {type(row[4]) for row in table.rows} == {bool}
 
 
 @seed(20261018)

@@ -93,6 +93,40 @@ def test_sweep_self_baseline_without_k1(triple_bundle, triple_scenario):
     assert report.baseline_makespan == 105  # computed with an extra k=1 run
 
 
+def _count_oracle_work(monkeypatch):
+    """Counters of the oracle's DAG views built and of its simulations by k."""
+    from tsgflow import oracle
+
+    views, runs = [], []
+    view, simulate = oracle._View, oracle._simulate
+    monkeypatch.setattr(oracle, "_View", lambda dag: views.append(1) or view(dag))
+    monkeypatch.setattr(oracle, "_simulate",
+                        lambda v, steps, retry, k: runs.append(k) or simulate(v, steps, retry, k))
+    return views, runs
+
+
+@pytest.mark.parametrize("ks", [[1, 2, 3, 4], [3, 4], [2, 1]])
+def test_sweep_builds_one_oracle_view_and_simulates_each_k_once(monkeypatch, fig5_bundle,
+                                                                 fig5_scenario, ks):
+    want = sweep(fig5_bundle, fig5_scenario, ks).to_obj()
+    views, runs = _count_oracle_work(monkeypatch)
+    assert sweep(fig5_bundle, fig5_scenario, ks).to_obj() == want
+    unbounded = len(fig5_bundle.dag.nodes)
+    assert views == [1]
+    assert sorted(runs) == sorted({1, unbounded, *ks})
+    assert runs[:2] == [1, unbounded]  # the oracle's bounds come first, as before
+
+
+def test_oracle_makespan_builds_one_view(monkeypatch, fig5_bundle, fig5_scenario):
+    from tsgflow.oracle import oracle_makespan
+
+    want = oracle_makespan(fig5_bundle.dag, fig5_scenario)
+    views, runs = _count_oracle_work(monkeypatch)
+    assert oracle_makespan(fig5_bundle.dag, fig5_scenario) == want
+    assert views == [1]
+    assert runs == [1, len(fig5_bundle.dag.nodes)]
+
+
 def _tamper(monkeypatch, k, field, change):
     """Make the engine's run at k executors report `change(result)` as its
     `field`."""

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsgflow import memory
 from tsgflow.memory import (
     COLUMN_TYPES,
+    CSV_BLOCK_CHARS,
     CSV_CHUNK_ROWS,
     CorruptLog,
     FileBackedStore,
@@ -362,6 +366,123 @@ def test_csv_undecodable_cell_names_row_and_column():
     lines[2 + late] = f"x{late},soon"
     with pytest.raises(InvalidValue, match=rf"^row {late}, column 'at': Invalid isoformat string"):
         table_from_csv("\n".join(lines))
+
+
+@pytest.mark.parametrize("block", [CSV_BLOCK_CHARS, 50])
+def test_csv_faults_in_the_first_row_after_a_block_boundary_name_the_row(block):
+    rows = [f"x{i:05d},{i % 100:02d}" for i in range(3 * block // 10)]  # 9 characters each
+    per_block = (block + 1) // 10  # lines whose newline is within the first block
+    head = "s,n\ntext,integer\n"
+    with mock.patch.object(memory, "CSV_BLOCK_CHARS", block):
+        chunks = memory._plain_chunks(head + "\n".join(rows))
+        assert len(list(chunks)[2]) == 2 * per_block  # so row per_block starts a block
+        ragged = rows[:per_block] + [rows[per_block] + ",7"] + rows[per_block + 1:]
+        with pytest.raises(InvalidValue, match=rf"^row {per_block} has 3 cells, expected 2$"):
+            table_from_csv(head + "\n".join(ragged))
+        bad = rows[:per_block] + [f"x{per_block:05d},1.5"] + rows[per_block + 1:]
+        with pytest.raises(InvalidValue, match=(
+                rf"^row {per_block}, column 'n': "
+                r"invalid literal for int\(\) with base 10: '1.5'$")):
+            table_from_csv(head + "\n".join(bad) + "\n")
+        # two ragged rows whose commas add up, within a block and across a boundary;
+        # each line keeps its length, so the blocks are cut where they were
+        for at in (per_block - 2, per_block - 1):
+            uneven = list(rows)
+            uneven[at] = uneven[at][:3] + "," + uneven[at][4:]
+            uneven[at + 1] = uneven[at + 1].replace(",", "0")
+            with pytest.raises(InvalidValue, match=rf"^row {at} has 3 cells, expected 2$"):
+                table_from_csv(head + "\n".join(uneven))
+
+
+@pytest.mark.parametrize("faults, message", [
+    # the first CSV_CHUNK_ROWS-row chunk holding a fault decides; within it a
+    # ragged row comes before a cell that does not decode, and a cell in a
+    # lower column before one in a higher
+    ({100: "x00100,1.5", CSV_CHUNK_ROWS + 400: "x,1,2"}, r"^row 100, column 'n': "),
+    ({1500: "x,1,2", 100: "x00100,1.5"}, r"^row 1500 has 3 cells, expected 2$"),
+    ({50: "x00050,1.5", CSV_CHUNK_ROWS + 50: "x,1,2"}, r"^row 50, column 'n': "),
+    ({CSV_CHUNK_ROWS + 9: "x,1,2", CSV_CHUNK_ROWS - 1: "x,1", 100: "x,1,2,3"},
+     r"^row 100 has 4 cells"),
+    ({CSV_CHUNK_ROWS - 2: "x,1,2", CSV_CHUNK_ROWS + 2: "x"},
+     rf"^row {CSV_CHUNK_ROWS - 2} has 3 cells"),
+])
+def test_csv_with_several_faults_names_the_first_in_chunk_order(faults, message):
+    rows = [f"x{i:05d},{i % 100}" for i in range(3 * CSV_CHUNK_ROWS)]
+    for at, line in faults.items():
+        rows[at] = line
+    with pytest.raises(InvalidValue, match=message):
+        table_from_csv("s,n\ntext,integer\n" + "\n".join(rows) + "\n")
+
+
+def test_csv_cells_in_two_columns_that_do_not_decode_name_the_lower_column():
+    rows = [f"{i},{i}" for i in range(3 * CSV_CHUNK_ROWS)]
+    rows[1000] = "1000,x"
+    rows[2000] = "y,2000"
+    with pytest.raises(InvalidValue, match=r"^row 2000, column 'a': "):
+        table_from_csv("a,b\ninteger,integer\n" + "\n".join(rows))
+    rows[2000], rows[CSV_CHUNK_ROWS + 10] = "2000,2000", "y,1"
+    with pytest.raises(InvalidValue, match=r"^row 1000, column 'b': "):
+        table_from_csv("a,b\ninteger,integer\n" + "\n".join(rows))
+
+
+def test_csv_rows_cut_in_blocks_keep_their_order_and_count():
+    rows = [f"x{i:05d},{i}" for i in range(3 * CSV_BLOCK_CHARS // 8)]
+    for end in ("", "\n"):
+        table = table_from_csv("s,n\ntext,integer\n" + "\n".join(rows) + end)
+        assert table.rows == [[f"x{i:05d}", i] for i in range(len(rows))]
+    with mock.patch.object(memory, "CSV_BLOCK_CHARS", 4):  # every line longer than a block
+        table = table_from_csv("s,n\ntext,integer\nab,1\ncdefgh,22\n")
+    assert table.rows == [["ab", 1], ["cdefgh", 22]]
+
+
+def test_csv_boolean_spellings_other_than_true_and_false():
+    text = "b\nboolean\ntrue\nfalse\n TRUE \nno\n\u0130\n"  # \u0130 lowers to two characters
+    assert table_from_csv(text).rows == [[True], [False], [True], [False], [False]]
+    assert table_from_csv("b\nboolean\ntrue\nfalse\n").rows == [[True], [False]]
+
+
+def test_decoded_table_is_put_without_a_cell_scan(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(memory, "_check_cells", scanned.append)
+    text = "s,n,at\ntext,integer,timestamp\na,1,2026-03-01T00:00:00Z\nb,2,2026-03-01T00:00:01Z\n"
+    decoded = table_from_csv(text)
+    store = MemoryStore()
+    store.put("decoded", decoded)
+    store.put("derived", decoded.with_rows([list(decoded.rows[1])]))
+    RunScope(store, "run").put("scoped", decoded)
+    assert scanned == []
+    by_hand = Table(list(decoded.columns), list(decoded.types), [list(r) for r in decoded.rows])
+    literal = {"columns": ["s"], "types": ["text"], "rows": [["a"]]}
+    for value in (by_hand, by_hand.with_rows([]), value_from_literal(literal),
+                  decode_value(encode_value(memory_value(decoded)))):
+        store.put("other", value)
+    assert len(scanned) == 4
+
+
+def test_hand_built_table_with_a_bad_cell_fails_at_put():
+    when = datetime(2024, 1, 1, tzinfo=timezone.utc)
+    for columns, types, rows in [
+        (["note"], ["text"], [["fine"], [object()]]),
+        (["note"], ["text"], [["fine"], [when]]),  # a datetime outside a timestamp column
+        (["n", "at"], ["integer", "timestamp"], [[when, 1]]),
+    ]:
+        table = Table(columns, types, rows)
+        with pytest.raises(TypeError):
+            MemoryStore().put("t", table)
+        with pytest.raises(TypeError):
+            MemoryStore().put("t", table.with_rows(list(table.rows)))
+
+
+def test_decoder_mark_is_not_a_field():
+    decoded = table_from_csv("s,n\ntext,integer\na,1\n")
+    by_hand = Table(["s", "n"], ["text", "integer"], [["a", 1]])
+    assert [f.name for f in dataclasses.fields(Table)] == ["columns", "types", "rows"]
+    assert decoded == by_hand
+    assert repr(decoded) == repr(by_hand) == (
+        "Table(columns=['s', 'n'], types=['text', 'integer'], rows=[['a', 1]])")
+    assert dataclasses.asdict(decoded) == dataclasses.asdict(by_hand)
+    with pytest.raises(TypeError):
+        Table(["s"], ["text"], [], _cells_typed=True)
 
 
 _PY_TYPES = {"text": str, "integer": int, "decimal": float, "boolean": bool, "timestamp": datetime}

@@ -3,11 +3,13 @@ from __future__ import annotations
 import shutil
 import statistics
 from datetime import date, datetime, timezone
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from conftest import FIG4_DIR
+from tsgflow import memory
 from tsgflow.memory import MemoryStore, RunScope, Table, table_to_csv
 from tsgflow.plugins import (
     ArgSchemaViolation,
@@ -230,6 +232,30 @@ def test_aggregate_plugin_returns_table_as_ref(registry, store):
     assert store.get(result.refs[0].key).payload.rows == [["b", 41]]
 
 
+def test_decoded_tables_and_their_derivatives_are_put_without_a_cell_scan(
+        monkeypatch, registry, store, fig4_bundle):
+    scanned = []
+    monkeypatch.setattr(memory, "_check_cells", scanned.append)
+    logs = registry.invoke("log_query", _top_exceptions_args(fig4_bundle), store).refs[0]
+    window = registry.invoke("metric_fetch", {"metric": "availability_web", **WINDOW},
+                             store).refs[0]
+    top = registry.invoke("analysis.aggregate", {"key": logs.key + "#Count", "op": "top_k", "k": 2},
+                          store).refs[0]
+    assert scanned == []
+    assert store.get(window.key).payload.row_count > 0
+    assert store.get(top.key).payload.row_count == 2
+    deployments = registry.invoke("devops_deployments", WINDOW, store).refs[0]
+    assert scanned == [store.get(deployments.key).payload]  # built by hand, so scanned
+
+
+def test_top_k_of_a_hand_built_table_is_scanned_too(monkeypatch, registry, store):
+    scanned = []
+    monkeypatch.setattr(memory, "_check_cells", scanned.append)
+    store.put("exc", Table(["kind", "count"], ["text", "integer"], [["a", 3], ["b", 41]]))
+    top = registry.invoke("analysis.aggregate", {"key": "exc#count", "op": "top_k", "k": 1}, store)
+    assert scanned == [store.get("exc").payload, store.get(top.refs[0].key).payload]
+
+
 def test_results_never_inline_tables(registry, store, fig4_bundle):
     """Every mock plugin honors the by-reference contract for tabular data."""
     prepared = _prepared_top_exceptions(fig4_bundle)
@@ -405,6 +431,75 @@ def test_fixture_csv_that_is_not_utf8_names_its_path(tmp_path, fig4_bundle):
     registry, path = _fixture_copy(tmp_path, "queries/top_exceptions.csv", "")
     path.write_bytes(b"ExceptionType\ntext\n\xff\n")
     _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+
+
+def _fixture_tree(tmp_path):
+    shutil.copytree(FIXTURES / FIG4_TSG, tmp_path / FIG4_TSG)
+    return build_mock_registry(tmp_path, FIG4_TSG), tmp_path / FIG4_TSG
+
+
+def test_query_csv_named_by_the_index_but_absent_names_its_path(tmp_path, fig4_bundle):
+    registry, root = _fixture_tree(tmp_path)
+    path = root / "queries" / "top_exceptions.csv"
+    path.unlink()
+    message = _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
+    assert message == f"{path}: cannot read fixture file: No such file or directory"
+
+
+@pytest.mark.parametrize("relative, name", [
+    ("queries/index.json", "log_query"),
+    ("queries/top_exceptions.csv", "log_query"),
+    ("metrics/availability_web.csv", "metric_fetch"),
+    ("devops.json", "devops_deployments"),
+    ("devops.json", "devops_code_changes"),
+])
+def test_fixture_path_that_is_a_directory_names_its_path(tmp_path, fig4_bundle, relative, name):
+    registry, root = _fixture_tree(tmp_path)
+    path = root / relative
+    path.unlink()
+    path.mkdir()
+    args = {
+        "log_query": _top_exceptions_args(fig4_bundle),
+        "metric_fetch": {"metric": "availability_web", **WINDOW},
+        "devops_deployments": WINDOW,
+        "devops_code_changes": {"deployment_id": "dep-2026-03-01-a"},
+    }[name]
+    message = _fails_naming(registry, name, args, path)
+    assert message.startswith(f"{path}: cannot read fixture file: ")
+
+
+def test_missing_fixture_files_keep_their_messages(tmp_path, fig4_bundle):
+    registry, root = _fixture_tree(tmp_path)
+    for relative in ("queries/index.json", "metrics/availability_web.csv", "devops.json"):
+        (root / relative).unlink()
+    for name, args, message in [
+        ("log_query", _top_exceptions_args(fig4_bundle),
+         f"no query fixtures at {root / 'queries' / 'index.json'}"),
+        ("metric_fetch", {"metric": "availability_web", **WINDOW},
+         "no fixture series for metric 'availability_web'"),
+        ("devops_deployments", WINDOW, f"no devops fixture at {root / 'devops.json'}"),
+        ("devops_code_changes", {"deployment_id": "d"}, f"no devops fixture at {root / 'devops.json'}"),
+    ]:
+        with pytest.raises(PluginFailure) as info:
+            registry.invoke(name, args, MemoryStore())
+        assert str(info.value) == message
+
+
+def test_fixture_files_are_read_without_a_separate_stat(monkeypatch, registry, store, fig4_bundle):
+    checked = []
+    exists = Path.exists
+
+    def spy(self, *args, **kwargs):
+        if FIXTURES in self.parents:
+            checked.append(self)
+        return exists(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", spy)
+    registry.invoke("log_query", _top_exceptions_args(fig4_bundle), store)
+    registry.invoke("metric_fetch", {"metric": "availability_web", **WINDOW}, store)
+    registry.invoke("devops_deployments", WINDOW, store)
+    registry.invoke("devops_code_changes", {"deployment_id": "dep-2026-03-01-a"}, store)
+    assert checked == []
 
 
 @pytest.mark.parametrize("name, args, bad", [
