@@ -81,6 +81,17 @@ def _key_value(text: str) -> tuple[str, str]:
     return key, value
 
 
+def _command_line(text: str) -> list[str]:
+    """An argparse type for a command line of one or more words, split as a shell would."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+    if not argv:
+        raise argparse.ArgumentTypeError(f"expected a command, got {text!r}")
+    return argv
+
+
 def _escaped(text: str) -> str:
     """`text` with each lone surrogate (what a `\\ud800` escape in a JSON
     input decodes to) written as that escape, as the trace and report files
@@ -95,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser("lint", help="run quality checks over a guide")
     p_lint.add_argument("tsg")
     p_lint.add_argument("--json", action="store_true")
-    p_lint.add_argument("--analyzer", metavar="CMD",
+    p_lint.add_argument("--analyzer", metavar="CMD", type=_command_line,
                         help="external analyzer command line (split as a shell would)")
 
     p_extract = sub.add_parser("extract", help="extract artifacts from a guide")
@@ -139,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lint(args) -> int:
     doc = parse_tsg(read_utf8(args.tsg))
-    analyzer = ExternalAnalyzer(shlex.split(args.analyzer)) if args.analyzer else None
+    analyzer = ExternalAnalyzer(args.analyzer) if args.analyzer else None
     findings = lint(doc, analyzer=analyzer)
     if args.json:
         sys.stdout.write(_escaped(findings_to_json(findings)))

@@ -39,7 +39,7 @@ from enum import Enum
 from itertools import islice
 from types import MappingProxyType
 
-from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, InvalidDag, compile_dag
+from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, compile_dag
 from .document import TsgDocument
 from .errors import TsgflowError
 from .memory import MemoryRef, MemoryStore, RunScope
@@ -52,10 +52,6 @@ class EngineError(TsgflowError):
 
 
 class ConfigInvalid(EngineError):
-    pass
-
-
-class DagInvalid(EngineError):
     pass
 
 
@@ -236,41 +232,46 @@ class RunConfig:
     clock: str = "virtual"  # "virtual" | "wall"
 
     def validate(self) -> None:
-        if self.max_executors < 1:
-            raise ConfigInvalid(f"max_executors must be >= 1, got {self.max_executors}")
-        if self.retry_limit < 0:
-            raise ConfigInvalid(f"retry_limit must be >= 0, got {self.retry_limit}")
+        for name, low in (("max_executors", 1), ("retry_limit", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # not a bool, float or str either
+                raise ConfigInvalid(f"{name} must be an integer >= {low}, got {value!r}")
         if self.clock not in ("virtual", "wall"):
             raise ConfigInvalid(f"clock must be 'virtual' or 'wall', got {self.clock!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
-    """A guide ready to run. `dag` is compiled and validated once, by
-    load_bundle or by the first run(); treat it as immutable from then on and
-    build a new Bundle to run a different DAG. `static_contexts` caches the
-    parts of each node's StepContext that no run changes."""
+    """A guide ready to run, its `dag` compiled and validated once, when the
+    bundle is built: an invalid DAG raises dag.InvalidDag here, not in run().
+    Frozen; to run a different DAG, build a new Bundle (dataclasses.replace,
+    say). `static_contexts` holds the parts of each node's StepContext that no
+    run changes, each built on its node's first dispatch."""
 
     doc: TsgDocument | None
     dag: ExecutionDag
     templates: list[QueryTemplate] = field(default_factory=list)
-    registry: object = None
-    compiled: CompiledDag | None = field(default=None, repr=False, compare=False)
-    static_contexts: StaticContexts | None = field(default=None, repr=False, compare=False)
+    registry: object = None  # a plugins.PluginRegistry, or None
+    compiled: CompiledDag = field(init=False, repr=False, compare=False)
+    static_contexts: StaticContexts = field(init=False, repr=False, compare=False)
+    plugin_summaries: list[dict] = field(init=False, repr=False, compare=False)
+    template_names: list[str] = field(init=False, repr=False, compare=False)
 
-
-def _compile(dag: ExecutionDag) -> CompiledDag:
-    try:
-        return compile_dag(dag)
-    except InvalidDag as exc:
-        raise DagInvalid(str(exc)) from None
+    def __post_init__(self):
+        compiled = compile_dag(self.dag)
+        self.__dict__.update(  # a frozen dataclass refuses plain assignment
+            compiled=compiled,
+            static_contexts=StaticContexts(compiled, self.doc),
+            plugin_summaries=self.registry.summaries() if self.registry is not None else [],
+            template_names=[t.name for t in self.templates],
+        )
 
 
 class RunState:
     """Tri-state of one run plus its trace; owned by a single scheduler loop."""
 
     def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = 2):
-        compiled = dag if isinstance(dag, CompiledDag) else _compile(dag)
+        compiled = dag if isinstance(dag, CompiledDag) else compile_dag(dag)
         self.compiled = compiled
         self.retry_limit = retry_limit
         self.node_state = dict.fromkeys(compiled.nodes, ElementState.UNKNOWN)
@@ -501,7 +502,6 @@ class StaticContexts(dict):
     def __init__(self, compiled: CompiledDag, doc: TsgDocument | None):
         super().__init__()
         self.compiled = compiled
-        self.doc = doc
         # reversed, so the first step of each id wins
         self._steps = {step.id: step for step in reversed(doc.steps)} if doc is not None else {}
 
@@ -533,19 +533,18 @@ class _RunInputs:
     run_id: str
     incident: dict
     scope: RunScope
-    static: StaticContexts
-    plugins: list[dict]
-    templates: list[str]
+    bundle: Bundle
     cancel: threading.Event
     clock: str
 
 
 def _build_context(state: RunState, node_id: str, attempt: int, inputs: _RunInputs) -> StepContext:
-    static = inputs.static[node_id]
+    bundle = inputs.bundle
+    static = bundle.static_contexts[node_id]
     # positional, in StepContext's field order
     return StepContext(
         inputs.run_id, node_id, static.step_id, static.title, static.text, inputs.incident,
-        static.edges, Snapshot(state.history), inputs.plugins, inputs.templates,
+        static.edges, Snapshot(state.history), bundle.plugin_summaries, bundle.template_names,
         Snapshot(state.memory_ref_entries), attempt, inputs.scope, inputs.cancel, inputs.clock,
     )
 
@@ -594,28 +593,10 @@ def run(
     """Execute a bundle's DAG against a backend and return status plus trace."""
     config = config or RunConfig()
     config.validate()
-    if bundle.compiled is None or bundle.compiled.dag is not bundle.dag:
-        bundle.compiled = _compile(bundle.dag)
-    static = bundle.static_contexts
-    if static is None or static.compiled is not bundle.compiled or static.doc is not bundle.doc:
-        static = bundle.static_contexts = StaticContexts(bundle.compiled, bundle.doc)
-
     incident = incident or {}
     if run_id is None:
         run_id = f"{bundle.dag.tsg_id}/{incident.get('id', 'run')}"
     scope = RunScope(store if store is not None else MemoryStore(), run_id)
-    plugin_descriptors = []
-    if bundle.registry is not None:
-        plugin_descriptors = [
-            {
-                "name": d.name,
-                "params": [
-                    {"name": p.name, "kind": p.kind, "required": p.required} for p in d.params
-                ],
-                "result": d.result,
-            }
-            for d in bundle.registry.descriptors()
-        ]
 
     state = RunState(bundle.compiled, retry_limit=config.retry_limit)
     state.emit(
@@ -633,9 +614,7 @@ def run(
         run_id=run_id,
         incident=incident,
         scope=scope,
-        static=static,
-        plugins=plugin_descriptors,
-        templates=[t.name for t in bundle.templates],
+        bundle=bundle,
         cancel=threading.Event(),
         clock=config.clock,
     )

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .backends import ScriptedBackend
-from .dag import InvalidDag, SchemaViolation, compile_dag, extract_dag, load_dag
+from .dag import InvalidDag, SchemaViolation, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
 from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
 from .errors import TsgflowError
@@ -51,10 +51,6 @@ def load_bundle(path: str | Path) -> Bundle:
             raise SchemaViolation(f"{dag_path}: {exc.path}", exc.message) from None
     else:
         dag = extract_dag(doc)
-    try:
-        compiled = compile_dag(dag)
-    except InvalidDag as exc:
-        raise HarnessError(f"bundle {root}: invalid DAG: {exc}") from None
 
     qpp_path = root / "qpp.json"
     if qpp_path.exists():
@@ -66,13 +62,10 @@ def load_bundle(path: str | Path) -> Bundle:
     registry = None
     if (fixtures_dir / doc.tsg_id).is_dir():
         registry = build_mock_registry(fixtures_dir, doc.tsg_id)
-    return Bundle(
-        doc=doc,
-        dag=dag,
-        templates=templates,
-        registry=registry,
-        compiled=compiled,
-    )
+    try:
+        return Bundle(doc=doc, dag=dag, templates=templates, registry=registry)
+    except InvalidDag as exc:
+        raise HarnessError(f"bundle {root}: invalid DAG: {exc}") from None
 
 
 def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:

@@ -53,6 +53,8 @@ class LineChild:
     def _running(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             self.close()  # a dead child's pipes are closed before a new one starts
+            if not self.command:
+                raise ChildUnavailable("cannot start an empty command")
             try:
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0

@@ -575,13 +575,14 @@ def _is_plain(text: str) -> bool:
     """True when the excel dialect splits `text` only on "," and "\n".
 
     That holds when the text has no quote, carriage return or NUL (which
-    csv.reader rejects before Python 3.11), no blank line, and no line
-    longer than csv.field_size_limit(), so no field can exceed the limit. A
-    run of more than `limit` characters without a newline covers a whole
-    block of `limit // 2 + 1` characters starting at a multiple of that
-    size, so one find per block rules such lines out.
+    csv.reader rejects before Python 3.11), no leading blank line (a later
+    one fails _plain_chunks) and no line longer than csv.field_size_limit(),
+    so no field can exceed the limit. A run of more than `limit` characters
+    without a newline covers a whole block of `limit // 2 + 1` characters
+    starting at a multiple of that size, so one find per block rules such
+    lines out.
     """
-    if any(c in text for c in '"\r\0') or "\n\n" in text or text.startswith("\n"):
+    if any(c in text for c in '"\r\0') or text.startswith("\n"):
         return False
     step = csv.field_size_limit() // 2 + 1
     return all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
@@ -594,8 +595,8 @@ def _plain_chunks(text: str):
     The data rows are cut in blocks of at most CSV_BLOCK_CHARS characters,
     each ending at the last "\n" inside it (a line longer than a block is a
     block of its own), and a block becomes cells with one replace and one
-    split. A block with a line that has other than width - 1 commas raises
-    InvalidValue without naming the row; table_from_csv names it.
+    split. A block with a blank line or a line of other than width - 1
+    commas raises InvalidValue without naming the row; table_from_csv names it.
     """
     size = len(text) - text.endswith("\n")
 
@@ -610,14 +611,15 @@ def _plain_chunks(text: str):
         start = end + 1
     yield from head
     width = len(head[0]) if head else 0
-    while start < size:
+    while start <= size:  # start == size after a "\n" at size - 1: a blank last line
         stop = start + CSV_BLOCK_CHARS
         end = size if stop >= size else text.rfind("\n", start, stop + 1)
         if end < 0:  # no line ends within the block
             end = line_end(stop)
         block = text[start:end]
         start = end + 1
-        if set(map(str.count, block.split("\n"), repeat(","))) != {width - 1}:
+        lines = block.split("\n")  # with width > 1, a blank line has too few commas
+        if set(map(str.count, lines, repeat(","))) != {width - 1} or width == 1 and "" in lines:
             raise InvalidValue("a ragged row")
         yield block.replace("\n", ",").split(",")
 

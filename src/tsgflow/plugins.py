@@ -136,6 +136,15 @@ class PluginRegistry:
     def descriptors(self) -> list[PluginDescriptor]:
         return [self._plugins[n][0] for n in self.names()]
 
+    def summaries(self) -> list[dict]:
+        """Each descriptor as a step context lists it: name, params, result contract."""
+        return [
+            {"name": d.name,
+             "params": [{"name": p.name, "kind": p.kind, "required": p.required} for p in d.params],
+             "result": d.result}
+            for d in self.descriptors()
+        ]
+
     def invoke(self, name: str, args: dict, store) -> PluginResult:
         if name not in self._plugins:
             raise UnknownPlugin(name)

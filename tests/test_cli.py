@@ -365,6 +365,20 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("analyzer,message", [
+    ("foo 'bar", """argument --analyzer: No closing quotation, got "foo 'bar\""""),
+    (" ", "argument --analyzer: expected a command, got ' '"),
+    ("", "argument --analyzer: expected a command, got ''"),
+], ids=["unclosed-quote", "blank", "empty"])
+def test_analyzer_that_is_no_command_is_a_usage_error(capsys, analyzer, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(FIG5_DIR / "tsg.md"), "--analyzer", analyzer])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tsgflow lint")
+    assert message in err
+
+
 def test_walkthrough_demo_runs():
     root = Path(__file__).parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

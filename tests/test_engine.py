@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -8,12 +9,11 @@ import tsgflow.dag
 from conftest import FIG5_DIR
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from tsgflow.backends import ScriptedBackend
-from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
+from tsgflow.dag import DagEdge, DagNode, ExecutionDag, InvalidDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
     Bundle,
     ConfigInvalid,
-    DagInvalid,
     ElementState,
     ExecutorBackend,
     IncompleteEdgeDecisions,
@@ -308,8 +308,18 @@ def test_config_and_dag_validation(fig4_bundle):
         nodes=[DagNode("start", "start", ""), DagNode("end", "end", "")],
         edges=[DagEdge("oops", "start", "end")],
     )
-    with pytest.raises(DagInvalid):
+    with pytest.raises(InvalidDag):
         run(bundle_of(broken), scripted({}), RunConfig(max_executors=1))
+
+
+@pytest.mark.parametrize("name,value", [
+    ("max_executors", 2.5), ("max_executors", True), ("max_executors", "2"),
+    ("max_executors", 0), ("retry_limit", 1.0), ("retry_limit", False), ("retry_limit", "0"),
+    ("retry_limit", -1), ("retry_limit", None),
+])
+def test_run_config_counts_are_ints(name, value):
+    with pytest.raises(ConfigInvalid, match=rf"^{name} must be an integer >= [01], got "):
+        run(bundle_of(linear_dag(1)), scripted({}), RunConfig(**{name: value}))
 
 
 def test_dependency_issue_run(fig4_bundle, fig4_scenario):
@@ -502,9 +512,10 @@ def test_loaded_bundle_validated_once(monkeypatch, fig5_scenario):
     assert len(calls) == 1
 
 
-def test_hand_built_bundle_compiled_on_first_run(monkeypatch):
+def test_hand_built_bundle_compiled_once_and_frozen(monkeypatch):
     calls = _count_validations(monkeypatch)
     bundle = bundle_of(linear_dag(2))
+    assert len(calls) == 1  # compiled when built, before any run
     steps = {
         "step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}],
         "step2": [{"result": "success", "edge_decisions": {"edge_step2_end": "enable"}}],
@@ -512,22 +523,22 @@ def test_hand_built_bundle_compiled_on_first_run(monkeypatch):
     for _ in range(3):
         assert run(bundle, scripted(steps)).conclusion == "finished"
     assert len(calls) == 1
-    bundle.dag = linear_dag(1)  # a replaced DAG is compiled afresh
-    with pytest.raises(ScenarioIncomplete):
-        run(bundle, scripted({}))
-    assert len(calls) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.dag = linear_dag(1)
+    assert bundle.compiled.dag is bundle.dag and len(bundle.compiled.nodes) == 4
 
 
-def test_invalid_hand_built_bundle_raises_on_every_run():
+def test_invalid_hand_built_bundle_raises_when_built():
     broken = ExecutionDag(
         tsg_id="broken",
         nodes=[DagNode("start", "start", ""), DagNode("end", "end", "")],
         edges=[DagEdge("oops", "start", "end")],
     )
-    bundle = bundle_of(broken)
-    for _ in range(3):
-        with pytest.raises(DagInvalid, match=r"malformed-edge-id\(oops\)"):
-            run(bundle, scripted({}), RunConfig(max_executors=1))
+    with pytest.raises(InvalidDag, match=r"malformed-edge-id\(oops\)") as raised:
+        Bundle(doc=None, dag=broken)
+    assert [(v.code, v.subject) for v in raised.value.violations] == [("malformed-edge-id", "oops")]
+    with pytest.raises(InvalidDag, match=r"malformed-edge-id\(oops\)"):
+        RunState(broken)
 
 
 _REFS = [{"key": "top_exception", "kind": "scalar"}, {"key": "deployment_id", "kind": "scalar"}]
@@ -602,29 +613,34 @@ def test_context_snapshots_do_not_see_later_entries(fig4_bundle, fig4_scenario):
     assert type(second.to_obj()["history"]) is list
 
 
-def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag():
-    assert load_bundle(FIG5_DIR).static_contexts is None  # loading builds no entry
+def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag(monkeypatch):
+    loaded = load_bundle(FIG5_DIR)
+    assert loaded.static_contexts == {}  # loading builds no entry
     bundle = bundle_of(linear_dag(2))
     steps = {
         "step1": [{"result": "success", "edge_decisions": {"edge_step1_step2": "enable"}}],
         "step2": [{"result": "success", "edge_decisions": {"edge_step2_end": "enable"}}],
     }
     seen = []
-    run(bundle, _recording(scripted(steps), seen))
     cache = bundle.static_contexts
+    run(bundle, _recording(scripted(steps), seen))
     assert set(cache) == {"step1", "step2"}
     run(bundle, scripted(steps))
-    assert bundle.static_contexts is cache
+    assert bundle.static_contexts is cache  # two runs share one cache
     assert [dict(e) for e in seen[1].outgoing_edges] == [
         {"id": "edge_step2_end", "to": "end", "condition": None, "conclusion": "finished"}
     ]
 
-    bundle.dag = linear_dag(1, tsg_id="shorter")
+    calls = _count_validations(monkeypatch)
+    shorter = dataclasses.replace(bundle, dag=linear_dag(1, tsg_id="shorter"))
+    assert len(calls) == 1 and shorter.compiled.dag is shorter.dag  # the new DAG is compiled
+    assert shorter.static_contexts is not cache and shorter.static_contexts == {}
     seen.clear()
     one = {"step1": [{"result": "success", "edge_decisions": {"edge_step1_end": "enable"}}]}
-    assert run(bundle, _recording(scripted(one), seen)).conclusion == "finished"
-    assert bundle.static_contexts is not cache and set(bundle.static_contexts) == {"step1"}
+    assert run(shorter, _recording(scripted(one), seen)).conclusion == "finished"
+    assert set(shorter.static_contexts) == {"step1"}
     assert [e["id"] for e in seen[0].outgoing_edges] == ["edge_step1_end"]
+    assert set(cache) == {"step1", "step2"} and bundle.dag.tsg_id == "linear"
 
 
 def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):

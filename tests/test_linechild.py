@@ -7,9 +7,14 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import pytest
+
 import tsgflow
+from test_engine import bundle_of, linear_dag
+from tsgflow.backends import ProcessBackend
+from tsgflow.engine import BackendUnavailable, run
 from tsgflow.errors import TsgflowError
-from tsgflow.linechild import LineChild
+from tsgflow.linechild import ChildUnavailable, LineChild
 from tsgflow.oracle import NotADag
 
 SRC = Path(__file__).parent.parent / "src" / "tsgflow"
@@ -51,6 +56,16 @@ def test_unterminated_last_line_is_an_answer():
         assert silent.request("a") is None
     finally:
         assert silent.close() == 0
+
+
+def test_an_empty_command_is_unavailable():
+    """Popen([]) fails with IndexError, which no caller takes for a start failure."""
+    child = LineChild([])
+    with pytest.raises(ChildUnavailable, match="^cannot start an empty command$"):
+        child.request("{}")
+    assert child.close() is None
+    with pytest.raises(BackendUnavailable, match="^cannot start an empty command$"):
+        run(bundle_of(linear_dag(1)), ProcessBackend([]))
 
 
 def test_only_the_line_client_imports_subprocess():
@@ -123,3 +138,34 @@ def test_error_root_imports_nothing_from_the_package():
 
 def test_not_a_dag_is_still_a_value_error():
     assert issubclass(NotADag, ValueError)
+
+
+_GC_TUNING = {"disable", "freeze", "set_threshold"}
+
+
+def test_package_keeps_its_structural_rules():
+    """The package imports only the standard library; the oracle imports
+    nothing of what it checks; errors.py and scenario.py import nothing of
+    the package but errors; and no module tunes the garbage collector, a
+    choice that belongs to the program that embeds the package."""
+    foreign, gc_tuning = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+                if node.module == "gc":
+                    gc_tuning += [f"{path.name}: gc.{a.name}" for a in node.names
+                                  if a.name in _GC_TUNING]
+            elif (isinstance(node, ast.Attribute) and node.attr in _GC_TUNING
+                  and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                gc_tuning.append(f"{path.name}: gc.{node.attr}")
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+    assert not _package_imports("oracle") & {"engine", "backends", "harness"}
+    assert _package_imports("errors") <= {"errors"}
+    assert _package_imports("scenario") <= {"errors"}
+    assert gc_tuning == []
