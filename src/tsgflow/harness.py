@@ -156,8 +156,11 @@ def sweep(
     T_inf <= T_k <= W_k/k + T_inf (Graham), W_k the work the k-run started.
     T_k <= T_1 is not claimed: list scheduling has timing anomalies.
     """
-    if not k_values or any(k < 1 for k in k_values):
+    if not k_values:
         raise HarnessError("k_values must be non-empty with every k >= 1")
+    for k in k_values:
+        if type(k) is not int or k < 1:  # a bool is an int, but no executor count
+            raise HarnessError(f"executor count {k!r} is not an int >= 1")
     steps = scenario_steps(scenario)
     simulator = Simulator(bundle.dag, steps, retry_limit)
     oracle = simulator.makespan()

@@ -1,11 +1,11 @@
 """Blackboard memory: keyed store for structured data plus compact rendering.
 
 Values are scalars, lists of scalars, name->scalar records, or tables
-(named, typed columns with row-major cells). Plugins deposit large results
-here and hand back references; the context summary of a value is a
-deterministic text rendering capped at a byte budget (schema plus a small
-row sample for tables), so arbitrarily large payloads never enter an
-executor's context wholesale.
+(named, typed columns, stored column by column: one list of cells per
+column). Plugins deposit large results here and hand back references; the
+context summary of a value is a deterministic text rendering capped at a
+byte budget (schema plus a small row sample for tables), so arbitrarily
+large payloads never enter an executor's context wholesale.
 
 Two backends share one interface: an in-memory dict and an append-log file
 store whose length-prefixed records replay to the same state. Keys can be
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import chain, islice, repeat
-from operator import itemgetter, methodcaller
+from operator import methodcaller
 from pathlib import Path
 
 from .errors import TsgflowError
@@ -98,30 +98,67 @@ def _check_widths(rows, width: int, first: int = 0) -> None:
 def _check_cells(t: Table) -> None:
     """Raise TypeError, as encode_value would, for a cell it cannot encode;
     a column is checked cell by cell only when it holds an unexpected type."""
-    for i, col_type in enumerate(t.types):
+    for col_type, column in zip(t.types, t.data):
         timestamps = col_type == "timestamp"
-        column = itemgetter(i)
-        if not set(map(type, map(column, t.rows))) <= (
-            _TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS
-        ):
-            _check_encodable(map(column, t.rows), timestamps)
+        if not set(map(type, column)) <= (_TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS):
+            _check_encodable(column, timestamps)
 
 
-@dataclass
+def _row_lists(data: list, row_count: int, stop: int | None = None) -> list:
+    """The first `stop` rows (all when None) of columns `data` holding
+    `row_count` rows each, as fresh lists."""
+    if not data:  # no columns: only the count says how many empty rows
+        return [[] for _ in range(row_count if stop is None else min(stop, row_count))]
+    return list(map(list, islice(zip(*data), stop)))
+
+
+@dataclass(init=False, repr=False)
 class Table:
+    """Named, typed columns. `data` holds one list of cells per column, in
+    column order, and `row_count` the number of rows, which a table without
+    columns has too.
+
+    Table(columns, types, rows) takes the cells row by row and transposes
+    them once. `rows` builds fresh row lists on each read, so changing them
+    changes no table; equality compares columns, types and cells, and the
+    repr shows the rows.
+    """
+
     columns: list[str]
     types: list[str]
-    rows: list[list]
+    data: list[list]
+    row_count: int
 
     # True when every cell has its column's type by construction: set by
-    # table_from_csv and kept by with_rows, so a put skips the cell scan. A
-    # class attribute, not a field: no constructor argument sets it, and
-    # equality and repr ignore it.
+    # table_from_csv and kept by with_rows and take, so a put skips the cell
+    # scan. A class attribute, not a field: no constructor argument sets it,
+    # and equality and repr ignore it.
     _cells_typed = False
 
-    def __post_init__(self):
-        _check_schema(self.columns, self.types)
-        _check_widths(self.rows, len(self.columns))
+    def __init__(self, columns: list[str], types: list[str], rows: list[list]):
+        _check_schema(columns, types)
+        _check_widths(rows, len(columns))
+        self.columns = columns
+        self.types = types
+        self.data = list(map(list, zip(*rows))) if rows else [[] for _ in columns]
+        self.row_count = len(rows)
+
+    @classmethod
+    def _of_columns(cls, columns: list[str], types: list[str], data: list[list],
+                    row_count: int, cells_typed: bool) -> Table:
+        """A table holding `data` as it is; the caller vouches for its shape."""
+        table = cls.__new__(cls)
+        table.columns, table.types, table.data, table.row_count = columns, types, data, row_count
+        table._cells_typed = cells_typed
+        return table
+
+    def __repr__(self) -> str:
+        return f"Table(columns={self.columns!r}, types={self.types!r}, rows={self.rows!r})"
+
+    @property
+    def rows(self) -> list[list]:
+        """Fresh row lists, built on each read."""
+        return _row_lists(self.data, self.row_count)
 
     def with_rows(self, rows: list[list]) -> Table:
         """A table of this table's columns and types holding `rows`, each a row
@@ -130,9 +167,12 @@ class Table:
         table._cells_typed = self._cells_typed
         return table
 
-    @property
-    def row_count(self) -> int:
-        return len(self.rows)
+    def take(self, indices: list[int]) -> Table:
+        """A table of this table's columns and types holding its rows at
+        `indices`, in that order; it keeps this table's typed mark."""
+        data = [list(map(column.__getitem__, indices)) for column in self.data]
+        return Table._of_columns(list(self.columns), list(self.types), data,
+                                 len(indices), self._cells_typed)
 
     @property
     def column_count(self) -> int:
@@ -256,11 +296,11 @@ def encode_value(value: MemoryValue) -> str:
         payload = {k: _scalar_to_json(v) for k, v in value.payload.items()}
     else:
         t: Table = value.payload
-        payload = {
-            "columns": t.columns,
-            "types": t.types,
-            "rows": [[_cell_to_json(c, t.types[i]) for i, c in enumerate(row)] for row in t.rows],
-        }
+        data = [
+            [_cell_to_json(c, "timestamp") for c in column] if col_type == "timestamp" else column
+            for col_type, column in zip(t.types, t.data)
+        ]
+        payload = {"columns": t.columns, "types": t.types, "rows": _row_lists(data, t.row_count)}
     return json.dumps({"kind": value.kind, "payload": payload}, separators=(",", ":"), sort_keys=True)
 
 
@@ -312,7 +352,7 @@ def _render_table(key: str, t: Table, sample_rows: int, visible: int, cap: int |
         f"memory[{key}]: table {t.row_count} rows x {t.column_count} cols",
         "columns: " + ", ".join(names),
     ]
-    shown = t.rows[: max(sample_rows, 0)]
+    shown = _row_lists(t.data, t.row_count, max(sample_rows, 0))
     sample: list[list[str]] = []
     for i, row in enumerate(shown, start=1):
         cells = [_render_cell(c, cap) for c in row[:visible]]
@@ -565,8 +605,8 @@ def table_to_csv(table: Table) -> str:
     buf = io.StringIO()
     plain = csv.writer(buf, lineterminator="\n")
     quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    rendered = ([_render_cell(c, None) for c in row] for row in table.rows)
-    for cells in chain((table.columns, table.types), rendered):
+    rendered = [[_render_cell(c, None) for c in column] for column in table.data]
+    for cells in chain((table.columns, table.types), _row_lists(rendered, table.row_count)):
         (quoted if any("\r" in c for c in cells) else plain).writerow(cells)
     return buf.getvalue()
 
@@ -657,8 +697,8 @@ def _reader_chunks(text: str):
         first += len(chunk)
 
 
-def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int):
-    """Rows of decoded values from one chunk's flat cell list.
+def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int) -> list[list]:
+    """Columns of decoded values from one chunk's flat cell list.
 
     Column i is cells[i::width]. A cell its column type cannot decode raises
     InvalidValue naming its row (`first` is the chunk's first row index) and
@@ -682,7 +722,7 @@ def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int)
                 except ValueError as exc:
                     raise InvalidValue(f"row {row}, column {columns[i]!r}: {exc}") from None
             raise
-    return map(list, zip(*decoded))
+    return decoded
 
 
 def _decode_table(chunks) -> Table:
@@ -692,23 +732,25 @@ def _decode_table(chunks) -> Table:
     if types is None:
         raise InvalidValue("CSV table needs a header row and a type row")
     _check_schema(columns, types)
-    rows: list[list] = []
+    data: list[list] = [[] for _ in columns]
+    row_count = 0
     for cells in chunks:
         if not columns:
-            rows += cells  # the reader's empty rows; see _reader_chunks
+            row_count += len(cells)  # the reader's empty rows; see _reader_chunks
             continue
-        rows += _decode_chunk(cells, columns, types, len(rows))
-    table = Table(columns, types, rows)
-    table._cells_typed = True  # each column's cells come from its decoder
-    return table
+        for column, decoded in zip(data, _decode_chunk(cells, columns, types, row_count)):
+            column += decoded
+        row_count += len(cells) // len(columns)
+    # each column's cells come from its decoder
+    return Table._of_columns(columns, types, data, row_count, cells_typed=True)
 
 
 def table_from_csv(text: str) -> Table:
     """Inverse of table_to_csv.
 
     Data rows are read a block or chunk at a time into one flat list of
-    cell texts, checked for ragged rows, cut into columns by slicing,
-    decoded column by column and transposed into rows, so raw cell texts
+    cell texts, checked for ragged rows, cut into columns by slicing and
+    decoded column by column onto the table's columns, so raw cell texts
     live only as long as their block. A plain text (_is_plain) is cut in
     blocks at "," and "\n" directly. Any other text, and a plain one that
     does not decode, goes through csv.reader CSV_CHUNK_ROWS rows at a time,

@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import TsgflowError
@@ -234,7 +233,7 @@ def _numeric_series(store, key: str) -> list[float]:
             raise NonNumeric(
                 f"{key}: expected exactly one numeric column, found {len(numeric)}"
             )
-        return _floats(key, map(itemgetter(numeric[0]), t.rows))
+        return _floats(key, t.data[numeric[0]])
     raise NonNumeric(f"{key}: value kind {value.kind!r} is not a numeric series")
 
 
@@ -280,8 +279,8 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
             raise NonNumeric(f"{key}: column is not numeric")
         if k < 0:
             raise PluginError(f"top_k needs k >= 0, got {k}")
-        top = heapq.nlargest(k, t.rows, key=itemgetter(col))
-        return t.with_rows([list(r) for r in top])
+        # ties keep row order, as nlargest over the rows themselves would
+        return t.take(heapq.nlargest(k, range(t.row_count), key=t.data[col].__getitem__))
 
     if op not in ("mean", "max", "min"):
         raise PluginError(f"unknown aggregate op {op!r}")
@@ -290,7 +289,7 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
         t = value.payload
         if t.types[col] not in ("integer", "decimal"):
             raise NonNumeric(f"{key}: column is not numeric")
-        series = _floats(key, map(itemgetter(col), t.rows))
+        series = _floats(key, t.data[col])
     else:
         series = _numeric_series(store, key)
     if not series:
@@ -441,12 +440,12 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
         table = fixtures.metric_series(args["metric"])
         lo = _as_datetime(args["from"])
         hi = _as_datetime(args["to"])
-        ts_col = table.types.index("timestamp")
+        stamps = table.data[table.types.index("timestamp")]
         try:
-            rows = [row for row in table.rows if lo <= row[ts_col] <= hi]
+            chosen = [i for i, ts in enumerate(stamps) if lo <= ts <= hi]
         except TypeError:  # cells without an offset: read them as UTC, like an argument
-            rows = [row for row in table.rows if lo <= as_utc(row[ts_col]) <= hi]
-        out = table.with_rows(rows)
+            chosen = [i for i, ts in enumerate(stamps) if lo <= as_utc(ts) <= hi]
+        out = table.take(chosen)
         ref = store.put(_next_key(store, "plugin.metric_fetch"), out)
         return PluginResult(status="ok", refs=[ref], message=f"{out.row_count} points")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -177,6 +178,14 @@ def test_sweep_rejects_bad_k(fig5_bundle, fig5_scenario):
         sweep(fig5_bundle, fig5_scenario, [])
     with pytest.raises(HarnessError):
         sweep(fig5_bundle, fig5_scenario, [0, 2])
+
+
+@pytest.mark.parametrize("bad", ["2", 2.5, True])
+def test_sweep_names_an_executor_count_that_is_not_an_int(monkeypatch, fig5_bundle,
+                                                          fig5_scenario, bad):
+    monkeypatch.setattr(harness, "run_scenario", lambda *a, **kw: pytest.fail("a run started"))
+    with pytest.raises(HarnessError, match=rf"^executor count {re.escape(repr(bad))} is not an int >= 1$"):
+        sweep(fig5_bundle, fig5_scenario, [1, bad])
 
 
 def test_missing_bundle_dir(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import struct
 from datetime import datetime, timedelta, timezone
@@ -476,13 +477,41 @@ def test_hand_built_table_with_a_bad_cell_fails_at_put():
 def test_decoder_mark_is_not_a_field():
     decoded = table_from_csv("s,n\ntext,integer\na,1\n")
     by_hand = Table(["s", "n"], ["text", "integer"], [["a", 1]])
-    assert [f.name for f in dataclasses.fields(Table)] == ["columns", "types", "rows"]
+    assert [f.name for f in dataclasses.fields(Table)] == ["columns", "types", "data", "row_count"]
     assert decoded == by_hand
     assert repr(decoded) == repr(by_hand) == (
         "Table(columns=['s', 'n'], types=['text', 'integer'], rows=[['a', 1]])")
     assert dataclasses.asdict(decoded) == dataclasses.asdict(by_hand)
     with pytest.raises(TypeError):
         Table(["s"], ["text"], [], _cells_typed=True)
+
+
+def _live_lists() -> int:
+    return sum(type(o) is list for o in gc.get_objects())
+
+
+def test_decoded_table_keeps_a_list_per_column_not_per_row():
+    text = "s,n,x\ntext,integer,decimal\n" + "".join(f"k{r},{r},{r}.5\n" for r in range(20_000))
+    before = _live_lists()
+    table = table_from_csv(text)
+    grown = _live_lists() - before
+    assert table.row_count == 20_000
+    assert grown < 10 * table.column_count, grown
+
+
+def test_changing_the_rows_read_changes_no_table():
+    text = "s,n,at\ntext,integer,timestamp\na,1,2026-03-01T00:00:00Z\nb,2,2026-03-01T00:00:01Z\n"
+    for table, twin in ((table_from_csv(text), table_from_csv(text)),
+                        (big_table(rows=4), big_table(rows=4))):
+        size = MemoryValue("table", table).byte_size
+        rows = table.rows
+        rows[0][0] = "changed"
+        rows[1].append("extra")
+        rows.append(list(rows[0]))
+        assert table.rows != rows
+        assert table == twin
+        assert table.rows == twin.rows
+        assert MemoryValue("table", table).byte_size == size
 
 
 _PY_TYPES = {"text": str, "integer": int, "decimal": float, "boolean": bool, "timestamp": datetime}
