@@ -95,6 +95,16 @@ def _check_widths(rows, width: int, first: int = 0) -> None:
             raise InvalidValue(f"row {i} has {len(row)} cells, expected {width}")
 
 
+def _check_row_types(rows) -> None:
+    """Raise InvalidValue naming the first row that is not a list or tuple
+    (a string or a dict has a length too, but is no row of cells)."""
+    if set(map(type, rows)) <= {list, tuple}:
+        return
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise InvalidValue(f"row {i} is a {type(row).__name__}, not a list or tuple")
+
+
 def _check_cells(t: Table) -> None:
     """Raise TypeError, as encode_value would, for a cell it cannot encode;
     a column is checked cell by cell only when it holds an unexpected type."""
@@ -118,10 +128,10 @@ class Table:
     column order, and `row_count` the number of rows, which a table without
     columns has too.
 
-    Table(columns, types, rows) takes the cells row by row and transposes
-    them once. `rows` builds fresh row lists on each read, so changing them
-    changes no table; equality compares columns, types and cells, and the
-    repr shows the rows.
+    Table(columns, types, rows) takes the cells row by row, each row a list
+    or tuple, and transposes them once. `rows` builds fresh row lists on
+    each read, so changing them changes no table; equality compares
+    columns, types and cells, and the repr shows the rows.
     """
 
     columns: list[str]
@@ -130,13 +140,14 @@ class Table:
     row_count: int
 
     # True when every cell has its column's type by construction: set by
-    # table_from_csv and kept by with_rows and take, so a put skips the cell
-    # scan. A class attribute, not a field: no constructor argument sets it,
-    # and equality and repr ignore it.
+    # table_from_csv and kept by take, so a put skips the cell scan. A class
+    # attribute, not a field: no constructor argument sets it, and equality
+    # and repr ignore it.
     _cells_typed = False
 
     def __init__(self, columns: list[str], types: list[str], rows: list[list]):
         _check_schema(columns, types)
+        _check_row_types(rows)
         _check_widths(rows, len(columns))
         self.columns = columns
         self.types = types
@@ -159,13 +170,6 @@ class Table:
     def rows(self) -> list[list]:
         """Fresh row lists, built on each read."""
         return _row_lists(self.data, self.row_count)
-
-    def with_rows(self, rows: list[list]) -> Table:
-        """A table of this table's columns and types holding `rows`, each a row
-        of this table or a copy of one; it keeps this table's typed mark."""
-        table = Table(list(self.columns), list(self.types), rows)
-        table._cells_typed = self._cells_typed
-        return table
 
     def take(self, indices: list[int]) -> Table:
         """A table of this table's columns and types holding its rows at
@@ -587,11 +591,23 @@ def _decode_booleans(cells) -> list[bool]:
     return values
 
 
+def _decode_timestamps(cells) -> list[datetime]:
+    """parse_timestamp of each cell. The cells are joined at "," so that one
+    replace serves them all, unless a cell holds a "," itself (a quoted cell
+    of csv.reader's), which would split in two: then each is replaced."""
+    joined = ",".join(cells)
+    if len(cells) > 1 and joined.count(",") == len(cells) - 1:
+        texts = joined.replace("Z", "+00:00").split(",")
+    else:
+        texts = map(_ZULU_TO_OFFSET, cells)
+    return list(map(datetime.fromisoformat, texts))
+
+
 _COLUMN_DECODERS = {
     "integer": lambda cells: list(map(int, cells)),
     "decimal": lambda cells: list(map(float, cells)),
     "boolean": _decode_booleans,
-    "timestamp": lambda cells: list(map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells))),
+    "timestamp": _decode_timestamps,
 }
 
 
@@ -628,6 +644,29 @@ def _is_plain(text: str) -> bool:
     return all(text.find("\n", i, i + step) >= 0 for i in range(0, len(text) - step + 1, step))
 
 
+# Every byte but "," and "\n": deleting them leaves a block's separators.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _rows_have_width(block: str, width: int) -> bool:
+    """True when every line of `block` (a plain text's data rows, "\n"
+    between them) has width - 1 commas; a blank line never has.
+
+    With width > 1, one translate of the block's UTF-8 bytes keeps its
+    separators in order (no multi-byte character holds a "," or "\n" byte;
+    "surrogatepass" encodes a lone surrogate too), and they must be exactly
+    width - 1 commas per line with a "\n" between lines, which a blank line
+    breaks. A one-column block has no commas to place its lines, so its
+    lines are split and checked one by one.
+    """
+    if width < 2:
+        lines = block.split("\n")
+        return set(map(str.count, lines, repeat(","))) == {width - 1} and "" not in lines
+    separators = block.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATORS)
+    commas = b"," * (width - 1)
+    return separators == (commas + b"\n") * separators.count(b"\n") + commas
+
+
 def _plain_chunks(text: str):
     """Yield the header row, the type row, then one flat cell list per block.
 
@@ -658,8 +697,7 @@ def _plain_chunks(text: str):
             end = line_end(stop)
         block = text[start:end]
         start = end + 1
-        lines = block.split("\n")  # with width > 1, a blank line has too few commas
-        if set(map(str.count, lines, repeat(","))) != {width - 1} or width == 1 and "" in lines:
+        if not _rows_have_width(block, width):
             raise InvalidValue("a ragged row")
         yield block.replace("\n", ",").split(",")
 

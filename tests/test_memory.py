@@ -336,6 +336,19 @@ def test_unencodable_table_cell_rejected_at_construction():
         MemoryValue("table", Table([object()], ["text"], []))
 
 
+def test_table_row_that_is_not_a_list_or_tuple_is_invalid():
+    for rows, message in [
+        ([["a", "b"], "xy"], "row 1 is a str, not a list or tuple"),  # taken as ["x", "y"] before
+        ([{"a": 1, "b": 2}], "row 0 is a dict, not a list or tuple"),  # taken as its keys before
+        ([("a", "b"), 7], "row 1 is a int, not a list or tuple"),
+        ([("a", "b"), ["c", "d"], range(2)], "row 2 is a range, not a list or tuple"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            Table(["a", "b"], ["text", "text"], rows)
+    table = Table(["a", "b"], ["text", "text"], [("a", "b"), ["c", "d"]])
+    assert table.rows == [["a", "b"], ["c", "d"]]
+
+
 def test_byte_size_computed_on_first_read():
     when = datetime(2024, 1, 1, tzinfo=timezone.utc)
     value = MemoryValue("table", Table(["at", "tags"], ["timestamp", "text"], [[when, None]]))
@@ -449,12 +462,12 @@ def test_decoded_table_is_put_without_a_cell_scan(monkeypatch):
     decoded = table_from_csv(text)
     store = MemoryStore()
     store.put("decoded", decoded)
-    store.put("derived", decoded.with_rows([list(decoded.rows[1])]))
+    store.put("derived", decoded.take([1]))
     RunScope(store, "run").put("scoped", decoded)
     assert scanned == []
     by_hand = Table(list(decoded.columns), list(decoded.types), [list(r) for r in decoded.rows])
     literal = {"columns": ["s"], "types": ["text"], "rows": [["a"]]}
-    for value in (by_hand, by_hand.with_rows([]), value_from_literal(literal),
+    for value in (by_hand, by_hand.take([]), value_from_literal(literal),
                   decode_value(encode_value(memory_value(decoded)))):
         store.put("other", value)
     assert len(scanned) == 4
@@ -471,7 +484,7 @@ def test_hand_built_table_with_a_bad_cell_fails_at_put():
         with pytest.raises(TypeError):
             MemoryStore().put("t", table)
         with pytest.raises(TypeError):
-            MemoryStore().put("t", table.with_rows(list(table.rows)))
+            MemoryStore().put("t", table.take(list(range(table.row_count))))
 
 
 def test_decoder_mark_is_not_a_field():

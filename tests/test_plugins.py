@@ -360,6 +360,17 @@ def _fails_naming(registry, name, args, path):
     return str(info.value)
 
 
+def test_log_query_reads_its_fixture_on_every_call(tmp_path, store, fig4_bundle):
+    head = "ExceptionType,Count\ntext,integer\n"
+    registry, path = _fixture_copy(tmp_path, "queries/top_exceptions.csv", head + "A,1\n")
+    args = _top_exceptions_args(fig4_bundle)
+    first = registry.invoke("log_query", args, store).refs[0]
+    path.write_text(head + "B,2\nC,3\n", encoding="utf-8")
+    second = registry.invoke("log_query", args, store).refs[0]
+    assert store.get(first.key).payload.rows == [["A", 1]]
+    assert store.get(second.key).payload.rows == [["B", 2], ["C", 3]]
+
+
 def test_query_index_that_is_not_json_names_its_path(tmp_path, fig4_bundle):
     registry, path = _fixture_copy(tmp_path, "queries/index.json", "[{not json")
     message = _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
