@@ -9,9 +9,7 @@ the termination point they realize.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter
 
 from .document import TsgDocument, step_id_key
@@ -21,7 +19,6 @@ START = "start"
 END = "end"
 
 _id = attrgetter("id")
-_source = attrgetter("source")
 _target = attrgetter("target")
 
 
@@ -168,60 +165,58 @@ def extract_dag(doc: TsgDocument) -> ExecutionDag:
 
     dag = ExecutionDag(tsg_id=doc.tsg_id, nodes=nodes, edges=edges)
 
-    outgoing, _ = _edge_index(dag)
-    cycle = _find_cycle(outgoing)
-    if cycle:
-        raise CycleDetected("cycle through edges: " + ", ".join(cycle))
-    unreachable = outgoing.keys() - _reached([START], outgoing, _target)
+    outgoing, in_degree = _edge_index(dag)
+    order = _topological_order(outgoing, in_degree)
+    if order is None:
+        raise CycleDetected("cycle through edges: " + ", ".join(_find_cycle(outgoing)))
+    unreachable = outgoing.keys() - _reached_from_start(order, outgoing)
     if unreachable:
         raise Unreachable("unreachable from start: " + ", ".join(sorted(unreachable)))
     return dag
 
 
-def _edge_index(dag: ExecutionDag) -> tuple[_Edges, _Edges]:
-    """Each node's outgoing and incoming edges, in edge order, from one pass
-    over the edges. A repeated node id gets one entry; an edge is listed
-    under its source and under its target where each is a node, so an edge
-    from an unknown node still counts as entering its target."""
+def _edge_index(dag: ExecutionDag) -> tuple[_Edges, dict[str, int]]:
+    """Each node's outgoing edges, in edge order, and its in-degree, from
+    one pass over the edges. A repeated node id gets one entry; an edge is
+    listed under its source where that is a node, and counted under its
+    target where that is a node, so an edge from an unknown node still
+    counts as entering its target."""
     outgoing: _Edges = {n.id: [] for n in dag.nodes}
-    incoming: _Edges = {node_id: [] for node_id in outgoing}
+    in_degree = dict.fromkeys(outgoing, 0)
     for e in dag.edges:
         if e.source in outgoing:
             outgoing[e.source].append(e)
-        if e.target in incoming:
-            incoming[e.target].append(e)
-    return outgoing, incoming
+        if e.target in in_degree:
+            in_degree[e.target] += 1
+    return outgoing, in_degree
 
 
-def _is_acyclic(outgoing: _Edges) -> bool:
-    """Kahn's in-degree test (Kahn 1962): peel off nodes with no incoming
-    edge until none is left; the graph is acyclic iff every node goes.
+def _topological_order(outgoing: _Edges, pending: dict[str, int]) -> list[str] | None:
+    """Kahn's pass (Kahn 1962): peel off nodes no remaining edge enters.
 
-    Targets that are not nodes count for nothing, as in the depth-first search.
+    `pending` counts each node's incoming edges from nodes and is used up.
+    Returns every node in a topological order, or None when a cycle keeps
+    some back. Targets that are not nodes count for nothing, as in the
+    depth-first search.
     """
-    in_degree = Counter(map(_target, chain.from_iterable(outgoing.values())))
-    ready = [u for u in outgoing if not in_degree[u]]
-    peeled = 0
-    while ready:
-        peeled += 1
-        for v in map(_target, outgoing[ready.pop()]):
-            in_degree[v] -= 1
-            if not in_degree[v] and v in outgoing:
-                ready.append(v)
-    return peeled == len(outgoing)
+    order = [u for u, n in pending.items() if not n]
+    for u in order:  # the list grows as nodes are peeled
+        for v in map(_target, outgoing[u]):
+            if v in pending:
+                pending[v] -= 1
+                if not pending[v]:
+                    order.append(v)
+    return order if len(order) == len(pending) else None
 
 
 def _find_cycle(outgoing: _Edges) -> list[str]:
     """Return the edge ids of one cycle, or [] when acyclic.
 
-    Kahn's test settles an acyclic graph in O(V + E) without sorting. A
-    cyclic one goes on to a depth-first search with an explicit stack, so
-    guide depth is not bounded by Python's recursion limit: roots are tried
-    in node_sort_key order and successors in edge order, and the cycle
-    reported is the first back edge met.
+    A depth-first search with an explicit stack, so guide depth is not
+    bounded by Python's recursion limit: roots are tried in node_sort_key
+    order and successors in edge order, and the cycle reported is the first
+    back edge met. Callers run it only once Kahn's pass has failed.
     """
-    if _is_acyclic(outgoing):
-        return []
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {n: WHITE for n in outgoing}
     for root in sorted(outgoing, key=node_sort_key):
@@ -248,17 +243,25 @@ def _find_cycle(outgoing: _Edges) -> list[str]:
     return []
 
 
-def _reached(roots: list[str], edges: _Edges, follow) -> set[str]:
-    """Every id reached from `roots` along `edges`, going from an edge to
-    follow(edge); an id that is not a node is reached but leads nowhere."""
-    seen: set[str] = set()
-    frontier = list(roots)
-    while frontier:
-        u = frontier.pop()
-        if u not in seen:
-            seen.add(u)
-            frontier.extend(map(follow, edges.get(u, ())))
-    return seen
+def _reached_from_start(order: list[str], outgoing: _Edges) -> set[str]:
+    """Every id reached from start along edges, in one forward sweep over a
+    topological order; an id that is not a node is reached but leads
+    nowhere."""
+    reached = {START}
+    for u in order:
+        if u in reached:
+            reached.update(map(_target, outgoing[u]))
+    return reached
+
+
+def _reaching_end(order: list[str], outgoing: _Edges, ends: set[str]) -> set[str]:
+    """Every node with a path to one of `ends`, in one backward sweep over a
+    topological order: a node reaches them when one of its targets does."""
+    reaching = set(ends)
+    for u in reversed(order):
+        if u not in reaching and not reaching.isdisjoint(map(_target, outgoing[u])):
+            reaching.add(u)
+    return reaching
 
 
 def validate_dag(dag: ExecutionDag) -> ValidationReport:
@@ -266,7 +269,7 @@ def validate_dag(dag: ExecutionDag) -> ValidationReport:
     return _validate(dag, *_edge_index(dag))
 
 
-def _validate(dag: ExecutionDag, outgoing: _Edges, incoming: _Edges) -> ValidationReport:
+def _validate(dag: ExecutionDag, outgoing: _Edges, in_degree: dict[str, int]) -> ValidationReport:
     report = ValidationReport()
     add = report.violations.append
 
@@ -288,6 +291,7 @@ def _validate(dag: ExecutionDag, outgoing: _Edges, incoming: _Edges) -> Validati
         add(Violation("end-count", END, f"expected exactly 1 end node, found {len(ends)}"))
 
     end_ids = {n.id for n in ends}
+    pending = dict(in_degree)  # Kahn's count leaves out edges from unknown nodes
     seen_edges: set[str] = set()
     for e in dag.edges:
         if e.id in seen_edges:
@@ -303,6 +307,8 @@ def _validate(dag: ExecutionDag, outgoing: _Edges, incoming: _Edges) -> Validati
             )
         if e.source not in outgoing or e.target not in outgoing:
             add(Violation("unknown-endpoint", e.id, "edge references a node not in the DAG"))
+            if e.target in pending:
+                pending[e.target] -= 1
         if e.condition is not None and (
             e.condition.label not in ("Y", "N") or not e.condition.question.strip()
         ):
@@ -311,23 +317,24 @@ def _validate(dag: ExecutionDag, outgoing: _Edges, incoming: _Edges) -> Validati
             add(Violation("conclusion-not-terminal", e.id, "conclusion on an edge not into end"))
 
     for n in dag.nodes:
-        if n.kind == "start" and incoming[n.id]:
+        if n.kind == "start" and in_degree[n.id]:
             add(Violation("start-incoming", n.id, "start node has incoming edges"))
         if n.kind == "end" and outgoing[n.id]:
             add(Violation("end-outgoing", n.id, "end node has outgoing edges"))
 
-    cycle = _find_cycle(outgoing)
-    if cycle:
+    order = _topological_order(outgoing, pending)
+    if order is None:
+        cycle = _find_cycle(outgoing)
         add(Violation("cycle", cycle[0], "cycle through edges: " + ", ".join(cycle)))
         return report  # reachability is not meaningful on cyclic graphs
 
-    unreachable = outgoing.keys() - _reached([START], outgoing, _target)
+    unreachable = outgoing.keys() - _reached_from_start(order, outgoing)
     for node_id in sorted(unreachable, key=node_sort_key):
         add(Violation("unreachable-node", node_id, "node not reachable from start"))
 
     # Every node must be able to reach end, so termination points exist on
     # every path; this subsumes "step node with no outgoing edges".
-    reaches_end = _reached([n.id for n in ends], incoming, _source)
+    reaches_end = _reaching_end(order, outgoing, end_ids)
     for node_id in sorted(outgoing.keys() - reaches_end, key=node_sort_key):
         add(Violation("end-unreachable", node_id, "no path from node to end"))
 
@@ -365,8 +372,8 @@ class CompiledDag:
 def compile_dag(dag: ExecutionDag) -> CompiledDag:
     """Validate `dag` and index it in O(E log E) from one pass over its edges;
     raise InvalidDag on violations."""
-    outgoing, incoming = _edge_index(dag)
-    report = _validate(dag, outgoing, incoming)
+    outgoing, in_degree = _edge_index(dag)
+    report = _validate(dag, outgoing, in_degree)
     if not report.ok:
         raise InvalidDag(report.violations)
     return CompiledDag(
@@ -374,7 +381,7 @@ def compile_dag(dag: ExecutionDag) -> CompiledDag:
         nodes={n.id: n for n in dag.nodes},
         edges={e.id: e for e in dag.edges},
         outgoing={node_id: tuple(sorted(out, key=_id)) for node_id, out in outgoing.items()},
-        in_degree={node_id: len(ins) for node_id, ins in incoming.items()},
+        in_degree=in_degree,
         sort_key={node_id: node_sort_key(node_id) for node_id in outgoing},
     )
 

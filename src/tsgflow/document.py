@@ -35,6 +35,7 @@ raise.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,19 +135,69 @@ class ParseDiagnostic:
     message: str
 
 
+class LineSpan(Sequence):
+    """Read-only view of `lines[start:stop]` as (line_no, raw) tuples, line
+    numbers counted from 1: a parsed step's body over its document's
+    splitlines() list. Nothing is copied until a caller asks; indexing and
+    iteration build the tuples, `raw()` slices the lines, and a span
+    compares equal to a span or list of the same tuples."""
+
+    __slots__ = ("_lines", "_start", "_stop")
+
+    def __init__(self, lines: list[str], start: int, stop: int):
+        self._lines = lines
+        self._start = start
+        self._stop = stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, index):
+        at = range(self._start, self._stop)[index]
+        if isinstance(index, slice):
+            return [(i + 1, self._lines[i]) for i in at]
+        return (at + 1, self._lines[at])
+
+    def __iter__(self):
+        return zip(range(self._start + 1, self._stop + 1), self.raw())
+
+    def raw(self) -> list[str]:
+        """The lines of the span, without their numbers."""
+        return self._lines[self._start:self._stop]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (LineSpan, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LineSpan({list(self)!r})"
+
+
+def _raw_lines(body: Sequence[tuple[int, str]]) -> Iterable[str]:
+    """The text of each (line_no, raw) entry of a body, in order."""
+    if isinstance(body, LineSpan):
+        return body.raw()
+    return (text for _, text in body)
+
+
 @dataclass
 class TsgStep:
+    """One step of a guide. A parsed step's `body` is a read-only LineSpan of
+    every line after its header up to the next step header; a hand-built
+    step may hold a list of (line_no, raw) tuples instead."""
+
     id: str
     title: str
     line: int
-    body: list[tuple[int, str]] = field(default_factory=list)
+    body: Sequence[tuple[int, str]] = field(default_factory=list)
     query_blocks: list[QueryBlock] = field(default_factory=list)
     next_directives: list[NextDirective] = field(default_factory=list)
     produces: list[str] = field(default_factory=list)
     terminal_conclusion: str | None = None
 
     def body_text(self) -> str:
-        return "\n".join(text for _, text in self.body)
+        return "\n".join(_raw_lines(self.body))
 
 
 @dataclass
@@ -240,15 +291,19 @@ def parse_tsg(text: str) -> TsgDocument:
 
     Raises DuplicateStepId / MissingEntryStep on structural defects; all
     recoverable issues land in doc.diagnostics.
+
+    A step's body is every line after its header up to the next step header
+    outside a fence, so it is kept as a LineSpan of the document's lines.
+    The preamble is every line before the first step header except the
+    document header and the Inputs: line that were read as such.
     """
     lines = text.splitlines()
     diagnostics: list[ParseDiagnostic] = []
     tsg_id = ""
     title = ""
-    header_seen = False
+    header_line = 0
     incident_fields: list[str] = []
-    inputs_seen = False
-    preamble: list[tuple[int, str]] = []
+    inputs_line = 0
     steps: list[TsgStep] = []
     first_line_of: dict[str, int] = {}
     query_names: dict[str, int] = {}
@@ -261,15 +316,8 @@ def parse_tsg(text: str) -> TsgDocument:
     fence_lines: list[str] = []
     next_mode = False
 
-    def body_of(line_no: int, raw: str) -> None:
-        if current is not None:
-            current.body.append((line_no, raw))
-        else:
-            preamble.append((line_no, raw))
-
     for line_no, raw in enumerate(lines, start=1):
         if in_fence:
-            body_of(line_no, raw)
             if raw.startswith("```") and _FENCE_RE.match(raw):
                 in_fence = False
                 if fence_name and current is not None:
@@ -295,7 +343,6 @@ def parse_tsg(text: str) -> TsgDocument:
 
         if raw[:1] not in _OVERLAY_FIRST_CHARS:
             next_mode = False
-            body_of(line_no, raw)
             continue
 
         fm = _FENCE_RE.match(raw)
@@ -311,7 +358,6 @@ def parse_tsg(text: str) -> TsgDocument:
                 fence_name = im.group("name")
                 fence_lang = im.group("lang")
             next_mode = False
-            body_of(line_no, raw)
             continue
 
         hm = _STEP_HEADER_RE.match(raw)
@@ -323,7 +369,8 @@ def parse_tsg(text: str) -> TsgDocument:
                     f"(first defined at line {first_line_of[step_id]})"
                 )
             first_line_of[step_id] = line_no
-            current = TsgStep(id=step_id, title=hm.group("title"), line=line_no)
+            # the body span is set once the next header is known
+            current = TsgStep(id=step_id, title=hm.group("title"), line=line_no, body=())
             steps.append(current)
             next_mode = False
             continue
@@ -331,22 +378,21 @@ def parse_tsg(text: str) -> TsgDocument:
             diagnostics.append(
                 ParseDiagnostic("malformed-header", line_no, f"step header not parseable: {raw!r}")
             )
-            body_of(line_no, raw)
             next_mode = False
             continue
 
-        if not header_seen and current is None:
+        if not header_line and current is None:
             dm = _DOC_HEADER_RE.match(raw)
             if dm:
-                header_seen = True
+                header_line = line_no
                 tsg_id = dm.group("id")
                 title = dm.group("title")
                 continue
 
-        if current is None and not inputs_seen:
+        if current is None and not inputs_line:
             im = _INPUTS_RE.match(raw)
             if im:
-                inputs_seen = True
+                inputs_line = line_no
                 names, bad = _parse_name_list(im.group("names"))
                 incident_fields = names
                 for b in bad:
@@ -357,7 +403,6 @@ def parse_tsg(text: str) -> TsgDocument:
 
         if next_mode:
             if raw.startswith("- "):
-                body_of(line_no, raw)
                 directives, err = _parse_directive(raw, line_no)
                 if err:
                     diagnostics.append(
@@ -370,7 +415,6 @@ def parse_tsg(text: str) -> TsgDocument:
 
         if _NEXT_HEADING_RE.match(raw):
             next_mode = True
-            body_of(line_no, raw)
             continue
 
         pm = _PRODUCES_RE.match(raw)
@@ -381,7 +425,6 @@ def parse_tsg(text: str) -> TsgDocument:
                 diagnostics.append(
                     ParseDiagnostic("bad-produces-name", line_no, f"bad produces name {b!r}")
                 )
-            body_of(line_no, raw)
             continue
 
         tm = _TERMINATE_RE.match(raw)
@@ -394,21 +437,28 @@ def parse_tsg(text: str) -> TsgDocument:
                         "duplicate-terminate", line_no, "step already has a Terminate: line"
                     )
                 )
-            body_of(line_no, raw)
-            continue
-
-        body_of(line_no, raw)
 
     if in_fence:
         diagnostics.append(
             ParseDiagnostic("unterminated-fence", fence_start, "code fence never closed")
         )
-    if not header_seen:
+    if not header_line:
         diagnostics.append(
             ParseDiagnostic("missing-document-header", 1, "no '# TSG:' header found")
         )
     if not steps:
         raise MissingEntryStep("document defines no steps")
+
+    # A header at line n is lines[n - 1]; its body runs up to the next header.
+    stops = [step.line - 1 for step in steps]
+    stops.append(len(lines))
+    for step, stop in zip(steps, stops[1:]):
+        step.body = LineSpan(lines, step.line, stop)
+    preamble = [
+        (line_no, raw)
+        for line_no, raw in enumerate(lines[: stops[0]], start=1)
+        if line_no != header_line and line_no != inputs_line
+    ]
 
     known = set(first_line_of)
     for step in steps:
@@ -453,5 +503,5 @@ def serialize_tsg(doc: TsgDocument) -> str:
     out.extend(text for _, text in doc.preamble)
     for step in doc.steps:
         out.append(f"## Step {step.id}: {step.title}")
-        out.extend(text for _, text in step.body)
+        out.extend(_raw_lines(step.body))
     return "\n".join(out) + "\n"

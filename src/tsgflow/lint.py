@@ -168,7 +168,9 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
             reported: set[str] = set()
             for offset, text in enumerate(block_lines):
                 line_no = block.line + 1 + offset
+                has_placeholder = False
                 for name, _, _ in iter_placeholders(text):
+                    has_placeholder = True
                     if name in produced_before or name in reported:
                         continue
                     reported.add(name)
@@ -180,7 +182,7 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
                             "produced by an earlier step",
                         )
                     )
-                if not _has_placeholder(text) and (
+                if not has_placeholder and (
                     _AGO_RE.search(text) or _DATETIME_RE.search(text)
                 ):
                     findings.append(

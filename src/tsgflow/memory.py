@@ -96,8 +96,12 @@ def _check_widths(rows, width: int, first: int = 0) -> None:
 
 
 def _check_row_types(rows) -> None:
-    """Raise InvalidValue naming the first row that is not a list or tuple
-    (a string or a dict has a length too, but is no row of cells)."""
+    """Raise InvalidValue when `rows` is not a list or tuple (an iterator
+    would be used up by the checks), or naming the first row that is not a
+    list or tuple (a string or a dict has a length too, but is no row of
+    cells)."""
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidValue(f"rows is a {type(rows).__name__}, not a list or tuple")
     if set(map(type, rows)) <= {list, tuple}:
         return
     for i, row in enumerate(rows):

@@ -247,3 +247,44 @@ def test_long_chain_within_recursion_limit():
     cycle = violation.message.removeprefix("cycle through edges: ").split(", ")
     assert cycle[0] == "edge_step1_step2" and cycle[-1] == f"edge_step{n}_step1"
     assert len(cycle) == n
+
+
+def test_each_check_builds_the_index_once_and_runs_kahn_once(monkeypatch, fig4_bundle):
+    """extract_dag, validate_dag and compile_dag each index the edges once
+    and order the nodes once; the cycle search runs only when that order
+    fails, and reachability reads the order instead of walking again."""
+    from tsgflow import dag as dag_module
+
+    calls = {"index": 0, "kahn": 0, "cycle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(dag_module, "_edge_index", counted("index", dag_module._edge_index))
+    monkeypatch.setattr(dag_module, "_topological_order",
+                        counted("kahn", dag_module._topological_order))
+    monkeypatch.setattr(dag_module, "_find_cycle", counted("cycle", dag_module._find_cycle))
+
+    def check(fn, arg, cycle=0):
+        calls.update(index=0, kahn=0, cycle=0)
+        try:
+            fn(arg)
+        except dag_module.DagError:
+            pass
+        assert calls == {"index": 1, "kahn": 1, "cycle": cycle}, (fn.__name__, calls)
+
+    cyclic = _tiny_dag([("start", "step1"), ("step1", "step2"), ("step2", "step1"),
+                        ("step2", "end")])
+    unreachable = _tiny_dag([("start", "step1"), ("step1", "end"), ("step2", "end")])
+    for dag in (fig4_bundle.dag, unreachable, cyclic):
+        cycle = int(dag is cyclic)
+        check(validate_dag, dag, cycle)
+        check(compile_dag, dag, cycle)
+    check(extract_dag, fig4_bundle.doc)
+    check(extract_dag, parse_tsg("# TSG: c — C\n## Step 1: A\nNext:\n- Step 2\n"
+                                 "## Step 2: B\nNext:\n- Step 1\n"), cycle=1)
+    check(extract_dag, parse_tsg("# TSG: u — U\n## Step 1: A\nTerminate: t\n"
+                                 "## Step 2: B\nTerminate: t\n"))

@@ -349,6 +349,20 @@ def test_table_row_that_is_not_a_list_or_tuple_is_invalid():
     assert table.rows == [["a", "b"], ["c", "d"]]
 
 
+def test_table_rows_that_are_not_a_list_or_tuple_are_invalid():
+    """An iterator of rows would be used up by the checks before the
+    transpose; it is named instead of failing in len()."""
+    for rows, kind in [
+        ((["a", "b"] for _ in range(2)), "generator"),
+        (iter([["a", "b"]]), "list_iterator"),
+        (map(list, ["ab"]), "map"),
+        ({("a", "b")}, "set"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"^rows is a {kind}, not a list or tuple$"):
+            Table(["a", "b"], ["text", "text"], rows)
+    assert Table(["a", "b"], ["text", "text"], (("a", "b"),)).rows == [["a", "b"]]
+
+
 def test_byte_size_computed_on_first_read():
     when = datetime(2024, 1, 1, tzinfo=timezone.utc)
     value = MemoryValue("table", Table(["at", "tags"], ["timestamp", "text"], [[when, None]]))
