@@ -14,6 +14,7 @@ from operator import attrgetter
 
 from .document import TsgDocument, step_id_key
 from .errors import TsgflowError
+from .records import frozen_record
 
 START = "start"
 END = "end"
@@ -63,13 +64,13 @@ def node_sort_key(node_id: str) -> tuple:
     return (1, step_id_key(rest), node_id)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class EdgeCondition:
     question: str
     label: str  # "Y" or "N"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DagNode:
     id: str
     kind: str  # start | step | end
@@ -77,7 +78,7 @@ class DagNode:
     step_ref: str | None = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DagEdge:
     id: str
     source: str
@@ -99,7 +100,7 @@ class ExecutionDag:
 _Edges = dict[str, list[DagEdge]]  # node id -> edges, in edge order
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Violation:
     code: str
     subject: str

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import TsgflowError
+from .records import frozen_record
 
 
 class TsgParseError(TsgflowError):
@@ -95,23 +96,25 @@ _OVERLAY_FIRST_CHARS = frozenset("`#INPT-")
 
 
 def step_id_key(step_id: str) -> tuple:
-    """Sort key for dotted-decimal step ids; non-numeric segments sort after."""
+    """Sort key for dotted-decimal step ids. A segment of decimal digits
+    compares as a number; any other segment sorts after those as text,
+    including digits int() cannot read, such as '²'."""
     parts = []
     for seg in step_id.split("."):
-        if seg.isdigit():
+        if seg.isdecimal():
             parts.append((0, int(seg), ""))
         else:
             parts.append((1, 0, seg))
     return tuple(parts)
 
 
-@dataclass(frozen=True)
+@frozen_record
 class Condition:
     question: str
     label: str  # "Y" or "N"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class NextDirective:
     kind: str  # unconditional | conditional | parallel | terminate
     targets: tuple[str, ...]
@@ -120,7 +123,7 @@ class NextDirective:
     conclusion: str | None = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class QueryBlock:
     name: str
     language: str
@@ -128,7 +131,7 @@ class QueryBlock:
     line: int  # line of the opening fence
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ParseDiagnostic:
     code: str
     line: int
@@ -181,7 +184,7 @@ def _raw_lines(body: Sequence[tuple[int, str]]) -> Iterable[str]:
     return (text for _, text in body)
 
 
-@dataclass
+@dataclass(slots=True)
 class TsgStep:
     """One step of a guide. A parsed step's `body` is a read-only LineSpan of
     every line after its header up to the next step header; a hand-built
@@ -234,14 +237,19 @@ def _parse_name_list(raw: str) -> tuple[list[str], list[str]]:
 
 
 def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | None]:
-    """Parse one `- ...` line under Next:. Returns (directives, error message)."""
-    m = _DIR_STEP_RE.match(text)
+    """Parse one `- ...` line under Next:. Returns (directives, error message).
+
+    Each form has its own first character after the "- ", so only the
+    pattern for that character is tried.
+    """
+    first = text[2:3]
+    m = first == "S" and _DIR_STEP_RE.match(text)
     if m:
         return [NextDirective("unconditional", (m.group("id"),), line)], None
-    m = _DIR_TERMINATE_RE.match(text)
+    m = first == "T" and _DIR_TERMINATE_RE.match(text)
     if m:
         return [NextDirective("terminate", (), line, conclusion=m.group("conclusion"))], None
-    m = _DIR_PARALLEL_RE.match(text)
+    m = first == "P" and _DIR_PARALLEL_RE.match(text)
     if m:
         targets = []
         for item in m.group("targets").split(","):
@@ -252,7 +260,7 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
         if len(targets) < 2:
             return [], "parallel directive needs at least two targets"
         return [NextDirective("parallel", tuple(targets), line)], None
-    m = _DIR_IF_RE.match(text)
+    m = first == "I" and _DIR_IF_RE.match(text)
     if m:
         question = m.group("question")
         directives = []
@@ -341,11 +349,14 @@ def parse_tsg(text: str) -> TsgDocument:
                 fence_lines.append(raw)
             continue
 
-        if raw[:1] not in _OVERLAY_FIRST_CHARS:
+        first = raw[:1]
+        if first not in _OVERLAY_FIRST_CHARS:
             next_mode = False
             continue
 
-        fm = _FENCE_RE.match(raw)
+        # Each overlay form starts with a literal, so a pattern is tried only
+        # on a line that starts with that literal.
+        fm = first == "`" and _FENCE_RE.match(raw)
         if fm and raw.startswith("```"):
             in_fence = True
             fence_start = line_no
@@ -360,7 +371,7 @@ def parse_tsg(text: str) -> TsgDocument:
             next_mode = False
             continue
 
-        hm = _STEP_HEADER_RE.match(raw)
+        hm = first == "#" and _STEP_HEADER_RE.match(raw)
         if hm:
             step_id = hm.group("id")
             if step_id in first_line_of:
@@ -374,14 +385,14 @@ def parse_tsg(text: str) -> TsgDocument:
             steps.append(current)
             next_mode = False
             continue
-        if _STEP_HEADER_PREFIX_RE.match(raw):
+        if first == "#" and _STEP_HEADER_PREFIX_RE.match(raw):
             diagnostics.append(
                 ParseDiagnostic("malformed-header", line_no, f"step header not parseable: {raw!r}")
             )
             next_mode = False
             continue
 
-        if not header_line and current is None:
+        if first == "#" and not header_line and current is None:
             dm = _DOC_HEADER_RE.match(raw)
             if dm:
                 header_line = line_no
@@ -389,7 +400,7 @@ def parse_tsg(text: str) -> TsgDocument:
                 title = dm.group("title")
                 continue
 
-        if current is None and not inputs_line:
+        if first == "I" and current is None and not inputs_line:
             im = _INPUTS_RE.match(raw)
             if im:
                 inputs_line = line_no
@@ -413,11 +424,11 @@ def parse_tsg(text: str) -> TsgDocument:
                 continue
             next_mode = False
 
-        if _NEXT_HEADING_RE.match(raw):
+        if first == "N" and _NEXT_HEADING_RE.match(raw):
             next_mode = True
             continue
 
-        pm = _PRODUCES_RE.match(raw)
+        pm = first == "P" and _PRODUCES_RE.match(raw)
         if pm and current is not None:
             names, bad = _parse_name_list(pm.group("names"))
             current.produces.extend(names)
@@ -427,7 +438,7 @@ def parse_tsg(text: str) -> TsgDocument:
                 )
             continue
 
-        tm = _TERMINATE_RE.match(raw)
+        tm = first == "T" and _TERMINATE_RE.match(raw)
         if tm and current is not None:
             if current.terminal_conclusion is None:
                 current.terminal_conclusion = tm.group("conclusion")

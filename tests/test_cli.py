@@ -254,6 +254,22 @@ def test_malformed_dag_json_exits_one_with_named_error(tmp_path, capsys, command
         f"error: SchemaViolation: {bundle_dir / 'dag.json'}: /: not valid JSON")
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--executors", "1..2"], ["oracle"]],
+                         ids=["run", "sweep", "oracle"])
+def test_node_id_with_a_non_decimal_digit_runs(tmp_path, capsys, command):
+    """fig5 with step1 renamed step² in dag.json and the scenario: '²' is a
+    digit to str.isdigit() that int() refuses, and the commands still run."""
+    bundle_dir = _bundle_copy(tmp_path)
+    dag_text = serialize_dag(load_bundle(FIG5_DIR).dag)
+    (bundle_dir / "dag.json").write_text(dag_text.replace("step1", "step²"), encoding="utf-8")
+    scenario = (FIG5_DIR / "scenarios" / "dependency_issue.json").read_text(encoding="utf-8")
+    path = tmp_path / "renamed.json"
+    path.write_text(scenario.replace("step1", "step²"), encoding="utf-8")
+    code = main([command[0], str(bundle_dir), "--scenario", str(path), *command[1:]])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_bad_manifest_exits_one_with_named_error(tmp_path, capsys):
     bundle_dir = _bundle_copy(tmp_path)
     (bundle_dir / "qpp.json").write_text("{not json", encoding="utf-8")

@@ -18,6 +18,7 @@ from tsgflow.dag import (
     edge_id,
     extract_dag,
     load_dag,
+    node_sort_key,
     serialize_dag,
     structurally_equal,
     validate_dag,
@@ -288,3 +289,12 @@ def test_each_check_builds_the_index_once_and_runs_kahn_once(monkeypatch, fig4_b
                                  "## Step 2: B\nNext:\n- Step 1\n"), cycle=1)
     check(extract_dag, parse_tsg("# TSG: u — U\n## Step 1: A\nTerminate: t\n"
                                  "## Step 2: B\nTerminate: t\n"))
+
+
+def test_node_sort_key_reads_only_decimal_segments_as_numbers():
+    """'²' and '①' pass str.isdigit() but int() refuses them; such a
+    segment sorts after the numeric ones, as any text does."""
+    assert node_sort_key("step²") == (1, ((1, 0, "²"),), "step²")
+    assert node_sort_key("step3.①") == (1, ((0, 3, ""), (1, 0, "①")), "step3.①")
+    assert sorted(["end", "step²", "step10", "step2", "start"], key=node_sort_key) == [
+        "start", "step2", "step10", "step²", "end"]

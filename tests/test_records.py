@@ -1,0 +1,147 @@
+"""The document and DAG records behave as plain dataclasses with the same
+fields do: construction, the missing-argument error, repr, asdict, astuple,
+hash, replace, copy, deepcopy, pickle and frozenness. They are slotted, so
+they have no __dict__ and refuse an undeclared attribute."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import inspect
+import pickle
+from dataclasses import MISSING, FrozenInstanceError
+
+import pytest
+
+from tsgflow.dag import DagEdge, DagNode, EdgeCondition, Violation
+from tsgflow.document import Condition, NextDirective, ParseDiagnostic, QueryBlock, TsgStep
+
+_CONDITION = Condition("Is the service up?", "Y")
+_BLOCK = QueryBlock("q1", "kql", "Exceptions | take {n}", 12)
+_DIRECTIVE = NextDirective("conditional", ("2",), 14, _CONDITION)
+
+# every record with one value for each of its fields, in field order
+SAMPLES = {
+    Condition: ("Is the service up?", "N"),
+    NextDirective: ("terminate", (), 9, _CONDITION, "transfer to upstream team"),
+    QueryBlock: ("q2", "kql", "Requests\n| where x > {threshold}", 21),
+    ParseDiagnostic: ("dangling-target", 7, "directive targets unknown step '9'"),
+    TsgStep: ("3.1", "Check the deployment", 30, [(31, "body")], [_BLOCK], [_DIRECTIVE],
+              ["deployments"], "rolled back"),
+    EdgeCondition: ("Is the service up?", "Y"),
+    DagNode: ("step3.1", "step", "Check the deployment", "3.1"),
+    DagEdge: ("edge_step1_end", "step1", "end", EdgeCondition("Up?", "N"), "no fault"),
+    Violation: ("cycle", "edge_step2_step1", "cycle through edges: edge_step2_step1"),
+}
+RECORDS = list(SAMPLES)
+FROZEN = [cls for cls in RECORDS if cls.__dataclass_params__.frozen]
+
+
+def _twin(cls):
+    """A plain dataclass, without slots, with the record's name, fields,
+    defaults and frozenness."""
+    spec = []
+    for f in dataclasses.fields(cls):
+        spec.append((f.name, f.type, dataclasses.field(
+            default=f.default, default_factory=f.default_factory)))
+    return dataclasses.make_dataclass(
+        cls.__name__, spec, frozen=cls.__dataclass_params__.frozen)
+
+
+def _sample(cls):
+    return cls(*SAMPLES[cls])
+
+
+def _required(cls) -> tuple:
+    """The sample values of the fields that have no default."""
+    fields = dataclasses.fields(cls)
+    return tuple(v for f, v in zip(fields, SAMPLES[cls])
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
+def test_every_record_is_sampled():
+    assert {cls.__name__ for cls in RECORDS} == {
+        "Condition", "NextDirective", "QueryBlock", "ParseDiagnostic", "TsgStep",
+        "EdgeCondition", "DagNode", "DagEdge", "Violation"}
+    for cls in RECORDS:
+        assert len(SAMPLES[cls]) == len(dataclasses.fields(cls)), cls.__name__
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_construction_matches_plain_dataclass(cls):
+    twin = _twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names == [f.name for f in dataclasses.fields(twin)]
+    assert inspect.signature(cls) == inspect.signature(twin)
+    values = SAMPLES[cls]
+    record = cls(*values)
+    assert cls(**dict(zip(names, values))) == record
+    assert dataclasses.astuple(record) == dataclasses.astuple(twin(*values))
+    required = _required(cls)
+    assert dataclasses.astuple(cls(*required)) == dataclasses.astuple(twin(*required))
+    with pytest.raises(TypeError) as ours:
+        cls(*required[:-1])
+    with pytest.raises(TypeError) as theirs:
+        twin(*required[:-1])
+    assert str(ours.value) == str(theirs.value)
+    with pytest.raises(TypeError) as ours:
+        cls(*values, "one too many")
+    with pytest.raises(TypeError) as theirs:
+        twin(*values, "one too many")
+    assert str(ours.value) == str(theirs.value)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_repr_asdict_astuple_hash_match_plain_dataclass(cls):
+    record, plain = _sample(cls), _twin(cls)(*SAMPLES[cls])
+    assert repr(record) == repr(plain)
+    assert dataclasses.asdict(record) == dataclasses.asdict(plain)
+    assert dataclasses.astuple(record) == dataclasses.astuple(plain)
+    if cls in FROZEN:
+        assert hash(record) == hash(plain)
+        assert hash(record) == hash(_sample(cls))
+    else:
+        assert cls.__hash__ is None and type(plain).__hash__ is None
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_replace_copy_deepcopy_pickle_round_trip(cls):
+    record = _sample(cls)
+    first = dataclasses.fields(cls)[0].name
+    for twin in (
+        dataclasses.replace(record),
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ):
+        assert type(twin) is cls
+        assert twin == record
+        assert repr(twin) == repr(record)
+    changed = dataclasses.replace(record, **{first: "other"})
+    assert getattr(changed, first) == "other"
+    assert changed != record
+    assert dataclasses.astuple(changed)[1:] == dataclasses.astuple(record)[1:]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
+def test_frozen_records_refuse_assignment_and_deletion(cls):
+    record = _sample(cls)
+    for name in [f.name for f in dataclasses.fields(cls)] + ["undeclared"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, "x")
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+    assert record == _sample(cls)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_records_have_no_instance_dict(cls):
+    assert not hasattr(_sample(cls), "__dict__")
+
+
+def test_step_refuses_an_undeclared_attribute():
+    step = _sample(TsgStep)
+    step.title = "Renamed"  # declared fields stay assignable
+    assert step.title == "Renamed"
+    with pytest.raises(AttributeError):
+        step.undeclared = 1
