@@ -12,6 +12,7 @@ import sys
 import threading
 
 from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
+from .errors import JSON_DECODE_ERRORS
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import value_from_literal
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
@@ -91,7 +92,7 @@ class ProcessBackend(ExecutorBackend):
             return StepOutcome(result="failure", error="backend process closed its output")
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except JSON_DECODE_ERRORS as exc:
             return StepOutcome(result="failure", error=f"bad outcome line: {exc}")
         problem = _outcome_problem(obj)
         if problem:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .document import TsgDocument, step_id_key
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .records import frozen_record
 
 START = "start"
@@ -438,92 +438,75 @@ _NODE_KINDS = ("start", "step", "end")
 _LABELS = ("Y", "N")
 
 
-def _expect(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise SchemaViolation(path, message)
-
-
-def _checked_node(path: str, raw) -> DagNode:
-    _expect(isinstance(raw, dict), path, "must be an object")
-    _expect(isinstance(raw.get("id"), str) and raw["id"], f"{path}/id", "required string")
-    _expect(raw.get("kind") in _NODE_KINDS, f"{path}/kind", "must be start|step|end")
-    _expect(isinstance(raw.get("description"), str), f"{path}/description", "required string")
+def _loaded_node(i: int, raw) -> DagNode:
+    """The node at /nodes/i: object, then id, kind, description, step_ref."""
+    if type(raw) is not dict:
+        raise SchemaViolation(f"/nodes/{i}", "must be an object")
+    node_id = raw.get("id")
+    if type(node_id) is not str or not node_id:
+        raise SchemaViolation(f"/nodes/{i}/id", "required string")
+    kind = raw.get("kind")
+    if kind not in _NODE_KINDS:
+        raise SchemaViolation(f"/nodes/{i}/kind", "must be start|step|end")
+    description = raw.get("description")
+    if type(description) is not str:
+        raise SchemaViolation(f"/nodes/{i}/description", "required string")
     step_ref = raw.get("step_ref")
-    _expect(step_ref is None or isinstance(step_ref, str), f"{path}/step_ref", "string or null")
-    return DagNode(raw["id"], raw["kind"], raw["description"], step_ref)
+    if step_ref is not None and type(step_ref) is not str:
+        raise SchemaViolation(f"/nodes/{i}/step_ref", "string or null")
+    return DagNode(node_id, kind, description, step_ref)
 
 
-def _checked_edge(path: str, raw) -> DagEdge:
-    _expect(isinstance(raw, dict), path, "must be an object")
-    for key in ("id", "from", "to"):
-        _expect(isinstance(raw.get(key), str) and raw[key], f"{path}/{key}", "required string")
+def _loaded_edge(i: int, raw) -> DagEdge:
+    """The edge at /edges/i: object, then id, from, to, condition, conclusion."""
+    if type(raw) is not dict:
+        raise SchemaViolation(f"/edges/{i}", "must be an object")
+    eid, source, target = raw.get("id"), raw.get("from"), raw.get("to")
+    if type(eid) is not str or not eid:
+        raise SchemaViolation(f"/edges/{i}/id", "required string")
+    if type(source) is not str or not source:
+        raise SchemaViolation(f"/edges/{i}/from", "required string")
+    if type(target) is not str or not target:
+        raise SchemaViolation(f"/edges/{i}/to", "required string")
     condition = raw.get("condition")
-    cond = None
     if condition is not None:
-        _expect(isinstance(condition, dict), f"{path}/condition", "object or null")
-        _expect(
-            isinstance(condition.get("question"), str),
-            f"{path}/condition/question",
-            "required string",
-        )
-        _expect(condition.get("label") in _LABELS, f"{path}/condition/label", "must be Y or N")
-        cond = EdgeCondition(condition["question"], condition["label"])
+        if type(condition) is not dict:
+            raise SchemaViolation(f"/edges/{i}/condition", "object or null")
+        question, label = condition.get("question"), condition.get("label")
+        if type(question) is not str:
+            raise SchemaViolation(f"/edges/{i}/condition/question", "required string")
+        if label not in _LABELS:
+            raise SchemaViolation(f"/edges/{i}/condition/label", "must be Y or N")
+        condition = EdgeCondition(question, label)
     conclusion = raw.get("conclusion")
-    _expect(
-        conclusion is None or isinstance(conclusion, str), f"{path}/conclusion", "string or null"
-    )
-    return DagEdge(raw["id"], raw["from"], raw["to"], cond, conclusion)
+    if conclusion is not None and type(conclusion) is not str:
+        raise SchemaViolation(f"/edges/{i}/conclusion", "string or null")
+    return DagEdge(eid, source, target, condition, conclusion)
 
 
 def load_dag(text: str) -> ExecutionDag:
     """Parse and schema-check a DAG document produced by serialize_dag.
 
-    Each node and edge passes one combined type test; only one that fails it
-    goes through the ordered checks (_checked_node, _checked_edge), which
-    raise SchemaViolation naming the first field at fault.
+    Checks the top level (the text is JSON and an object, `nodes` a
+    non-empty array, `edges` an array, `tsg_id` a string), then each node,
+    then each edge; raises SchemaViolation at the first field at fault. Text
+    nested too deeply or with too long a number fails at "/" as not JSON.
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_DECODE_ERRORS as exc:
         raise SchemaViolation("/", f"not valid JSON: {exc}") from exc
-    _expect(isinstance(obj, dict), "/", "document must be an object")
-    _expect(isinstance(obj.get("nodes"), list) and obj["nodes"], "/nodes", "required non-empty array")
-    _expect(isinstance(obj.get("edges"), list), "/edges", "required array")
-    _expect(isinstance(obj.get("tsg_id"), str), "/tsg_id", "required string")
-
-    nodes = [
-        DagNode(node_id, kind, description, step_ref)
-        if type(raw) is dict
-        and type(node_id := raw.get("id")) is str
-        and node_id
-        and (kind := raw.get("kind")) in _NODE_KINDS
-        and type(description := raw.get("description")) is str
-        and ((step_ref := raw.get("step_ref")) is None or type(step_ref) is str)
-        else _checked_node(f"/nodes/{i}", raw)
-        for i, raw in enumerate(obj["nodes"])
-    ]
-    edges = [
-        DagEdge(
-            eid, source, target,
-            None if c is None else EdgeCondition(c["question"], c["label"]),
-            conclusion,
-        )
-        if type(raw) is dict
-        and type(eid := raw.get("id")) is str
-        and eid
-        and type(source := raw.get("from")) is str
-        and source
-        and type(target := raw.get("to")) is str
-        and target
-        and (
-            (c := raw.get("condition")) is None
-            or (type(c) is dict and type(c.get("question")) is str and c.get("label") in _LABELS)
-        )
-        and ((conclusion := raw.get("conclusion")) is None or type(conclusion) is str)
-        else _checked_edge(f"/edges/{i}", raw)
-        for i, raw in enumerate(obj["edges"])
-    ]
-    return ExecutionDag(tsg_id=obj["tsg_id"], nodes=nodes, edges=edges)
+    if type(obj) is not dict:
+        raise SchemaViolation("/", "document must be an object")
+    nodes, edges, tsg_id = obj.get("nodes"), obj.get("edges"), obj.get("tsg_id")
+    if type(nodes) is not list or not nodes:
+        raise SchemaViolation("/nodes", "required non-empty array")
+    if type(edges) is not list:
+        raise SchemaViolation("/edges", "required array")
+    if type(tsg_id) is not str:
+        raise SchemaViolation("/tsg_id", "required string")
+    return ExecutionDag(tsg_id, [_loaded_node(i, raw) for i, raw in enumerate(nodes)],
+                        [_loaded_edge(i, raw) for i, raw in enumerate(edges)])
 
 
 def structurally_equal(a: ExecutionDag, b: ExecutionDag) -> bool:

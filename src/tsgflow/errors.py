@@ -12,3 +12,8 @@ class TsgflowError(Exception):
     and exits 1. It imports nothing from the package, so every module can
     import it.
     """
+
+
+# What json.loads raises for input that does not decode: ValueError (bad JSON or
+# UTF-8, an integer past sys.get_int_max_str_digits()) or RecursionError (nesting).
+JSON_DECODE_ERRORS = (ValueError, RecursionError)

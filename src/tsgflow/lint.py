@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .document import TsgDocument, parse_tsg, step_id_key
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .linechild import ChildTimeout, ChildUnavailable, LineChild
 from .queryprep import iter_placeholders
 
@@ -52,6 +52,10 @@ class LintError(TsgflowError):
 
 class ManifestMissing(LintError):
     pass
+
+
+class ManifestUnreadable(LintError):
+    """A seeded-defect manifest that does not decode as JSON."""
 
 
 class AnalyzerFailed(LintError):
@@ -238,7 +242,7 @@ class ExternalAnalyzer:
             return []
         try:
             answer = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except JSON_DECODE_ERRORS as exc:
             raise AnalyzerFailed(f"analyzer answer is not JSON: {line[:80]!r}") from exc
         if not isinstance(answer, list):
             raise AnalyzerFailed(f"analyzer answer is not a list: {line[:80]!r}")
@@ -344,7 +348,9 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
 
     The corpus directory holds `<name>.md` documents with sidecar
     `<name>.manifest.json` files listing seeded {"rule", "line"} defects;
-    a finding matches a seed of the same rule within +/-5 lines.
+    a finding matches a seed of the same rule within +/-5 lines. Raises
+    ManifestMissing for a document without a manifest and
+    ManifestUnreadable for a manifest that is not JSON.
     """
     corpus = Path(corpus_dir)
     docs = sorted(corpus.glob("*.md"))
@@ -353,7 +359,10 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
         manifest_path = doc_path.with_name(doc_path.stem + ".manifest.json")
         if not manifest_path.exists():
             raise ManifestMissing(str(manifest_path))
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except JSON_DECODE_ERRORS as exc:
+            raise ManifestUnreadable(f"{manifest_path}: not valid JSON: {exc}") from None
         evaluation.seeded += len(manifest)
         doc = parse_tsg(doc_path.read_text(encoding="utf-8"))
         _match_document(lint(doc), manifest, evaluation)

@@ -27,7 +27,7 @@ from itertools import chain, islice, repeat
 from operator import methodcaller
 from pathlib import Path
 
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 
 COLUMN_TYPES = ("text", "integer", "decimal", "timestamp", "boolean")
 DEFAULT_SAMPLE_ROWS = 3
@@ -523,7 +523,7 @@ class FileBackedStore(MemoryStore):
                     raise InvalidKey(f"key {key!r} is not a string")
                 _check_key(key)
                 self._data[key] = decode_value(record["value"])
-            except (ValueError, LookupError, TypeError, AttributeError, MemoryStoreError) as exc:
+            except (*JSON_DECODE_ERRORS, LookupError, TypeError, AttributeError, MemoryStoreError) as exc:
                 raise CorruptLog(f"{self.path}: record at byte {offset}: {exc!r}") from exc
             offset = end
         self._whole_bytes = offset

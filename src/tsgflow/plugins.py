@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .memory import (
     KeyNotFound,
     MemoryRef,
@@ -335,7 +335,7 @@ class FixtureSet:
     def _json(self, path: Path, missing: str):
         try:
             return json.loads(self._read(path, missing))
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except JSON_DECODE_ERRORS as exc:  # bad JSON or bad UTF-8
             raise PluginFailure(f"{path}: not a UTF-8 JSON file: {exc}") from exc
 
     def _table(self, path: Path, missing: str | None = None) -> Table:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from .document import TsgDocument
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .memory import format_timestamp
 
 
@@ -186,7 +186,7 @@ def load_manifest(text: str, source: str = "manifest") -> tuple[str, list[QueryT
 
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_DECODE_ERRORS as exc:
         raise ManifestInvalid(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("templates", []), list):
         bad("top level must be an object with a templates array")

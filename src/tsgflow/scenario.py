@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from itertools import chain, repeat
 from pathlib import Path
 
-from .errors import TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError
 
 
 class ScenarioError(TsgflowError):
@@ -62,7 +62,7 @@ def read_scenario(path: Path) -> dict:
     for a file that is not JSON or not a scenario."""
     try:
         scenario = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except JSON_DECODE_ERRORS as exc:  # bad JSON or bad UTF-8
         raise ScenarioInvalid(f"scenario {path}: not valid JSON: {exc}") from None
     _check_scenario(scenario, str(path))
     return scenario
