@@ -14,17 +14,19 @@ import threading
 from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
 from .errors import JSON_DECODE_ERRORS
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
-from .memory import value_from_literal
+from .memory import RunScope, value_from_literal
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
 
 
-def _put_writes(ctx: StepContext, writes: dict) -> tuple[str, ...]:
-    """Put a step's memory writes {key: literal} into the run's store in key
-    order, and return the keys in that order for the step's outcome."""
+def _put_writes(store: RunScope | None, writes: dict) -> tuple[str, ...]:
+    """Put a step's memory writes {key: literal} into the run's store, if
+    it has one, in key order, and return the keys in that order for the
+    step's outcome."""
     keys = tuple(sorted(writes))
-    if ctx.store is not None:
+    if store is not None:
+        put = store.put
         for key in keys:
-            ctx.store.put(key, value_from_literal(writes[key]))
+            put(key, value_from_literal(writes[key]))
     return keys
 
 
@@ -46,13 +48,13 @@ class ScriptedBackend(ExecutorBackend):
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
         result, latency, decisions, summary, error, writes = attempt_fields(
             scripted_attempt(self._steps, ctx.node_id, ctx.attempt))
-        if ctx.clock == "wall" and latency:
-            if ctx.cancel.wait(timeout=latency):
-                return CancelledSignal()
-        keys = _put_writes(ctx, writes) if writes else ()
+        if latency and ctx.clock == "wall" and ctx.cancel.wait(timeout=latency):
+            return CancelledSignal()
+        # a failed attempt writes its memory too; its outcome names no keys
+        keys = _put_writes(ctx.store, writes) if writes else ()
         if result == "failure":
-            return StepOutcome("failure", error=error, duration=latency)
-        return StepOutcome("success", summary, dict(decisions), keys, duration=latency)
+            return StepOutcome("failure", "", None, (), error, latency)
+        return StepOutcome("success", summary, dict(decisions), keys, "", latency)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -99,7 +101,7 @@ class ProcessBackend(ExecutorBackend):
             return StepOutcome(result="failure", error=f"bad outcome line: {problem}")
         if obj.get("result") == "cancelled":
             return CancelledSignal()
-        keys = _put_writes(ctx, obj.get("memory_writes", {}))
+        keys = _put_writes(ctx.store, obj.get("memory_writes", {}))
         return StepOutcome(
             result=obj.get("result", "failure"),
             summary=obj.get("summary", ""),

@@ -44,6 +44,7 @@ from .document import TsgDocument
 from .errors import TsgflowError
 from .memory import MemoryRef, MemoryStore, RunScope
 from .queryprep import QueryTemplate
+from .records import frozen_record
 from .scenario import ScenarioIncomplete
 
 
@@ -92,7 +93,7 @@ _UNKNOWN, _ENABLED, _DISABLED = ElementState
 _RUNNING = RunStatus.RUNNING
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StepOutcome:
     result: str  # "success" | "failure"
     summary: str = ""
@@ -100,12 +101,6 @@ class StepOutcome:
     memory_writes: tuple[str, ...] = ()
     error: str = ""
     duration: float = 0
-
-    def __init__(self, result, summary="", edge_decisions=None, memory_writes=(), error="",
-                 duration=0):
-        # one update instead of the frozen dataclass's object.__setattr__ per field
-        self.__dict__.update(result=result, summary=summary, edge_decisions=edge_decisions,
-                             memory_writes=memory_writes, error=error, duration=duration)
 
 
 class CancelledSignal:
@@ -332,7 +327,9 @@ class RunState:
             raise EngineError(f"edge {eid} already resolved to {current.value}")
         self.edge_state[eid] = new_state
         enabled = new_state is _ENABLED
-        self.emit("edge_enabled" if enabled else "edge_disabled", eid, {"via": via})
+        trace = self.trace
+        kind = "edge_enabled" if enabled else "edge_disabled"
+        trace.append(TraceEvent(self.clock, len(trace), kind, eid, {"via": via}))
         target = edge.target
         if target == END:
             if enabled and self.status is _RUNNING:
@@ -423,14 +420,45 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     decisions = outcome.edge_decisions
     if not isinstance(decisions, dict):
         decisions = dict(decisions or {})
-    # the decisions must cover the outgoing edges exactly; sets only word the error
-    covered = len(decisions) == len(outgoing)
+    # one loop passes decisions that name exactly the outgoing edges, each
+    # "enable", or "disable" where the edge has a condition; any other map
+    # raises in _check_decisions
+    if len(decisions) != len(outgoing):
+        _check_decisions(node_id, outgoing, decisions)
     for edge in outgoing:
-        covered = covered and edge.id in decisions
-    if not covered:
-        expected = {e.id for e in outgoing}
-        missing = expected - set(decisions)
-        extra = set(decisions) - expected
+        decision = decisions.get(edge.id)
+        if decision != "enable" and (decision != "disable" or edge.condition is None):
+            _check_decisions(node_id, outgoing, decisions)
+
+    trace, clock = state.trace, state.clock
+    trace.append(TraceEvent(clock, len(trace), "node_succeeded", node_id,
+                            {"attempt": attempt, "duration": outcome.duration,
+                             "summary": outcome.summary}))
+    if outcome.memory_writes:
+        append = trace.append
+        for key in sorted(outcome.memory_writes):
+            append(TraceEvent(clock, len(trace), "memory_put", key, {"node": node_id}))
+    state.history.append(
+        {"node": node_id, "result": "success", "summary": outcome.summary, "attempt": attempt}
+    )
+    resolve = state._resolve  # resolve_edge, one call fewer per edge
+    for edge in outgoing:
+        if state.status is not _RUNNING:
+            break
+        target = resolve(edge, _ENABLED if decisions[edge.id] == "enable" else _DISABLED, node_id)
+        if target is not None:
+            state.disable_node(target)
+    return state
+
+
+def _check_decisions(node_id: str, outgoing: tuple[DagEdge, ...], decisions: dict) -> None:
+    """Raise for decisions that do not cover `outgoing` exactly, then for
+    the first edge, in order, whose decision is not enable or disable or
+    that disables an unconditional edge."""
+    expected = {e.id for e in outgoing}
+    missing = expected - set(decisions)
+    extra = set(decisions) - expected
+    if missing or extra:
         parts = []
         if missing:
             parts.append("missing: " + ", ".join(sorted(missing)))
@@ -443,23 +471,6 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
             raise InvalidEdgeDecision(f"{edge.id}: decision must be enable|disable")
         if edge.condition is None and decision != "enable":
             raise InvalidEdgeDecision(f"{edge.id}: unconditional edges must be enabled")
-
-    state.emit(
-        "node_succeeded",
-        node_id,
-        {"attempt": attempt, "duration": outcome.duration, "summary": outcome.summary},
-    )
-    if outcome.memory_writes:
-        for key in sorted(outcome.memory_writes):
-            state.emit("memory_put", key, {"node": node_id})
-    state.history.append(
-        {"node": node_id, "result": "success", "summary": outcome.summary, "attempt": attempt}
-    )
-    for edge in outgoing:
-        if state.status is not _RUNNING:
-            break
-        state.resolve_edge(edge, _ENABLED if decisions[edge.id] == "enable" else _DISABLED, node_id)
-    return state
 
 
 @dataclass
@@ -550,10 +561,12 @@ def _build_context(state: RunState, node_id: str, attempt: int, inputs: _RunInpu
 
 
 def _record_memory_refs(state: RunState, scope: RunScope, outcome: StepOutcome) -> None:
+    ref_of = scope.ref
+    add_ref, add_entry = state.memory_refs.append, state.memory_ref_entries.append
     for key in sorted(outcome.memory_writes):
-        ref = scope.ref(key)
-        state.memory_refs.append(ref)
-        state.memory_ref_entries.append({"key": ref.key, "kind": ref.kind})
+        ref = ref_of(key)
+        add_ref(ref)
+        add_entry({"key": ref.key, "kind": ref.kind})
 
 
 def _cancel_remaining(state: RunState) -> None:
@@ -710,19 +723,25 @@ class _WallClock:
 def _schedule(
     state: RunState, clock: _VirtualClock | _WallClock, k: int, inputs: _RunInputs
 ) -> None:
-    """The one scheduler loop."""
+    """The one scheduler loop. It does what pop_ready, mark_running and emit
+    do, on the state's queue, sets and trace held in locals."""
     _complete_start(state)
+    ready, queued, running, attempts, trace = (
+        state.ready, state.queued, state.running, state.attempts, state.trace)
+    pop, now, start, next_done = heapq.heappop, clock.now, clock.start, clock.next_done
     while state.status is _RUNNING:
-        while state.ready and len(state.running) < k:
-            node_id = state.pop_ready()
-            attempt = state.mark_running(node_id)
+        while ready and len(running) < k:
+            node_id = pop(ready)[2]
+            queued.discard(node_id)
+            running.add(node_id)
+            attempt = attempts[node_id] = attempts.get(node_id, 0) + 1
             ctx = _build_context(state, node_id, attempt, inputs)
-            state.clock = clock.now()
-            state.emit("node_started", node_id, {"attempt": attempt})
-            clock.start(node_id, ctx)
-        if not state.running:
+            t = state.clock = now()
+            trace.append(TraceEvent(t, len(trace), "node_started", node_id, {"attempt": attempt}))
+            start(node_id, ctx)
+        if not running:
             break
-        state.clock, node_id, outcome = clock.next_done()
+        state.clock, node_id, outcome = next_done()
         apply_outcome(state, node_id, outcome)
         if outcome.memory_writes and outcome.result == "success":
             _record_memory_refs(state, inputs.scope, outcome)

@@ -58,6 +58,11 @@ class ManifestUnreadable(LintError):
     """A seeded-defect manifest that does not decode as JSON."""
 
 
+class ManifestInvalid(ManifestUnreadable):
+    """A seeded-defect manifest that is JSON but not a list of
+    {"rule": str, "line": int} objects."""
+
+
 class AnalyzerFailed(LintError):
     """The external analyzer could not start, timed out or answered something
     other than a JSON list of finding objects."""
@@ -343,14 +348,28 @@ def _match_document(
         evaluation.aggregate.fp += 1
 
 
+def _check_manifest(manifest, path: Path) -> None:
+    """Raise ManifestInvalid naming `path` unless `manifest` is a list of
+    {"rule": str, "line": int} objects (a bool is no line number)."""
+    if not isinstance(manifest, list):
+        raise ManifestInvalid(
+            f"{path}: expected a list of seeded defects, got {type(manifest).__name__}")
+    for i, entry in enumerate(manifest):
+        if not (isinstance(entry, dict) and isinstance(entry.get("rule"), str)
+                and isinstance(entry.get("line"), int) and not isinstance(entry["line"], bool)):
+            raise ManifestInvalid(f'{path}: entry {i} is not a {{"rule": str, "line": int}} object: '
+                                  f"{entry!r}")
+
+
 def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
     """Precision/recall/F1 of the rules against seeded-defect manifests.
 
     The corpus directory holds `<name>.md` documents with sidecar
     `<name>.manifest.json` files listing seeded {"rule", "line"} defects;
     a finding matches a seed of the same rule within +/-5 lines. Raises
-    ManifestMissing for a document without a manifest and
-    ManifestUnreadable for a manifest that is not JSON.
+    ManifestMissing for a document without a manifest, ManifestUnreadable
+    for a manifest that is not JSON and ManifestInvalid for one that is not
+    a list of {"rule": str, "line": int} objects.
     """
     corpus = Path(corpus_dir)
     docs = sorted(corpus.glob("*.md"))
@@ -363,6 +382,7 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except JSON_DECODE_ERRORS as exc:
             raise ManifestUnreadable(f"{manifest_path}: not valid JSON: {exc}") from None
+        _check_manifest(manifest, manifest_path)
         evaluation.seeded += len(manifest)
         doc = parse_tsg(doc_path.read_text(encoding="utf-8"))
         _match_document(lint(doc), manifest, evaluation)

@@ -219,8 +219,15 @@ class MemoryValue:
         return len(encode_value(self).encode("utf-8"))
 
 
+_SCALAR_TYPES = frozenset({str, int, float, bool, datetime})
+
+
 def memory_value(x) -> MemoryValue:
     """Wrap a plain Python value in a MemoryValue, inferring the kind."""
+    if type(x) in _SCALAR_TYPES:  # a scalar by its exact type: nothing to check again
+        value = object.__new__(MemoryValue)
+        value.kind, value.payload = "scalar", x
+        return value
     if isinstance(x, MemoryValue):
         return x
     if isinstance(x, Table):
@@ -447,6 +454,10 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 def _check_key(key: str) -> None:
+    # no control character is printable, so a non-empty printable str needs
+    # no search; every other key gets the regex and its message
+    if type(key) is str and key and key.isprintable():
+        return
     if not key:
         raise InvalidKey("empty key")
     if _CONTROL.search(key):
@@ -462,7 +473,8 @@ class MemoryStore:
 
     def put(self, key: str, value) -> MemoryRef:
         _check_key(key)
-        value = memory_value(value)
+        if type(value) is not MemoryValue:
+            value = memory_value(value)
         with self._lock:
             self._store(key, value)
         return MemoryRef(key, value.kind, value)
@@ -541,36 +553,47 @@ class FileBackedStore(MemoryStore):
 
 
 class RunScope:
-    """View of a store with every key prefixed by a run id."""
+    """View of a store with every key prefixed by a run id. Every key goes
+    through the store's put, get and contains, so a store that overrides
+    them sees each one."""
 
     def __init__(self, store: MemoryStore, run_id: str):
         self._store = store
-        self.run_id = run_id
+        self._run_id = run_id
+        self._prefix = f"{run_id}::"
 
-    def _full(self, key: str) -> str:
-        _check_key(key)
-        return f"{self.run_id}::{key}"
+    @property
+    def run_id(self) -> str:
+        """The run id; read-only, as every key's prefix is built from it once."""
+        return self._run_id
 
     def put(self, key: str, value) -> MemoryRef:
         """Store under the scoped key; the ref, like ref(), names the short key."""
-        ref = self._store.put(self._full(key), value)
+        _check_key(key)
+        ref = self._store.put(self._prefix + key, value)
         return MemoryRef(key, ref.kind, ref.value)
 
     def get(self, key: str) -> MemoryValue:
+        _check_key(key)
         try:
-            return self._store.get(self._full(key))
+            return self._store.get(self._prefix + key)
         except KeyNotFound:
             raise KeyNotFound(key) from None
 
     def contains(self, key: str) -> bool:
-        return self._store.contains(self._full(key))
+        _check_key(key)
+        return self._store.contains(self._prefix + key)
 
     def keys(self) -> list[str]:
-        prefix = f"{self.run_id}::"
+        prefix = self._prefix
         return [k[len(prefix):] for k in self._store.keys() if k.startswith(prefix)]
 
     def ref(self, key: str) -> MemoryRef:
-        value = self.get(key)
+        _check_key(key)
+        try:
+            value = self._store.get(self._prefix + key)
+        except KeyNotFound:
+            raise KeyNotFound(key) from None
         return MemoryRef(key, value.kind, value)
 
 

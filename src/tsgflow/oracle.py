@@ -16,6 +16,8 @@ would be two formats, not two opinions.
     settled once, then attempts placed in time on a completion heap.
     serial_simulation is its k=1 case; with one executor per node it is the
     unbounded run, whose makespan is the earliest possible conclusion T_inf.
+    A run raises DecisionsMismatch when it applies a success whose
+    decisions do not name exactly its step's outgoing edges.
     A Simulator runs it at several k from one view, each k once.
   * oracle_makespan: the serial makespan, T_inf, and the realized
     parallelism width: the maximum antichain of the unbounded run's
@@ -36,11 +38,15 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .dag import END, START, DagEdge, DagError, ExecutionDag, node_sort_key
-from .scenario import attempt_fields, scenario_steps, scripted_attempt
+from .scenario import ScenarioError, attempt_fields, scenario_steps, scripted_attempt
 
 
 class NotADag(DagError, ValueError):
     """The graph has a cycle, so it has no topological order."""
+
+
+class DecisionsMismatch(ScenarioError):
+    """A step's scripted decisions do not name exactly its outgoing edges."""
 
 
 @dataclass(frozen=True)
@@ -167,8 +173,10 @@ def _simulate(view: _View, steps: dict[str, list[dict]], retry_limit: int, k: in
     attempts on k executors under the README's ordering rules, and a node's
     final completion resolves its edges to their settled states at that
     instant: a target left with no unresolved incoming edge is enqueued if
-    enabled and resolved in turn if disabled. The first enabled edge into
-    end concludes; the end states are the closure of the applied outcomes.
+    enabled and resolved in turn if disabled. A success applied there whose
+    decisions do not name exactly the node's outgoing edges raises
+    DecisionsMismatch. The first enabled edge into end concludes; the end
+    states are the closure of the applied outcomes.
     """
     outcomes: dict[str, FinalOutcome] = {}
 
@@ -218,12 +226,26 @@ def _simulate(view: _View, steps: dict[str, list[dict]], retry_limit: int, k: in
         if retried:
             heapq.heappush(ready, (t, key, node))
         else:
-            applied[node] = outcomes[node]
+            outcome = applied[node] = outcomes[node]
+            if outcome.result == "success":
+                _check_coverage(view, node, outcome.decisions)
             concluding = complete(node, t)
 
     status, conclusion, edge = ("exhausted", None, None) if concluding is None else (
         "concluded", concluding.conclusion or "", concluding.id)
     return SerialSim(status, conclusion, edge, list(attempts), starts, t, *_settle(view, applied.get))
+
+
+def _check_coverage(view: _View, node: str, decisions: dict[str, str]) -> None:
+    """Raise DecisionsMismatch naming the outgoing edges of `node` that
+    `decisions` leaves out and the ids it names that are none of them."""
+    expected = {e.id for e in view.outgoing[node]}
+    missing = sorted(expected - set(decisions))
+    extra = sorted(set(decisions) - expected)
+    if missing or extra:
+        parts = ["missing: " + ", ".join(missing)] if missing else []
+        parts += ["not outgoing edges: " + ", ".join(extra)] if extra else []
+        raise DecisionsMismatch(f"{node}: " + "; ".join(parts))
 
 
 def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> SerialSim:
@@ -332,6 +354,8 @@ def oracle_makespan(dag: ExecutionDag, scenario: dict, retry_limit: int = 2) -> 
     """Independent bounds for a scenario: the k=1 serial makespan under FIFO
     ordering, and from the unbounded run (one executor per node) the
     earliest conclusion and the realized parallelism width. Raises
-    ScenarioIncomplete when either run starts a step that has no script; a
-    step that neither run reaches needs none."""
+    ScenarioIncomplete when either run starts a step that has no script (a
+    step that neither run reaches needs none), and DecisionsMismatch when
+    either run applies a success whose decisions do not name exactly its
+    step's outgoing edges."""
     return Simulator(dag, scenario_steps(scenario), retry_limit).makespan()

@@ -12,6 +12,7 @@ import json
 import sys
 from collections.abc import Mapping
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import JSON_DECODE_ERRORS, TsgflowError
@@ -47,14 +48,17 @@ def scripted_attempt(steps: Mapping[str, list[dict]], node_id: str, n: int) -> d
     attempts = steps.get(node_id)
     if not attempts:
         raise ScenarioIncomplete(f"scenario has no attempts for {node_id}")
-    return attempts[min(n, len(attempts)) - 1]
+    return attempts[n - 1] if n <= len(attempts) else attempts[-1]
+
+
+_FIELDS = itemgetter(*ATTEMPT_DEFAULTS)
 
 
 def attempt_fields(attempt: dict) -> tuple:
     """Every field of an attempt, each one it leaves out at its default, in
     ATTEMPT_DEFAULTS order: result, latency, edge_decisions, summary, error,
     memory_writes."""
-    return tuple(map(attempt.get, ATTEMPT_DEFAULTS, ATTEMPT_DEFAULTS.values()))
+    return _FIELDS({**ATTEMPT_DEFAULTS, **attempt})
 
 
 def read_scenario(path: Path) -> dict:

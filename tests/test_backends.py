@@ -24,6 +24,7 @@ from tsgflow.engine import (
     StepOutcome,
     run,
 )
+from tsgflow.memory import InvalidValue, MemoryStore, RunScope
 from tsgflow.scenario import ScenarioIncomplete
 
 LOOPBACK = Path(__file__).parent / "fixtures" / "loopback_backend.py"
@@ -362,3 +363,41 @@ def test_unrequested_cancel_marker_is_an_engine_error(clock):
 
     with pytest.raises(EngineError, match="step1: backend returned a cancel marker unrequested"):
         run(bundle_of(linear_dag(1)), CancelsUnasked(), RunConfig(clock=clock))
+
+
+def test_scripted_attempts_write_memory_whatever_their_result():
+    """A failed attempt puts its writes too, but names no keys, so the
+    trace has no memory_put and the contexts no ref for them; the n-th run
+    of a step replays its n-th attempt and the last one repeats."""
+    attempts = [
+        {"result": "failure", "error": "first", "memory_writes": {"tried": 1, "at": "t1"}},
+        {"result": "failure", "error": "second", "memory_writes": {"tried": 2}},
+        {"result": "success", "edge_decisions": {"edge_step1_end": "enable"},
+         "memory_writes": {"found": "yes"}},
+    ]
+    backend = ScriptedBackend.from_scenario({"steps": {"step1": attempts}})
+    store = MemoryStore()
+    result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=2), store=store,
+                 run_id="r")
+    assert result.status is RunStatus.CONCLUDED
+    assert {k: store.get(k).payload for k in store.keys()} == {
+        "r::at": "t1", "r::found": "yes", "r::tried": 2}
+    assert [(ev.kind, ev.subject) for ev in result.trace if ev.kind == "memory_put"] == [
+        ("memory_put", "found")]
+    assert [ref.key for ref in result.state.memory_refs] == ["found"]
+    errors = [ev.detail["error"] for ev in result.trace if ev.kind == "node_failed"]
+    assert errors == ["first", "second"]
+    backend = ScriptedBackend.from_scenario({"steps": {"step1": attempts[:2]}})
+    result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=3))
+    errors = [ev.detail["error"] for ev in result.trace if ev.kind == "node_failed"]
+    assert result.status is RunStatus.EXHAUSTED and errors == ["first", "second", "second", "second"]
+
+    failed = {"result": "failure", "error": "x", "latency": 3, "memory_writes": {"t": [1, 2]}}
+    scope = RunScope(MemoryStore(), "r")
+    ctx = StepContext("r", "step1", "1", "", "", {}, [], [], [], [], [], 1, scope)
+    outcome = ScriptedBackend.from_scenario({"steps": {"step1": [failed]}}).execute(ctx)
+    assert outcome == StepOutcome("failure", "", None, (), "x", 3)
+    assert scope.get("t").payload == [1, 2]
+    with pytest.raises(InvalidValue):  # the engine fails the step with it
+        ScriptedBackend.from_scenario(
+            {"steps": {"step1": [dict(failed, memory_writes={"t": [[1]]})]}}).execute(ctx)

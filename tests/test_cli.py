@@ -145,6 +145,21 @@ def test_oracle_command(capsys):
     assert obj == {"critical_path_to_conclusion": 22, "serial_sum": 35, "width": 3}
 
 
+def test_oracle_and_run_refuse_decisions_that_are_not_the_outgoing_edges(tmp_path, capsys):
+    """fig5 with step1 deciding edge_stepX_step2 instead of edge_step1_step2:
+    every command exits 1 naming step1 and both edge ids, none with figures."""
+    text = (FIG5_DIR / "scenarios" / "dependency_issue.json").read_text(encoding="utf-8")
+    assert text.count("edge_step1_step2") == 1
+    path = tmp_path / "renamed.json"
+    path.write_text(text.replace("edge_step1_step2", "edge_stepX_step2"), encoding="utf-8")
+    edges = "step1: missing: edge_step1_step2; not outgoing edges: edge_stepX_step2"
+    for command, error in ((["oracle"], "DecisionsMismatch"), (["run"], "IncompleteEdgeDecisions"),
+                           (["sweep", "--executors", "1..2"], "DecisionsMismatch")):
+        assert main([command[0], str(FIG5_DIR), "--scenario", str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {error}: {edges}\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing required arguments

@@ -16,7 +16,9 @@ from tsgflow.lint import (
     AnalyzerFailed,
     ExternalAnalyzer,
     LintFinding,
+    ManifestInvalid,
     ManifestMissing,
+    ManifestUnreadable,
     evaluate_lint,
     findings_to_json,
     lint,
@@ -247,6 +249,26 @@ def test_evaluate_lint_missing_manifest(tmp_path):
     (tmp_path / "doc.md").write_text("# TSG: x — y\n\n## Step 1: A\nTerminate: z\n")
     with pytest.raises(ManifestMissing):
         evaluate_lint(tmp_path)
+
+
+@pytest.mark.parametrize("manifest,detail", [
+    (5, "expected a list of seeded defects, got int"),
+    ({"a": 1}, "expected a list of seeded defects, got dict"),
+    ([{"rule": "X"}], """entry 0 is not a {"rule": str, "line": int} object: {'rule': 'X'}"""),
+    ([{"rule": 1, "line": "x"}],
+     """entry 0 is not a {"rule": str, "line": int} object: {'rule': 1, 'line': 'x'}"""),
+    ([{"rule": "X", "line": 3}, {"rule": "X", "line": True}],
+     """entry 1 is not a {"rule": str, "line": int} object: {'rule': 'X', 'line': True}"""),
+    ([{"rule": "X", "line": 3}, "X"], """entry 1 is not a {"rule": str, "line": int} object: 'X'"""),
+], ids=["int", "object", "no-line", "wrong-types", "bool-line", "string-entry"])
+def test_evaluate_lint_names_a_manifest_of_the_wrong_shape(tmp_path, manifest, detail):
+    (tmp_path / "doc.md").write_text(build_lint_corpus()[0].text, encoding="utf-8")
+    path = tmp_path / "doc.manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ManifestInvalid) as info:
+        evaluate_lint(tmp_path)
+    assert str(info.value) == f"{path}: {detail}"
+    assert isinstance(info.value, ManifestUnreadable)
 
 
 def test_external_analyzer_hook(fig4_bundle):

@@ -31,7 +31,7 @@ from tsgflow.oracle import (
     simulate,
     started_work,
 )
-from tsgflow.scenario import ScenarioIncomplete, scenario_steps
+from tsgflow.scenario import ScenarioError, ScenarioIncomplete, scenario_steps
 
 
 def assert_engine_matches_oracle(dag, steps, retry_limit=0, k=1):
@@ -144,6 +144,49 @@ def test_oracle_requires_complete_scenario(fig5_bundle, fig5_scenario):
     steps.pop("step2")
     with pytest.raises(ScenarioIncomplete):
         oracle_makespan(fig5_bundle.dag, {"steps": steps})
+
+
+def _renamed_edge(scenario: dict) -> dict:
+    """fig5's scenario with step1 deciding edge_stepX_step2 for edge_step1_step2."""
+    scenario = copy.deepcopy(scenario)
+    decisions = scenario["steps"]["step1"]["attempts"][0]["edge_decisions"]
+    decisions["edge_stepX_step2"] = decisions.pop("edge_step1_step2")
+    return scenario
+
+
+def test_oracle_refuses_decisions_that_are_not_the_outgoing_edges(fig5_bundle, fig5_scenario):
+    """The engine raises IncompleteEdgeDecisions for these scripts; the
+    oracle, with its own check, raises DecisionsMismatch naming the node and
+    the missing or extra edge ids, wherever a run applies the success."""
+    scenario = _renamed_edge(fig5_scenario)
+    message = "step1: missing: edge_step1_step2; not outgoing edges: edge_stepX_step2"
+    for check in (lambda: oracle_makespan(fig5_bundle.dag, scenario),
+                  lambda: serial_simulation(fig5_bundle.dag, scenario_steps(scenario), 2)):
+        with pytest.raises(oracle.DecisionsMismatch) as exc:
+            check()
+        assert str(exc.value) == message
+    assert isinstance(exc.value, ScenarioError) and not isinstance(exc.value, ScenarioIncomplete)
+
+    decisions = _renamed_edge(fig5_scenario)["steps"]["step1"]["attempts"][0]["edge_decisions"]
+    del decisions["edge_stepX_step2"]  # only missing
+    steps = scenario_steps(fig5_scenario)
+    steps["step1"] = [{**steps["step1"][0], "edge_decisions": decisions}]
+    with pytest.raises(oracle.DecisionsMismatch, match=r"^step1: missing: edge_step1_step2$"):
+        oracle_makespan(fig5_bundle.dag, {"steps": steps})
+    decisions = dict(decisions, edge_step1_step2="enable", edge_x="disable")  # only extra
+    steps["step1"] = [{**steps["step1"][0], "edge_decisions": decisions}]
+    with pytest.raises(oracle.DecisionsMismatch, match=r"^step1: not outgoing edges: edge_x$"):
+        oracle_makespan(fig5_bundle.dag, {"steps": steps})
+
+
+def test_oracle_checks_only_the_successes_a_run_applies(fig5_bundle, fig5_scenario):
+    """A step that fails for good decides nothing, and a script no run
+    reaches is not read: neither is checked, as the engine checks neither."""
+    steps = scenario_steps(fig5_scenario)
+    steps["step2"] = [{"result": "failure", "latency": 1, "edge_decisions": {"edge_x": "enable"}}]
+    steps["step_unreached"] = [{"edge_decisions": {"edge_y": "enable"}}]
+    oracle_makespan(fig5_bundle.dag, {"steps": steps})
+    assert_engine_matches_oracle(fig5_bundle.dag, steps, retry_limit=2)
 
 
 def test_replay_final_outcome():

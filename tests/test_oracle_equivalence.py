@@ -6,6 +6,13 @@ its reference, compared by repr so dict order counts too, on fixture
 bundles, random DAGs with tied latencies, failures and retries, random
 applied sets and node subsets, and long chains.
 
+The reference does not check a success's decisions against its step's
+outgoing edges: it reads a missing edge as disabled and ignores an id that
+is no outgoing edge. The oracle refuses such a success when it applies one
+(DecisionsMismatch), so it is compared on the scripts with those decisions
+written out (_covering), and on the scripts as given it must return the same
+or raise naming a step whose decisions were written out.
+
 The reference's timed_analysis, a longest-path model that does not use
 simulate, checks oracle_makespan's unbounded run from a second side:
 wherever it returns, the two conclusion times are equal, and the oracle's
@@ -28,11 +35,13 @@ from tsgflow import load_bundle, load_scenario
 from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id
 from tsgflow.scenario import ScenarioIncomplete, scenario_steps
 from tsgflow.oracle import (
+    DecisionsMismatch,
     FinalOutcome,
     NotADag,
     fixpoint_states,
     max_antichain,
     oracle_makespan,
+    replay_final_outcome,
     serial_simulation,
 )
 
@@ -51,18 +60,56 @@ def _outcome(fn, *args):
         return f"ScenarioIncomplete: {exc}"
 
 
+def _covering(dag, steps):
+    """`steps` with every success's decisions naming exactly its step's
+    outgoing edges, as the reference reads them: a missing edge disabled,
+    an id of no outgoing edge left out."""
+    outgoing = {n.id: sorted(e.id for e in dag.edges if e.source == n.id) for n in dag.nodes}
+
+    def cover(node, attempt):
+        if attempt.get("result", "success") != "success":
+            return attempt
+        decisions = attempt.get("edge_decisions", {})
+        return {**attempt, "edge_decisions": {e: decisions.get(e, "disable")
+                                              for e in outgoing.get(node, [])}}
+
+    return {node: [cover(node, a) for a in attempts] for node, attempts in steps.items()}
+
+
+def _assert_mismatch_named(exc, dag, steps, covering, retry_limit):
+    """`exc` names a step whose final success's decisions leave out or add
+    exactly the edge ids it lists."""
+    node = str(exc).split(":")[0]
+    assert steps[node] != covering[node]
+    expected = {e.id for e in dag.edges if e.source == node}
+    given = set(replay_final_outcome(steps, node, retry_limit).decisions)
+    parts = []
+    if expected - given:
+        parts.append("missing: " + ", ".join(sorted(expected - given)))
+    if given - expected:
+        parts.append("not outgoing edges: " + ", ".join(sorted(given - expected)))
+    assert str(exc) == f"{node}: " + "; ".join(parts)
+
+
 def assert_same(dag, steps, retry_limit) -> bool:
-    """serial_simulation agrees with the reference; wherever the reference's
-    timed_analysis returns, oracle_makespan returns its conclusion time as
-    T_inf and a width no larger than its width. Returns whether the
-    reference returned."""
-    assert _outcome(serial_simulation, dag, steps, retry_limit) == _outcome(
-        reference.serial_simulation, dag, steps, retry_limit)
+    """serial_simulation of the written-out scripts (_covering) agrees with
+    the reference on the scripts as given, and on those it agrees too or
+    raises DecisionsMismatch for a written-out step; wherever the
+    reference's timed_analysis returns, oracle_makespan returns its
+    conclusion time as T_inf and a width no larger than its width. Returns
+    whether the reference returned."""
+    covering = _covering(dag, steps)
+    expected = _outcome(reference.serial_simulation, dag, steps, retry_limit)
+    assert _outcome(serial_simulation, dag, covering, retry_limit) == expected
+    try:
+        assert _outcome(serial_simulation, dag, steps, retry_limit) == expected
+    except DecisionsMismatch as exc:
+        _assert_mismatch_named(exc, dag, steps, covering, retry_limit)
     try:
         timed = reference.timed_analysis(dag, steps, retry_limit)
     except ScenarioIncomplete:
         return False
-    oracle = oracle_makespan(dag, {"steps": steps}, retry_limit)
+    oracle = oracle_makespan(dag, {"steps": covering}, retry_limit)
     assert oracle.critical_path_to_conclusion == timed.conclusion_time
     assert oracle.width <= timed.width
     return True

@@ -1,7 +1,8 @@
-"""The document and DAG records behave as plain dataclasses with the same
-fields do: construction, the missing-argument error, repr, asdict, astuple,
-hash, replace, copy, deepcopy, pickle and frozenness. They are slotted, so
-they have no __dict__ and refuse an undeclared attribute."""
+"""The document and DAG records, and the engine's StepOutcome, behave as
+plain dataclasses with the same fields do: construction, the
+missing-argument error, repr, asdict, astuple, hash, replace, copy,
+deepcopy, pickle and frozenness. They are slotted, so they have no __dict__
+and refuse an undeclared attribute."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 from tsgflow.dag import DagEdge, DagNode, EdgeCondition, Violation
 from tsgflow.document import Condition, NextDirective, ParseDiagnostic, QueryBlock, TsgStep
+from tsgflow.engine import StepOutcome
 
 _CONDITION = Condition("Is the service up?", "Y")
 _BLOCK = QueryBlock("q1", "kql", "Exceptions | take {n}", 12)
@@ -32,6 +34,8 @@ SAMPLES = {
     DagNode: ("step3.1", "step", "Check the deployment", "3.1"),
     DagEdge: ("edge_step1_end", "step1", "end", EdgeCondition("Up?", "N"), "no fault"),
     Violation: ("cycle", "edge_step2_step1", "cycle through edges: edge_step2_step1"),
+    StepOutcome: ("success", "service is up", {"edge_step1_step2": "enable"}, ("avail", "errors"),
+                  "", 1.5),
 }
 RECORDS = list(SAMPLES)
 FROZEN = [cls for cls in RECORDS if cls.__dataclass_params__.frozen]
@@ -52,6 +56,14 @@ def _sample(cls):
     return cls(*SAMPLES[cls])
 
 
+def _hash(record):
+    """hash(record), or the class and message of the error it raises."""
+    try:
+        return hash(record)
+    except TypeError as exc:
+        return (TypeError, str(exc))
+
+
 def _required(cls) -> tuple:
     """The sample values of the fields that have no default."""
     fields = dataclasses.fields(cls)
@@ -62,7 +74,7 @@ def _required(cls) -> tuple:
 def test_every_record_is_sampled():
     assert {cls.__name__ for cls in RECORDS} == {
         "Condition", "NextDirective", "QueryBlock", "ParseDiagnostic", "TsgStep",
-        "EdgeCondition", "DagNode", "DagEdge", "Violation"}
+        "EdgeCondition", "DagNode", "DagEdge", "Violation", "StepOutcome"}
     for cls in RECORDS:
         assert len(SAMPLES[cls]) == len(dataclasses.fields(cls)), cls.__name__
 
@@ -98,8 +110,8 @@ def test_repr_asdict_astuple_hash_match_plain_dataclass(cls):
     assert dataclasses.asdict(record) == dataclasses.asdict(plain)
     assert dataclasses.astuple(record) == dataclasses.astuple(plain)
     if cls in FROZEN:
-        assert hash(record) == hash(plain)
-        assert hash(record) == hash(_sample(cls))
+        assert _hash(record) == _hash(plain)
+        assert _hash(record) == _hash(_sample(cls))
     else:
         assert cls.__hash__ is None and type(plain).__hash__ is None
 
@@ -145,3 +157,31 @@ def test_step_refuses_an_undeclared_attribute():
     assert step.title == "Renamed"
     with pytest.raises(AttributeError):
         step.undeclared = 1
+
+
+def test_step_outcome_hash_raises_on_its_decision_dict():
+    """A frozen dataclass hashes its fields, so an outcome holding a dict
+    of decisions is unhashable, as the plain frozen dataclass is; one
+    without decisions hashes as the plain one does."""
+    twin = _twin(StepOutcome)
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(_sample(StepOutcome))
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(twin(*SAMPLES[StepOutcome]))
+    failure = ("failure", "", None, (), "scripted failure", 2)
+    assert hash(StepOutcome(*failure)) == hash(twin(*failure))
+
+
+def test_step_outcome_keywords_defaults_and_replace():
+    """Construction by keyword and by position, the defaults, and the
+    replace that the wall clock uses to set a measured duration."""
+    by_keyword = StepOutcome(result="failure", error="boom", duration=0.5)
+    assert by_keyword == StepOutcome("failure", "", None, (), "boom", 0.5)
+    twin = _twin(StepOutcome)(result="failure", error="boom", duration=0.5)
+    assert repr(by_keyword) == repr(twin)
+    assert StepOutcome("success") == StepOutcome("success", "", None, (), "", 0)
+    timed = dataclasses.replace(_sample(StepOutcome), duration=0.25)
+    assert type(timed) is StepOutcome and timed.duration == 0.25
+    assert dataclasses.astuple(timed)[:-1] == dataclasses.astuple(_sample(StepOutcome))[:-1]
+    with pytest.raises(FrozenInstanceError):
+        timed.duration = 1
