@@ -2,7 +2,8 @@
 
 ScriptedBackend replays scenarios on the run's clock. ProcessBackend sends
 each step to a child process through linechild.LineChild, which gives every
-step a deadline, honours the run's cancel event and restarts a crashed child.
+step a deadline, honours the run's cancel event and restarts a crashed child;
+it keeps one child per step that runs at once.
 """
 
 from __future__ import annotations
@@ -61,35 +62,49 @@ class ProcessBackend(ExecutorBackend):
     """Line-protocol backend: one StepContext JSON per line to the child's
     stdin, one StepOutcome JSON per line from its stdout.
 
-    The child is a single long-lived LineChild, so steps are serialized with
-    a lock. Each step has the client's deadline: a step whose child does not
-    answer in time fails with ChildTimeout. A cancel closes the child's stdin
-    and kills it after a grace period; the engine reports the step as
-    cancelled, not failed. A crashed or timed-out child is replaced by a fresh
-    one on the next step. An answer that is not a well-formed outcome object
-    fails its step. The child may return memory writes as {key: literal};
-    this wrapper applies them to the run's store.
+    Each step talks to a long-lived LineChild of its own: it takes an idle
+    one from the backend's free list, or makes one when none is idle, and
+    gives it back when the step returns. The engine runs at most k steps at
+    once, so a run at k executors keeps at most k children. Each step has the
+    client's deadline: a step whose child does not answer in time fails with
+    ChildTimeout. A cancel closes the child's stdin and kills it after a
+    grace period; the engine reports the step as cancelled, not failed. A
+    crash, timeout or cancel closes only that step's child, which a later
+    step restarts. An answer that is not a well-formed outcome object fails
+    its step. The child may return memory writes as {key: literal}; this
+    wrapper applies them to the run's store.
     """
 
     def __init__(self, command: list[str]):
         self.command = command
-        self._child = LineChild(command)
-        self._lock = threading.Lock()
+        self._idle: list[LineChild] = []
+        self._lent = 0  # children a step is talking to
+        self._returned = threading.Condition()
 
     def close(self) -> None:
-        """Stop the child, after any step still talking to it."""
-        with self._lock:
-            self._child.close()
+        """Stop every child, each one after the step still talking to it."""
+        with self._returned:
+            self._returned.wait_for(lambda: not self._lent)
+            children, self._idle = self._idle, []
+        for child in children:
+            child.close()
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
         request = json.dumps(ctx.to_obj(), ensure_ascii=False)
-        with self._lock:
-            try:
-                line = self._child.request(request, ctx.cancel)
-            except ChildUnavailable as exc:
-                raise BackendUnavailable(str(exc)) from exc
-            except ChildCancelled:
-                return CancelledSignal()
+        with self._returned:
+            child = self._idle.pop() if self._idle else LineChild(self.command)
+            self._lent += 1
+        try:
+            line = child.request(request, ctx.cancel)
+        except ChildUnavailable as exc:
+            raise BackendUnavailable(str(exc)) from exc
+        except ChildCancelled:
+            return CancelledSignal()
+        finally:
+            with self._returned:
+                self._idle.append(child)
+                self._lent -= 1
+                self._returned.notify_all()
         if line is None:
             return StepOutcome(result="failure", error="backend process closed its output")
         try:

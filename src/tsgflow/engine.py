@@ -22,8 +22,9 @@ start and then be cancelled within one virtual instant.
 
 One scheduler loop serves both clocks. On the virtual clock a backend
 reports each attempt's duration and the loop is a discrete-event simulation,
-so runs are fully deterministic; on the wall clock up to k steps run on
-threads of their own and durations are measured.
+so runs are fully deterministic; on the wall clock up to k steps run at
+once on a pool of at most k worker threads that the run starts and stops,
+and durations are measured.
 """
 
 from __future__ import annotations
@@ -385,6 +386,13 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     node without touching edges; an exhausted failure disables all outgoing
     edges. Conclusion (an enabled edge into end) short-circuits propagation.
     """
+    _apply_outcome(state, node_id, outcome)
+    return state
+
+
+def _apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[str, ...]:
+    """apply_outcome's work. Returns a success's written keys, sorted once
+    for both its memory_put events and its refs; () for a failure."""
     if node_id not in state.node_state:
         raise UnknownNode(node_id)
     if node_id not in state.running:
@@ -405,13 +413,13 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
         if not final:
             state.emit("node_retried", node_id, {"next_attempt": attempt + 1})
             state.enqueue(node_id, state.clock)
-            return state
+            return ()
         state.failed.add(node_id)
         for edge in state.compiled.outgoing[node_id]:
             if state.status is not _RUNNING:
                 break
             state.resolve_edge(edge, _DISABLED, via="failure")
-        return state
+        return ()
 
     if outcome.result != "success":
         raise EngineError(f"outcome result must be success or failure, got {outcome.result!r}")
@@ -434,9 +442,11 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     trace.append(TraceEvent(clock, len(trace), "node_succeeded", node_id,
                             {"attempt": attempt, "duration": outcome.duration,
                              "summary": outcome.summary}))
+    keys = ()
     if outcome.memory_writes:
+        keys = tuple(sorted(outcome.memory_writes))
         append = trace.append
-        for key in sorted(outcome.memory_writes):
+        for key in keys:
             append(TraceEvent(clock, len(trace), "memory_put", key, {"node": node_id}))
     state.history.append(
         {"node": node_id, "result": "success", "summary": outcome.summary, "attempt": attempt}
@@ -448,7 +458,7 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
         target = resolve(edge, _ENABLED if decisions[edge.id] == "enable" else _DISABLED, node_id)
         if target is not None:
             state.disable_node(target)
-    return state
+    return keys
 
 
 def _check_decisions(node_id: str, outgoing: tuple[DagEdge, ...], decisions: dict) -> None:
@@ -560,10 +570,12 @@ def _build_context(state: RunState, node_id: str, attempt: int, inputs: _RunInpu
     )
 
 
-def _record_memory_refs(state: RunState, scope: RunScope, outcome: StepOutcome) -> None:
+def _record_memory_refs(state: RunState, scope: RunScope, keys: tuple[str, ...]) -> None:
+    """Ref each of a success's written keys, in the sorted order
+    _apply_outcome returned them."""
     ref_of = scope.ref
     add_ref, add_entry = state.memory_refs.append, state.memory_ref_entries.append
-    for key in sorted(outcome.memory_writes):
+    for key in keys:
         ref = ref_of(key)
         add_ref(ref)
         add_entry({"key": ref.key, "kind": ref.kind})
@@ -636,8 +648,10 @@ def run(
     try:
         _schedule(state, clock, config.max_executors, inputs)
     finally:
-        # whether the run concluded or raised, the steps still running stop
+        # whether the run concluded or raised, the steps still running stop,
+        # and each wall-clock worker exits once its step returns
         inputs.cancel.set()
+        clock.close()
 
     executed = list(state.attempts)  # in first-start order, as the trace has it
     cancelled = [ev.subject for ev in state.trace if ev.kind == "node_cancelled"]
@@ -690,34 +704,60 @@ class _VirtualClock:
         self._t, _, node_id, outcome = heapq.heappop(self._due)
         return self._t, node_id, outcome
 
+    def close(self) -> None:
+        pass  # nothing runs off the scheduler thread
+
 
 class _WallClock:
-    """Runs each step on its own daemon thread; its duration is measured."""
+    """Runs steps on a pool of daemon worker threads of its run; a step's
+    duration is measured.
+
+    A worker is started only when no started one is idle. The scheduler never
+    has more than k steps running, so a run starts at most k workers.
+    close() posts one stop item per worker, and each worker exits as soon as
+    the step it is running returns. The workers are the run's own: none is
+    shared between runs or outlives a run by more than its current step.
+    """
 
     def __init__(self, backend: ExecutorBackend):
         self._backend = backend
+        self._todo = queue.SimpleQueue()  # (node id, ctx), or None to stop a worker
         self._done = queue.SimpleQueue()
+        self._workers = 0
+        self._busy = 0  # steps handed to the pool whose outcome next_done has not taken
         self._t0 = time.monotonic()
 
     def now(self) -> float:
         return time.monotonic() - self._t0
 
     def start(self, node_id: str, ctx: StepContext) -> None:
-        threading.Thread(target=self._work, args=(node_id, ctx), daemon=True).start()
+        if self._busy == self._workers:
+            threading.Thread(target=self._work, daemon=True).start()
+            self._workers += 1
+        self._busy += 1
+        self._todo.put((node_id, ctx))
 
-    def _work(self, node_id: str, ctx: StepContext) -> None:
-        begun = time.monotonic()
-        try:
-            outcome = _execute_guarded(self._backend, ctx)
-        except _RUN_ERRORS as exc:  # re-raised on the scheduler thread
-            outcome = exc
-        self._done.put((node_id, outcome, time.monotonic() - begun))
+    def _work(self) -> None:
+        backend, todo, done = self._backend, self._todo, self._done
+        while (item := todo.get()) is not None:
+            node_id, ctx = item
+            begun = time.monotonic()
+            try:
+                outcome = _execute_guarded(backend, ctx)
+            except _RUN_ERRORS as exc:  # re-raised on the scheduler thread
+                outcome = exc
+            done.put((node_id, outcome, time.monotonic() - begun))
 
     def next_done(self) -> tuple[float, str, StepOutcome]:
         node_id, outcome, elapsed = self._done.get()
+        self._busy -= 1
         if isinstance(outcome, _RUN_ERRORS):
             raise outcome
         return self.now(), node_id, replace(outcome, duration=elapsed)
+
+    def close(self) -> None:
+        for _ in range(self._workers):
+            self._todo.put(None)
 
 
 def _schedule(
@@ -742,8 +782,8 @@ def _schedule(
         if not running:
             break
         state.clock, node_id, outcome = next_done()
-        apply_outcome(state, node_id, outcome)
-        if outcome.memory_writes and outcome.result == "success":
-            _record_memory_refs(state, inputs.scope, outcome)
+        keys = _apply_outcome(state, node_id, outcome)
+        if keys:
+            _record_memory_refs(state, inputs.scope, keys)
     state.clock = clock.now()
     _finish(state)

@@ -17,7 +17,9 @@ would be two formats, not two opinions.
     serial_simulation is its k=1 case; with one executor per node it is the
     unbounded run, whose makespan is the earliest possible conclusion T_inf.
     A run raises DecisionsMismatch when it applies a success whose
-    decisions do not name exactly its step's outgoing edges.
+    decisions do not name exactly its step's outgoing edges, and its
+    subclass InvalidEdgeDecision when one of them is neither enable nor
+    disable, or disables an unconditional edge.
     A Simulator runs it at several k from one view, each k once.
   * oracle_makespan: the serial makespan, T_inf, and the realized
     parallelism width: the maximum antichain of the unbounded run's
@@ -47,6 +49,11 @@ class NotADag(DagError, ValueError):
 
 class DecisionsMismatch(ScenarioError):
     """A step's scripted decisions do not name exactly its outgoing edges."""
+
+
+class InvalidEdgeDecision(DecisionsMismatch):
+    """A step's scripted decision is neither enable nor disable, or disables
+    an unconditional edge; named and worded as the engine's error is."""
 
 
 @dataclass(frozen=True)
@@ -175,8 +182,9 @@ def _simulate(view: _View, steps: dict[str, list[dict]], retry_limit: int, k: in
     instant: a target left with no unresolved incoming edge is enqueued if
     enabled and resolved in turn if disabled. A success applied there whose
     decisions do not name exactly the node's outgoing edges raises
-    DecisionsMismatch. The first enabled edge into end concludes; the end
-    states are the closure of the applied outcomes.
+    DecisionsMismatch, and one whose decision values the engine would
+    refuse raises InvalidEdgeDecision. The first enabled edge into end
+    concludes; the end states are the closure of the applied outcomes.
     """
     outcomes: dict[str, FinalOutcome] = {}
 
@@ -238,7 +246,9 @@ def _simulate(view: _View, steps: dict[str, list[dict]], retry_limit: int, k: in
 
 def _check_coverage(view: _View, node: str, decisions: dict[str, str]) -> None:
     """Raise DecisionsMismatch naming the outgoing edges of `node` that
-    `decisions` leaves out and the ids it names that are none of them."""
+    `decisions` leaves out and the ids it names that are none of them; then
+    InvalidEdgeDecision for the first outgoing edge, by id, whose decision
+    is neither enable nor disable, or that is unconditional and not enabled."""
     expected = {e.id for e in view.outgoing[node]}
     missing = sorted(expected - set(decisions))
     extra = sorted(set(decisions) - expected)
@@ -246,6 +256,11 @@ def _check_coverage(view: _View, node: str, decisions: dict[str, str]) -> None:
         parts = ["missing: " + ", ".join(missing)] if missing else []
         parts += ["not outgoing edges: " + ", ".join(extra)] if extra else []
         raise DecisionsMismatch(f"{node}: " + "; ".join(parts))
+    for e in view.outgoing[node]:
+        if decisions[e.id] not in ("enable", "disable"):
+            raise InvalidEdgeDecision(f"{e.id}: decision must be enable|disable")
+        if e.condition is None and decisions[e.id] != "enable":
+            raise InvalidEdgeDecision(f"{e.id}: unconditional edges must be enabled")
 
 
 def serial_simulation(dag: ExecutionDag, steps: dict[str, list[dict]], retry_limit: int) -> SerialSim:
@@ -357,5 +372,6 @@ def oracle_makespan(dag: ExecutionDag, scenario: dict, retry_limit: int = 2) -> 
     ScenarioIncomplete when either run starts a step that has no script (a
     step that neither run reaches needs none), and DecisionsMismatch when
     either run applies a success whose decisions do not name exactly its
-    step's outgoing edges."""
+    step's outgoing edges (InvalidEdgeDecision when a value is not enable or
+    disable, or disables an unconditional edge)."""
     return Simulator(dag, scenario_steps(scenario), retry_limit).makespan()

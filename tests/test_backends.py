@@ -99,7 +99,7 @@ def test_process_backend_duration_past_the_float_range_fails_step(monkeypatch):
     an OverflowError from the finiteness test."""
     backend = ProcessBackend(["never-started"])
     answer = '{"result": "success", "duration": 1%s}' % ("0" * 400)
-    monkeypatch.setattr(backend._child, "request", lambda line, cancel=None: answer)
+    monkeypatch.setattr(linechild.LineChild, "request", lambda self, line, cancel=None: answer)
     result = run(bundle_of(linear_dag(1)), backend, RunConfig(retry_limit=0))
     [failed] = [e for e in result.trace if e.kind == "node_failed"]
     assert failed.detail["error"].startswith("bad outcome line: duration must be a finite number")
@@ -256,7 +256,8 @@ def test_wall_clock_engine_error_propagates():
 
 def test_wall_clock_run_that_raises_cancels_its_running_steps():
     """k=2: step1 has no attempts, so run() raises while step2 waits out a
-    3 s latency. The raise cancels the run, and step2 returns at once."""
+    3 s latency. The raise cancels the run, step2 returns at once, and every
+    worker thread the run started exits within about 1 s."""
     nodes = [DagNode("start", "start", "run start")]
     edges = []
     for step in ("step1", "step2"):
@@ -276,11 +277,18 @@ def test_wall_clock_run_that_raises_cancels_its_running_steps():
                 step2_started.set()
             return inner.execute(ctx)
 
+    before = set(threading.enumerate())
     with pytest.raises(ScenarioIncomplete, match="step1"):
         run(bundle_of(dag), Recording(), RunConfig(max_executors=2, clock="wall"))
     assert step2_started.wait(timeout=1)
     step2_thread[0].join(timeout=1)
     assert not step2_thread[0].is_alive()
+    started = set(threading.enumerate()) - before
+    assert len(started | set(step2_thread)) <= 2
+    deadline = time.monotonic() + 1
+    for thread in started:
+        thread.join(timeout=max(0, deadline - time.monotonic()))
+        assert not thread.is_alive()
 
 
 def test_wall_clock_conclusion_cancels_only_running_nodes():

@@ -160,6 +160,23 @@ def test_oracle_and_run_refuse_decisions_that_are_not_the_outgoing_edges(tmp_pat
         assert out == "" and err == f"error: {error}: {edges}\n"
 
 
+@pytest.mark.parametrize("value, words", [
+    ("maybe", "decision must be enable|disable"),
+    ("disable", "unconditional edges must be enabled"),
+])
+def test_oracle_and_run_refuse_a_decision_value_alike(tmp_path, capsys, value, words):
+    """fig5 with step1 deciding its unconditional edge_step1_step2 as
+    `value`: every command exits 1 with the engine's InvalidEdgeDecision."""
+    scenario = json.loads((FIG5_DIR / "scenarios" / "dependency_issue.json").read_text())
+    scenario["steps"]["step1"]["attempts"][0]["edge_decisions"]["edge_step1_step2"] = value
+    path = tmp_path / "decided.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    for command in (["oracle"], ["run"], ["sweep", "--executors", "1..2"]):
+        assert main([command[0], str(FIG5_DIR), "--scenario", str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: InvalidEdgeDecision: edge_step1_step2: {words}\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # missing required arguments

@@ -20,7 +20,7 @@ from randdag import (
 from test_engine import bundle_of, linear_dag, scripted
 from tsgflow import load_bundle, load_scenario, oracle
 from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id, validate_dag
-from tsgflow.engine import ElementState, RunConfig, run
+from tsgflow.engine import ElementState, InvalidEdgeDecision, RunConfig, run
 from tsgflow.harness import run_scenario, sweep
 from tsgflow.oracle import (
     fixpoint_states,
@@ -177,6 +177,31 @@ def test_oracle_refuses_decisions_that_are_not_the_outgoing_edges(fig5_bundle, f
     steps["step1"] = [{**steps["step1"][0], "edge_decisions": decisions}]
     with pytest.raises(oracle.DecisionsMismatch, match=r"^step1: not outgoing edges: edge_x$"):
         oracle_makespan(fig5_bundle.dag, {"steps": steps})
+
+
+@pytest.mark.parametrize("value, message", [
+    ("maybe", "edge_step1_step2: decision must be enable|disable"),
+    (1, "edge_step1_step2: decision must be enable|disable"),
+    ("disable", "edge_step1_step2: unconditional edges must be enabled"),
+])
+def test_oracle_refuses_decision_values_the_engine_refuses(fig5_bundle, fig5_scenario, value,
+                                                           message):
+    """fig5's unconditional edge_step1_step2 decided with a value that is
+    neither enable nor disable, or disabled: the engine raises
+    InvalidEdgeDecision, and the oracle raises its own, a DecisionsMismatch,
+    with the same words."""
+    steps = scenario_steps(fig5_scenario)
+    decisions = dict(steps["step1"][0]["edge_decisions"], edge_step1_step2=value)
+    steps["step1"] = [{**steps["step1"][0], "edge_decisions": decisions}]
+    with pytest.raises(InvalidEdgeDecision) as refused:
+        run(fig5_bundle, scripted(steps), RunConfig(max_executors=2))
+    assert str(refused.value) == message
+    for check in (lambda: oracle_makespan(fig5_bundle.dag, {"steps": steps}),
+                  lambda: serial_simulation(fig5_bundle.dag, steps, 2)):
+        with pytest.raises(oracle.InvalidEdgeDecision) as exc:
+            check()
+        assert str(exc.value) == message
+        assert isinstance(exc.value, oracle.DecisionsMismatch)
 
 
 def test_oracle_checks_only_the_successes_a_run_applies(fig5_bundle, fig5_scenario):

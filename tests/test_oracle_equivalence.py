@@ -32,7 +32,7 @@ import oracle_reference as reference
 from randdag import random_scripted_dag, success_assignments
 from test_engine import linear_dag
 from tsgflow import load_bundle, load_scenario
-from tsgflow.dag import END, START, DagEdge, DagNode, ExecutionDag, edge_id
+from tsgflow.dag import END, START, DagEdge, DagNode, EdgeCondition, ExecutionDag, edge_id
 from tsgflow.scenario import ScenarioIncomplete, scenario_steps
 from tsgflow.oracle import (
     DecisionsMismatch,
@@ -147,7 +147,8 @@ def _forward_dag(rng: random.Random, n: int, density: float) -> ExecutionDag:
     """Start, n steps and end, edges only from earlier to later positions.
     Step ids are a random permutation of positions, so the topological
     tie-break does not follow position; node and edge lists are shuffled;
-    some steps may have no incoming edge."""
+    some steps may have no incoming edge. Every edge has a condition, so a
+    random decision may disable any of them, as the engine allows."""
     ids = [f"step{i}" for i in rng.sample(range(1, n + 1), n)]
     order = [START] + ids + [END]
     edges = {}
@@ -155,7 +156,7 @@ def _forward_dag(rng: random.Random, n: int, density: float) -> ExecutionDag:
         later = order[a + 1:]
         fanout = [dst for dst in later if rng.random() < density] or [rng.choice(later)]
         for dst in fanout:
-            edges[(src, dst)] = DagEdge(edge_id(src, dst), src, dst, None,
+            edges[(src, dst)] = DagEdge(edge_id(src, dst), src, dst, EdgeCondition(src, "Y"),
                                         f"via {src}" if dst == END else None)
     nodes = [DagNode(i, "start" if i == START else "end" if i == END else "step", i)
              for i in order]
