@@ -212,9 +212,11 @@ class ExecutorBackend:
     """Contract for step execution; implementations decide the edges.
 
     execute() must return a StepOutcome (or a CancelledSignal after the
-    context's cancel event fires). Exceptions other than EngineError and
-    ScenarioIncomplete are surfaced as failure outcomes and go through the
-    retry machinery.
+    context's cancel event fires). One rule holds on both clocks: an
+    Exception fails the step, which goes through the retry machinery;
+    EngineError, ScenarioIncomplete and anything that is not an Exception
+    (SystemExit, KeyboardInterrupt) end the run, and run() raises them; a
+    return that is not an outcome raises EngineError.
     """
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
@@ -301,16 +303,6 @@ class RunState:
             raise EngineError(f"{node_id} enqueued twice for one enablement")
         self.queued.add(node_id)
         heapq.heappush(self.ready, (t, self.compiled.sort_key[node_id], node_id))
-
-    def pop_ready(self) -> str:
-        _, _, node_id = heapq.heappop(self.ready)
-        self.queued.discard(node_id)
-        return node_id
-
-    def mark_running(self, node_id: str) -> int:
-        self.running.add(node_id)
-        self.attempts[node_id] = self.attempts.get(node_id, 0) + 1
-        return self.attempts[node_id]
 
     # -- state transitions ----------------------------------------------------
 
@@ -547,47 +539,16 @@ class StaticContexts(dict):
         return entry
 
 
-@dataclass(slots=True)
-class _RunInputs:
-    """What every step context of one run shares; built once per run."""
-
-    run_id: str
-    incident: dict
-    scope: RunScope
-    bundle: Bundle
-    cancel: threading.Event
-    clock: str
-
-
-def _build_context(state: RunState, node_id: str, attempt: int, inputs: _RunInputs) -> StepContext:
-    bundle = inputs.bundle
-    static = bundle.static_contexts[node_id]
-    # positional, in StepContext's field order
-    return StepContext(
-        inputs.run_id, node_id, static.step_id, static.title, static.text, inputs.incident,
-        static.edges, Snapshot(state.history), bundle.plugin_summaries, bundle.template_names,
-        Snapshot(state.memory_ref_entries), attempt, inputs.scope, inputs.cancel, inputs.clock,
-    )
-
-
-def _record_memory_refs(state: RunState, scope: RunScope, keys: tuple[str, ...]) -> None:
-    """Ref each of a success's written keys, in the sorted order
-    _apply_outcome returned them."""
-    ref_of = scope.ref
-    add_ref, add_entry = state.memory_refs.append, state.memory_ref_entries.append
-    for key in keys:
-        ref = ref_of(key)
-        add_ref(ref)
-        add_entry({"key": ref.key, "kind": ref.kind})
-
-
 def _cancel_remaining(state: RunState) -> None:
+    """Cancel the running nodes in node order, then the queued ones in the
+    order the ready heap would pop them: enqueue time, then node order."""
     for node_id in sorted(state.running, key=state.compiled.sort_key.__getitem__):
         state.emit("node_cancelled", node_id, {"phase": "running"})
-    state.running.clear()
-    while state.ready:
-        node_id = state.pop_ready()
+    for _, _, node_id in sorted(state.ready):
         state.emit("node_cancelled", node_id, {"phase": "queued"})
+    state.running.clear()
+    state.ready.clear()
+    state.queued.clear()
 
 
 def _finish(state: RunState) -> None:
@@ -615,7 +576,11 @@ def run(
     store: MemoryStore | None = None,
     run_id: str | None = None,
 ) -> RunResult:
-    """Execute a bundle's DAG against a backend and return status plus trace."""
+    """Execute a bundle's DAG against a backend and return status plus trace.
+
+    This is the one scheduler loop, for both clocks: it dispatches ready
+    nodes to idle executors, then applies the next completion, until the run
+    concludes or nothing is left to run."""
     config = config or RunConfig()
     config.validate()
     incident = incident or {}
@@ -635,22 +600,47 @@ def run(
         },
     )
 
-    inputs = _RunInputs(
-        run_id=run_id,
-        incident=incident,
-        scope=scope,
-        bundle=bundle,
-        cancel=threading.Event(),
-        clock=config.clock,
-    )
-    clock = (_VirtualClock(backend, state.compiled.sort_key) if config.clock == "virtual"
+    k, clock_name, cancel = config.max_executors, config.clock, threading.Event()
+    clock = (_VirtualClock(backend, state.compiled.sort_key) if clock_name == "virtual"
              else _WallClock(backend))
+    statics, plugins, templates = (
+        bundle.static_contexts, bundle.plugin_summaries, bundle.template_names)
+    ready, queued, running, attempts, trace, history, refs, ref_entries = (
+        state.ready, state.queued, state.running, state.attempts, state.trace, state.history,
+        state.memory_refs, state.memory_ref_entries)
+    pop, now, start, next_done = heapq.heappop, clock.now, clock.start, clock.next_done
     try:
-        _schedule(state, clock, config.max_executors, inputs)
+        _complete_start(state)
+        while state.status is _RUNNING:
+            while ready and len(running) < k:
+                node_id = pop(ready)[2]
+                queued.discard(node_id)
+                running.add(node_id)
+                attempt = attempts[node_id] = attempts.get(node_id, 0) + 1
+                static = statics[node_id]
+                # positional, in StepContext's field order
+                ctx = StepContext(
+                    run_id, node_id, static.step_id, static.title, static.text, incident,
+                    static.edges, Snapshot(history), plugins, templates,
+                    Snapshot(ref_entries), attempt, scope, cancel, clock_name,
+                )
+                t = state.clock = now()
+                trace.append(TraceEvent(t, len(trace), "node_started", node_id, {"attempt": attempt}))
+                start(node_id, ctx)
+            if not running:
+                break
+            state.clock, node_id, outcome = next_done()
+            # ref each key a success wrote, in the sorted order of its memory_put events
+            for key in _apply_outcome(state, node_id, outcome):
+                ref = scope.ref(key)
+                refs.append(ref)
+                ref_entries.append({"key": ref.key, "kind": ref.kind})
+        state.clock = now()
+        _finish(state)
     finally:
         # whether the run concluded or raised, the steps still running stop,
         # and each wall-clock worker exits once its step returns
-        inputs.cancel.set()
+        cancel.set()
         clock.close()
 
     executed = list(state.attempts)  # in first-start order, as the trace has it
@@ -666,19 +656,21 @@ def run(
     )
 
 
-# these end the run; any other error a backend raises fails its step
-_RUN_ERRORS = (EngineError, ScenarioIncomplete)
-
-
 def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome | CancelledSignal:
+    """The one place a backend's error becomes a failure outcome; see
+    ExecutorBackend for which errors do and which end the run."""
     try:
         outcome = backend.execute(ctx)
-    except _RUN_ERRORS:
+    except (EngineError, ScenarioIncomplete):
         raise
-    except Exception as exc:  # backend-defined errors become failure outcomes
+    except Exception as exc:
         return StepOutcome(result="failure", error=f"{type(exc).__name__}: {exc}")
-    if isinstance(outcome, CancelledSignal) and not ctx.cancel.is_set():
-        raise EngineError(f"{ctx.node_id}: backend returned a cancel marker unrequested")
+    if not isinstance(outcome, StepOutcome):
+        if not isinstance(outcome, CancelledSignal):
+            raise EngineError(
+                f"{ctx.node_id}: backend returned {type(outcome).__name__}, not a StepOutcome")
+        if not ctx.cancel.is_set():
+            raise EngineError(f"{ctx.node_id}: backend returned a cancel marker unrequested")
     return outcome
 
 
@@ -717,6 +709,8 @@ class _WallClock:
     close() posts one stop item per worker, and each worker exits as soon as
     the step it is running returns. The workers are the run's own: none is
     shared between runs or outlives a run by more than its current step.
+    Whatever a step raises reaches the scheduler thread, which re-raises it
+    as the virtual clock would.
     """
 
     def __init__(self, backend: ExecutorBackend):
@@ -744,46 +738,17 @@ class _WallClock:
             begun = time.monotonic()
             try:
                 outcome = _execute_guarded(backend, ctx)
-            except _RUN_ERRORS as exc:  # re-raised on the scheduler thread
+            except BaseException as exc:  # SystemExit too: next_done re-raises it
                 outcome = exc
             done.put((node_id, outcome, time.monotonic() - begun))
 
     def next_done(self) -> tuple[float, str, StepOutcome]:
         node_id, outcome, elapsed = self._done.get()
         self._busy -= 1
-        if isinstance(outcome, _RUN_ERRORS):
+        if isinstance(outcome, BaseException):
             raise outcome
         return self.now(), node_id, replace(outcome, duration=elapsed)
 
     def close(self) -> None:
         for _ in range(self._workers):
             self._todo.put(None)
-
-
-def _schedule(
-    state: RunState, clock: _VirtualClock | _WallClock, k: int, inputs: _RunInputs
-) -> None:
-    """The one scheduler loop. It does what pop_ready, mark_running and emit
-    do, on the state's queue, sets and trace held in locals."""
-    _complete_start(state)
-    ready, queued, running, attempts, trace = (
-        state.ready, state.queued, state.running, state.attempts, state.trace)
-    pop, now, start, next_done = heapq.heappop, clock.now, clock.start, clock.next_done
-    while state.status is _RUNNING:
-        while ready and len(running) < k:
-            node_id = pop(ready)[2]
-            queued.discard(node_id)
-            running.add(node_id)
-            attempt = attempts[node_id] = attempts.get(node_id, 0) + 1
-            ctx = _build_context(state, node_id, attempt, inputs)
-            t = state.clock = now()
-            trace.append(TraceEvent(t, len(trace), "node_started", node_id, {"attempt": attempt}))
-            start(node_id, ctx)
-        if not running:
-            break
-        state.clock, node_id, outcome = next_done()
-        keys = _apply_outcome(state, node_id, outcome)
-        if keys:
-            _record_memory_refs(state, inputs.scope, keys)
-    state.clock = clock.now()
-    _finish(state)

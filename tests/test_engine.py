@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import heapq
 
 import pytest
 
@@ -15,6 +16,7 @@ from tsgflow.engine import (
     Bundle,
     ConfigInvalid,
     ElementState,
+    EngineError,
     ExecutorBackend,
     IncompleteEdgeDecisions,
     InvalidEdgeDecision,
@@ -61,19 +63,24 @@ def bundle_of(dag) -> Bundle:
 
 # -- apply_outcome ------------------------------------------------------------
 
+def _start_next(state: RunState) -> str:
+    """Pop the head of the ready queue and mark it running, as run()'s loop
+    does; return its node id."""
+    node_id = heapq.heappop(state.ready)[2]
+    state.queued.discard(node_id)
+    state.running.add(node_id)
+    state.attempts[node_id] = state.attempts.get(node_id, 0) + 1
+    return node_id
+
+
 def _state_with_running(dag, path):
     """Drive the run state through `path` so the last node is running."""
     state = RunState(dag, retry_limit=2)
     _complete_start(state)
     for node_id, decisions in path[:-1]:
-        popped = state.pop_ready()
-        assert popped == node_id
-        state.mark_running(node_id)
+        assert _start_next(state) == node_id
         apply_outcome(state, node_id, StepOutcome("success", edge_decisions=decisions))
-    last = path[-1][0]
-    popped = state.pop_ready()
-    assert popped == last
-    state.mark_running(last)
+    assert _start_next(state) == path[-1][0]
     return state
 
 
@@ -185,8 +192,7 @@ def test_unconditional_edges_must_enable():
     dag = linear_dag(2)
     state = RunState(dag, retry_limit=0)
     _complete_start(state)
-    state.pop_ready()
-    state.mark_running("step1")
+    assert _start_next(state) == "step1"
     with pytest.raises(InvalidEdgeDecision):
         apply_outcome(state, "step1",
                       StepOutcome("success", edge_decisions={"edge_step1_step2": "disable"}))
@@ -300,6 +306,18 @@ def test_engine_and_scenario_errors_from_a_backend_end_the_run(clock, error):
         run(bundle_of(linear_dag(1)), _Raising(error), RunConfig(max_executors=1, clock=clock))
 
 
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("value", [None, {"result": "success"}], ids=["None", "dict"])
+def test_a_backend_return_that_is_not_an_outcome_ends_the_run(clock, value):
+    class Returns(ExecutorBackend):
+        def execute(self, ctx):
+            return value
+
+    message = rf"^step1: backend returned {type(value).__name__}, not a StepOutcome$"
+    with pytest.raises(EngineError, match=message):
+        run(bundle_of(linear_dag(1)), Returns(), RunConfig(max_executors=1, clock=clock))
+
+
 def test_config_and_dag_validation(fig4_bundle):
     with pytest.raises(ConfigInvalid):
         run(bundle_of(fig4_bundle.dag), scripted({}), RunConfig(max_executors=0))
@@ -368,6 +386,32 @@ def test_parallel_cancellation_mid_flight(fig5_bundle, fig5_scenario):
     terminated = result.trace[-1]
     assert terminated.kind == "run_terminated"
     assert all(e.kind != "node_started" for e in result.trace[result.trace.index(terminated):])
+
+
+def test_queued_nodes_are_cancelled_by_enqueue_time_then_node_order():
+    """At k=1, step1, step3, step9 and step10 are queued at t=0. step1 runs
+    first and queues step2 at t=1; step3 runs next and concludes at t=2. The
+    queued three are cancelled by (enqueue t, node_sort_key): step9 before
+    step10 although "step10" sorts first as a string, and step2 last
+    although its id sorts first."""
+    steps = ["step1", "step2", "step3", "step9", "step10"]
+    nodes = [DagNode("start", "start", "run start")]
+    nodes += [DagNode(s, "step", s, step_ref=s[4:]) for s in steps]
+    nodes.append(DagNode("end", "end", "run end"))
+    edges = [DagEdge(edge_id("start", s), "start", s) for s in ("step10", "step9", "step3", "step1")]
+    edges.append(DagEdge(edge_id("step1", "step2"), "step1", "step2"))
+    edges += [DagEdge(edge_id(s, "end"), s, "end", None, f"via {s}") for s in steps[1:]]
+    dag = ExecutionDag("queued_cancel", nodes, edges)
+    script = {
+        s: [{"result": "success", "latency": 1,
+             "edge_decisions": {e.id: "enable" for e in edges if e.source == s}}]
+        for s in steps
+    }
+    result = run(bundle_of(dag), scripted(script), RunConfig(max_executors=1))
+    assert result.conclusion == "via step3" and result.executed == ["step1", "step3"]
+    cancelled = [(e.t, e.subject, e.detail) for e in result.trace if e.kind == "node_cancelled"]
+    assert cancelled == [(2, s, {"phase": "queued"}) for s in ("step9", "step10", "step2")]
+    assert not (result.state.ready or result.state.queued or result.state.running)
 
 
 def test_trace_determinism(fig5_bundle, fig5_scenario):

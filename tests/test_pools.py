@@ -33,6 +33,7 @@ from tsgflow.engine import (
 from tsgflow.scenario import ScenarioIncomplete
 
 EXIT_BOUND_S = 1  # how long a worker may outlive run() once its step returned
+RUN_BOUND_S = 5  # how long a run that raises at once may take
 
 
 def wide_dag(width: int, join: bool = True, tsg_id: str = "wide") -> ExecutionDag:
@@ -162,16 +163,65 @@ def test_conclusion_cancels_exactly_the_running_steps(k):
     assert all(isinstance(backend.returned[s], CancelledSignal) for s in running)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_run_that_raises_stops_its_workers(k):
-    """step1 has no script, so run() raises ScenarioIncomplete while the
-    other branches wait out 30 s; every worker still exits."""
+class RaisesOn(ExecutorBackend):
+    """Raises `error` on `node_id`; runs every other step on `inner`."""
+
+    def __init__(self, inner: ExecutorBackend, node_id: str, error: BaseException):
+        self.inner, self.node_id, self.error = inner, node_id, error
+
+    def execute(self, ctx: StepContext):
+        if ctx.node_id == self.node_id:
+            raise self.error
+        return self.inner.execute(ctx)
+
+
+def run_on_a_thread(make_backend, dag, config) -> tuple[Recording, BaseException | None]:
+    """run() on a daemon thread joined within RUN_BOUND_S, so a run that
+    hangs fails the test; returns the backend and what run() raised. The
+    backend is made on that thread, so it does not count the thread as one
+    the run started."""
+    box = {}
+
+    def target():
+        box["backend"] = backend = make_backend()
+        try:
+            run(bundle_of(dag), backend, config)
+        except BaseException as exc:  # SystemExit and KeyboardInterrupt too
+            box["raised"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=RUN_BOUND_S)
+    assert not thread.is_alive(), f"run() did not return within {RUN_BOUND_S} s"
+    return box["backend"], box.get("raised")
+
+
+@pytest.mark.parametrize("error, k", [
+    pytest.param(e, k, id=str(k) if e is None else f"{type(e).__name__}-{k}")
+    for e in (None, SystemExit(3), KeyboardInterrupt()) for k in (1, 2, 3)
+])
+def test_run_that_raises_stops_its_workers(error, k):
+    """step1 has no script, so run() raises ScenarioIncomplete, or step1
+    raises `error`, which is not an Exception, while the other branches wait
+    out 30 s. Both clocks raise the same; every worker still exits."""
     dag = wide_dag(3, join=False)
     steps = enable_all(dag, 30)
     del steps["step1"]
-    backend = Recording(ScriptedBackend.from_scenario({"steps": steps}))
-    with pytest.raises(ScenarioIncomplete, match="step1"):
-        run(bundle_of(dag), backend, RunConfig(max_executors=k, clock="wall"))
+
+    def make_backend():
+        backend = ScriptedBackend.from_scenario({"steps": steps})
+        return Recording(backend if error is None else RaisesOn(backend, "step1", error))
+
+    raised = {}
+    for clock in ("virtual", "wall"):
+        backend, raised[clock] = run_on_a_thread(
+            make_backend, dag, RunConfig(max_executors=k, clock=clock))
+    expected = ScenarioIncomplete if error is None else type(error)
+    assert type(raised["virtual"]) is type(raised["wall"]) is expected
+    if error is None:
+        assert "step1" in str(raised["wall"])
+    else:
+        assert raised["wall"] is error
     backend.assert_workers_gone()
     assert len(backend.workers()) <= k and backend.peak <= k
     assert all(isinstance(backend.returned[s], CancelledSignal) for s in backend.returned)
