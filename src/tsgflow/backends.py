@@ -9,10 +9,16 @@ it keeps one child per step that runs at once.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 
-from .engine import BackendUnavailable, CancelledSignal, ExecutorBackend, StepContext, StepOutcome
+from .engine import (
+    BackendUnavailable,
+    CancelledSignal,
+    ExecutorBackend,
+    StepContext,
+    StepOutcome,
+    duration_problem,
+)
 from .errors import JSON_DECODE_ERRORS
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import RunScope, value_from_literal
@@ -134,14 +140,9 @@ def _outcome_problem(obj) -> str | None:
         return f"not a JSON object: {type(obj).__name__}"
     if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
         return f"result must be success, failure or cancelled, got {obj['result']!r}"
-    duration = obj.get("duration", 0)
-    # NaN fails both comparisons; an int past the float range is not finite
-    if (
-        isinstance(duration, bool)
-        or not isinstance(duration, (int, float))
-        or not 0 <= duration <= sys.float_info.max
-    ):
-        return f"duration must be a finite number >= 0, got {duration!r}"
+    problem = duration_problem(obj.get("duration", 0))
+    if problem is not None:
+        return problem
     for name in ("edge_decisions", "memory_writes"):
         if not isinstance(obj.get(name, {}), dict):
             return f"{name} must be an object, got {obj[name]!r}"

@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import json
 import queue
+import sys
 import threading
 import time
 from collections.abc import Mapping, Sequence
@@ -216,7 +217,8 @@ class ExecutorBackend:
     Exception fails the step, which goes through the retry machinery;
     EngineError, ScenarioIncomplete and anything that is not an Exception
     (SystemExit, KeyboardInterrupt) end the run, and run() raises them; a
-    return that is not an outcome raises EngineError.
+    return that is not an outcome, or an outcome whose duration is not a
+    finite int or float >= 0 (a bool is neither), raises EngineError.
     """
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
@@ -656,6 +658,15 @@ def run(
     )
 
 
+def duration_problem(duration) -> str | None:
+    """What is wrong with a step's duration, or None: it must be, by exact
+    type, an int or a float (so not a bool), and finite and >= 0."""
+    # NaN fails both comparisons; an int past the float range is not finite
+    if type(duration) in (int, float) and 0 <= duration <= sys.float_info.max:
+        return None
+    return f"duration must be a finite number >= 0, got {duration!r}"
+
+
 def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome | CancelledSignal:
     """The one place a backend's error becomes a failure outcome; see
     ExecutorBackend for which errors do and which end the run."""
@@ -671,6 +682,10 @@ def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome 
                 f"{ctx.node_id}: backend returned {type(outcome).__name__}, not a StepOutcome")
         if not ctx.cancel.is_set():
             raise EngineError(f"{ctx.node_id}: backend returned a cancel marker unrequested")
+        return outcome
+    problem = duration_problem(outcome.duration)
+    if problem is not None:
+        raise EngineError(f"{ctx.node_id}: {problem}")
     return outcome
 
 

@@ -175,10 +175,15 @@ class Table:
         """Fresh row lists, built on each read."""
         return _row_lists(self.data, self.row_count)
 
-    def take(self, indices: list[int]) -> Table:
+    def take(self, indices: list[int] | range) -> Table:
         """A table of this table's columns and types holding its rows at
-        `indices`, in that order; it keeps this table's typed mark."""
-        data = [list(map(column.__getitem__, indices)) for column in self.data]
+        `indices`, in that order; it keeps this table's typed mark. A step-1
+        range inside the table is one slice of each column."""
+        if (type(indices) is range and indices.step == 1
+                and 0 <= indices.start <= indices.stop <= self.row_count):
+            data = [column[indices.start:indices.stop] for column in self.data]
+        else:
+            data = [list(map(column.__getitem__, indices)) for column in self.data]
         return Table._of_columns(list(self.columns), list(self.types), data,
                                  len(indices), self._cells_typed)
 
@@ -265,6 +270,20 @@ def value_from_literal(x) -> MemoryValue:
 
 # -- serialization ----------------------------------------------------------
 
+# True when datetime.fromisoformat reads a trailing "Z" as UTC (3.11 on)
+try:
+    _READS_ZULU = datetime.fromisoformat("2000-01-01T00:00:00Z").tzinfo is timezone.utc
+except ValueError:
+    _READS_ZULU = False
+
+
+def _zulu_suffixed(joined: str, n: int) -> bool:
+    """Whether fromisoformat may take the n texts joined at "," in `joined`
+    as they are: it reads a trailing "Z", and each text ends in its only "Z"."""
+    return (_READS_ZULU and joined.endswith("Z") and joined.count("Z") == n
+            and joined.count("Z,") == n - 1)
+
+
 def _scalar_to_json(x):
     if isinstance(x, datetime):
         return {"$ts": format_timestamp(x)}
@@ -276,6 +295,18 @@ def _scalar_from_json(x):
     return x
 
 def parse_timestamp(text: str) -> datetime:
+    """datetime.fromisoformat of `text` with each "Z" replaced by "+00:00".
+
+    A text ending in its only "Z" goes to fromisoformat as it is where the
+    interpreter reads a trailing "Z" (3.11 on), which gives the same value;
+    when that parse refuses the text (2026-03-01Z, say, which the replace
+    reads as naive midnight), the replaced text is parsed after all.
+    """
+    if type(text) is str and _zulu_suffixed(text, 1):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 def as_utc(dt: datetime) -> datetime:
@@ -619,15 +650,25 @@ def _decode_booleans(cells) -> list[bool]:
 
 
 def _decode_timestamps(cells) -> list[datetime]:
-    """parse_timestamp of each cell. The cells are joined at "," so that one
-    replace serves them all, unless a cell holds a "," itself (a quoted cell
-    of csv.reader's), which would split in two: then each is replaced."""
+    """parse_timestamp of each cell, read off one join of the cells at ",".
+
+    When the joined text shows every cell ending in its only "Z" and the
+    interpreter reads a trailing "Z", the cells go to fromisoformat as they
+    are, which gives parse_timestamp's values; otherwise, and when that
+    parse refuses a cell, one replace serves them all and the text is split
+    again at ",". A column with a cell that holds a "," itself (a quoted
+    cell of csv.reader's), which would split in two, is replaced cell by cell.
+    """
+    n = len(cells)
     joined = ",".join(cells)
-    if len(cells) > 1 and joined.count(",") == len(cells) - 1:
-        texts = joined.replace("Z", "+00:00").split(",")
-    else:
-        texts = map(_ZULU_TO_OFFSET, cells)
-    return list(map(datetime.fromisoformat, texts))
+    if joined.count(",") != n - 1:
+        return list(map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells)))
+    if _zulu_suffixed(joined, n):
+        try:
+            return list(map(datetime.fromisoformat, cells))
+        except ValueError:
+            pass  # a cell only the replaced text reads, or one neither reads
+    return list(map(datetime.fromisoformat, joined.replace("Z", "+00:00").split(",")))
 
 
 _COLUMN_DECODERS = {

@@ -21,8 +21,11 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import islice, repeat
+from operator import le, mul, sub
 from pathlib import Path
 
 from .errors import JSON_DECODE_ERRORS, TsgflowError
@@ -189,6 +192,26 @@ def _as_datetime(v) -> datetime:
     return as_utc(parse_timestamp(v) if isinstance(v, str) else v)
 
 
+def _time_window(table: Table, lo: datetime, hi: datetime) -> Table:
+    """The rows of `table` whose first timestamp cell lies in [lo, hi], in
+    table order; `lo` and `hi` are aware.
+
+    A column in time order holds the window as one run of rows, cut with two
+    bisections and sliced out. Any other column is filtered cell by cell,
+    and one holding cells without an offset reads them as UTC, like an
+    argument.
+    """
+    stamps = table.data[table.types.index("timestamp")]
+    try:
+        if all(map(le, stamps, islice(stamps, 1, None))):
+            chosen = range(bisect_left(stamps, lo), bisect_right(stamps, hi))
+        else:
+            chosen = [i for i, ts in enumerate(stamps) if lo <= ts <= hi]
+    except TypeError:  # a naive cell meets an aware one or a bound
+        chosen = [i for i, ts in enumerate(stamps) if lo <= as_utc(ts) <= hi]
+    return table.take(chosen)
+
+
 # -- analysis operations -----------------------------------------------------
 
 def pearson_correlation(xs: list[float], ys: list[float]) -> float:
@@ -200,13 +223,13 @@ def pearson_correlation(xs: list[float], ys: list[float]) -> float:
         raise LengthMismatch(f"need at least 2 points, got {n}")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    sxx = sum(d * d for d in dx)
-    syy = sum(d * d for d in dy)
+    dx = list(map(sub, xs, repeat(mean_x)))
+    dy = list(map(sub, ys, repeat(mean_y)))
+    sxx = sum(map(mul, dx, dx))
+    syy = sum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise ZeroVariance("a series has zero variance")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
+    r = sum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
 
 
@@ -218,14 +241,15 @@ def _floats(key: str, values) -> list[float]:
         raise NonNumeric(f"{key}: a value is too large for a float") from None
 
 
-def _numeric_series(store, key: str) -> list[float]:
-    """Numeric list, or the single numeric column of a table, under `key`."""
+def _numeric_values(store, key: str) -> list:
+    """Numeric list, or the single numeric column of a table, under `key`,
+    as stored."""
     value = store.get(key)
     if value.kind == "list":
         for x in value.payload:
             if isinstance(x, bool) or not isinstance(x, (int, float)):
                 raise NonNumeric(f"{key}: list holds a non-numeric value")
-        return _floats(key, value.payload)
+        return value.payload
     if value.kind == "table":
         t: Table = value.payload
         numeric = [i for i, ty in enumerate(t.types) if ty in ("integer", "decimal")]
@@ -233,14 +257,14 @@ def _numeric_series(store, key: str) -> list[float]:
             raise NonNumeric(
                 f"{key}: expected exactly one numeric column, found {len(numeric)}"
             )
-        return _floats(key, t.data[numeric[0]])
+        return t.data[numeric[0]]
     raise NonNumeric(f"{key}: value kind {value.kind!r} is not a numeric series")
 
 
 def analysis_pearson(store, key_x: str, key_y: str) -> float:
     """Pearson correlation of two stored series; result stored under a derived key."""
-    xs = _numeric_series(store, key_x)
-    ys = _numeric_series(store, key_y)
+    xs = _floats(key_x, _numeric_values(store, key_x))
+    ys = _floats(key_y, _numeric_values(store, key_y))
     r = pearson_correlation(xs, ys)
     store.put(f"pearson:{key_x}:{key_y}", r)
     return r
@@ -289,14 +313,18 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
         t = value.payload
         if t.types[col] not in ("integer", "decimal"):
             raise NonNumeric(f"{key}: column is not numeric")
-        series = _floats(key, t.data[col])
+        column = t.data[col]
     else:
-        series = _numeric_series(store, key)
-    if not series:
+        column = _numeric_values(store, key)
+    if not column:
         raise NonNumeric(f"{key}: empty series")
-    if op == "mean":
-        return sum(series) / len(series)
-    return max(series) if op == "max" else min(series)
+    # one pass over the cells as floats, with no list of them
+    try:
+        if op == "mean":
+            return sum(map(float, column)) / len(column)
+        return (max if op == "max" else min)(map(float, column))
+    except OverflowError:
+        raise NonNumeric(f"{key}: a value is too large for a float") from None
 
 
 # -- fixture-backed mock plugins ---------------------------------------------
@@ -438,14 +466,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
 
     def metric_fetch(args, store):
         table = fixtures.metric_series(args["metric"])
-        lo = _as_datetime(args["from"])
-        hi = _as_datetime(args["to"])
-        stamps = table.data[table.types.index("timestamp")]
-        try:
-            chosen = [i for i, ts in enumerate(stamps) if lo <= ts <= hi]
-        except TypeError:  # cells without an offset: read them as UTC, like an argument
-            chosen = [i for i, ts in enumerate(stamps) if lo <= as_utc(ts) <= hi]
-        out = table.take(chosen)
+        out = _time_window(table, _as_datetime(args["from"]), _as_datetime(args["to"]))
         ref = store.put(_next_key(store, "plugin.metric_fetch"), out)
         return PluginResult(status="ok", refs=[ref], message=f"{out.row_count} points")
 

@@ -1,7 +1,11 @@
 """Named cases for the two one-pass steps of table_from_csv, each checked
 against the frozen decoder in tests/csv_reference.py: the ragged-row check
-over a block's separator bytes, and the timestamp column decoded with one
-join, replace and split.
+over a block's separator bytes, and the timestamp column decoded from one
+join, its cells parsed as they are when each ends in its only "Z" (where the
+interpreter reads a trailing "Z") and after one replace and split otherwise.
+The cells where a direct parse and the replace disagree (a "Z" that is
+not only a suffix, a date with a "Z", a column mixing "Z" and "+00:00") are
+named here, and parse_timestamp is checked over the same strings.
 """
 
 from __future__ import annotations
@@ -109,6 +113,24 @@ CASES = [
     pytest.param('at,n\ntimestamp,integer\n"2026-03-01T00:00:05,2,5Z",1\n2026-03-01T00:00:06Z,2\n',
                  "row 0, column 'at': Invalid isoformat string: '2026-03-01T00:00:05,2,5+00:00'",
                  id="quoted-timestamp-with-two-commas"),
+    # a direct parse reads "Z" as the date-time separator too; the replace does not
+    pytest.param(_timestamps(_ON_TIME, "2026-03-01Z12:00:00Z"),
+                 "row 1, column 'at': Invalid isoformat string: '2026-03-01+00:0012:00:00+00:00'",
+                 id="timestamp-z-separator-and-suffix"),
+    # as many "Z"s as cells, but one is a separator: the cells do not all end in one
+    pytest.param(_timestamps("2026-03-01Z12:00:00", _ON_TIME),
+                 "row 0, column 'at': Invalid isoformat string: '2026-03-01+00:0012:00:00'",
+                 id="timestamp-z-separator-then-suffix"),
+    # the replace reads naive midnight where a direct parse refuses the cell
+    pytest.param(_timestamps(_ON_TIME, "2026-03-01Z"), None, id="timestamp-date-with-z"),
+    pytest.param(_timestamps("2026-03-01Z"), None, id="timestamp-one-date-with-z"),
+    pytest.param(_timestamps("20260301T120000Z", _ON_TIME), None, id="timestamp-basic-format"),
+    pytest.param(_timestamps(_ON_TIME, "2026-03-01T00:00:00+00:00", "2026-03-01T01:00:00Z",
+                             "2026-03-01T01:00:00-00:00"),
+                 None, id="timestamp-z-and-offset-mixed"),
+    pytest.param(_timestamps(_ON_TIME), None, id="timestamp-one-row"),
+    pytest.param(_timestamps("2026-03-01T00:00:00Z", "2026-03-01T00:00:00"), None,
+                 id="timestamp-z-and-naive"),
 ]
 
 
@@ -116,11 +138,23 @@ CASES = [
 def test_named_cases_match_the_reference(text, error):
     assert_matches_reference(text)
     if error is None:
-        assert table_from_csv(text) == csv_reference.table_from_csv(text)
+        got, want = table_from_csv(text), csv_reference.table_from_csv(text)
+        assert got == want
+        assert repr(got) == repr(want)  # offsets too: == compares instants only
     else:
         with pytest.raises(InvalidValue) as info:
             table_from_csv(text)
         assert str(info.value).startswith(error)
+
+
+def test_named_cases_match_the_reference_where_no_trailing_z_is_read(monkeypatch):
+    # as on Python 3.10, whose fromisoformat refuses a trailing "Z"
+    monkeypatch.setattr(memory, "_READS_ZULU", False)
+    for case in CASES:
+        text, error = case.values
+        assert_matches_reference(text)
+        if error is None:
+            assert repr(table_from_csv(text)) == repr(csv_reference.table_from_csv(text))
 
 
 def test_faulty_rows_sit_inside_one_plain_block():
@@ -148,3 +182,30 @@ def test_ascii_fixture_shaped_text_never_reaches_the_reader(monkeypatch):
     assert table.rows[-1][0] == datetime(2026, 3, 1, tzinfo=timezone.utc) + timedelta(seconds=7 * 4999)
     with pytest.raises(AssertionError, match="_reader_chunks called"):
         table_from_csv(_ragged_pair())  # a fault still falls back, to be named
+
+
+_TIMESTAMP_TEXTS = [_ON_TIME, "2026-03-01T00:00Z", "2026-03-01", "2026-03-01T05:00:00+02:00",
+                    "2026-03-01Z12:00:00Z", "2026-03-01Z", "20260301T120000Z",
+                    "2026-03-01T00:00:00+00:00", "2026-03-01T00:00:00-00:00",
+                    "2026-03-01T00:00:00ZZ", "Z2026-03-01", "2026-03-01TZ00:00",
+                    "2026-03-01T00:00:00z", "", "Z", "2026-03-01T00:00:05,250Z",
+                    "2026-03-01T00:00:00.123456789Z", "2026-W09-1T12:00Z", "2026-03-01T24:00:00Z"]
+
+
+def _parsed(parse, text: str):
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", _TIMESTAMP_TEXTS)
+def test_parse_timestamp_reads_as_the_replace_rule(text):
+    assert _parsed(memory.parse_timestamp, text) == _parsed(
+        lambda s: datetime.fromisoformat(s.replace("Z", "+00:00")), text)
+
+
+def test_parse_timestamp_of_a_non_string_fails_as_the_replace_does():
+    for value in (7, None, ["Z"]):
+        with pytest.raises(AttributeError, match="has no attribute 'replace'"):
+            memory.parse_timestamp(value)

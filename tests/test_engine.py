@@ -318,6 +318,38 @@ def test_a_backend_return_that_is_not_an_outcome_ends_the_run(clock, value):
         run(bundle_of(linear_dag(1)), Returns(), RunConfig(max_executors=1, clock=clock))
 
 
+def _edge_outcome(ctx, duration) -> StepOutcome:
+    return StepOutcome(result="success", duration=duration,
+                       edge_decisions={e["id"]: "enable" for e in ctx.outgoing_edges})
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("duration", ["2", -5.0, float("nan"), float("inf"), True, 10**400],
+                         ids=["str", "negative", "nan", "inf", "bool", "past-float-range"])
+def test_a_duration_that_is_not_a_finite_number_ends_the_run(clock, duration):
+    class Lasts(ExecutorBackend):
+        def execute(self, ctx):
+            return _edge_outcome(ctx, duration)
+
+    message = f"step1: duration must be a finite number >= 0, got {duration!r}"
+    with pytest.raises(EngineError) as info:
+        run(bundle_of(linear_dag(1)), Lasts(), RunConfig(max_executors=1, clock=clock))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("duration", [0, 0.0, 3, 2.5])
+def test_a_finite_duration_is_accepted_on_both_clocks(clock, duration):
+    class Lasts(ExecutorBackend):
+        def execute(self, ctx):
+            return _edge_outcome(ctx, duration)
+
+    result = run(bundle_of(linear_dag(1)), Lasts(), RunConfig(max_executors=1, clock=clock))
+    assert result.status == RunStatus.CONCLUDED
+    if clock == "virtual":
+        assert result.makespan == duration
+
+
 def test_config_and_dag_validation(fig4_bundle):
     with pytest.raises(ConfigInvalid):
         run(bundle_of(fig4_bundle.dag), scripted({}), RunConfig(max_executors=0))
