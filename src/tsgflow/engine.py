@@ -44,7 +44,7 @@ from types import MappingProxyType
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, compile_dag
 from .document import TsgDocument
 from .errors import TsgflowError
-from .memory import MemoryRef, MemoryStore, RunScope
+from .memory import MemoryStore, RunScope
 from .queryprep import QueryTemplate
 from .records import frozen_record
 from .scenario import ScenarioIncomplete
@@ -168,7 +168,7 @@ class StepContext:
     Read-only for backends. `history` and `memory_refs` are snapshots taken
     at dispatch; the plugin, template and memory-ref entries are shared by
     every context of the run, the outgoing-edge mappings (read-only
-    mappingproxy entries, see StaticContext) by every run of the bundle, and
+    mappingproxy entries, see StaticContexts) by every run of the bundle, and
     `cancel` by every context of the run. The engine builds one per
     dispatch and passes the fields by position, so a new field goes last,
     with a default.
@@ -287,8 +287,7 @@ class RunState:
         self.concluding_edge: str | None = None
         self.trace: list[TraceEvent] = []
         self.history: list[dict] = []
-        self.memory_refs: list[MemoryRef] = []
-        self.memory_ref_entries: list[dict] = []  # {"key", "kind"} of each ref, for contexts
+        self.memory_refs: list[dict] = []  # {"key", "kind"} of each write, as contexts see it
         self._in_resolved = dict.fromkeys(compiled.nodes, 0)
         self._in_enabled = dict.fromkeys(compiled.nodes, 0)
         self.node_state[START] = ElementState.ENABLED
@@ -307,11 +306,6 @@ class RunState:
         heapq.heappush(self.ready, (t, self.compiled.sort_key[node_id], node_id))
 
     # -- state transitions ----------------------------------------------------
-
-    def resolve_edge(self, edge: DagEdge, new_state: ElementState, via: str) -> None:
-        target = self._resolve(edge, new_state, via)
-        if target is not None:
-            self.disable_node(target)
 
     def _resolve(self, edge: DagEdge, new_state: ElementState, via: str) -> str | None:
         """Resolve one edge and apply rules a and c to its target; return the
@@ -371,8 +365,10 @@ class RunState:
         self.emit("node_disabled", node_id, {"reason": "all incoming edges disabled"})
 
 
-def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunState:
-    """Apply one step outcome and run the propagation closure.
+def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[str, ...]:
+    """Apply one step outcome and run the propagation closure. Returns a
+    success's written keys, sorted once for both its memory_put events and
+    its refs; () for a failure.
 
     Success: every outgoing edge is set per the outcome's decisions (the
     decision map must cover the outgoing edges exactly, and unconditional
@@ -380,13 +376,6 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> RunSta
     node without touching edges; an exhausted failure disables all outgoing
     edges. Conclusion (an enabled edge into end) short-circuits propagation.
     """
-    _apply_outcome(state, node_id, outcome)
-    return state
-
-
-def _apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[str, ...]:
-    """apply_outcome's work. Returns a success's written keys, sorted once
-    for both its memory_put events and its refs; () for a failure."""
     if node_id not in state.node_state:
         raise UnknownNode(node_id)
     if node_id not in state.running:
@@ -412,7 +401,9 @@ def _apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple
         for edge in state.compiled.outgoing[node_id]:
             if state.status is not _RUNNING:
                 break
-            state.resolve_edge(edge, _DISABLED, via="failure")
+            target = state._resolve(edge, _DISABLED, "failure")
+            if target is not None:
+                state.disable_node(target)
         return ()
 
     if outcome.result != "success":
@@ -445,7 +436,7 @@ def _apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple
     state.history.append(
         {"node": node_id, "result": "success", "summary": outcome.summary, "attempt": attempt}
     )
-    resolve = state._resolve  # resolve_edge, one call fewer per edge
+    resolve = state._resolve
     for edge in outgoing:
         if state.status is not _RUNNING:
             break
@@ -495,24 +486,18 @@ def _complete_start(state: RunState) -> None:
     for edge in state.compiled.outgoing[START]:
         if state.status is not _RUNNING:
             break
-        state.resolve_edge(edge, _ENABLED, via=START)
-
-
-@dataclass(slots=True)
-class StaticContext:
-    """The parts of a node's StepContext that no run changes. Each of
-    `edges` is a read-only mappingproxy with the keys id, to, condition and
-    conclusion; a condition is None or a mappingproxy of question and label."""
-
-    step_id: str | None
-    title: str
-    text: str
-    edges: tuple[MappingProxyType, ...]
+        target = state._resolve(edge, _ENABLED, START)
+        if target is not None:
+            state.disable_node(target)
 
 
 class StaticContexts(dict):
-    """Node id -> StaticContext for one compiled DAG and document. An entry
-    is built on its node's first dispatch, so loading a bundle builds none."""
+    """Node id -> (step id, title, text, edges): the parts of the node's
+    StepContext that no run changes, for one compiled DAG and document. Each
+    of the edges is a read-only mappingproxy with the keys id, to, condition
+    and conclusion; a condition is None or a mappingproxy of question and
+    label. An entry is built on its node's first dispatch, so loading a
+    bundle builds none."""
 
     def __init__(self, compiled: CompiledDag, doc: TsgDocument | None):
         super().__init__()
@@ -520,7 +505,7 @@ class StaticContexts(dict):
         # reversed, so the first step of each id wins
         self._steps = {step.id: step for step in reversed(doc.steps)} if doc is not None else {}
 
-    def __missing__(self, node_id: str) -> StaticContext:
+    def __missing__(self, node_id: str) -> tuple:
         node = self.compiled.nodes[node_id]
         title, text = node.description, ""
         step = self._steps.get(node.step_ref)
@@ -537,7 +522,7 @@ class StaticContexts(dict):
             })
             for e in self.compiled.outgoing[node_id]
         )
-        entry = self[node_id] = StaticContext(node.step_ref, title, text, edges)
+        entry = self[node_id] = (node.step_ref, title, text, edges)
         return entry
 
 
@@ -607,9 +592,9 @@ def run(
              else _WallClock(backend))
     statics, plugins, templates = (
         bundle.static_contexts, bundle.plugin_summaries, bundle.template_names)
-    ready, queued, running, attempts, trace, history, refs, ref_entries = (
+    ready, queued, running, attempts, trace, history, refs = (
         state.ready, state.queued, state.running, state.attempts, state.trace, state.history,
-        state.memory_refs, state.memory_ref_entries)
+        state.memory_refs)
     pop, now, start, next_done = heapq.heappop, clock.now, clock.start, clock.next_done
     try:
         _complete_start(state)
@@ -619,12 +604,11 @@ def run(
                 queued.discard(node_id)
                 running.add(node_id)
                 attempt = attempts[node_id] = attempts.get(node_id, 0) + 1
-                static = statics[node_id]
+                step_id, title, text, edges = statics[node_id]
                 # positional, in StepContext's field order
                 ctx = StepContext(
-                    run_id, node_id, static.step_id, static.title, static.text, incident,
-                    static.edges, Snapshot(history), plugins, templates,
-                    Snapshot(ref_entries), attempt, scope, cancel, clock_name,
+                    run_id, node_id, step_id, title, text, incident, edges, Snapshot(history),
+                    plugins, templates, Snapshot(refs), attempt, scope, cancel, clock_name,
                 )
                 t = state.clock = now()
                 trace.append(TraceEvent(t, len(trace), "node_started", node_id, {"attempt": attempt}))
@@ -633,10 +617,8 @@ def run(
                 break
             state.clock, node_id, outcome = next_done()
             # ref each key a success wrote, in the sorted order of its memory_put events
-            for key in _apply_outcome(state, node_id, outcome):
-                ref = scope.ref(key)
-                refs.append(ref)
-                ref_entries.append({"key": ref.key, "kind": ref.kind})
+            for key in apply_outcome(state, node_id, outcome):
+                refs.append({"key": key, "kind": scope.get(key).kind})
         state.clock = now()
         _finish(state)
     finally:

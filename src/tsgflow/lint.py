@@ -94,10 +94,6 @@ _VAGUE_RE = re.compile(r"\b(high|low|many|few|significant|large|small)\b", re.IG
 _DIGIT_RE = re.compile(r"\d")
 
 
-def _has_placeholder(text: str) -> bool:
-    return any(True for _ in iter_placeholders(text))
-
-
 def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[LintFinding]:
     """Evaluate every rule; findings sorted by (line, rule id)."""
     findings: list[LintFinding] = []
@@ -150,7 +146,7 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
                 if (
                     _VAGUE_RE.search(question)
                     and not _DIGIT_RE.search(question)
-                    and not _has_placeholder(question)
+                    and next(iter_placeholders(question), None) is None
                 ):
                     word = _VAGUE_RE.search(question).group(0)
                     findings.append(
@@ -254,17 +250,18 @@ class ExternalAnalyzer:
         out = []
         for raw in answer:
             try:
-                out.append(
-                    LintFinding(
-                        rule=raw.get("rule", "CP-EXTERNAL"),
-                        category="CP",
-                        line=int(raw.get("line", 1)),
-                        message=raw.get("message", ""),
-                        severity=raw.get("severity", "warning"),
-                    )
+                finding = LintFinding(
+                    rule=raw.get("rule", "CP-EXTERNAL"),
+                    category="CP",
+                    line=int(raw.get("line", 1)),
+                    message=raw.get("message", ""),
+                    severity=raw.get("severity", "warning"),
                 )
             except (AttributeError, TypeError, ValueError, OverflowError) as exc:
                 raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}") from exc
+            if {type(finding.rule), type(finding.message), type(finding.severity)} != {str}:
+                raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}")
+            out.append(finding)
         return out
 
 

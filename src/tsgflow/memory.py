@@ -255,17 +255,24 @@ def value_from_literal(x) -> MemoryValue:
     raises InvalidValue.
     """
     if isinstance(x, dict) and {"columns", "types", "rows"} <= set(x):
-        columns, types, rows = x["columns"], x["types"], x["rows"]
-        if not (isinstance(columns, list) and isinstance(types, list) and isinstance(rows, list)
-                and all(isinstance(row, list) for row in rows)):
-            raise InvalidValue("a table literal holds lists of columns, types and rows")
-        _check_widths(rows, len(types))  # before types[i] is read; Table checks the rest
-        try:
-            rows = [[_cell_from_json(cell, types[i]) for i, cell in enumerate(row)] for row in rows]
-        except ValueError as exc:  # a timestamp cell that does not parse
-            raise InvalidValue(f"table literal: {exc}") from None
-        return MemoryValue("table", Table(list(columns), list(types), rows))
+        return _table_from_json(x["columns"], x["types"], x["rows"])
     return memory_value(x)
+
+
+def _table_from_json(columns, types, rows) -> MemoryValue:
+    """The table of a table literal or of a log's table record, each
+    timestamp column's text cells parsed; InvalidValue for anything but lists
+    of columns, types and equally long rows, or a timestamp that does not parse."""
+    if not (isinstance(columns, list) and isinstance(types, list) and isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise InvalidValue("a table literal holds lists of columns, types and rows")
+    _check_widths(rows, len(types))  # before types[i] is read; Table checks the rest
+    try:
+        rows = [[parse_timestamp(cell) if types[i] == "timestamp" and isinstance(cell, str)
+                 else cell for i, cell in enumerate(row)] for row in rows]
+    except ValueError as exc:  # a timestamp cell that does not parse
+        raise InvalidValue(f"table literal: {exc}") from None
+    return MemoryValue("table", Table(list(columns), list(types), rows))
 
 
 # -- serialization ----------------------------------------------------------
@@ -321,16 +328,6 @@ def format_timestamp(dt: datetime) -> str:
     except OverflowError:  # 0001-01-01T00:00:00+05:00 falls before year 1 in UTC
         return dt.isoformat()
 
-def _cell_to_json(cell, col_type: str):
-    if col_type == "timestamp" and isinstance(cell, datetime):
-        return format_timestamp(cell)
-    return cell
-
-def _cell_from_json(cell, col_type: str):
-    if col_type == "timestamp" and isinstance(cell, str):
-        return parse_timestamp(cell)
-    return cell
-
 
 def encode_value(value: MemoryValue) -> str:
     """Compact JSON encoding; also the basis of byte_size accounting."""
@@ -343,7 +340,8 @@ def encode_value(value: MemoryValue) -> str:
     else:
         t: Table = value.payload
         data = [
-            [_cell_to_json(c, "timestamp") for c in column] if col_type == "timestamp" else column
+            [format_timestamp(c) if isinstance(c, datetime) else c for c in column]
+            if col_type == "timestamp" else column
             for col_type, column in zip(t.types, t.data)
         ]
         payload = {"columns": t.columns, "types": t.types, "rows": _row_lists(data, t.row_count)}
@@ -359,9 +357,7 @@ def decode_value(text: str) -> MemoryValue:
         return MemoryValue("list", [_scalar_from_json(x) for x in payload])
     if kind == "record":
         return MemoryValue("record", {k: _scalar_from_json(v) for k, v in payload.items()})
-    types = payload["types"]
-    rows = [[_cell_from_json(c, types[i]) for i, c in enumerate(row)] for row in payload["rows"]]
-    return MemoryValue("table", Table(payload["columns"], types, rows))
+    return _table_from_json(payload["columns"], payload["types"], payload["rows"])
 
 
 # -- context rendering ------------------------------------------------------

@@ -135,16 +135,14 @@ class PluginRegistry:
     def names(self) -> list[str]:
         return sorted(self._plugins)
 
-    def descriptors(self) -> list[PluginDescriptor]:
-        return [self._plugins[n][0] for n in self.names()]
-
     def summaries(self) -> list[dict]:
-        """Each descriptor as a step context lists it: name, params, result contract."""
+        """Each descriptor, by name, as a step context lists it: name, params,
+        result contract."""
         return [
             {"name": d.name,
              "params": [{"name": p.name, "kind": p.kind, "required": p.required} for p in d.params],
              "result": d.result}
-            for d in self.descriptors()
+            for d in (self._plugins[n][0] for n in self.names())
         ]
 
     def invoke(self, name: str, args: dict, store) -> PluginResult:
@@ -185,6 +183,13 @@ def _next_key(store, prefix: str) -> str:
         else:
             free = mid
     return f"{prefix}.{free}"
+
+
+def _table_result(store, prefix: str, table: Table, noun: str) -> PluginResult:
+    """Put `table` under the next free key `prefix.n` and return its ref,
+    with a message counting its rows as `noun`."""
+    ref = store.put(_next_key(store, prefix), table)
+    return PluginResult(status="ok", refs=[ref], message=f"{table.row_count} {noun}")
 
 
 def _as_datetime(v) -> datetime:
@@ -446,10 +451,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
         table = fixtures.query_table(
             args["query"], args.get("template"), args.get("bindings")
         )
-        ref = store.put(_next_key(store, "plugin.log_query"), table)
-        return PluginResult(
-            status="ok", refs=[ref], message=f"{table.row_count} rows"
-        )
+        return _table_result(store, "plugin.log_query", table, "rows")
 
     registry.register(
         PluginDescriptor(
@@ -467,8 +469,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
     def metric_fetch(args, store):
         table = fixtures.metric_series(args["metric"])
         out = _time_window(table, _as_datetime(args["from"]), _as_datetime(args["to"]))
-        ref = store.put(_next_key(store, "plugin.metric_fetch"), out)
-        return PluginResult(status="ok", refs=[ref], message=f"{out.row_count} points")
+        return _table_result(store, "plugin.metric_fetch", out, "points")
 
     registry.register(
         PluginDescriptor(
@@ -496,8 +497,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
             ["text", "text", "text", "timestamp"],
             rows,
         )
-        ref = store.put(_next_key(store, "plugin.devops_deployments"), table)
-        return PluginResult(status="ok", refs=[ref], message=f"{table.row_count} deployments")
+        return _table_result(store, "plugin.devops_deployments", table, "deployments")
 
     registry.register(
         PluginDescriptor(
@@ -519,8 +519,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
             ["text", "text", "text", "text"],
             rows,
         )
-        ref = store.put(_next_key(store, "plugin.devops_code_changes"), table)
-        return PluginResult(status="ok", refs=[ref], message=f"{table.row_count} changes")
+        return _table_result(store, "plugin.devops_code_changes", table, "changes")
 
     registry.register(
         PluginDescriptor(
@@ -548,8 +547,7 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
     def aggregate_plugin(args, store):
         result = analysis_aggregate(store, args["key"], args["op"], args.get("k", 3))
         if isinstance(result, Table):
-            ref = store.put(_next_key(store, f"aggregate.{args['op']}"), result)
-            return PluginResult(status="ok", refs=[ref], message=f"{result.row_count} rows")
+            return _table_result(store, f"aggregate.{args['op']}", result, "rows")
         return PluginResult(status="ok", inline=result, message=str(result))
 
     registry.register(

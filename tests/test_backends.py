@@ -392,7 +392,7 @@ def test_scripted_attempts_write_memory_whatever_their_result():
         "r::at": "t1", "r::found": "yes", "r::tried": 2}
     assert [(ev.kind, ev.subject) for ev in result.trace if ev.kind == "memory_put"] == [
         ("memory_put", "found")]
-    assert [ref.key for ref in result.state.memory_refs] == ["found"]
+    assert [ref["key"] for ref in result.state.memory_refs] == ["found"]
     errors = [ev.detail["error"] for ev in result.trace if ev.kind == "node_failed"]
     assert errors == ["first", "second"]
     backend = ScriptedBackend.from_scenario({"steps": {"step1": attempts[:2]}})

@@ -123,6 +123,16 @@ def test_apply_outcome_branch_skipped_disables_subtree(fig4_bundle):
     assert "step4.1" in state.queued  # one enabled, two disabled incoming
 
 
+def test_apply_outcome_returns_the_written_keys_sorted(fig4_bundle):
+    state = _fig4_state_at_step31(fig4_bundle.dag)
+    decisions = {"edge_step3.1_step3.2": "enable", "edge_step3.1_step4.1": "disable"}
+    written = apply_outcome(state, "step3.1", StepOutcome(
+        "success", edge_decisions=decisions, memory_writes=("b", "a")))
+    assert written == ("a", "b")
+    assert _start_next(state) == "step3.2"
+    assert apply_outcome(state, "step3.2", StepOutcome("failure", error="down")) == ()
+
+
 def test_apply_outcome_contract_violations(fig4_bundle):
     dag = fig4_bundle.dag
     state = _fig4_state_at_step31(dag)
@@ -501,7 +511,7 @@ def test_memory_writes_traced_and_refs_accumulate(fig4_bundle, fig4_scenario):
     )
     puts = [e for e in result.trace if e.kind == "memory_put"]
     assert [e.subject for e in puts] == ["top_exception", "deployment_id"]
-    assert [r.key for r in result.state.memory_refs] == ["top_exception", "deployment_id"]
+    assert [r["key"] for r in result.state.memory_refs] == ["top_exception", "deployment_id"]
 
 
 def test_failure_in_one_branch_does_not_block_conclusion(fig5_bundle, fig5_scenario):
@@ -675,7 +685,7 @@ def test_context_snapshots_do_not_see_later_entries(fig4_bundle, fig4_scenario):
     seen = []
     result = run(fig4_bundle, _recording(ScriptedBackend.from_scenario(fig4_scenario), seen),
                  incident=fig4_scenario["incident"])
-    history, refs = result.state.history, result.state.memory_ref_entries
+    history, refs = result.state.history, result.state.memory_refs
     assert (len(history), len(refs)) == (8, 2)
     first, second = seen[0], seen[1]
     assert len(first.history) == 0 and list(first.memory_refs) == []

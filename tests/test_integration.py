@@ -164,7 +164,7 @@ def test_plugin_driven_diagnosis(fig4_bundle):
     ]
 
     scope_keys = result.state.memory_refs
-    assert any(r.key == "top_exception" for r in scope_keys)
+    assert any(r["key"] == "top_exception" for r in scope_keys)
 
     from tsgflow.memory import RunScope
 

@@ -305,6 +305,9 @@ def _short_deadline(monkeypatch) -> str:
         ("[1]\n", "finding is malformed"),
         ('[{"line": "seven"}]\n', "finding is malformed"),
         ('[{"line": Infinity}]\n', "finding is malformed"),
+        ('[{"rule": 5, "line": 1}, {"rule": "CP-X", "line": 1}]\n', "finding is malformed"),
+        ('[{"rule": "CP-X", "message": ["m"]}]\n', "finding is malformed"),
+        ('[{"rule": "CP-X", "severity": null}]\n', "finding is malformed"),
     ],
 )
 def test_external_analyzer_failures_are_named(monkeypatch, fig4_bundle, stdout, message):

@@ -296,6 +296,43 @@ def test_malformed_table_literal_is_invalid_value(literal):
         value_from_literal(literal)
 
 
+_TABLE_RECORD_PAYLOADS = {
+    "string-row": {"columns": ["a", "b"], "types": ["integer", "integer"], "rows": ["12"]},
+    "dict-row": {"columns": ["a"], "types": ["text"], "rows": [{"k": 1}]},
+    "rows-a-string": {"columns": ["a"], "types": ["text"], "rows": "ab"},
+    "long-row": {"columns": ["a"], "types": ["text"], "rows": [["x", "y"]]},
+    "short-row": {"columns": ["a", "b"], "types": ["integer", "integer"], "rows": [[1]]},
+    "bad-timestamp": {"columns": ["t"], "types": ["timestamp"], "rows": [["yesterday"]]},
+    "schema-lengths-differ": {"columns": ["a", "b"], "types": ["text"], "rows": []},
+}
+
+
+@pytest.mark.parametrize("payload", _TABLE_RECORD_PAYLOADS.values(), ids=_TABLE_RECORD_PAYLOADS)
+def test_log_table_record_decodes_as_a_table_literal(tmp_path, payload):
+    """A log's table record goes through value_from_literal's reader, so it
+    raises CorruptLog naming the very InvalidValue the literal raises."""
+    with pytest.raises(InvalidValue) as literal:
+        value_from_literal(payload)
+    path = tmp_path / "memory.log"
+    value = json.dumps({"kind": "table", "payload": payload})
+    record = json.dumps({"key": "k", "value": value}).encode("utf-8")
+    path.write_bytes(struct.pack(">I", len(record)) + record)
+    with pytest.raises(CorruptLog) as logged:
+        FileBackedStore(path)
+    assert str(logged.value) == f"{path}: record at byte 0: {literal.value!r}"
+
+
+def test_log_table_record_round_trips(tmp_path):
+    table = Table(["at", "n", "s"], ["timestamp", "integer", "text"],
+                  [[datetime(2026, 3, 1, tzinfo=timezone.utc), 1, "x"],
+                   [datetime(2026, 3, 1, 0, 5, tzinfo=timezone.utc), 2, "2026-03-01T00:00:00Z"]])
+    value = memory_value(table)
+    assert decode_value(encode_value(value)) == value
+    path = tmp_path / "memory.log"
+    FileBackedStore(path).put("k", table)
+    assert FileBackedStore(path).get("k") == value
+
+
 def test_timestamp_out_of_range_in_utc_keeps_its_offset():
     """Year 1 at +05:00 has no UTC form inside datetime's range."""
     early = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5)))
