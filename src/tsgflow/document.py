@@ -35,7 +35,6 @@ raise.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,69 +137,23 @@ class ParseDiagnostic:
     message: str
 
 
-class LineSpan(Sequence):
-    """Read-only view of `lines[start:stop]` as (line_no, raw) tuples, line
-    numbers counted from 1: a parsed step's body over its document's
-    splitlines() list. Nothing is copied until a caller asks; indexing and
-    iteration build the tuples, `raw()` slices the lines, and a span
-    compares equal to a span or list of the same tuples."""
-
-    __slots__ = ("_lines", "_start", "_stop")
-
-    def __init__(self, lines: list[str], start: int, stop: int):
-        self._lines = lines
-        self._start = start
-        self._stop = stop
-
-    def __len__(self) -> int:
-        return self._stop - self._start
-
-    def __getitem__(self, index):
-        at = range(self._start, self._stop)[index]
-        if isinstance(index, slice):
-            return [(i + 1, self._lines[i]) for i in at]
-        return (at + 1, self._lines[at])
-
-    def __iter__(self):
-        return zip(range(self._start + 1, self._stop + 1), self.raw())
-
-    def raw(self) -> list[str]:
-        """The lines of the span, without their numbers."""
-        return self._lines[self._start:self._stop]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (LineSpan, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LineSpan({list(self)!r})"
-
-
-def _raw_lines(body: Sequence[tuple[int, str]]) -> Iterable[str]:
-    """The text of each (line_no, raw) entry of a body, in order."""
-    if isinstance(body, LineSpan):
-        return body.raw()
-    return (text for _, text in body)
-
-
 @dataclass(slots=True)
 class TsgStep:
-    """One step of a guide. A parsed step's `body` is a read-only LineSpan of
-    every line after its header up to the next step header; a hand-built
-    step may hold a list of (line_no, raw) tuples instead."""
+    """One step of a guide. `body` holds the raw text of every line after
+    its header up to the next step header, so body line i is source line
+    `line + 1 + i`."""
 
     id: str
     title: str
     line: int
-    body: Sequence[tuple[int, str]] = field(default_factory=list)
+    body: list[str] = field(default_factory=list)
     query_blocks: list[QueryBlock] = field(default_factory=list)
     next_directives: list[NextDirective] = field(default_factory=list)
     produces: list[str] = field(default_factory=list)
     terminal_conclusion: str | None = None
 
     def body_text(self) -> str:
-        return "\n".join(_raw_lines(self.body))
+        return "\n".join(self.body)
 
 
 @dataclass
@@ -210,7 +163,7 @@ class TsgDocument:
     incident_fields: list[str]
     steps: list[TsgStep]
     source: str
-    preamble: list[tuple[int, str]] = field(default_factory=list)
+    preamble: list[str] = field(default_factory=list)
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
     def step_ids(self) -> list[str]:
@@ -301,7 +254,7 @@ def parse_tsg(text: str) -> TsgDocument:
     recoverable issues land in doc.diagnostics.
 
     A step's body is every line after its header up to the next step header
-    outside a fence, so it is kept as a LineSpan of the document's lines.
+    outside a fence, so it is kept as a slice of the document's lines.
     The preamble is every line before the first step header except the
     document header and the Inputs: line that were read as such.
     """
@@ -321,7 +274,6 @@ def parse_tsg(text: str) -> TsgDocument:
     fence_name = ""
     fence_lang = ""
     fence_start = 0
-    fence_lines: list[str] = []
     next_mode = False
 
     for line_no, raw in enumerate(lines, start=1):
@@ -340,13 +292,11 @@ def parse_tsg(text: str) -> TsgDocument:
                         )
                     else:
                         query_names[fence_name] = fence_start
+                    query = "\n".join(lines[fence_start:line_no - 1])
                     current.query_blocks.append(
-                        QueryBlock(fence_name, fence_lang, "\n".join(fence_lines), fence_start)
+                        QueryBlock(fence_name, fence_lang, query, fence_start)
                     )
                 fence_name = ""
-                fence_lines = []
-            else:
-                fence_lines.append(raw)
             continue
 
         first = raw[:1]
@@ -360,7 +310,6 @@ def parse_tsg(text: str) -> TsgDocument:
         if fm and raw.startswith("```"):
             in_fence = True
             fence_start = line_no
-            fence_lines = []
             fence_name = ""
             fence_lang = ""
             info = fm.group("info").strip()
@@ -380,8 +329,8 @@ def parse_tsg(text: str) -> TsgDocument:
                     f"(first defined at line {first_line_of[step_id]})"
                 )
             first_line_of[step_id] = line_no
-            # the body span is set once the next header is known
-            current = TsgStep(id=step_id, title=hm.group("title"), line=line_no, body=())
+            # the body is set once the next header is known
+            current = TsgStep(id=step_id, title=hm.group("title"), line=line_no)
             steps.append(current)
             next_mode = False
             continue
@@ -464,9 +413,9 @@ def parse_tsg(text: str) -> TsgDocument:
     stops = [step.line - 1 for step in steps]
     stops.append(len(lines))
     for step, stop in zip(steps, stops[1:]):
-        step.body = LineSpan(lines, step.line, stop)
+        step.body = lines[step.line:stop]
     preamble = [
-        (line_no, raw)
+        raw
         for line_no, raw in enumerate(lines[: stops[0]], start=1)
         if line_no != header_line and line_no != inputs_line
     ]
@@ -511,8 +460,8 @@ def serialize_tsg(doc: TsgDocument) -> str:
     out = [f"# TSG: {doc.tsg_id} — {doc.title}"]
     if doc.incident_fields:
         out.append("Inputs: " + ", ".join(doc.incident_fields))
-    out.extend(text for _, text in doc.preamble)
+    out.extend(doc.preamble)
     for step in doc.steps:
         out.append(f"## Step {step.id}: {step.title}")
-        out.extend(_raw_lines(step.body))
+        out.extend(step.body)
     return "\n".join(out) + "\n"

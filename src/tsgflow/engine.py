@@ -122,10 +122,6 @@ class TraceEvent:
                 "subject": self.subject, "detail": self.detail}
 
 
-def trace_to_jsonl(trace: list[TraceEvent]) -> str:
-    return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in trace)
-
-
 class Snapshot(Sequence):
     """Read-only view of an append-only list as long as it is when the view
     is made: items appended later are not seen, and nothing is copied unless
@@ -479,7 +475,7 @@ class RunResult:
     state: "RunState | None" = None
 
     def trace_jsonl(self) -> str:
-        return trace_to_jsonl(self.trace)
+        return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in self.trace)
 
 
 def _complete_start(state: RunState) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 from .backends import ScriptedBackend
 from .dag import InvalidDag, SchemaViolation, extract_dag, load_dag
 from .document import parse_tsg, read_utf8
-from .engine import Bundle, RunConfig, RunResult, run, trace_to_jsonl
+from .engine import Bundle, RunConfig, RunResult, run
 from .errors import TsgflowError
 from .oracle import MakespanOracle, Simulator, started_work
 from .plugins import build_mock_registry
@@ -101,7 +101,7 @@ def run_scenario(
     )
     if trace_path is not None:
         # a lone surrogate from a JSON \u escape is written as that escape again
-        Path(trace_path).write_text(trace_to_jsonl(result.trace), encoding="utf-8",
+        Path(trace_path).write_text(result.trace_jsonl(), encoding="utf-8",
                                     errors="backslashreplace")
     return result
 

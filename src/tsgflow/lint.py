@@ -28,7 +28,7 @@ import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .document import TsgDocument, parse_tsg, step_id_key
+from .document import TsgDocument, parse_tsg, read_utf8, step_id_key
 from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .linechild import ChildTimeout, ChildUnavailable, LineChild
 from .queryprep import iter_placeholders
@@ -216,7 +216,8 @@ class ExternalAnalyzer:
     """Optional judgment-based analyzer behind the line protocol.
 
     The child reads one JSON request {"tsg_id", "text"} per line and answers
-    with a JSON list of {"rule", "line", "message", "severity"} findings.
+    with a JSON list of {"rule", "line", "message", "severity"} findings; a
+    finding's line is an int of at least 1, and 1 when it is absent.
     Findings land in the CP category and are excluded from the deterministic
     precision/recall contract.
     """
@@ -253,13 +254,14 @@ class ExternalAnalyzer:
                 finding = LintFinding(
                     rule=raw.get("rule", "CP-EXTERNAL"),
                     category="CP",
-                    line=int(raw.get("line", 1)),
+                    line=raw.get("line", 1),
                     message=raw.get("message", ""),
                     severity=raw.get("severity", "warning"),
                 )
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            except AttributeError as exc:
                 raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}") from exc
-            if {type(finding.rule), type(finding.message), type(finding.severity)} != {str}:
+            if ({type(finding.rule), type(finding.message), type(finding.severity)} != {str}
+                    or type(finding.line) is not int or finding.line < 1):
                 raise AnalyzerFailed(f"analyzer finding is malformed: {raw!r}")
             out.append(finding)
         return out
@@ -381,6 +383,6 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
             raise ManifestUnreadable(f"{manifest_path}: not valid JSON: {exc}") from None
         _check_manifest(manifest, manifest_path)
         evaluation.seeded += len(manifest)
-        doc = parse_tsg(doc_path.read_text(encoding="utf-8"))
+        doc = parse_tsg(read_utf8(doc_path))
         _match_document(lint(doc), manifest, evaluation)
     return evaluation

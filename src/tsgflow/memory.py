@@ -351,6 +351,9 @@ def encode_value(value: MemoryValue) -> str:
 def decode_value(text: str) -> MemoryValue:
     obj = json.loads(text)
     kind, payload = obj["kind"], obj["payload"]
+    container = {"list": list, "record": dict}.get(kind)
+    if container is not None and type(payload) is not container:
+        raise InvalidValue(f"{kind} payload is a {type(payload).__name__}, not a {container.__name__}")
     if kind == "scalar":
         return MemoryValue("scalar", _scalar_from_json(payload))
     if kind == "list":

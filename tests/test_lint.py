@@ -11,7 +11,7 @@ from conftest import FIG4_DIR
 from corpus import build_lint_corpus
 from tsgflow import linechild
 from tsgflow.cli import main
-from tsgflow.document import parse_tsg
+from tsgflow.document import FileNotUtf8, parse_tsg
 from tsgflow.lint import (
     AnalyzerFailed,
     ExternalAnalyzer,
@@ -271,6 +271,15 @@ def test_evaluate_lint_names_a_manifest_of_the_wrong_shape(tmp_path, manifest, d
     assert isinstance(info.value, ManifestUnreadable)
 
 
+def test_evaluate_lint_names_a_guide_that_is_not_utf8(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_bytes(build_lint_corpus()[0].text.encode("utf-8").replace("—".encode(), b"\x97", 1))
+    (tmp_path / "doc.manifest.json").write_text("[]", encoding="utf-8")
+    with pytest.raises(FileNotUtf8) as info:
+        evaluate_lint(tmp_path)
+    assert str(info.value).startswith(f"{doc}: not UTF-8: invalid start byte at byte ")
+
+
 def test_external_analyzer_hook(fig4_bundle):
     analyzer = ExternalAnalyzer([sys.executable, str(ANALYZER)])
     findings = lint(fig4_bundle.doc, analyzer=analyzer)
@@ -305,6 +314,10 @@ def _short_deadline(monkeypatch) -> str:
         ("[1]\n", "finding is malformed"),
         ('[{"line": "seven"}]\n', "finding is malformed"),
         ('[{"line": Infinity}]\n', "finding is malformed"),
+        ('[{"line": "7"}]\n', "finding is malformed"),
+        ('[{"line": 2.9}]\n', "finding is malformed"),
+        ('[{"line": true}]\n', "finding is malformed"),
+        ('[{"line": 0}]\n', "finding is malformed"),
         ('[{"rule": 5, "line": 1}, {"rule": "CP-X", "line": 1}]\n', "finding is malformed"),
         ('[{"rule": "CP-X", "message": ["m"]}]\n', "finding is malformed"),
         ('[{"rule": "CP-X", "severity": null}]\n', "finding is malformed"),
@@ -315,6 +328,12 @@ def test_external_analyzer_failures_are_named(monkeypatch, fig4_bundle, stdout, 
         message = _short_deadline(monkeypatch)
     with pytest.raises(AnalyzerFailed, match=message):
         lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(_child_printing(stdout)))
+
+
+def test_external_analyzer_line_defaults_to_one(fig4_bundle):
+    stdout = '[{"rule": "CP-X", "message": "m"}, {"rule": "CP-Y", "line": 7}]\n'
+    findings = lint(fig4_bundle.doc, analyzer=ExternalAnalyzer(_child_printing(stdout)))
+    assert [(f.rule, f.line) for f in findings] == [("CP-X", 1), ("CP-Y", 7)]
 
 
 def test_external_analyzer_quiet_child_adds_nothing(fig4_bundle):

@@ -333,6 +333,45 @@ def test_log_table_record_round_trips(tmp_path):
     assert FileBackedStore(path).get("k") == value
 
 
+_CONTAINER_RECORD_PAYLOADS = {
+    "list-of-a-string": ("list", "ab", "str"),
+    "list-of-an-object": ("list", {"k": 1}, "dict"),
+    "record-of-a-list": ("record", [["k", 1]], "list"),
+    "record-of-a-string": ("record", "k", "str"),
+}
+
+
+@pytest.mark.parametrize("kind, payload, got", _CONTAINER_RECORD_PAYLOADS.values(),
+                         ids=_CONTAINER_RECORD_PAYLOADS)
+def test_log_list_or_record_record_of_another_shape_is_corrupt(tmp_path, kind, payload, got):
+    """A list record replays only a JSON list and a record record only a
+    JSON object; anything else is CorruptLog naming the InvalidValue."""
+    path = tmp_path / "memory.log"
+    value = json.dumps({"kind": kind, "payload": payload})
+    record = json.dumps({"key": "k", "value": value}).encode("utf-8")
+    path.write_bytes(struct.pack(">I", len(record)) + record)
+    want = "list" if kind == "list" else "dict"
+    with pytest.raises(CorruptLog) as logged:
+        FileBackedStore(path)
+    assert str(logged.value) == (
+        f"{path}: record at byte 0: InvalidValue('{kind} payload is a {got}, not a {want}')")
+
+
+def test_log_list_and_record_records_round_trip(tmp_path):
+    at = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    path = tmp_path / "memory.log"
+    store = FileBackedStore(path)
+    store.put("l", ["a", 1, 2.5, True, at])
+    store.put("r", {"s": "x", "n": 1, "at": at})
+    store.put("empty", [])
+    reopened = FileBackedStore(path)
+    assert reopened.keys() == ["empty", "l", "r"]
+    for key in reopened.keys():
+        assert reopened.get(key) == store.get(key)
+    assert reopened.get("l").payload == ["a", 1, 2.5, True, at]
+    assert reopened.get("r").payload == {"s": "x", "n": 1, "at": at}
+
+
 def test_timestamp_out_of_range_in_utc_keeps_its_offset():
     """Year 1 at +05:00 has no UTC form inside datetime's range."""
     early = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5)))

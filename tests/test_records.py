@@ -28,7 +28,7 @@ SAMPLES = {
     NextDirective: ("terminate", (), 9, _CONDITION, "transfer to upstream team"),
     QueryBlock: ("q2", "kql", "Requests\n| where x > {threshold}", 21),
     ParseDiagnostic: ("dangling-target", 7, "directive targets unknown step '9'"),
-    TsgStep: ("3.1", "Check the deployment", 30, [(31, "body")], [_BLOCK], [_DIRECTIVE],
+    TsgStep: ("3.1", "Check the deployment", 30, ["body"], [_BLOCK], [_DIRECTIVE],
               ["deployments"], "rolled back"),
     EdgeCondition: ("Is the service up?", "Y"),
     DagNode: ("step3.1", "step", "Check the deployment", "3.1"),
