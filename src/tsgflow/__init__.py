@@ -19,7 +19,7 @@ from .dag import (
     serialize_dag,
     validate_dag,
 )
-from .document import TsgDocument, TsgStep, entry_step, parse_tsg, serialize_tsg
+from .document import TsgDocument, TsgStep, parse_tsg, serialize_tsg
 from .engine import (
     Bundle,
     ExecutorBackend,
@@ -83,7 +83,6 @@ __all__ = [
     "apply_outcome",
     "build_mock_registry",
     "compile_dag",
-    "entry_step",
     "evaluate_lint",
     "extract_dag",
     "extract_templates",

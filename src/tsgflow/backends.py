@@ -120,8 +120,6 @@ class ProcessBackend(ExecutorBackend):
         problem = _outcome_problem(obj)
         if problem:
             return StepOutcome(result="failure", error=f"bad outcome line: {problem}")
-        if obj.get("result") == "cancelled":
-            return CancelledSignal()
         keys = _put_writes(ctx.store, obj.get("memory_writes", {}))
         return StepOutcome(
             result=obj.get("result", "failure"),
@@ -138,8 +136,8 @@ def _outcome_problem(obj) -> str | None:
     take StepOutcome's defaults (result: failure)."""
     if not isinstance(obj, dict):
         return f"not a JSON object: {type(obj).__name__}"
-    if obj.get("result", "failure") not in ("success", "failure", "cancelled"):
-        return f"result must be success, failure or cancelled, got {obj['result']!r}"
+    if obj.get("result", "failure") not in ("success", "failure"):
+        return f"result must be success or failure, got {obj['result']!r}"
     problem = duration_problem(obj.get("duration", 0))
     if problem is not None:
         return problem

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .document import TsgDocument, step_id_key
+from .document import Condition, TsgDocument, step_id_key
 from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .records import frozen_record
 
@@ -64,10 +64,7 @@ def node_sort_key(node_id: str) -> tuple:
     return (1, step_id_key(rest), node_id)
 
 
-@frozen_record
-class EdgeCondition:
-    question: str
-    label: str  # "Y" or "N"
+EdgeCondition = Condition  # an edge's question and Y/N label: the directive's own record
 
 
 @frozen_record
@@ -83,7 +80,7 @@ class DagEdge:
     id: str
     source: str
     target: str
-    condition: EdgeCondition | None = None
+    condition: Condition | None = None
     conclusion: str | None = None
 
 
@@ -92,9 +89,6 @@ class ExecutionDag:
     tsg_id: str
     nodes: list[DagNode]
     edges: list[DagEdge]
-
-    def step_nodes(self) -> list[DagNode]:
-        return [n for n in self.nodes if n.kind == "step"]
 
 
 _Edges = dict[str, list[DagEdge]]  # node id -> edges, in edge order
@@ -153,14 +147,11 @@ def extract_dag(doc: TsgDocument) -> ExecutionDag:
     for step in doc.steps:
         src = f"step{step.id}"
         for directive in step.next_directives:
-            cond = None
-            if directive.condition is not None:
-                cond = EdgeCondition(directive.condition.question, directive.condition.label)
             if directive.kind == "terminate":
-                add_edge(src, END, condition=cond, conclusion=directive.conclusion or "")
+                add_edge(src, END, directive.condition, directive.conclusion or "")
             else:
                 for target in directive.targets:
-                    add_edge(src, f"step{target}", condition=cond)
+                    add_edge(src, f"step{target}", directive.condition)
         if step.terminal_conclusion is not None:
             add_edge(src, END, conclusion=step.terminal_conclusion)
 
@@ -394,7 +385,7 @@ def _json_array(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-def _condition_json(c: EdgeCondition | None) -> str:
+def _condition_json(c: Condition | None) -> str:
     if c is None:
         return "null"
     return (
@@ -477,7 +468,7 @@ def _loaded_edge(i: int, raw) -> DagEdge:
             raise SchemaViolation(f"/edges/{i}/condition/question", "required string")
         if label not in _LABELS:
             raise SchemaViolation(f"/edges/{i}/condition/label", "must be Y or N")
-        condition = EdgeCondition(question, label)
+        condition = Condition(question, label)
     conclusion = raw.get("conclusion")
     if conclusion is not None and type(conclusion) is not str:
         raise SchemaViolation(f"/edges/{i}/conclusion", "string or null")

@@ -444,13 +444,6 @@ def parse_tsg(text: str) -> TsgDocument:
     )
 
 
-def entry_step(doc: TsgDocument) -> str:
-    """Id of the first step in source order."""
-    if not doc.steps:
-        raise MissingEntryStep("document defines no steps")
-    return doc.steps[0].id
-
-
 def serialize_tsg(doc: TsgDocument) -> str:
     """Render a TsgDocument back to conforming markdown.
 

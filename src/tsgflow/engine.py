@@ -482,9 +482,7 @@ def _complete_start(state: RunState) -> None:
     for edge in state.compiled.outgoing[START]:
         if state.status is not _RUNNING:
             break
-        target = state._resolve(edge, _ENABLED, START)
-        if target is not None:
-            state.disable_node(target)
+        state._resolve(edge, _ENABLED, START)  # an enabled edge disables no target
 
 
 class StaticContexts(dict):

@@ -293,16 +293,6 @@ class CategoryMetrics:
             return None
         return 2 * p * r / (p + r)
 
-    def to_obj(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 @dataclass
 class LintEvaluation:
@@ -310,14 +300,6 @@ class LintEvaluation:
     seeded: int
     per_category: dict[str, CategoryMetrics] = field(default_factory=dict)
     aggregate: CategoryMetrics = field(default_factory=CategoryMetrics)
-
-    def to_obj(self) -> dict:
-        return {
-            "documents": self.documents,
-            "seeded": self.seeded,
-            "per_category": {k: v.to_obj() for k, v in sorted(self.per_category.items())},
-            "aggregate": self.aggregate.to_obj(),
-        }
 
 
 def _match_document(
@@ -367,8 +349,9 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
     `<name>.manifest.json` files listing seeded {"rule", "line"} defects;
     a finding matches a seed of the same rule within +/-5 lines. Raises
     ManifestMissing for a document without a manifest, ManifestUnreadable
-    for a manifest that is not JSON and ManifestInvalid for one that is not
-    a list of {"rule": str, "line": int} objects.
+    for a manifest that is not JSON, ManifestInvalid for one that is not a
+    list of {"rule": str, "line": int} objects and FileNotUtf8 for a guide
+    or manifest that is not UTF-8.
     """
     corpus = Path(corpus_dir)
     docs = sorted(corpus.glob("*.md"))
@@ -378,7 +361,7 @@ def evaluate_lint(corpus_dir: str | Path) -> LintEvaluation:
         if not manifest_path.exists():
             raise ManifestMissing(str(manifest_path))
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(read_utf8(manifest_path))
         except JSON_DECODE_ERRORS as exc:
             raise ManifestUnreadable(f"{manifest_path}: not valid JSON: {exc}") from None
         _check_manifest(manifest, manifest_path)

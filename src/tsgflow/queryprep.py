@@ -16,7 +16,7 @@ from datetime import datetime
 
 from .document import TsgDocument
 from .errors import JSON_DECODE_ERRORS, TsgflowError
-from .memory import format_timestamp
+from .memory import _render_cell
 
 
 class TemplateError(TsgflowError):
@@ -109,20 +109,13 @@ def extract_templates(doc: TsgDocument) -> list[QueryTemplate]:
 def render_param(value) -> str:
     """Canonical text for a parameter value.
 
-    Strings pass through verbatim (quoting belongs to the template), bools
-    render as true/false, numbers in decimal form, datetimes as ISO-8601
-    UTC, lists as comma-joined renderings of their items.
+    A scalar renders as a memory cell does: strings pass through verbatim
+    (quoting belongs to the template), bools render as true/false, numbers
+    in decimal form, datetimes as ISO-8601 UTC. Lists and tuples render as
+    comma-joined renderings of their items.
     """
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, datetime):
-        return format_timestamp(value)
+    if isinstance(value, (str, int, float, datetime)):
+        return _render_cell(value, None)
     if isinstance(value, (list, tuple)):
         return ", ".join(render_param(v) for v in value)
     raise UnrenderableValue(f"no text rendering for {type(value).__name__}")

@@ -56,7 +56,7 @@ def random_scripted_dag(rng: random.Random, max_conditional: int = 3) -> Executi
 def success_assignments(dag: ExecutionDag) -> list[dict[str, dict[str, str]]]:
     """Every combination of conditional-arm decisions; unconditional edges
     are always enabled."""
-    names = sorted((n.id for n in dag.step_nodes()), key=node_sort_key)
+    names = sorted((n.id for n in dag.nodes if n.kind == "step"), key=node_sort_key)
     compiled = compile_dag(dag)
     options: list[list[dict[str, str]]] = []
     for node_id in names:
@@ -138,5 +138,5 @@ def random_decisions(rng: random.Random, dag: ExecutionDag) -> dict[str, dict[st
     return {
         n.id: {e.id: "enable" if e.condition is None or rng.random() < 0.5 else "disable"
                for e in compiled.outgoing[n.id]}
-        for n in dag.step_nodes()
+        for n in dag.nodes if n.kind == "step"
     }

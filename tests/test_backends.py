@@ -75,7 +75,7 @@ def test_process_backend_child_crash_is_failure():
         ('{"result": "success", "duration": true}', "duration must be a finite number"),
         ('{"result": "success", "duration": -1}', "duration must be a finite number"),
         ('{"result": "success", "duration": NaN}', "duration must be a finite number"),
-        ('{"result": "done"}', "result must be success, failure or cancelled"),
+        ('{"result": "done"}', "result must be success or failure"),
         ('{"result": "success", "edge_decisions": []}', "edge_decisions must be an object"),
         ('{"result": "success", "memory_writes": "x"}', "memory_writes must be an object"),
         ('{"result": "success", "summary": 3}', "summary must be a string"),
@@ -92,6 +92,24 @@ def test_process_backend_bad_outcome_fails_step(answer, problem):
     assert result.status is RunStatus.EXHAUSTED
     [failed] = [e for e in result.trace if e.kind == "node_failed"]
     assert failed.detail["error"].startswith(f"bad outcome line: {problem}")
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_process_backend_cancelled_answer_fails_its_step_and_the_run_ends(clock):
+    """A child never answers a cancel (a cancel closes it), so a "cancelled"
+    answer is a bad outcome line: each attempt of its step fails, and the run
+    ends exhausted instead of raising EngineError."""
+    code = """import sys\nfor _ in sys.stdin:\n    print('{"result": "cancelled"}', flush=True)"""
+    backend = ProcessBackend([sys.executable, "-c", code])
+    try:
+        result = run(bundle_of(linear_dag(2)), backend,
+                     RunConfig(max_executors=2, retry_limit=1, clock=clock))
+    finally:
+        backend.close()
+    assert result.status is RunStatus.EXHAUSTED
+    assert result.executed == ["step1"] and result.cancelled == []
+    failed = [e.detail["error"] for e in result.trace if e.kind == "node_failed"]
+    assert failed == ["bad outcome line: result must be success or failure, got 'cancelled'"] * 2
 
 
 def test_process_backend_duration_past_the_float_range_fails_step(monkeypatch):

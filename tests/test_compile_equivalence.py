@@ -468,7 +468,7 @@ def test_parse_matches_reference_on_random_scripted_guides(data):
     dag = random_scripted_dag(random.Random(data.draw(st.integers(0, 10**6))))
     outgoing = compile_dag(dag).outgoing
     out = ["# TSG: r — Random", "Inputs: service"]
-    for node in sorted(dag.step_nodes(), key=lambda n: node_sort_key(n.id)):
+    for node in sorted([n for n in dag.nodes if n.kind == "step"], key=lambda n: node_sort_key(n.id)):
         out.append(f"## Step {node.step_ref}: {node.description}")
         out += data.draw(st.lists(st.sampled_from(_LINE_PIECES[-20:]), max_size=3))
         out.append("Next:")

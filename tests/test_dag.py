@@ -184,6 +184,16 @@ def test_validate_counts_start_end():
     assert "end-count" in validate_dag(dag).codes()
 
 
+def test_validate_reports_node_kind_and_step_ref():
+    dag = _tiny_dag([("start", "step1"), ("step1", "odd"), ("odd", "end")])
+    dag.nodes = [DagNode("odd", "middle") if n.id == "odd" else
+                 DagNode("step1", "step", "no ref") if n.id == "step1" else n for n in dag.nodes]
+    assert [(v.code, v.subject, v.message) for v in validate_dag(dag).violations] == [
+        ("bad-node-kind", "odd", "unknown kind 'middle'"),
+        ("missing-step-ref", "step1", "step node lacks a TSG step reference"),
+    ]
+
+
 def test_serialize_roundtrip_fixture(fig4_bundle):
     dag = fig4_bundle.dag
     text = serialize_dag(dag)

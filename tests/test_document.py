@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from tsgflow.document import (
     DuplicateStepId,
     MissingEntryStep,
-    entry_step,
     parse_tsg,
     serialize_tsg,
     step_id_key,
@@ -80,7 +79,7 @@ def test_no_steps_raises():
 
 def test_entry_step_is_first_in_source_order():
     doc = parse_tsg(MINIMAL)
-    assert entry_step(doc) == "1"
+    assert doc.steps[0].id == "1"
     out_of_order = """# TSG: ooo — Out of order
 
 ## Step 2: Written first
@@ -90,7 +89,7 @@ Next:
 ## Step 1: Written second
 Terminate: end
 """
-    assert entry_step(parse_tsg(out_of_order)) == "2"
+    assert parse_tsg(out_of_order).steps[0].id == "2"
 
 
 def test_conditional_directive_parsing(fig4_bundle):
@@ -140,6 +139,35 @@ Terminate: over
     doc = parse_tsg(text)
     assert [d.code for d in doc.diagnostics] == ["unparseable-directive"]
     assert len(doc.steps[0].next_directives) == 1
+
+
+def test_each_malformed_directive_form_is_named():
+    text = """# TSG: bad — Bad directives
+
+## Step 1: Start
+Next:
+- Parallel: Step 2, Node 3
+- Parallel: Step 2
+- If up?: Y -> Step 2; N ->
+- If up?: Y -> Step 2; Y -> Step 3
+- If up?: Y -> Step 2; N -> Somewhere
+Terminate: over
+
+## Step 2: B
+Terminate: two
+
+## Step 3: C
+Terminate: three
+"""
+    doc = parse_tsg(text)
+    assert [(d.code, d.line, d.message) for d in doc.diagnostics] == [
+        ("unparseable-directive", 5, "bad parallel target 'Node 3'"),
+        ("unparseable-directive", 6, "parallel directive needs at least two targets"),
+        ("unparseable-directive", 7, "bad conditional arm 'N ->'"),
+        ("unparseable-directive", 8, "duplicate 'Y' arm"),
+        ("unparseable-directive", 9, "bad arm target 'Somewhere'"),
+    ]
+    assert doc.steps[0].next_directives == []
 
 
 def test_malformed_step_header_is_diagnostic():

@@ -86,7 +86,7 @@ def _guide_from_dag(rng: random.Random) -> str:
     dag = random_scripted_dag(rng)
     outgoing = compile_dag(dag).outgoing
     out = ["# TSG: r — Random", "Inputs: service, start_time", rng.choice(_PROSE)]
-    for node in sorted(dag.step_nodes(), key=lambda n: node_sort_key(n.id)):
+    for node in sorted([n for n in dag.nodes if n.kind == "step"], key=lambda n: node_sort_key(n.id)):
         out.append(f"## Step {node.step_ref}: {node.description}")
         out += rng.sample(_PROSE, rng.randint(0, 3))
         if rng.random() < 0.4:

@@ -382,6 +382,34 @@ def test_run_config_counts_are_ints(name, value):
         run(bundle_of(linear_dag(1)), scripted({}), RunConfig(**{name: value}))
 
 
+def test_run_config_names_an_unknown_clock():
+    with pytest.raises(ConfigInvalid, match=r"^clock must be 'virtual' or 'wall', got 'sundial'$"):
+        run(bundle_of(linear_dag(1)), scripted({}), RunConfig(clock="sundial"))
+
+
+def test_apply_outcome_refuses_a_result_other_than_success_or_failure():
+    state = RunState(linear_dag(1), retry_limit=0)
+    _complete_start(state)
+    assert _start_next(state) == "step1"
+    with pytest.raises(EngineError, match=r"^outcome result must be success or failure, got 'maybe'$"):
+        apply_outcome(state, "step1", StepOutcome("maybe"))
+
+
+def test_run_state_guards_its_invariants():
+    """A node enqueued twice, an edge resolved twice and a node disabled
+    twice each raise EngineError naming the element."""
+    state = RunState(linear_dag(2), retry_limit=0)
+    _complete_start(state)
+    with pytest.raises(EngineError, match=r"^step1 enqueued twice for one enablement$"):
+        state.enqueue("step1", 0)
+    with pytest.raises(EngineError, match=r"^edge edge_start_step1 already resolved to enabled$"):
+        state._resolve(state.compiled.edges["edge_start_step1"], ElementState.ENABLED, "start")
+    state.disable_node("step2")
+    assert state.node_state["step2"] is ElementState.DISABLED
+    with pytest.raises(EngineError, match=r"^node step2 already resolved$"):
+        state.disable_node("step2")
+
+
 def test_dependency_issue_run(fig4_bundle, fig4_scenario):
     result = run(
         bundle_of(fig4_bundle.dag),

@@ -280,6 +280,17 @@ def test_evaluate_lint_names_a_guide_that_is_not_utf8(tmp_path):
     assert str(info.value).startswith(f"{doc}: not UTF-8: invalid start byte at byte ")
 
 
+def test_evaluate_lint_names_a_manifest_that_is_not_utf8(tmp_path):
+    """A manifest that is not UTF-8 fails as the guide beside it would, not
+    as a manifest that is not JSON."""
+    (tmp_path / "doc.md").write_text(build_lint_corpus()[0].text, encoding="utf-8")
+    path = tmp_path / "doc.manifest.json"
+    path.write_bytes(b'[{"rule": "PS-PARSE", "line": 3, "note": "\x97"}]')
+    with pytest.raises(FileNotUtf8) as info:
+        evaluate_lint(tmp_path)
+    assert str(info.value) == f"{path}: not UTF-8: invalid start byte at byte 42"
+
+
 def test_external_analyzer_hook(fig4_bundle):
     analyzer = ExternalAnalyzer([sys.executable, str(ANALYZER)])
     findings = lint(fig4_bundle.doc, analyzer=analyzer)

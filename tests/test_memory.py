@@ -164,6 +164,25 @@ def test_render_respects_sample_rows_param():
     assert len(render_context(value, sample_rows=0, key="k").sample) == 0
 
 
+def test_render_list_and_record_cap_each_item_at_64_characters():
+    when = datetime(2026, 3, 1, tzinfo=timezone.utc)
+    listed = render_context(memory_value([1, "x" * 70, True, when, 2.5]), key="k")
+    assert listed.text == ("memory[k]: list len=5 = 1, " + "x" * 63 + "…, true, "
+                           "2026-03-01T00:00:00Z, 2.5")
+    assert listed.sample == listed.text and listed.row_count is None
+    record = render_context(memory_value({"a": 1, "b": "y" * 70, "c": False}), key="r")
+    assert record.text == "memory[r]: record fields=3 = a=1, b=" + "y" * 63 + "…, c=false"
+    assert record.rendered_bytes == len(record.text.encode("utf-8"))
+
+
+def test_render_scalar_over_budget_is_cut_on_a_character_boundary():
+    """The cut keeps budget - 3 bytes, drops a character it would split, and
+    ends with a three-byte "…", so the text stays within the budget."""
+    summary = render_context(memory_value("é" * 40), key="s", budget=40)
+    assert summary.text == "memory[s]: scalar = " + "é" * 8 + "…"
+    assert summary.rendered_bytes == 39
+
+
 def test_file_backed_store_replays(tmp_path):
     path = tmp_path / "memory.log"
     store = FileBackedStore(path)

@@ -278,7 +278,7 @@ def test_max_antichain_long_chain_within_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 150)
     try:
-        width = max_antichain(dag, [n.id for n in dag.step_nodes()])
+        width = max_antichain(dag, [n.id for n in dag.nodes if n.kind == "step"])
     finally:
         sys.setrecursionlimit(limit)
     assert width == 1

@@ -168,7 +168,7 @@ def _forward_dag(rng: random.Random, n: int, density: float) -> ExecutionDag:
 
 def _random_decisions(rng: random.Random, dag: ExecutionDag) -> dict[str, dict[str, str]]:
     out = {}
-    for node in dag.step_nodes():
+    for node in [n for n in dag.nodes if n.kind == "step"]:
         out[node.id] = {e.id: rng.choice(("enable", "enable", "disable"))
                         for e in dag.edges if e.source == node.id and rng.random() < 0.9}
     return out
@@ -224,7 +224,7 @@ def test_max_antichain_on_random_subsets_and_wide_dags():
         assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes)
     for n, density in ((60, 0.01), (120, 0.02), (200, 0.01), (200, 0.05)):
         dag = _forward_dag(rng, n, density)
-        nodes = [node.id for node in dag.step_nodes()]
+        nodes = [node.id for node in dag.nodes if node.kind == "step"]
         assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes)
 
 
@@ -243,7 +243,7 @@ def test_chains(n):
     assert_same(dag, steps, retry_limit=2)
     steps[f"step{(n + 1) // 2}"] = [{"result": "failure", "latency": 1, "error": "x"}]
     assert_same(dag, steps, retry_limit=1)
-    nodes = [node.id for node in dag.step_nodes()]
+    nodes = [node.id for node in dag.nodes if node.kind == "step"]
     assert max_antichain(dag, nodes) == reference.max_antichain(dag, nodes) == 1
 
 

@@ -216,6 +216,15 @@ def test_aggregate_errors(store):
         analysis_aggregate(store, "words", "median")
 
 
+def test_aggregate_names_a_count_of_a_record_and_a_top_k_without_a_column(store):
+    store.put("record", {"a": 1})
+    with pytest.raises(NonNumeric, match=r"^record: cannot count a record$"):
+        analysis_aggregate(store, "record", "count")
+    store.put("table", Table(["n"], ["integer"], [[1]]))
+    with pytest.raises(NonNumeric, match=r"^top_k needs a table column reference \(key#column\)$"):
+        analysis_aggregate(store, "table", "top_k")
+
+
 def test_integer_too_large_for_a_float_is_non_numeric(store):
     store.put("big", Table(["n"], ["integer"], [[10**400], [1]]))
     store.put("bigs", [10**400, 1])

@@ -57,7 +57,7 @@ def enable_all(dag: ExecutionDag, latency: float) -> dict[str, list[dict]]:
     return {
         n.id: [{"result": "success", "latency": latency,
                 "edge_decisions": {e.id: "enable" for e in dag.edges if e.source == n.id}}]
-        for n in dag.step_nodes()
+        for n in dag.nodes if n.kind == "step"
     }
 
 

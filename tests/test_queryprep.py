@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corpus import build_qpp_corpus
 from tsgflow.document import parse_tsg
+from tsgflow.memory import format_timestamp
 from tsgflow.queryprep import (
     DuplicateTemplateName,
     EmptyTemplate,
@@ -74,6 +75,32 @@ def test_render_param_kinds():
     assert render_param([1, 2, "x"]) == "1, 2, x"
     with pytest.raises(UnrenderableValue):
         render_param({"not": "renderable"})
+
+
+_SCALARS = (st.text() | st.booleans() | st.integers() | st.floats()
+            | st.datetimes(timezones=st.none() | st.timezones()))
+
+
+@given(st.lists(_SCALARS, max_size=3) | _SCALARS)
+def test_render_param_spells_scalars_as_their_kind_does(value):
+    """Text as is, bools as true/false, numbers as repr (str of an int or a
+    float is its repr), datetimes as format_timestamp; a list joins its items."""
+    def spelled(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, datetime):
+            return format_timestamp(x)
+        return x if isinstance(x, str) else repr(x)
+
+    expected = ", ".join(map(spelled, value)) if isinstance(value, list) else spelled(value)
+    assert render_param(value) == expected
+    assert render_param(tuple(value) if isinstance(value, list) else value) == expected
+
+
+@pytest.mark.parametrize("value", [None, {"a": 1}, {1}, b"x", 1j, [1, None]])
+def test_render_param_refuses_what_is_not_a_scalar_or_a_list(value):
+    with pytest.raises(UnrenderableValue, match=r"^no text rendering for "):
+        render_param(value)
 
 
 def test_extract_templates_in_document_order(fig4_bundle):

@@ -14,7 +14,7 @@ from dataclasses import MISSING, FrozenInstanceError
 
 import pytest
 
-from tsgflow.dag import DagEdge, DagNode, EdgeCondition, Violation
+from tsgflow.dag import DagEdge, DagNode, Violation
 from tsgflow.document import Condition, NextDirective, ParseDiagnostic, QueryBlock, TsgStep
 from tsgflow.engine import StepOutcome
 
@@ -30,9 +30,8 @@ SAMPLES = {
     ParseDiagnostic: ("dangling-target", 7, "directive targets unknown step '9'"),
     TsgStep: ("3.1", "Check the deployment", 30, ["body"], [_BLOCK], [_DIRECTIVE],
               ["deployments"], "rolled back"),
-    EdgeCondition: ("Is the service up?", "Y"),
     DagNode: ("step3.1", "step", "Check the deployment", "3.1"),
-    DagEdge: ("edge_step1_end", "step1", "end", EdgeCondition("Up?", "N"), "no fault"),
+    DagEdge: ("edge_step1_end", "step1", "end", Condition("Up?", "N"), "no fault"),
     Violation: ("cycle", "edge_step2_step1", "cycle through edges: edge_step2_step1"),
     StepOutcome: ("success", "service is up", {"edge_step1_step2": "enable"}, ("avail", "errors"),
                   "", 1.5),
@@ -74,7 +73,7 @@ def _required(cls) -> tuple:
 def test_every_record_is_sampled():
     assert {cls.__name__ for cls in RECORDS} == {
         "Condition", "NextDirective", "QueryBlock", "ParseDiagnostic", "TsgStep",
-        "EdgeCondition", "DagNode", "DagEdge", "Violation", "StepOutcome"}
+        "DagNode", "DagEdge", "Violation", "StepOutcome"}
     for cls in RECORDS:
         assert len(SAMPLES[cls]) == len(dataclasses.fields(cls)), cls.__name__
 
