@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import TsgflowError
+# FileNotUtf8 and read_utf8 are re-exported: they live in errors, which scenario may import
+from .errors import FileNotUtf8, TsgflowError, read_utf8
 from .records import frozen_record
 
 
@@ -52,19 +52,6 @@ class DuplicateStepId(TsgParseError):
 
 class MissingEntryStep(TsgParseError):
     pass
-
-
-class FileNotUtf8(TsgflowError):
-    """A guide, DAG or query-template manifest file that is not UTF-8."""
-
-
-def read_utf8(path: str | Path) -> str:
-    """The text of a guide, DAG or manifest file; raises FileNotUtf8, naming
-    the file, when it is not UTF-8."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FileNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 _DOC_HEADER_RE = re.compile(r"^# TSG:\s*(?P<id>\S+)\s+—\s+(?P<title>.+?)\s*$")
@@ -83,6 +70,7 @@ _DIR_PARALLEL_RE = re.compile(r"^- Parallel:\s*(?P<targets>.+?)\s*$")
 _DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->.+?)\s*$")
 _DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.+?)\s*$")
 _ARM_SPLIT_RE = re.compile(r";\s*(?=[YN]\s*->)")
+_TERMINATE_ARM_RE = re.compile(r"^[YN]\s*->\s*Terminate\(.*\)$")
 _ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.+?)\s*$")
 _STEP_REF_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")  # a parallel item or an arm's target
 _ARM_TERMINATE_RE = re.compile(r"^Terminate\((?P<conclusion>.*)\)$")
@@ -189,6 +177,16 @@ def _parse_name_list(raw: str) -> tuple[list[str], list[str]]:
     return names, bad
 
 
+def _split_arms(arms: str) -> list[str]:
+    """An If line's arms: its text cut at each ";" before a "Y ->" or "N ->",
+    then each piece that is not a whole Terminate(...) arm cut again at every
+    ";", so a conclusion keeps its ";" and an arm without an arrow stands alone."""
+    out = []
+    for piece in _ARM_SPLIT_RE.split(arms):
+        out += [piece] if _TERMINATE_ARM_RE.match(piece.strip()) else piece.split(";")
+    return out
+
+
 def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | None]:
     """Parse one `- ...` line under Next:. Returns (directives, error message).
 
@@ -218,7 +216,7 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
         question = m.group("question")
         directives = []
         labels_seen = set()
-        for arm_text in _ARM_SPLIT_RE.split(m.group("arms")):
+        for arm_text in _split_arms(m.group("arms")):
             am = _ARM_RE.match(arm_text.strip())
             if not am:
                 return [], f"bad conditional arm {arm_text.strip()!r}"

@@ -343,7 +343,7 @@ class RunState:
         length independent of Python's recursion limit."""
         self._mark_disabled(node_id)
         pending = [(node_id, iter(self.compiled.outgoing[node_id]))]
-        while pending and self.status is _RUNNING:
+        while pending:  # disabling never concludes a run, so it runs to the end
             source, edges = pending[-1]
             edge = next(edges, None)
             if edge is None:
@@ -394,9 +394,8 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[
             state.enqueue(node_id, state.clock)
             return ()
         state.failed.add(node_id)
+        # only an enabled edge into end concludes a run, so no disabled one stops this loop
         for edge in state.compiled.outgoing[node_id]:
-            if state.status is not _RUNNING:
-                break
             target = state._resolve(edge, _DISABLED, "failure")
             if target is not None:
                 state.disable_node(target)

@@ -1,4 +1,6 @@
-"""The one root of every error tsgflow raises on purpose."""
+"""The one root of every error tsgflow raises on purpose, and the UTF-8 file reader."""
+
+from pathlib import Path
 
 
 class TsgflowError(Exception):
@@ -17,3 +19,16 @@ class TsgflowError(Exception):
 # What json.loads raises for input that does not decode: ValueError (bad JSON or
 # UTF-8, an integer past sys.get_int_max_str_digits()) or RecursionError (nesting).
 JSON_DECODE_ERRORS = (ValueError, RecursionError)
+
+
+class FileNotUtf8(TsgflowError):
+    """A guide, DAG, query-template manifest or scenario file that is not UTF-8."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of a guide, DAG, manifest or scenario file; raises
+    FileNotUtf8, naming the file, when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None

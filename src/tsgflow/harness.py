@@ -71,7 +71,7 @@ def load_bundle(path: str | Path) -> Bundle:
 def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:
     """Resolve a scenario by path, or by name inside <bundle>/scenarios/.
 
-    Raises ScenarioInvalid for a file that is not JSON or not a scenario.
+    Raises FileNotUtf8 or ScenarioInvalid for a file that is not a scenario.
     """
     candidates = [
         Path(name_or_path),

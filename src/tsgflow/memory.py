@@ -261,35 +261,24 @@ def value_from_literal(x) -> MemoryValue:
 
 def _table_from_json(columns, types, rows) -> MemoryValue:
     """The table of a table literal or of a log's table record, each
-    timestamp column's text cells parsed; InvalidValue for anything but lists
-    of columns, types and equally long rows, or a timestamp that does not parse."""
+    timestamp column's text cells then parsed column by column; InvalidValue
+    for anything but lists of columns, types and equally long rows, or a
+    timestamp that does not parse."""
     if not (isinstance(columns, list) and isinstance(types, list) and isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise InvalidValue("a table literal holds lists of columns, types and rows")
-    _check_widths(rows, len(types))  # before types[i] is read; Table checks the rest
+    table = Table(list(columns), list(types), rows)
+    data = table.data
     try:
-        rows = [[parse_timestamp(cell) if types[i] == "timestamp" and isinstance(cell, str)
-                 else cell for i, cell in enumerate(row)] for row in rows]
+        for i, col_type in enumerate(table.types):
+            if col_type == "timestamp":  # a cell of another type is kept as it is
+                data[i] = [parse_timestamp(c) if isinstance(c, str) else c for c in data[i]]
     except ValueError as exc:  # a timestamp cell that does not parse
         raise InvalidValue(f"table literal: {exc}") from None
-    return MemoryValue("table", Table(list(columns), list(types), rows))
+    return MemoryValue("table", table)
 
 
 # -- serialization ----------------------------------------------------------
-
-# True when datetime.fromisoformat reads a trailing "Z" as UTC (3.11 on)
-try:
-    _READS_ZULU = datetime.fromisoformat("2000-01-01T00:00:00Z").tzinfo is timezone.utc
-except ValueError:
-    _READS_ZULU = False
-
-
-def _zulu_suffixed(joined: str, n: int) -> bool:
-    """Whether fromisoformat may take the n texts joined at "," in `joined`
-    as they are: it reads a trailing "Z", and each text ends in its only "Z"."""
-    return (_READS_ZULU and joined.endswith("Z") and joined.count("Z") == n
-            and joined.count("Z,") == n - 1)
-
 
 def _scalar_to_json(x):
     if isinstance(x, datetime):
@@ -302,18 +291,7 @@ def _scalar_from_json(x):
     return x
 
 def parse_timestamp(text: str) -> datetime:
-    """datetime.fromisoformat of `text` with each "Z" replaced by "+00:00".
-
-    A text ending in its only "Z" goes to fromisoformat as it is where the
-    interpreter reads a trailing "Z" (3.11 on), which gives the same value;
-    when that parse refuses the text (2026-03-01Z, say, which the replace
-    reads as naive midnight), the replaced text is parsed after all.
-    """
-    if type(text) is str and _zulu_suffixed(text, 1):
-        try:
-            return datetime.fromisoformat(text)
-        except ValueError:
-            pass
+    """datetime.fromisoformat of `text` with each "Z" replaced by "+00:00"."""
     return datetime.fromisoformat(text.replace("Z", "+00:00"))
 
 def as_utc(dt: datetime) -> datetime:
@@ -619,11 +597,7 @@ class RunScope:
         return [k[len(prefix):] for k in self._store.keys() if k.startswith(prefix)]
 
     def ref(self, key: str) -> MemoryRef:
-        _check_key(key)
-        try:
-            value = self._store.get(self._prefix + key)
-        except KeyNotFound:
-            raise KeyNotFound(key) from None
+        value = self.get(key)
         return MemoryRef(key, value.kind, value)
 
 
@@ -638,6 +612,11 @@ CSV_BLOCK_CHARS = 1 << 17  # characters per block cut from a plain text
 # looked up, and only a column holding a spelling other than "true" or
 # "false" is decoded again as cell.strip().lower() == "true".
 _ZULU_TO_OFFSET = methodcaller("replace", "Z", "+00:00")
+# True when datetime.fromisoformat reads a trailing "Z" as UTC (3.11 on)
+try:
+    _READS_ZULU = datetime.fromisoformat("2000-01-01T00:00:00Z").tzinfo is timezone.utc
+except ValueError:
+    _READS_ZULU = False
 _BOOLEANS = {"true": True, "false": False}
 
 
@@ -662,7 +641,8 @@ def _decode_timestamps(cells) -> list[datetime]:
     joined = ",".join(cells)
     if joined.count(",") != n - 1:
         return list(map(datetime.fromisoformat, map(_ZULU_TO_OFFSET, cells)))
-    if _zulu_suffixed(joined, n):
+    if (_READS_ZULU and joined.endswith("Z") and joined.count("Z") == n
+            and joined.count("Z,") == n - 1):
         try:
             return list(map(datetime.fromisoformat, cells))
         except ValueError:

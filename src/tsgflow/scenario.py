@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import JSON_DECODE_ERRORS, TsgflowError
+from .errors import JSON_DECODE_ERRORS, TsgflowError, read_utf8
 
 
 class ScenarioError(TsgflowError):
@@ -62,11 +62,12 @@ def attempt_fields(attempt: dict) -> tuple:
 
 
 def read_scenario(path: Path) -> dict:
-    """Decode and check the scenario file at `path`; raise ScenarioInvalid
-    for a file that is not JSON or not a scenario."""
+    """Decode and check the scenario file at `path`; raise FileNotUtf8 for a
+    file that is not UTF-8 and ScenarioInvalid for one that is not JSON or
+    not a scenario."""
     try:
-        scenario = json.loads(path.read_text(encoding="utf-8"))
-    except JSON_DECODE_ERRORS as exc:  # bad JSON or bad UTF-8
+        scenario = json.loads(read_utf8(path))
+    except JSON_DECODE_ERRORS as exc:
         raise ScenarioInvalid(f"scenario {path}: not valid JSON: {exc}") from None
     _check_scenario(scenario, str(path))
     return scenario

@@ -342,6 +342,13 @@ def test_bundle_files_not_utf8_exit_one_naming_the_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"error: FileNotUtf8: {manifest}: not UTF-8: invalid start byte at byte 1")
 
+    scenario = bundle_dir / "scenarios" / "dependency_issue.json"
+    scenario.write_bytes(b"{\x97}")
+    for name in ("dependency_issue", str(scenario)):
+        assert main(["run", str(bundle_dir), "--scenario", name]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: FileNotUtf8: {scenario}: not UTF-8: invalid start byte at byte 1")
+
 
 def _cli_strict_utf8(*argv: str) -> subprocess.CompletedProcess:
     """`python -m tsgflow.cli argv` with strict UTF-8 stdout and stderr."""

@@ -54,6 +54,9 @@ def test_minimal_document():
 
 
 def test_fig_tsg_step_ids(fig4_bundle):
+    assert fig4_bundle.doc.step("2").id == "2"
+    with pytest.raises(KeyError):
+        fig4_bundle.doc.step("99")
     assert fig4_bundle.doc.step_ids() == ["1", "2", "3.1", "3.2", "3.3", "3.4", "4.1", "4.2", "5"]
 
 
@@ -151,6 +154,8 @@ Next:
 - If up?: Y -> Step 2; N ->
 - If up?: Y -> Step 2; Y -> Step 3
 - If up?: Y -> Step 2; N -> Somewhere
+- If up?: Y -> Step 2; N maybe
+- If up?: Y -> Terminate(out; N -> Step 2
 Terminate: over
 
 ## Step 2: B
@@ -166,8 +171,32 @@ Terminate: three
         ("unparseable-directive", 7, "bad conditional arm 'N ->'"),
         ("unparseable-directive", 8, "duplicate 'Y' arm"),
         ("unparseable-directive", 9, "bad arm target 'Somewhere'"),
+        # an arm is cut at each ";" outside a Terminate(...), so the broken one is named
+        ("unparseable-directive", 10, "bad conditional arm 'N maybe'"),
+        ("unparseable-directive", 11, "bad arm target 'Terminate(out'"),
     ]
     assert doc.steps[0].next_directives == []
+
+
+@pytest.mark.parametrize("arms, conclusion", [
+    ("Y -> Terminate(escalate; page); N -> Step 2", "escalate; page"),
+    ("Y -> Terminate(page (on call; now)); N -> Step 2", "page (on call; now)"),
+    ("Y -> Terminate(a) ; b); N -> Step 2", "a) ; b"),
+    ("Y -> Terminate(escalate; see (runbook)); N -> Step 2", "escalate; see (runbook)"),
+])
+def test_semicolon_inside_a_terminate_arm_stays_in_its_conclusion(arms, conclusion):
+    doc = parse_tsg(f"""# TSG: t — Arms
+## Step 1: A
+Next:
+- If up?: {arms}
+
+## Step 2: B
+Terminate: two
+""")
+    assert doc.diagnostics == []
+    yes, no = doc.steps[0].next_directives
+    assert (yes.kind, yes.conclusion, yes.condition.label) == ("terminate", conclusion, "Y")
+    assert (no.kind, no.targets, no.condition.label) == ("conditional", ("2",), "N")
 
 
 def test_malformed_step_header_is_diagnostic():

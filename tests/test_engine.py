@@ -23,6 +23,7 @@ from tsgflow.engine import (
     RunConfig,
     RunState,
     RunStatus,
+    Snapshot,
     StaleOutcome,
     StepOutcome,
     UnknownNode,
@@ -223,6 +224,19 @@ def test_single_failure_exhausts_linear_run():
                      "node_failed", "edge_disabled", "run_terminated"]
     terminated = result.trace[-1]
     assert terminated.detail["failed"] == ["step1"]
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_backend_that_does_not_implement_execute_fails_every_attempt(clock):
+    result = run(bundle_of(linear_dag(2)), ExecutorBackend(),
+                 RunConfig(retry_limit=1, clock=clock))
+    assert result.status is RunStatus.EXHAUSTED
+    failed = [ev.detail for ev in result.trace if ev.kind == "node_failed"]
+    assert failed == [{"attempt": 1, "error": "NotImplementedError: ", "final": False},
+                      {"attempt": 2, "error": "NotImplementedError: ", "final": True}]
+    assert result.executed == ["step1"]
+    assert result.trace[-1].detail == {"status": "exhausted", "failed": ["step1"],
+                                       "disabled": ["step2"]}
 
 
 def test_retry_then_success():
@@ -725,6 +739,17 @@ def test_context_snapshots_do_not_see_later_entries(fig4_bundle, fig4_scenario):
     assert not hasattr(second.history, "append")
     assert second.to_obj()["history"] == [history[0]]
     assert type(second.to_obj()["history"]) is list
+
+
+def test_snapshot_equality_and_repr():
+    items = [{"node": "step1"}]
+    snapshot = Snapshot(items)
+    items.append({"node": "step2"})
+    assert snapshot == [{"node": "step1"}] and snapshot == Snapshot(items[:1])
+    assert snapshot != Snapshot(items)
+    assert snapshot.__eq__(items[0]) is NotImplemented  # neither a Snapshot nor a list
+    assert snapshot != {"node": "step1"} and snapshot != "step1"
+    assert repr(snapshot) == "Snapshot([{'node': 'step1'}])"
 
 
 def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag(monkeypatch):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from test_engine import bundle_of, linear_dag
 from tsgflow.backends import ProcessBackend
 from tsgflow.engine import BackendUnavailable, run
 from tsgflow.errors import TsgflowError
-from tsgflow.linechild import ChildUnavailable, LineChild
+from tsgflow.linechild import ChildCancelled, ChildUnavailable, LineChild
 from tsgflow.oracle import NotADag
 
 SRC = Path(__file__).parent.parent / "src" / "tsgflow"
@@ -66,6 +67,16 @@ def test_an_empty_command_is_unavailable():
     assert child.close() is None
     with pytest.raises(BackendUnavailable, match="^cannot start an empty command$"):
         run(bundle_of(linear_dag(1)), ProcessBackend([]))
+
+
+def test_a_request_already_cancelled_starts_no_child(tmp_path):
+    """A command that does not exist would be ChildUnavailable once started."""
+    child = LineChild([str(tmp_path / "no-such-child")])
+    cancel = threading.Event()
+    cancel.set()
+    with pytest.raises(ChildCancelled, match="^request cancelled$"):
+        child.request("{}", cancel)
+    assert child.close() is None  # no child was started
 
 
 def test_only_the_line_client_imports_subprocess():

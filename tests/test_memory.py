@@ -303,6 +303,14 @@ def test_value_from_literal_table():
     assert value.payload.rows[0][0] == datetime(2026, 3, 1, tzinfo=timezone.utc)
 
 
+def test_table_literal_timestamp_column_parses_only_its_text_cells():
+    value = value_from_literal({"columns": ["t"], "types": ["timestamp"],
+                                "rows": [["2026-03-01T00:00:00Z"], [None], [7]]})
+    assert value.payload.data == [[datetime(2026, 3, 1, tzinfo=timezone.utc), None, 7]]
+    with pytest.raises(InvalidValue, match="^table literal: Invalid isoformat string: 'soon'$"):
+        value_from_literal({"columns": ["t"], "types": ["timestamp"], "rows": [[None], ["soon"]]})
+
+
 @pytest.mark.parametrize("literal", [
     {"columns": ["t"], "types": "timestamp", "rows": []},
     {"columns": ["t"], "types": ["timestamp"], "rows": 5},
@@ -339,6 +347,19 @@ def test_log_table_record_decodes_as_a_table_literal(tmp_path, payload):
     with pytest.raises(CorruptLog) as logged:
         FileBackedStore(path)
     assert str(logged.value) == f"{path}: record at byte 0: {literal.value!r}"
+
+
+def test_table_literal_with_two_faults_names_its_schema_fault_first():
+    """Table checks the schema before the row widths, and a literal is read
+    through Table's checks alone."""
+    for literal, message in [
+        ({"columns": ["a"], "types": ["nope"], "rows": [["x", "y"]]}, "unknown column type 'nope'"),
+        ({"columns": ["a", "b"], "types": ["text"], "rows": [["x", "y"]]},
+         "column names and types differ in length"),
+        ({"columns": ["a"], "types": ["text"], "rows": [["x", "y"]]}, "row 0 has 2 cells, expected 1"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            value_from_literal(literal)
 
 
 def test_log_table_record_round_trips(tmp_path):
@@ -421,6 +442,26 @@ def test_byte_size_consistency():
     value = memory_value([1, 2, 3])
     assert value.byte_size == len(encode_value(value).encode("utf-8"))
     assert MemoryValue("scalar", "x").byte_size > 0
+
+
+def test_unknown_kinds_and_payloads_are_invalid_values():
+    for make, message in [
+        (lambda: MemoryValue("blob", 1), "unknown value kind 'blob'"),
+        (lambda: MemoryValue("table", [[1]]), "table payload must be a Table"),
+        (lambda: memory_value({1}), "cannot store value of type set"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"^{message}$"):
+            make()
+
+
+def test_a_str_subclass_is_stored_as_a_scalar():
+    class Name(str):
+        pass
+
+    store = MemoryStore()
+    ref = store.put("k", Name("web"))
+    assert ref.kind == "scalar" and type(store.get("k").payload) is Name
+    assert decode_value(encode_value(store.get("k"))) == MemoryValue("scalar", "web")
 
 
 def test_unencodable_table_cell_rejected_at_construction():

@@ -424,6 +424,40 @@ def test_oracle_leaves_out_a_step_no_run_reaches():
     assert (oracle.critical_path_to_conclusion, oracle.serial_sum, oracle.width) == (1, 1, 2)
 
 
+def _start_concludes_dag():
+    """start -> check, start -> end and start -> step2, in the id order of
+    their edges; check and step2 each lead to end."""
+    edges = [(START, "check"), (START, END), (START, "step2"), ("check", END), ("step2", END)]
+    return ExecutionDag(
+        "start-concludes",
+        [DagNode(START, "start"), DagNode("check", "step", step_ref="1"),
+         DagNode("step2", "step", step_ref="2"), DagNode(END, "end")],
+        [DagEdge(edge_id(a, b), a, b, None, ("nothing to do" if a == START else "done")
+                 if b == END else None) for a, b in edges],
+    )
+
+
+def test_an_edge_from_start_to_end_concludes_before_any_step():
+    """Start's edges resolve in id order: check is enqueued, then the edge
+    into end concludes at t=0, so step2's edge stays unknown and check is
+    cancelled from the queue; no step runs, so none needs a script."""
+    dag = _start_concludes_dag()
+    assert validate_dag(dag).ok
+    for k in range(1, 4):
+        result, sim = assert_engine_matches_oracle(dag, {}, k=k)
+        assert (result.status.value, result.conclusion, result.makespan) == (
+            "concluded", "nothing to do", 0)
+        assert (result.executed, sim.starts, sim.concluding_edge) == ([], [], "edge_start_end")
+        assert [(ev.kind, ev.subject, ev.detail) for ev in result.trace[1:]] == [
+            ("edge_enabled", "edge_start_check", {"via": START}),
+            ("edge_enabled", "edge_start_end", {"via": START}),
+            ("node_cancelled", "check", {"phase": "queued"}),
+            ("run_terminated", "run", {"status": "concluded", "conclusion": "nothing to do",
+                                       "edge": "edge_start_end"}),
+        ]
+        assert result.state.edge_state["edge_start_step2"] is ElementState.UNKNOWN
+
+
 def _completes(dag, steps, retry_limit, k) -> bool:
     try:
         run(bundle_of(dag), scripted(steps), RunConfig(max_executors=k, retry_limit=retry_limit))

@@ -17,6 +17,7 @@ import pytest
 from tsgflow.dag import DagEdge, DagNode, Violation
 from tsgflow.document import Condition, NextDirective, ParseDiagnostic, QueryBlock, TsgStep
 from tsgflow.engine import StepOutcome
+from tsgflow.records import frozen_record
 
 _CONDITION = Condition("Is the service up?", "Y")
 _BLOCK = QueryBlock("q1", "kql", "Exceptions | take {n}", 12)
@@ -156,6 +157,22 @@ def test_step_refuses_an_undeclared_attribute():
     assert step.title == "Renamed"
     with pytest.raises(AttributeError):
         step.undeclared = 1
+
+
+def test_frozen_record_refuses_a_default_factory_and_a_post_init():
+    class Listed:
+        items: list = dataclasses.field(default_factory=list)
+
+    class Checked:
+        n: int
+
+        def __post_init__(self):
+            pass
+
+    for cls in (Listed, Checked):
+        with pytest.raises(TypeError) as info:
+            frozen_record(cls)
+        assert str(info.value) == f"{cls.__qualname__}: frozen_record takes plain fields only"
 
 
 def test_step_outcome_hash_raises_on_its_decision_dict():
