@@ -18,6 +18,7 @@ exact query text first, then template name plus bindings.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import json
 import math
@@ -341,18 +342,35 @@ def _objects(value, keys: tuple[str, ...]) -> bool:
     )
 
 
+def _detached(value):
+    """`value`, or a deep copy of a JSON list or object, so that nothing handed
+    out shares a container with a decoded fixture."""
+    return copy.deepcopy(value) if isinstance(value, (list, dict)) else value
+
+
 class FixtureSet:
     """Read-only view of fixtures/<tsg_id>/ for the mock plugins.
 
-    Each fixture file is read with one open. A missing query index, metric
-    series or devops.json raises PluginFailure saying which is missing; any
-    other file that cannot be read (missing, a directory, unreadable), or
-    that is not UTF-8, not JSON, not a CSV table or not of the shape its
-    plugin reads, raises PluginFailure naming its path.
+    Each fixture file is read with one open on every call. A missing query
+    index, metric series or devops.json raises PluginFailure saying which is
+    missing; any other file that cannot be read (missing, a directory,
+    unreadable), or that is not UTF-8, not JSON, not a CSV table or not of
+    the shape its plugin reads, raises PluginFailure naming its path.
+
+    The query index, the metric series and devops.json are decoded once per
+    file text: a call whose file holds the text last decoded from that path
+    reuses what that decoding gave, and any other text is decoded again. A
+    decode that fails is not kept. Query result tables are decoded on every
+    call, since each goes into run memory whole. Nothing kept leaves by
+    reference: a series leaves as a window copy, and a JSON list or object
+    as a copy.
     """
 
     def __init__(self, fixtures_dir: str | Path, tsg_id: str):
         self.root = Path(fixtures_dir) / tsg_id
+        # path -> (text, what decoding it gave). No lock: two threads that miss
+        # on one path at once each decode the same text and store equal values.
+        self._decoded: dict[Path, tuple[str, object]] = {}
 
     @staticmethod
     def _read(path: Path, missing: str | None) -> str:
@@ -365,14 +383,28 @@ class FixtureSet:
                 raise PluginFailure(missing) from None
             raise PluginFailure(f"{path}: cannot read fixture file: {exc.strerror or exc}") from exc
 
+    def _read_decoded(self, path: Path, missing: str | None, decode):
+        """decode(text) of the file's text, or what it gave for that same text
+        before."""
+        text = self._read(path, missing)
+        hit = self._decoded.get(path)
+        if hit is not None and hit[0] == text:
+            return hit[1]
+        value = decode(text)
+        self._decoded[path] = (text, value)
+        return value
+
     def _json(self, path: Path, missing: str):
         try:
-            return json.loads(self._read(path, missing))
+            return self._read_decoded(path, missing, json.loads)
         except JSON_DECODE_ERRORS as exc:  # bad JSON or bad UTF-8
             raise PluginFailure(f"{path}: not a UTF-8 JSON file: {exc}") from exc
 
-    def _table(self, path: Path, missing: str | None = None) -> Table:
+    def _table(self, path: Path, missing: str | None = None, once: bool = False) -> Table:
+        """The CSV table in the file; with `once`, decoded once per file text."""
         try:
+            if once:
+                return self._read_decoded(path, missing, table_from_csv)
             return table_from_csv(self._read(path, missing))
         except (ValueError, MemoryStoreError) as exc:  # bad UTF-8 or a bad table
             raise PluginFailure(f"{path}: not a CSV table: {exc}") from exc
@@ -400,7 +432,7 @@ class FixtureSet:
 
     def metric_series(self, metric: str) -> Table:
         path = self.root / "metrics" / f"{metric}.csv"
-        table = self._table(path, f"no fixture series for metric {metric!r}")
+        table = self._table(path, f"no fixture series for metric {metric!r}", once=True)
         if "timestamp" not in table.types:
             raise PluginFailure(f"{path}: a series needs a timestamp column")
         return table
@@ -413,8 +445,9 @@ class FixtureSet:
         return path, data
 
     def deployments(self) -> list[tuple]:
-        """(id, service, ring, started, finished) per deployment; finished may be
-        None. A time without an offset is read as UTC, like a plugin argument."""
+        """(id, service, ring, started, finished) per deployment; finished is
+        None for one still running, whose "finished" is absent or null. A time
+        without an offset is read as UTC, like a plugin argument."""
         path, data = self._devops()
         deployments = data.get("deployments", [])
         if not _objects(deployments, ("id", "started")):
@@ -422,9 +455,10 @@ class FixtureSet:
         try:
             return [
                 (
-                    d["id"], d.get("service", ""), d.get("ring", ""),
+                    _detached(d["id"]), _detached(d.get("service", "")),
+                    _detached(d.get("ring", "")),
                     as_utc(parse_timestamp(d["started"])),
-                    as_utc(parse_timestamp(d["finished"])) if d.get("finished") else None,
+                    None if d.get("finished") is None else as_utc(parse_timestamp(d["finished"])),
                 )
                 for d in deployments
             ]
@@ -439,7 +473,7 @@ class FixtureSet:
             raise PluginFailure(
                 f'{path}: "code_changes" must map ids to lists of {{"change_id", ...}} objects'
             )
-        return found
+        return copy.deepcopy(found)
 
 
 def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry:

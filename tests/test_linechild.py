@@ -3,15 +3,19 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import signal
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import tsgflow
 from test_engine import bundle_of, linear_dag
+from tsgflow import linechild
 from tsgflow.backends import ProcessBackend
 from tsgflow.engine import BackendUnavailable, run
 from tsgflow.errors import TsgflowError
@@ -57,6 +61,42 @@ def test_unterminated_last_line_is_an_answer():
         assert silent.request("a") is None
     finally:
         assert silent.close() == 0
+
+
+def test_a_child_that_stops_reading_mid_request_still_answers(monkeypatch):
+    """The request is longer than a pipe holds, so the write that meets the
+    closed stdin raises BrokenPipeError; the rest is dropped and the answer read."""
+    broken = []
+    write = os.write
+
+    def spy(fd, data):
+        try:
+            return write(fd, data)
+        except BrokenPipeError:
+            broken.append(fd)
+            raise
+
+    monkeypatch.setattr(linechild, "CLOSE_GRACE_S", 0.05)
+    monkeypatch.setattr(linechild.os, "write", spy)
+    code = "import os, sys, time; os.close(0); print('ok', flush=True); time.sleep(0.5)"
+    child = LineChild([sys.executable, "-c", code])
+    try:
+        assert child.request("x" * (1 << 20)) == "ok"
+        assert broken
+    finally:
+        child.close()
+
+
+def test_a_child_that_ignores_stdin_eof_is_killed(monkeypatch):
+    monkeypatch.setattr(linechild, "CLOSE_GRACE_S", 0.05)
+    code = "import time; print('ready', flush=True); time.sleep(30)"
+    child = LineChild([sys.executable, "-c", code])
+    started = time.monotonic()
+    try:
+        assert child.request("a") == "ready"
+    finally:
+        assert child.close() == -signal.SIGKILL
+    assert time.monotonic() - started < 5
 
 
 def test_an_empty_command_is_unavailable():

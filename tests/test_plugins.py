@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import shutil
 import statistics
+import sys
+import threading
 from datetime import date, datetime, timezone
 from pathlib import Path
 from random import Random
@@ -9,8 +12,8 @@ from random import Random
 import pytest
 
 from conftest import FIG4_DIR
-from tsgflow import memory
-from tsgflow.memory import MemoryStore, RunScope, Table, table_to_csv
+from tsgflow import memory, plugins
+from tsgflow.memory import MemoryStore, RunScope, Table, table_from_csv, table_to_csv
 from tsgflow.plugins import (
     ArgSchemaViolation,
     LengthMismatch,
@@ -380,6 +383,153 @@ def test_log_query_reads_its_fixture_on_every_call(tmp_path, store, fig4_bundle)
     assert store.get(second.key).payload.rows == [["B", 2], ["C", 3]]
 
 
+SERIES_HEAD = "ts,value\ntimestamp,decimal\n"
+WEB_SERIES = "metrics/availability_web.csv"
+
+
+def _rows(registry, name, args):
+    store = MemoryStore()
+    return store.get(registry.invoke(name, args, store).refs[0].key).payload.rows
+
+
+def _series_rows(registry):
+    return _rows(registry, "metric_fetch", {"metric": "availability_web", **WINDOW})
+
+
+def test_a_series_is_decoded_once_per_text_and_a_result_table_per_call(monkeypatch, fig4_bundle):
+    """An unchanged series is decoded once; a query result table on every call."""
+    decoded = []
+
+    def counting(text):
+        decoded.append(text.splitlines()[0])
+        return table_from_csv(text)
+
+    monkeypatch.setattr(plugins, "table_from_csv", counting)
+    registry = build_mock_registry(FIXTURES, FIG4_TSG)
+    for _ in range(3):
+        _series_rows(registry)
+        registry.invoke("log_query", _top_exceptions_args(fig4_bundle), MemoryStore())
+    assert decoded == ["ts,value", "ExceptionType,Count"] + ["ExceptionType,Count"] * 2
+
+
+def test_a_rewritten_series_is_decoded_again(tmp_path):
+    registry, path = _fixture_copy(tmp_path, WEB_SERIES, SERIES_HEAD + "2026-03-01T01:00:00Z,1\n")
+    assert _series_rows(registry) == [[datetime(2026, 3, 1, 1, tzinfo=timezone.utc), 1.0]]
+    assert _series_rows(registry) == [[datetime(2026, 3, 1, 1, tzinfo=timezone.utc), 1.0]]
+    path.write_text(SERIES_HEAD + "2026-03-01T02:00:00Z,2\n2026-03-01T03:00:00Z,3\n",
+                    encoding="utf-8")
+    assert _series_rows(registry) == [[datetime(2026, 3, 1, 2, tzinfo=timezone.utc), 2.0],
+                                      [datetime(2026, 3, 1, 3, tzinfo=timezone.utc), 3.0]]
+
+
+def test_a_rewritten_devops_file_is_decoded_again(tmp_path):
+    def devops(dep_id, change_id):
+        return json.dumps({"deployments": [{"id": dep_id, "started": "2026-03-01T01:00:00Z"}],
+                           "code_changes": {dep_id: [{"change_id": change_id}]}})
+
+    registry, path = _fixture_copy(tmp_path, "devops.json", devops("d1", "c1"))
+    for _ in range(2):
+        assert [row[0] for row in _rows(registry, "devops_deployments", WINDOW)] == ["d1"]
+        assert _rows(registry, "devops_code_changes", {"deployment_id": "d1"}) == [["c1", "", "", ""]]
+    path.write_text(devops("d2", "c2"), encoding="utf-8")
+    assert [row[0] for row in _rows(registry, "devops_deployments", WINDOW)] == ["d2"]
+    assert _rows(registry, "devops_code_changes", {"deployment_id": "d2"}) == [["c2", "", "", ""]]
+
+
+def test_a_rewritten_query_index_is_decoded_again(tmp_path, fig4_bundle):
+    index_path = FIXTURES / FIG4_TSG / "queries" / "index.json"
+    registry, path = _fixture_copy(tmp_path, "queries/index.json",
+                                   index_path.read_text(encoding="utf-8"))
+    args = _top_exceptions_args(fig4_bundle)
+    top = _rows(registry, "log_query", args)
+    assert top == _rows(registry, "log_query", args)
+    path.write_text(json.dumps([{"query": args["query"], "file": "full_stack.csv"}]),
+                    encoding="utf-8")
+    full_stack = table_from_csv((path.parent / "full_stack.csv").read_text(encoding="utf-8"))
+    assert _rows(registry, "log_query", args) == full_stack.rows != top
+
+
+def test_a_series_deleted_after_a_call_is_missing(tmp_path):
+    registry, root = _fixture_tree(tmp_path)
+    assert _series_rows(registry)
+    (root / WEB_SERIES).unlink()
+    with pytest.raises(PluginFailure, match="^no fixture series for metric 'availability_web'$"):
+        _series_rows(registry)
+
+
+def test_a_series_rewritten_as_not_utf8_names_its_path(tmp_path):
+    registry, root = _fixture_tree(tmp_path)
+    assert _series_rows(registry)
+    path = root / WEB_SERIES
+    path.write_bytes(SERIES_HEAD.encode() + b"2026-03-01T01:00:00Z,\xff\n")
+    message = _fails_naming(registry, "metric_fetch", {"metric": "availability_web", **WINDOW}, path)
+    assert "not a CSV table" in message
+
+
+def test_a_failed_decode_is_not_kept(tmp_path):
+    registry, path = _fixture_copy(tmp_path, WEB_SERIES, SERIES_HEAD + "2026-03-01T01:00:00Z,x\n")
+    for _ in range(2):
+        _fails_naming(registry, "metric_fetch", {"metric": "availability_web", **WINDOW}, path)
+    path.write_text(SERIES_HEAD + "2026-03-01T01:00:00Z,1\n", encoding="utf-8")
+    assert _series_rows(registry) == [[datetime(2026, 3, 1, 1, tzinfo=timezone.utc), 1.0]]
+
+
+def test_changing_a_fetched_window_leaves_the_next_fetch_unchanged():
+    registry = build_mock_registry(FIXTURES, FIG4_TSG)
+    store = MemoryStore()
+    want = _series_rows(registry)
+    window = store.get(registry.invoke(
+        "metric_fetch", {"metric": "availability_web", **WINDOW}, store).refs[0].key).payload
+    for column in window.data:
+        column.reverse()
+        column[0] = None
+        column.append(None)
+    assert _series_rows(registry) == want
+
+
+def test_json_lists_and_objects_handed_out_are_copies(tmp_path):
+    """Changing a code change or a list or object cell from devops.json
+    changes no later call."""
+    registry, _ = _fixture_copy(tmp_path, "devops.json", json.dumps({
+        "deployments": [{"id": ["d"], "service": {"s": [1]}, "started": "2026-03-01T01:00:00Z"}],
+        "code_changes": {"d": [{"change_id": "c", "file": ["f"]}]},
+    }))
+    for _ in range(2):
+        deployment, = _rows(registry, "devops_deployments", WINDOW)
+        assert deployment[:3] == [["d"], {"s": [1]}, ""]
+        deployment[0].append("changed")
+        deployment[1]["s"].append("changed")
+        change, = _rows(registry, "devops_code_changes", {"deployment_id": "d"})
+        assert change == ["c", ["f"], "", ""]
+        change[1].append("changed")
+
+
+def test_threads_fetching_one_series_get_equal_rows():
+    """The memo has no lock: threads that miss at once each decode and store."""
+    want = _series_rows(build_mock_registry(FIXTURES, FIG4_TSG))
+    assert len(want) == 10
+    registry = build_mock_registry(FIXTURES, FIG4_TSG)
+    start = threading.Barrier(4)
+    got = [[] for _ in range(4)]
+
+    def fetch(i):
+        start.wait()
+        got[i] += [_series_rows(registry) for _ in range(3)]
+
+    threads = [threading.Thread(target=fetch, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * 3] * 4
+
+
 def test_query_index_that_is_not_json_names_its_path(tmp_path, fig4_bundle):
     registry, path = _fixture_copy(tmp_path, "queries/index.json", "[{not json")
     message = _fails_naming(registry, "log_query", _top_exceptions_args(fig4_bundle), path)
@@ -407,6 +557,10 @@ def test_query_index_of_the_wrong_shape_names_its_path(tmp_path, fig4_bundle, in
     '{"deployments": [{"id": "d", "started": "soon"}]}',
     '{"deployments": [{"id": "d", "started": 5}]}',
     '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": "later"}]}',
+    # a falsy "finished" is no timestamp, not a deployment still running
+    '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": ""}]}',
+    '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": 0}]}',
+    '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": false}]}',
 ])
 def test_devops_deployments_of_the_wrong_shape_name_the_path(tmp_path, devops):
     registry, path = _fixture_copy(tmp_path, "devops.json", devops)
