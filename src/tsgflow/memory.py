@@ -22,14 +22,18 @@ import struct
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice, repeat
 from operator import methodcaller
 from pathlib import Path
 
 from .errors import JSON_DECODE_ERRORS, TsgflowError
 
-COLUMN_TYPES = ("text", "integer", "decimal", "timestamp", "boolean")
+# The cell types each column type holds: a subclass fits too, but a bool is
+# never an integer or a decimal.
+_CELL_TYPES = {"text": (str,), "integer": (int,), "decimal": (int, float),
+               "timestamp": (datetime,), "boolean": (bool,)}
+COLUMN_TYPES = tuple(_CELL_TYPES)
 DEFAULT_SAMPLE_ROWS = 3
 DEFAULT_CONTEXT_BUDGET = 2048
 
@@ -56,23 +60,23 @@ class CorruptLog(MemoryStoreError):
     """A whole record of a FileBackedStore log does not decode."""
 
 
+_SCALAR_TYPES = tuple(dict.fromkeys(chain.from_iterable(_CELL_TYPES.values())))  # all cell types
+
+
 def _is_scalar(x) -> bool:
-    return isinstance(x, (str, int, float, bool, datetime))
+    return isinstance(x, _SCALAR_TYPES)
 
 
-_JSON_ATOMS = frozenset({str, int, float, bool, type(None)})
-_TIMESTAMP_ATOMS = _JSON_ATOMS | {datetime}
+def _fits(col_type: str, cell) -> bool:
+    """True when a `col_type` column may hold `cell`."""
+    return isinstance(cell, _CELL_TYPES[col_type]) and (
+        type(cell) is not bool or col_type == "boolean")
 
 
-def _check_encodable(cells, timestamps: bool) -> None:
-    """Raise TypeError, as encode_value would, for a cell it cannot encode.
-
-    Only cells that are not plain JSON atoms (nor datetimes in a timestamp
-    column) are encoded, one at a time.
-    """
-    for cell in cells:
-        if type(cell) not in _JSON_ATOMS and not (timestamps and isinstance(cell, datetime)):
-            json.dumps(cell, sort_keys=True)
+def _misfit(name: str, column: list, fits, want: str) -> InvalidValue:
+    """InvalidValue naming the row and column of the first cell fits() refuses."""
+    i, cell = next((i, cell) for i, cell in enumerate(column) if not fits(cell))
+    return InvalidValue(f"row {i}, column {name!r}: a {type(cell).__name__} cell, expected {want}")
 
 
 def _check_schema(columns, types) -> None:
@@ -110,12 +114,16 @@ def _check_row_types(rows) -> None:
 
 
 def _check_cells(t: Table) -> None:
-    """Raise TypeError, as encode_value would, for a cell it cannot encode;
-    a column is checked cell by cell only when it holds an unexpected type."""
-    for col_type, column in zip(t.types, t.data):
-        timestamps = col_type == "timestamp"
-        if not set(map(type, column)) <= (_TIMESTAMP_ATOMS if timestamps else _JSON_ATOMS):
-            _check_encodable(column, timestamps)
+    """Raise InvalidValue naming the first column name that is not text or
+    cell its column does not hold; a column is looked at cell by cell only
+    when it holds a type not its own."""
+    for name, col_type, column in zip(t.columns, t.types, t.data):
+        if not isinstance(name, str):
+            raise InvalidValue(f"column name {name!r} is not text")
+        if not set(map(type, column)).issubset(_CELL_TYPES[col_type]):
+            fits = partial(_fits, col_type)
+            if not all(map(fits, column)):
+                raise _misfit(name, column, fits, col_type)
 
 
 def _row_lists(data: list, row_count: int, stop: int | None = None) -> list:
@@ -212,7 +220,6 @@ class MemoryValue:
         elif self.kind == "table":
             if not isinstance(self.payload, Table):
                 raise InvalidValue("table payload must be a Table")
-            _check_encodable(self.payload.columns, False)
             if not self.payload._cells_typed:
                 _check_cells(self.payload)
         else:
@@ -224,9 +231,6 @@ class MemoryValue:
         return len(encode_value(self).encode("utf-8"))
 
 
-_SCALAR_TYPES = frozenset({str, int, float, bool, datetime})
-
-
 def memory_value(x) -> MemoryValue:
     """Wrap a plain Python value in a MemoryValue, inferring the kind."""
     if type(x) in _SCALAR_TYPES:  # a scalar by its exact type: nothing to check again
@@ -235,14 +239,9 @@ def memory_value(x) -> MemoryValue:
         return value
     if isinstance(x, MemoryValue):
         return x
-    if isinstance(x, Table):
-        return MemoryValue("table", x)
-    if _is_scalar(x):
-        return MemoryValue("scalar", x)
-    if isinstance(x, list):
-        return MemoryValue("list", x)
-    if isinstance(x, dict):
-        return MemoryValue("record", x)
+    for kind, cls in (("table", Table), ("scalar", _SCALAR_TYPES), ("list", list), ("record", dict)):
+        if isinstance(x, cls):
+            return MemoryValue(kind, x)
     raise InvalidValue(f"cannot store value of type {type(x).__name__}")
 
 
@@ -251,8 +250,8 @@ def value_from_literal(x) -> MemoryValue:
 
     A dict with "columns", "types" and "rows" keys becomes a table; other
     dicts become records. A table literal that is not lists of columns,
-    types and equally long rows, or whose timestamp cell does not parse,
-    raises InvalidValue.
+    types and equally long rows, or holds a cell its column does not (a
+    timestamp is text that parse_timestamp reads), raises InvalidValue.
     """
     if isinstance(x, dict) and {"columns", "types", "rows"} <= set(x):
         return _table_from_json(x["columns"], x["types"], x["rows"])
@@ -260,22 +259,24 @@ def value_from_literal(x) -> MemoryValue:
 
 
 def _table_from_json(columns, types, rows) -> MemoryValue:
-    """The table of a table literal or of a log's table record, each
-    timestamp column's text cells then parsed column by column; InvalidValue
-    for anything but lists of columns, types and equally long rows, or a
-    timestamp that does not parse."""
+    """The table of a table literal or of a log's table record, its
+    timestamp columns parsed from text; InvalidValue as value_from_literal
+    says, a timestamp column's first fault in row order named first."""
     if not (isinstance(columns, list) and isinstance(types, list) and isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise InvalidValue("a table literal holds lists of columns, types and rows")
     table = Table(list(columns), list(types), rows)
     data = table.data
-    try:
-        for i, col_type in enumerate(table.types):
-            if col_type == "timestamp":  # a cell of another type is kept as it is
-                data[i] = [parse_timestamp(c) if isinstance(c, str) else c for c in data[i]]
-    except ValueError as exc:  # a timestamp cell that does not parse
-        raise InvalidValue(f"table literal: {exc}") from None
-    return MemoryValue("table", table)
+    for i, col_type in enumerate(table.types):
+        if col_type == "timestamp":
+            try:
+                data[i] = list(map(parse_timestamp, data[i]))
+            except ValueError as exc:  # text that does not parse
+                raise InvalidValue(f"table literal: {exc}") from None
+            except (AttributeError, TypeError):  # a cell that is not text
+                raise _misfit(table.columns[i], data[i], partial(_fits, "text"),
+                              "timestamp text") from None
+    return MemoryValue("table", table)  # which checks the cells
 
 
 # -- serialization ----------------------------------------------------------
@@ -318,8 +319,7 @@ def encode_value(value: MemoryValue) -> str:
     else:
         t: Table = value.payload
         data = [
-            [format_timestamp(c) if isinstance(c, datetime) else c for c in column]
-            if col_type == "timestamp" else column
+            list(map(format_timestamp, column)) if col_type == "timestamp" else column
             for col_type, column in zip(t.types, t.data)
         ]
         payload = {"columns": t.columns, "types": t.types, "rows": _row_lists(data, t.row_count)}
@@ -338,6 +338,8 @@ def decode_value(text: str) -> MemoryValue:
         return MemoryValue("list", [_scalar_from_json(x) for x in payload])
     if kind == "record":
         return MemoryValue("record", {k: _scalar_from_json(v) for k, v in payload.items()})
+    if kind != "table":
+        raise InvalidValue(f"unknown value kind {kind!r}")
     return _table_from_json(payload["columns"], payload["types"], payload["rows"])
 
 
@@ -651,6 +653,7 @@ def _decode_timestamps(cells) -> list[datetime]:
 
 
 _COLUMN_DECODERS = {
+    "text": lambda cells: cells,
     "integer": lambda cells: list(map(int, cells)),
     "decimal": lambda cells: list(map(float, cells)),
     "boolean": _decode_booleans,
@@ -794,10 +797,7 @@ def _decode_chunk(cells: list, columns: list[str], types: list[str], first: int)
     decoded = []
     for i, col_type in enumerate(types):
         texts = cells[i::width]
-        decode = _COLUMN_DECODERS.get(col_type)
-        if decode is None:
-            decoded.append(texts)
-            continue
+        decode = _COLUMN_DECODERS[col_type]
         try:
             decoded.append(decode(texts))
         except ValueError:

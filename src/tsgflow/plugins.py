@@ -18,13 +18,13 @@ exact query text first, then template name plus bindings.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import partial
 from itertools import islice, repeat
 from operator import le, mul, sub
 from pathlib import Path
@@ -35,6 +35,7 @@ from .memory import (
     MemoryRef,
     MemoryStoreError,
     Table,
+    _fits,
     as_utc,
     parse_timestamp,
     table_from_csv,
@@ -103,10 +104,8 @@ def _is_timestamp(v) -> bool:
 
 
 _KIND_CHECKS = {
-    "text": lambda v: isinstance(v, str),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "decimal": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
+    # a text, integer, decimal or boolean argument is a cell of that column type
+    **{kind: partial(_fits, kind) for kind in ("text", "integer", "decimal", "boolean")},
     "timestamp": _is_timestamp,
     "record": lambda v: isinstance(v, dict),
     "any": lambda v: True,
@@ -342,10 +341,13 @@ def _objects(value, keys: tuple[str, ...]) -> bool:
     )
 
 
-def _detached(value):
-    """`value`, or a deep copy of a JSON list or object, so that nothing handed
-    out shares a container with a decoded fixture."""
-    return copy.deepcopy(value) if isinstance(value, (list, dict)) else value
+def _texts(path: Path, obj: dict, keys: tuple[str, ...]) -> tuple[str, ...]:
+    """obj's texts at `keys`, "" for one absent; PluginFailure naming `path` otherwise."""
+    values = tuple(obj.get(k, "") for k in keys)
+    for k, v in zip(keys, values):
+        if not isinstance(v, str):
+            raise PluginFailure(f"{path}: {k!r} is a {type(v).__name__}, not text")
+    return values
 
 
 class FixtureSet:
@@ -355,15 +357,16 @@ class FixtureSet:
     index, metric series or devops.json raises PluginFailure saying which is
     missing; any other file that cannot be read (missing, a directory,
     unreadable), or that is not UTF-8, not JSON, not a CSV table or not of
-    the shape its plugin reads, raises PluginFailure naming its path.
+    the shape its plugin reads, raises PluginFailure naming its path. In
+    devops.json a deployment's "id", "service" and "ring" and a code
+    change's "change_id", "file", "author" and "summary" are text.
 
     The query index, the metric series and devops.json are decoded once per
     file text: a call whose file holds the text last decoded from that path
     reuses what that decoding gave, and any other text is decoded again. A
     decode that fails is not kept. Query result tables are decoded on every
-    call, since each goes into run memory whole. Nothing kept leaves by
-    reference: a series leaves as a window copy, and a JSON list or object
-    as a copy.
+    call, since each goes into run memory whole. A series leaves as a window
+    copy, and devops.json as tuples of its texts and times.
     """
 
     def __init__(self, fixtures_dir: str | Path, tsg_id: str):
@@ -455,8 +458,7 @@ class FixtureSet:
         try:
             return [
                 (
-                    _detached(d["id"]), _detached(d.get("service", "")),
-                    _detached(d.get("ring", "")),
+                    *_texts(path, d, ("id", "service", "ring")),
                     as_utc(parse_timestamp(d["started"])),
                     None if d.get("finished") is None else as_utc(parse_timestamp(d["finished"])),
                 )
@@ -465,7 +467,8 @@ class FixtureSet:
         except (ValueError, AttributeError) as exc:  # AttributeError: not a string
             raise PluginFailure(f"{path}: a deployment time is not a timestamp: {exc}") from exc
 
-    def code_changes(self, deployment_id: str) -> list[dict]:
+    def code_changes(self, deployment_id: str) -> list[tuple[str, ...]]:
+        """(change_id, file, author, summary) per change; an absent field is ""."""
         path, data = self._devops()
         changes = data.get("code_changes", {})
         found = changes.get(deployment_id, []) if isinstance(changes, dict) else None
@@ -473,7 +476,7 @@ class FixtureSet:
             raise PluginFailure(
                 f'{path}: "code_changes" must map ids to lists of {{"change_id", ...}} objects'
             )
-        return copy.deepcopy(found)
+        return [_texts(path, c, ("change_id", "file", "author", "summary")) for c in found]
 
 
 def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry:
@@ -543,15 +546,10 @@ def build_mock_registry(fixtures_dir: str | Path, tsg_id: str) -> PluginRegistry
     )
 
     def devops_code_changes(args, store):
-        changes = fixtures.code_changes(args["deployment_id"])
-        rows = [
-            [c["change_id"], c.get("file", ""), c.get("author", ""), c.get("summary", "")]
-            for c in changes
-        ]
         table = Table(
             ["change_id", "file", "author", "summary"],
             ["text", "text", "text", "text"],
-            rows,
+            fixtures.code_changes(args["deployment_id"]),
         )
         return _table_result(store, "plugin.devops_code_changes", table, "changes")
 

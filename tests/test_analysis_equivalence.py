@@ -3,10 +3,11 @@
 pearson_correlation, the mean/max/min aggregates and metric_fetch's window
 now work a column at a time inside builtins. Over seeded random series and
 stamp columns (NaN, infinities, ties, empty columns, integers past 2**53 and
-past the float range, non-numeric cells; sorted, unsorted, naive, aware and
+past the float range, non-numeric values; sorted, unsorted, naive, aware and
 mixed stamps, with bounds on equal stamps and lo > hi) each must give the
 reference's result bit for bit, or raise the same exception class with the
-same message.
+same message. A table refuses a non-numeric value at put, so such values are
+compared as lists.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from random import Random
 import pytest
 
 import analysis_reference as reference
-from tsgflow.memory import MemoryStore, Table, as_utc, table_from_csv, table_to_csv
+from tsgflow.memory import (
+    InvalidValue,
+    MemoryStore,
+    Table,
+    as_utc,
+    table_from_csv,
+    table_to_csv,
+)
 from tsgflow.plugins import (
     _time_window,
     analysis_aggregate,
@@ -69,15 +77,22 @@ def _series(rng: Random, n: int, special: float) -> list:
 
 
 def _store_series(rng: Random, store: MemoryStore, key: str, values: list) -> str:
-    """Store `values` as a list or a one-numeric-column table; the key to read it."""
+    """Store `values` as a list or a one-numeric-column table; the key to read it.
+
+    A table refuses a value that is not a number at put, so such values are
+    stored as a list, which the reference reads too.
+    """
     shape = rng.choice(("list", "table", "column"))
-    if shape == "list":
-        store.put(key, values)
-        return key
-    col_type = "integer" if all(type(v) is int for v in values) and values else "decimal"
-    rows = [[f"r{i}", v] for i, v in enumerate(values)]
-    store.put(key, Table(["name", "v"], ["text", col_type], rows))
-    return key if shape == "table" else f"{key}#v"
+    if shape != "list":
+        col_type = "integer" if all(type(v) is int for v in values) and values else "decimal"
+        table = Table(["name", "v"], ["text", col_type], [[f"r{i}", v] for i, v in enumerate(values)])
+        if not any(isinstance(v, (bool, str)) for v in values):
+            store.put(key, table)
+            return key if shape == "table" else f"{key}#v"
+        with pytest.raises(InvalidValue, match="^row [0-9]+, column 'v': a (bool|str) cell, "):
+            store.put(key, table)
+    store.put(key, values)
+    return key
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -125,7 +140,9 @@ def test_aggregate_errors_match_the_reference():
     store.put("flags", [1.0, True])
     store.put("record", {"a": 1})
     store.put("t", Table(["a", "b"], ["integer", "decimal"], [[1, 2.0]]))
-    store.put("cells", Table(["s", "n"], ["text", "integer"], [["x", "7"], ["y", None]]))
+    with pytest.raises(InvalidValue, match="^row 0, column 'n': a str cell, expected integer$"):
+        store.put("cells", Table(["s", "n"], ["text", "integer"], [["x", "7"], ["y", None]]))
+    store.put("cells", ["x", "7"])
     store.put("none", Table(["n"], ["decimal"], []))
     keys = ["empty", "huge", "flags", "record", "t", "t#a", "t#b", "t#c", "cells#s", "cells#n",
             "cells", "none", "none#n", "missing", "record#a"]

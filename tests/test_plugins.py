@@ -487,23 +487,6 @@ def test_changing_a_fetched_window_leaves_the_next_fetch_unchanged():
     assert _series_rows(registry) == want
 
 
-def test_json_lists_and_objects_handed_out_are_copies(tmp_path):
-    """Changing a code change or a list or object cell from devops.json
-    changes no later call."""
-    registry, _ = _fixture_copy(tmp_path, "devops.json", json.dumps({
-        "deployments": [{"id": ["d"], "service": {"s": [1]}, "started": "2026-03-01T01:00:00Z"}],
-        "code_changes": {"d": [{"change_id": "c", "file": ["f"]}]},
-    }))
-    for _ in range(2):
-        deployment, = _rows(registry, "devops_deployments", WINDOW)
-        assert deployment[:3] == [["d"], {"s": [1]}, ""]
-        deployment[0].append("changed")
-        deployment[1]["s"].append("changed")
-        change, = _rows(registry, "devops_code_changes", {"deployment_id": "d"})
-        assert change == ["c", ["f"], "", ""]
-        change[1].append("changed")
-
-
 def test_threads_fetching_one_series_get_equal_rows():
     """The memo has no lock: threads that miss at once each decode and store."""
     want = _series_rows(build_mock_registry(FIXTURES, FIG4_TSG))
@@ -561,6 +544,10 @@ def test_query_index_of_the_wrong_shape_names_its_path(tmp_path, fig4_bundle, in
     '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": ""}]}',
     '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": 0}]}',
     '{"deployments": [{"id": "d", "started": "2026-03-01T01:00:00Z", "finished": false}]}',
+    # a deployment's id, service and ring are text
+    '{"deployments": [{"id": ["d"], "started": "2026-03-01T01:00:00Z"}]}',
+    '{"deployments": [{"id": "d", "service": {"s": [1]}, "started": "2026-03-01T01:00:00Z"}]}',
+    '{"deployments": [{"id": "d", "ring": null, "started": "2026-03-01T01:00:00Z"}]}',
 ])
 def test_devops_deployments_of_the_wrong_shape_name_the_path(tmp_path, devops):
     registry, path = _fixture_copy(tmp_path, "devops.json", devops)
@@ -573,10 +560,27 @@ def test_devops_deployments_of_the_wrong_shape_name_the_path(tmp_path, devops):
     '{"code_changes": {"d": {"a": 1}}}',
     '{"code_changes": {"d": [1]}}',
     '{"code_changes": {"d": [{"file": "x"}]}}',
+    # a change's change_id, file, author and summary are text
+    '{"code_changes": {"d": [{"change_id": 7}]}}',
+    '{"code_changes": {"d": [{"change_id": "c", "file": ["f"]}]}}',
+    '{"code_changes": {"d": [{"change_id": "c", "author": 1.5}]}}',
+    '{"code_changes": {"d": [{"change_id": "c", "summary": true}]}}',
 ])
 def test_devops_code_changes_of_the_wrong_shape_name_the_path(tmp_path, devops):
     registry, path = _fixture_copy(tmp_path, "devops.json", devops)
     _fails_naming(registry, "devops_code_changes", {"deployment_id": "d"}, path)
+
+
+def test_devops_field_that_is_not_text_is_named(tmp_path):
+    registry, path = _fixture_copy(tmp_path, "devops.json", json.dumps({
+        "deployments": [{"id": ["d"], "started": "2026-03-01T01:00:00Z"}],
+        "code_changes": {"d": [{"change_id": "c", "file": {"f": 1}}], "e": [{"change_id": "c"}]},
+    }))
+    assert _fails_naming(registry, "devops_deployments", WINDOW, path) == (
+        f"{path}: 'id' is a list, not text")
+    assert _fails_naming(registry, "devops_code_changes", {"deployment_id": "d"}, path) == (
+        f"{path}: 'file' is a dict, not text")
+    assert plugins.FixtureSet(tmp_path, FIG4_TSG).code_changes("e") == [("c", "", "", "")]
 
 
 @pytest.mark.parametrize("csv_text", [
