@@ -40,17 +40,22 @@ def _put_writes(store: RunScope | None, writes: dict) -> tuple[str, ...]:
 class ScriptedBackend(ExecutorBackend):
     """Deterministic backend replaying per-node attempt scripts.
 
-    Each execution replays the attempt that scripted_attempt picks. Attempt
-    latencies drive the virtual clock; on the wall clock (`ctx.clock`) they
-    are waited out.
+    Each execution replays the attempt that scripted_attempt picks from
+    `steps`, which maps node ids to attempt lists or to steps in either
+    scenario form. Attempt latencies drive the virtual clock; on the wall
+    clock (`ctx.clock`) they are waited out.
     """
 
-    def __init__(self, steps: dict[str, list[dict]]):
+    def __init__(self, steps: dict[str, list[dict] | dict]):
         self._steps = steps
 
     @classmethod
     def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
-        return cls(scenario_steps(scenario))
+        """A backend over the scenario's own `steps` object, each step read
+        only when it runs; `steps` of another type goes through
+        scenario_steps, which raises for it."""
+        steps = scenario.get("steps", {})
+        return cls(steps if isinstance(steps, dict) else scenario_steps(scenario))
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
         result, latency, decisions, summary, error, writes = attempt_fields(

@@ -284,8 +284,8 @@ class RunState:
         self.trace: list[TraceEvent] = []
         self.history: list[dict] = []
         self.memory_refs: list[dict] = []  # {"key", "kind"} of each write, as contexts see it
-        self._in_resolved = dict.fromkeys(compiled.nodes, 0)
-        self._in_enabled = dict.fromkeys(compiled.nodes, 0)
+        self._in_unresolved = dict(compiled.in_degree)  # counted down to 0 as edges resolve
+        self._enabled_in: set[str] = set()  # nodes with an enabled incoming edge
         self.node_state[START] = ElementState.ENABLED
 
     # -- trace ---------------------------------------------------------------
@@ -323,14 +323,12 @@ class RunState:
                 self.conclusion = edge.conclusion or ""
                 self.concluding_edge = eid
             return None
-        self._in_resolved[target] += 1
+        unresolved = self._in_unresolved
+        left = unresolved[target] = unresolved[target] - 1
         if enabled:
-            self._in_enabled[target] += 1
-        if (
-            self.node_state[target] is _UNKNOWN
-            and self._in_resolved[target] == self.compiled.in_degree[target]
-        ):
-            if self._in_enabled[target] > 0:
+            self._enabled_in.add(target)
+        if not left and self.node_state[target] is _UNKNOWN:
+            if target in self._enabled_in:
                 self.node_state[target] = _ENABLED
                 self.enqueue(target, self.clock)
             else:
@@ -372,9 +370,9 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[
     node without touching edges; an exhausted failure disables all outgoing
     edges. Conclusion (an enabled edge into end) short-circuits propagation.
     """
-    if node_id not in state.node_state:
-        raise UnknownNode(node_id)
-    if node_id not in state.running:
+    if node_id not in state.running:  # every running node is a node of the run
+        if node_id not in state.node_state:
+            raise UnknownNode(node_id)
         raise StaleOutcome(f"{node_id} is not running")
     state.running.remove(node_id)
     attempt = state.attempts.get(node_id, 0)
@@ -519,21 +517,28 @@ class StaticContexts(dict):
         return entry
 
 
-def _cancel_remaining(state: RunState) -> None:
+def _cancel_remaining(state: RunState) -> list[str]:
     """Cancel the running nodes in node order, then the queued ones in the
-    order the ready heap would pop them: enqueue time, then node order."""
-    for node_id in sorted(state.running, key=state.compiled.sort_key.__getitem__):
+    order the ready heap would pop them: enqueue time, then node order.
+    Returns the cancelled ids in that order, the order of their events."""
+    running = sorted(state.running, key=state.compiled.sort_key.__getitem__)
+    queued = [node_id for _, _, node_id in sorted(state.ready)]
+    for node_id in running:
         state.emit("node_cancelled", node_id, {"phase": "running"})
-    for _, _, node_id in sorted(state.ready):
+    for node_id in queued:
         state.emit("node_cancelled", node_id, {"phase": "queued"})
     state.running.clear()
     state.ready.clear()
     state.queued.clear()
+    return running + queued
 
 
-def _finish(state: RunState) -> None:
+def _finish(state: RunState) -> list[str]:
+    """Emit the run's run_terminated event; returns the ids cancelled
+    (none when the run is exhausted)."""
+    cancelled = []
     if state.status is RunStatus.CONCLUDED:
-        _cancel_remaining(state)
+        cancelled = _cancel_remaining(state)
         detail = {"status": "concluded", "conclusion": state.conclusion,
                   "edge": state.concluding_edge}
     else:
@@ -546,6 +551,7 @@ def _finish(state: RunState) -> None:
             "disabled": sorted(disabled, key=by_id),
         }
     state.emit("run_terminated", "run", detail)
+    return cancelled
 
 
 def run(
@@ -588,7 +594,8 @@ def run(
     ready, queued, running, attempts, trace, history, refs = (
         state.ready, state.queued, state.running, state.attempts, state.trace, state.history,
         state.memory_refs)
-    pop, now, start, next_done = heapq.heappop, clock.now, clock.start, clock.next_done
+    pop, now, start, next_done, kind = (
+        heapq.heappop, clock.now, clock.start, clock.next_done, scope.kind)
     try:
         _complete_start(state)
         while state.status is _RUNNING:
@@ -609,11 +616,12 @@ def run(
             if not running:
                 break
             state.clock, node_id, outcome = next_done()
-            # ref each key a success wrote, in the sorted order of its memory_put events
+            # ref each key a success wrote, in the sorted order of its memory_put
+            # events, with the kind this run last wrote under it
             for key in apply_outcome(state, node_id, outcome):
-                refs.append({"key": key, "kind": scope.get(key).kind})
+                refs.append({"key": key, "kind": kind(key)})
         state.clock = now()
-        _finish(state)
+        cancelled = _finish(state)
     finally:
         # whether the run concluded or raised, the steps still running stop,
         # and each wall-clock worker exits once its step returns
@@ -621,7 +629,6 @@ def run(
         clock.close()
 
     executed = list(state.attempts)  # in first-start order, as the trace has it
-    cancelled = [ev.subject for ev in state.trace if ev.kind == "node_cancelled"]
     return RunResult(
         status=state.status,
         conclusion=state.conclusion,
@@ -633,11 +640,14 @@ def run(
     )
 
 
+_DURATION_TYPES, _MAX_DURATION = (int, float), sys.float_info.max
+
+
 def duration_problem(duration) -> str | None:
     """What is wrong with a step's duration, or None: it must be, by exact
     type, an int or a float (so not a bool), and finite and >= 0."""
     # NaN fails both comparisons; an int past the float range is not finite
-    if type(duration) in (int, float) and 0 <= duration <= sys.float_info.max:
+    if type(duration) in _DURATION_TYPES and 0 <= duration <= _MAX_DURATION:
         return None
     return f"duration must be a finite number >= 0, got {duration!r}"
 
@@ -651,6 +661,10 @@ def _execute_guarded(backend: ExecutorBackend, ctx: StepContext) -> StepOutcome 
         raise
     except Exception as exc:
         return StepOutcome(result="failure", error=f"{type(exc).__name__}: {exc}")
+    # a well-formed outcome passes here; every other value is named below
+    if (type(outcome) is StepOutcome and type(duration := outcome.duration) in _DURATION_TYPES
+            and 0 <= duration <= _MAX_DURATION):
+        return outcome
     if not isinstance(outcome, StepOutcome):
         if not isinstance(outcome, CancelledSignal):
             raise EngineError(

@@ -19,6 +19,7 @@ import io
 import json
 import re
 import struct
+import sys
 import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -62,9 +63,28 @@ class CorruptLog(MemoryStoreError):
 
 _SCALAR_TYPES = tuple(dict.fromkeys(chain.from_iterable(_CELL_TYPES.values())))  # all cell types
 
+# An int inside ±_SHORT_INT has at most 640 digits, the least limit but 0
+# (none) that sys.set_int_max_str_digits takes, so any limit lets it be text.
+_SHORT_INT = 10 ** 640
+# Python before 3.10.7 has no int-to-text limit: read it as 0, none
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", int)
 
-def _is_scalar(x) -> bool:
-    return isinstance(x, _SCALAR_TYPES)
+
+def _too_long(x) -> bool:
+    """True when `x` is an int with more digits than
+    sys.get_int_max_str_digits() lets Python turn into text. Its size is
+    read off bit_length() first and compared with a power of ten only where
+    that cannot tell, so the check turns nothing into text and cannot raise."""
+    if not isinstance(x, int) or -_SHORT_INT < x < _SHORT_INT:
+        return False
+    limit = _int_digits_limit()
+    bound = 10 ** limit  # the least int of limit + 1 digits
+    return limit > 0 and (x.bit_length() > bound.bit_length() or abs(x) >= bound)
+
+
+def _long_int_error(where: str) -> InvalidValue:
+    return InvalidValue(f"{where}: an int of more than {_int_digits_limit()} digits, "
+                        "past the interpreter's int-to-text limit")
 
 
 def _fits(col_type: str, cell) -> bool:
@@ -114,16 +134,25 @@ def _check_row_types(rows) -> None:
 
 
 def _check_cells(t: Table) -> None:
-    """Raise InvalidValue naming the first column name that is not text or
-    cell its column does not hold; a column is looked at cell by cell only
-    when it holds a type not its own."""
+    """Raise InvalidValue naming the first column name that is not text, or
+    the first cell its column does not hold or that is an int too long for
+    text (_too_long). A column is looked at cell by cell only when it holds
+    a type not its own, or, for ints, when an int in it may be too long."""
     for name, col_type, column in zip(t.columns, t.types, t.data):
         if not isinstance(name, str):
             raise InvalidValue(f"column name {name!r} is not text")
-        if not set(map(type, column)).issubset(_CELL_TYPES[col_type]):
+        types = set(map(type, column))
+        if not types.issubset(_CELL_TYPES[col_type]):
             fits = partial(_fits, col_type)
             if not all(map(fits, column)):
                 raise _misfit(name, column, fits, col_type)
+        # a column of plain ints is screened by its extremes, one that mixes
+        # in other types cell by cell
+        if col_type in ("integer", "decimal") and not types <= {float} and (
+                not types <= {int} or max(column) >= _SHORT_INT or min(column) <= -_SHORT_INT):
+            for i, cell in enumerate(column):
+                if _too_long(cell):
+                    raise _long_int_error(f"row {i}, column {name!r}")
 
 
 def _row_lists(data: list, row_count: int, stop: int | None = None) -> list:
@@ -207,16 +236,25 @@ class MemoryValue:
 
     def __post_init__(self):
         if self.kind == "scalar":
-            if not _is_scalar(self.payload):
+            if not isinstance(self.payload, _SCALAR_TYPES):
                 raise InvalidValue(f"scalar payload of type {type(self.payload).__name__}")
+            if _too_long(self.payload):
+                raise _long_int_error("scalar payload")
         elif self.kind == "list":
-            if not isinstance(self.payload, list) or not all(_is_scalar(x) for x in self.payload):
+            if not isinstance(self.payload, list) or not all(
+                    map(isinstance, self.payload, repeat(_SCALAR_TYPES))):
                 raise InvalidValue("list payload must be a list of scalars")
+            for i, x in enumerate(self.payload):
+                if _too_long(x):
+                    raise _long_int_error(f"list item {i}")
         elif self.kind == "record":
-            if not isinstance(self.payload, dict) or not all(
-                isinstance(k, str) and _is_scalar(v) for k, v in self.payload.items()
-            ):
+            if not isinstance(self.payload, dict) or not (
+                    all(map(isinstance, self.payload, repeat(str)))
+                    and all(map(isinstance, self.payload.values(), repeat(_SCALAR_TYPES)))):
                 raise InvalidValue("record payload must map names to scalars")
+            for name, x in self.payload.items():
+                if _too_long(x):
+                    raise _long_int_error(f"record field {name!r}")
         elif self.kind == "table":
             if not isinstance(self.payload, Table):
                 raise InvalidValue("table payload must be a Table")
@@ -233,7 +271,9 @@ class MemoryValue:
 
 def memory_value(x) -> MemoryValue:
     """Wrap a plain Python value in a MemoryValue, inferring the kind."""
-    if type(x) in _SCALAR_TYPES:  # a scalar by its exact type: nothing to check again
+    if type(x) in _SCALAR_TYPES:  # a scalar by its exact type: only an int's length to check
+        if type(x) is int and _too_long(x):
+            raise _long_int_error("scalar payload")
         value = object.__new__(MemoryValue)
         value.kind, value.payload = "scalar", x
         return value
@@ -245,6 +285,9 @@ def memory_value(x) -> MemoryValue:
     raise InvalidValue(f"cannot store value of type {type(x).__name__}")
 
 
+_TABLE_LITERAL_KEYS = frozenset(("columns", "types", "rows"))
+
+
 def value_from_literal(x) -> MemoryValue:
     """Coerce a JSON literal (from a scenario or wire message) to a MemoryValue.
 
@@ -253,8 +296,12 @@ def value_from_literal(x) -> MemoryValue:
     types and equally long rows, or holds a cell its column does not (a
     timestamp is text that parse_timestamp reads), raises InvalidValue.
     """
-    if isinstance(x, dict) and {"columns", "types", "rows"} <= set(x):
-        return _table_from_json(x["columns"], x["types"], x["rows"])
+    if type(x) in _SCALAR_TYPES:  # most literals, tested first
+        return memory_value(x)
+    if isinstance(x, dict):
+        if x.keys() >= _TABLE_LITERAL_KEYS:
+            return _table_from_json(x["columns"], x["types"], x["rows"])
+        return MemoryValue("record", x)
     return memory_value(x)
 
 
@@ -571,6 +618,7 @@ class RunScope:
         self._store = store
         self._run_id = run_id
         self._prefix = f"{run_id}::"
+        self._kinds: dict[str, str] = {}  # short key -> kind of this scope's last put
 
     @property
     def run_id(self) -> str:
@@ -581,7 +629,14 @@ class RunScope:
         """Store under the scoped key; the ref, like ref(), names the short key."""
         _check_key(key)
         ref = self._store.put(self._prefix + key, value)
+        self._kinds[key] = ref.kind
         return MemoryRef(key, ref.kind, ref.value)
+
+    def kind(self, key: str) -> str:
+        """The kind this scope last put under `key`; for a key it never put,
+        the stored value's kind, or KeyNotFound naming the short key."""
+        kind = self._kinds.get(key)
+        return kind if kind is not None else self.get(key).kind
 
     def get(self, key: str) -> MemoryValue:
         _check_key(key)

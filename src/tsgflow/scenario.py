@@ -41,11 +41,14 @@ def scenario_steps(scenario: dict) -> dict[str, list[dict]]:
             for node_id, spec in scenario.get("steps", {}).items()}
 
 
-def scripted_attempt(steps: Mapping[str, list[dict]], node_id: str, n: int) -> dict:
+def scripted_attempt(steps: Mapping[str, list[dict] | dict], node_id: str, n: int) -> dict:
     """The attempt that the n-th execution of a node replays (n counts from
     1); the last attempt repeats when the node runs more often than its
-    script is long."""
+    script is long. `steps` maps node ids to attempt lists, or to steps in
+    either form, as a scenario's own `steps` object does."""
     attempts = steps.get(node_id)
+    if isinstance(attempts, dict):  # the {"attempts": [...]} form, as in scenario_steps
+        attempts = attempts.get("attempts")
     if not attempts:
         raise ScenarioIncomplete(f"scenario has no attempts for {node_id}")
     return attempts[n - 1] if n <= len(attempts) else attempts[-1]

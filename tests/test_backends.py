@@ -427,3 +427,18 @@ def test_scripted_attempts_write_memory_whatever_their_result():
     with pytest.raises(InvalidValue):  # the engine fails the step with it
         ScriptedBackend.from_scenario(
             {"steps": {"step1": [dict(failed, memory_writes={"t": [[1]]})]}}).execute(ctx)
+
+
+def test_scripted_backend_reads_either_step_form_of_the_scenario_it_is_given():
+    """from_scenario keeps the scenario's own steps and reads each step when
+    it runs, in either form; a steps value that is not an object still fails
+    when the backend is built, not as a failure of every step."""
+    edge = {"edge_step1_step2": "enable"}
+    steps = {"step1": {"attempts": [{"edge_decisions": edge}]},
+             "step2": [{"edge_decisions": {"edge_step2_end": "enable"}}]}
+    backend = ScriptedBackend.from_scenario({"steps": steps})
+    result = run(bundle_of(linear_dag(2)), backend, RunConfig())
+    assert result.status is RunStatus.CONCLUDED and result.executed == ["step1", "step2"]
+    for bad in (None, [["step1"]], "step1"):
+        with pytest.raises(AttributeError):
+            ScriptedBackend.from_scenario({"steps": bad})

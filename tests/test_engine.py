@@ -34,7 +34,7 @@ from tsgflow.engine import (
 from tsgflow.errors import TsgflowError
 from tsgflow.harness import load_bundle, load_scenario
 from tsgflow.linechild import ChildTimeout
-from tsgflow.memory import InvalidValue
+from tsgflow.memory import InvalidValue, KeyNotFound, MemoryStore, Table
 from tsgflow.plugins import PluginFailure
 from tsgflow.queryprep import TemplateError
 from tsgflow.scenario import ScenarioIncomplete
@@ -498,6 +498,25 @@ def test_queued_nodes_are_cancelled_by_enqueue_time_then_node_order():
     assert not (result.state.ready or result.state.queued or result.state.running)
 
 
+def test_run_result_lists_the_cancelled_nodes_in_trace_order():
+    """At k=2 step1 concludes at t=1 while step2 still runs and step3 and
+    step4 wait: step2 is cancelled first, then the queued two."""
+    steps = ["step1", "step2", "step3", "step4"]
+    nodes = [DagNode("start", "start", "run start")]
+    nodes += [DagNode(s, "step", s, step_ref=s[4:]) for s in steps]
+    nodes.append(DagNode("end", "end", "run end"))
+    edges = [DagEdge(edge_id("start", s), "start", s) for s in steps]
+    edges += [DagEdge(edge_id(s, "end"), s, "end", None, f"via {s}") for s in steps]
+    script = {s: [{"result": "success", "latency": 5 if s == "step2" else 1,
+                   "edge_decisions": {edge_id(s, "end"): "enable"}}] for s in steps}
+    result = run(bundle_of(ExecutionDag("cancel_order", nodes, edges)), scripted(script),
+                 RunConfig(max_executors=2))
+    assert result.conclusion == "via step1"
+    events = [(e.subject, e.detail["phase"]) for e in result.trace if e.kind == "node_cancelled"]
+    assert events == [("step2", "running"), ("step3", "queued"), ("step4", "queued")]
+    assert result.cancelled == ["step2", "step3", "step4"]
+
+
 def test_trace_determinism(fig5_bundle, fig5_scenario):
     def once():
         return run(
@@ -554,6 +573,58 @@ def test_memory_writes_traced_and_refs_accumulate(fig4_bundle, fig4_scenario):
     puts = [e for e in result.trace if e.kind == "memory_put"]
     assert [e.subject for e in puts] == ["top_exception", "deployment_id"]
     assert [r["key"] for r in result.state.memory_refs] == ["top_exception", "deployment_id"]
+
+
+class _Writing(ExecutorBackend):
+    """Each step puts the {key: value} that `writes` holds for its node and
+    names `named[node]` in its outcome (by default the keys it wrote). Each
+    context's node and refs go to `seen` as the step starts."""
+
+    def __init__(self, writes: dict, named: dict | None = None):
+        self.writes, self.named, self.seen = writes, named or {}, []
+
+    def execute(self, ctx):
+        self.seen.append((ctx.node_id, list(ctx.memory_refs)))
+        writes = self.writes.get(ctx.node_id, {})
+        for key, value in writes.items():
+            ctx.store.put(key, value)
+        return StepOutcome("success", edge_decisions={e["id"]: "enable" for e in ctx.outgoing_edges},
+                           memory_writes=self.named.get(ctx.node_id, tuple(writes)), duration=1)
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_key_an_outcome_names_but_no_step_wrote_raises_key_not_found(clock):
+    backend = _Writing({"step1": {"made": 1}}, named={"step1": ("never", "made")})
+    with pytest.raises(KeyNotFound) as info:
+        run(bundle_of(linear_dag(2)), backend, RunConfig(clock=clock), run_id="run-1")
+    assert info.value.key == "never" and str(info.value) == "no value stored under 'never'"
+    assert [node for node, _ in backend.seen] == ["step1"]
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_key_written_again_with_another_kind_is_reffed_with_each_kind(clock):
+    backend = _Writing({"step1": {"k": 1}, "step2": {"k": Table(["n"], ["integer"], [[1]])},
+                        "step3": {"k": [1, 2]}})
+    result = run(bundle_of(linear_dag(4)), backend, RunConfig(clock=clock))
+    refs = [{"key": "k", "kind": kind} for kind in ("scalar", "table", "list")]
+    assert backend.seen == [("step1", []), ("step2", refs[:1]), ("step3", refs[:2]),
+                            ("step4", refs)]
+    assert result.state.memory_refs == refs
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_key_an_earlier_run_wrote_under_the_same_run_id_is_reffed_from_the_store(clock):
+    store = MemoryStore()
+    run(bundle_of(linear_dag(1)), _Writing({"step1": {"k": {"a": 1}}}), RunConfig(clock=clock),
+        store=store, run_id="same")
+    backend = _Writing({}, named={"step1": ("k",)})
+    result = run(bundle_of(linear_dag(2)), backend, RunConfig(clock=clock), store=store,
+                 run_id="same")
+    assert result.state.memory_refs == [{"key": "k", "kind": "record"}]
+    assert backend.seen == [("step1", []), ("step2", [{"key": "k", "kind": "record"}])]
+    with pytest.raises(KeyNotFound, match="^no value stored under 'k'$"):
+        run(bundle_of(linear_dag(1)), _Writing({}, named={"step1": ("k",)}),
+            RunConfig(clock=clock), store=store, run_id="other")
 
 
 def test_failure_in_one_branch_does_not_block_conclusion(fig5_bundle, fig5_scenario):

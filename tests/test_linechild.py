@@ -99,6 +99,29 @@ def test_a_child_that_ignores_stdin_eof_is_killed(monkeypatch):
     assert time.monotonic() - started < 5
 
 
+def test_a_child_that_lingers_after_ending_its_output_is_killed(monkeypatch):
+    """An answer without a newline, then the child closes its stdout and
+    sleeps: the request returns the answer after killing the child through
+    close(), and the next request starts a fresh child."""
+    monkeypatch.setattr(linechild, "CLOSE_GRACE_S", 0.2)
+    codes = []
+    close = LineChild.close
+    monkeypatch.setattr(LineChild, "close", lambda self: codes.append(close(self)) or codes[-1])
+    code = "import os, time; os.write(1, str(os.getpid()).encode()); os.close(1); time.sleep(30)"
+    child = LineChild([sys.executable, "-c", code])
+    started = time.monotonic()
+    try:
+        first = child.request("a")  # a close() with no child, then the kill
+        assert codes == [None, -signal.SIGKILL]
+        second = child.request("b")
+        assert codes == [None, -signal.SIGKILL] * 2
+    finally:
+        child.close()
+    assert first.isdigit() and second.isdigit() and first != second
+    assert codes[-1] is None  # nothing was left running
+    assert time.monotonic() - started < 5
+
+
 def test_an_empty_command_is_unavailable():
     """Popen([]) fails with IndexError, which no caller takes for a start failure."""
     child = LineChild([])

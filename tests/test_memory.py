@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import struct
+import sys
 from datetime import datetime, timedelta, timezone
 from itertools import chain
 from unittest import mock
@@ -256,6 +257,31 @@ def test_file_backed_store_names_a_record_whose_key_is_not_a_string(tmp_path):
     path.write_bytes(struct.pack(">I", len(record)) + record)
     with pytest.raises(CorruptLog, match=r"record at byte 0: InvalidKey\("):
         FileBackedStore(path)
+
+
+def test_run_scope_kind_is_the_kind_it_last_put_else_the_stored_kind():
+    store = MemoryStore()
+    scope = RunScope(store, "run-1")
+    scope.put("k", 1)
+    scope.put("k", [1, 2])
+    assert scope.kind("k") == "list"
+    RunScope(store, "run-1").put("old", {"a": 1})  # another scope, the same run id
+    assert scope.kind("old") == "record"
+    with pytest.raises(KeyNotFound) as info:
+        scope.kind("never")
+    assert info.value.key == "never" and str(info.value) == "no value stored under 'never'"
+
+
+def test_run_scope_kind_records_only_a_put_that_succeeds():
+    scope = RunScope(MemoryStore(), "run-1")
+    scope.put("k", "text")
+    with pytest.raises(InvalidValue):
+        scope.put("k", {1, 2})
+    assert scope.kind("k") == "scalar"
+    with pytest.raises(InvalidValue):
+        scope.put("fresh", {1, 2})
+    with pytest.raises(KeyNotFound):
+        scope.kind("fresh")
 
 
 def test_run_scope_isolation():
@@ -849,3 +875,108 @@ def test_every_table_a_put_accepts_survives_the_csv_interchange(case):
     back = table_from_csv(table_to_csv(table))
     if all(map(_exact, chain.from_iterable(table.data))):
         assert back == table
+
+
+# -- ints too long for text ---------------------------------------------------
+# Python refuses to turn an int of more than sys.get_int_max_str_digits()
+# digits into text, so every reader of a stored value would fail on one: a
+# put refuses it by name instead.
+
+
+@pytest.fixture
+def int_digits():
+    """sys.set_int_max_str_digits, with the limit put back after the test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+_PAST = "an int of more than 4300 digits, past the interpreter's int-to-text limit"
+_LONG = 10 ** 4300  # 4301 digits
+
+_LONG_INT_VALUES = {
+    "scalar": (_LONG, "scalar payload"),
+    "negative scalar": (-_LONG, "scalar payload"),
+    "list item": ([1, "a", _LONG], "list item 2"),
+    "record value": ({"a": 1, "b": -_LONG}, "record field 'b'"),
+    "integer cell": (Table(["n"], ["integer"], [[1], [_LONG]]), "row 1, column 'n'"),
+    "decimal int cell": (Table(["s", "x"], ["text", "decimal"], [["a", 0.5], ["b", _LONG]]),
+                         "row 1, column 'x'"),
+    "decimal column of ints": (Table(["x"], ["decimal"], [[-_LONG], [1]]), "row 0, column 'x'"),
+    "decimal int cell after a NaN": (Table(["x"], ["decimal"], [[float("nan")], [_LONG]]),
+                                     "row 1, column 'x'"),
+    "int subclass cell": (Table(["n"], ["integer"], [[type("Big", (int,), {})(_LONG)]]),
+                          "row 0, column 'n'"),
+}
+
+
+@pytest.mark.parametrize("value, where", _LONG_INT_VALUES.values(), ids=_LONG_INT_VALUES)
+def test_a_put_refuses_an_int_too_long_for_text(int_digits, tmp_path, value, where):
+    int_digits(4300)
+    message = f"^{where}: {_PAST}$"
+    with pytest.raises(InvalidValue, match=message):
+        MemoryStore().put("k", value)
+    with pytest.raises(InvalidValue, match=message):
+        RunScope(MemoryStore(), "run-1").put("k", value)
+    path = tmp_path / "memory.log"
+    store = FileBackedStore(path)
+    store.put("before", 1)
+    logged = path.read_bytes()
+    with pytest.raises(InvalidValue, match=message):
+        store.put("k", value)
+    assert path.read_bytes() == logged and store.keys() == ["before"]
+    assert FileBackedStore(path).keys() == ["before"]
+
+
+def test_a_literal_refuses_an_int_too_long_for_text(int_digits):
+    int_digits(4300)
+    for literal, where in [
+        (_LONG, "scalar payload"),
+        ([_LONG], "list item 0"),
+        ({"n": _LONG}, "record field 'n'"),
+        ({"columns": ["n"], "types": ["integer"], "rows": [[_LONG]]}, "row 0, column 'n'"),
+    ]:
+        with pytest.raises(InvalidValue, match=f"^{where}: {_PAST}$"):
+            value_from_literal(literal)
+
+
+@pytest.mark.parametrize("limit", [640, 1000, 4300])
+def test_every_int_a_put_accepts_converts_to_text(int_digits, limit):
+    """At the edge of the limit, and at each bit length near it, a put takes
+    exactly the ints that str() converts, and every reader of them works."""
+    int_digits(limit)
+    edge = 10 ** limit
+    bits = edge.bit_length()
+    candidates = [edge - 1, edge, edge + 1, 1 << (bits - 2), 1 << (bits - 1), (1 << bits) - 1,
+                  1 << bits]
+    for x in candidates + [-x for x in candidates]:
+        try:
+            str(x)
+        except ValueError:
+            converts = False
+        else:
+            converts = True
+        for value in (x, [x], {"n": x}, Table(["n", "x"], ["integer", "decimal"], [[x, x]])):
+            try:
+                MemoryStore().put("k", value)
+            except InvalidValue:
+                assert not converts, (limit, x.bit_length())
+                continue
+            assert converts, (limit, x.bit_length())
+            stored = memory_value(value)
+            render_context(stored)
+            encode_value(stored)
+            if stored.kind == "table":
+                table_to_csv(stored.payload)
+
+
+def test_a_limit_of_0_takes_every_int(int_digits, tmp_path):
+    int_digits(0)
+    store = FileBackedStore(tmp_path / "memory.log")
+    table = Table(["n"], ["integer"], [[10 ** 5000]])
+    store.put("scalar", -10 ** 5000)
+    store.put("table", table)
+    replayed = FileBackedStore(store.path)
+    assert replayed.get("table").payload == table and replayed.get("scalar").payload == -10 ** 5000
+    assert render_context(store.get("scalar")).text.startswith("memory[]: scalar = -1000")
+    assert table_from_csv(table_to_csv(table)) == table

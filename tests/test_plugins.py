@@ -228,6 +228,14 @@ def test_aggregate_names_a_count_of_a_record_and_a_top_k_without_a_column(store)
         analysis_aggregate(store, "table", "top_k")
 
 
+@pytest.mark.parametrize("op", ["mean", "max", "min"])
+def test_aggregate_of_a_text_column_is_non_numeric(store, op):
+    store.put("exc", Table(["kind", "count"], ["text", "integer"], [["a", 3], ["b", 41]]))
+    with pytest.raises(NonNumeric) as info:
+        analysis_aggregate(store, "exc#kind", op)
+    assert str(info.value) == "exc#kind: column is not numeric"
+
+
 def test_integer_too_large_for_a_float_is_non_numeric(store):
     store.put("big", Table(["n"], ["integer"], [[10**400], [1]]))
     store.put("bigs", [10**400, 1])

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from test_backends import _scaled
-from test_engine import bundle_of, linear_dag
+from test_engine import _Writing, bundle_of, linear_dag
 from tsgflow import linechild
 from tsgflow.backends import ProcessBackend, ScriptedBackend
 from tsgflow.dag import DagEdge, DagNode, ExecutionDag, edge_id
@@ -241,6 +241,27 @@ def test_wall_pool_under_fast_thread_switching():
             assert result.conclusion == "joined" and len(result.executed) == 7
             assert len(backend.workers()) <= 3 and backend.peak <= 3
             backend.assert_workers_gone()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_wall_steps_writing_at_once_each_get_the_kind_they_wrote():
+    """Twenty wall runs of six branches that each write a key of their own
+    and a join, at k=4 on a two-core host, switching threads every
+    microsecond: the join sees every branch's key with the kind it wrote."""
+    dag = wide_dag(6)
+    values = {f"step{i}": (i, [i], {"i": i})[i % 3] for i in range(1, 7)}
+    kinds = {f"k{i}": ("scalar", "list", "record")[i % 3] for i in range(1, 7)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            backend = _Writing({node: {f"k{node[4:]}": v} for node, v in values.items()})
+            result = run(bundle_of(dag), backend, RunConfig(max_executors=4, clock="wall"))
+            assert result.conclusion == "joined"
+            (refs,) = [refs for node, refs in backend.seen if node == "join"]
+            assert sorted(refs, key=lambda r: r["key"]) == [
+                {"key": key, "kind": kind} for key, kind in sorted(kinds.items())]
     finally:
         sys.setswitchinterval(interval)
 
