@@ -19,7 +19,7 @@ from .engine import (
     StepOutcome,
     duration_problem,
 )
-from .errors import JSON_DECODE_ERRORS
+from .errors import JSON_DECODE_ERRORS, escaped
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import RunScope, value_from_literal
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
@@ -101,7 +101,7 @@ class ProcessBackend(ExecutorBackend):
             child.close()
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        request = json.dumps(ctx.to_obj(), ensure_ascii=False)
+        request = escaped(json.dumps(ctx.to_obj(), ensure_ascii=False))
         with self._returned:
             child = self._idle.pop() if self._idle else LineChild(self.command)
             self._lent += 1

@@ -14,8 +14,9 @@ Exit codes: 0 success, 1 findings or errors of severity error, 2 usage.
 `main` is the one place an error becomes exit 1: any TsgflowError prints
 `error: <ClassName>: <message>` and an OSError `error: <message>`. argparse
 is the one place for exit 2, `--param` without `=` included. Input text
-that reaches stdout or stderr goes through `_escaped`, so a lone surrogate
-from a JSON input prints as its escape instead of failing the stream.
+that reaches stdout or stderr goes through `errors.escaped`, so a lone
+surrogate from a JSON input prints as its escape instead of failing the
+stream.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from .dag import extract_dag, serialize_dag, validate_dag
 from .document import parse_tsg, read_utf8
 from .engine import RunStatus
-from .errors import TsgflowError
+from .errors import TsgflowError, escaped
 from .harness import load_bundle, load_scenario, run_scenario, sweep
 from .lint import ExternalAnalyzer, findings_to_json, lint
 from .oracle import oracle_makespan
@@ -92,13 +93,6 @@ def _command_line(text: str) -> list[str]:
     return argv
 
 
-def _escaped(text: str) -> str:
-    """`text` with each lone surrogate (what a `\\ud800` escape in a JSON
-    input decodes to) written as that escape, as the trace and report files
-    write it, so that a strict UTF-8 stream takes it."""
-    return text.encode("utf-8", "backslashreplace").decode("utf-8")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tsgflow")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -153,10 +147,10 @@ def _cmd_lint(args) -> int:
     analyzer = ExternalAnalyzer(args.analyzer) if args.analyzer else None
     findings = lint(doc, analyzer=analyzer)
     if args.json:
-        sys.stdout.write(_escaped(findings_to_json(findings)))
+        sys.stdout.write(escaped(findings_to_json(findings)))
     else:
         for f in findings:
-            print(_escaped(f.render(args.tsg)))
+            print(escaped(f.render(args.tsg)))
     return 1 if any(f.severity == "error" for f in findings) else 0
 
 
@@ -182,7 +176,7 @@ def _cmd_prepare(args) -> int:
     _, templates = load_manifest(read_utf8(args.manifest), args.manifest)
     template = template_named(templates, args.template)
     prepared = prepare_query(template, dict(args.param))
-    sys.stdout.write(_escaped(prepared.text))
+    sys.stdout.write(escaped(prepared.text))
     if not prepared.text.endswith("\n"):
         sys.stdout.write("\n")
     return 0
@@ -206,7 +200,7 @@ def _cmd_run(args) -> int:
         "executed": result.executed,
         "cancelled": result.cancelled,
     }
-    print(_escaped(json.dumps(summary, ensure_ascii=False)))
+    print(escaped(json.dumps(summary, ensure_ascii=False)))
     return 0 if result.status is RunStatus.CONCLUDED else 1
 
 
@@ -265,10 +259,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except TsgflowError as exc:
-        print(_escaped(f"error: {type(exc).__name__}: {exc}"), file=sys.stderr)
+        print(escaped(f"error: {type(exc).__name__}: {exc}"), file=sys.stderr)
         return 1
     except OSError as exc:
-        print(_escaped(f"error: {exc}"), file=sys.stderr)
+        print(escaped(f"error: {exc}"), file=sys.stderr)
         return 1
 
 

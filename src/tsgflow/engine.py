@@ -335,22 +335,29 @@ class RunState:
                 return target
         return None
 
-    def disable_node(self, node_id: str) -> None:
-        """Disable a node, then depth-first every node it leaves with all
-        incoming edges disabled (rule b). The explicit stack keeps chain
-        length independent of Python's recursion limit."""
-        self._mark_disabled(node_id)
-        pending = [(node_id, iter(self.compiled.outgoing[node_id]))]
-        while pending:  # disabling never concludes a run, so it runs to the end
+    def resolve_outgoing(self, node_id: str, new_state: ElementState, via: str) -> None:
+        """Resolve a node's outgoing edges to `new_state`, each naming `via`,
+        then disable depth-first every node this leaves with all incoming
+        edges disabled (rule b); such a node's own edges name it. Rule b
+        follows only disabled edges, so every edge the walk reaches takes
+        `new_state`. The walk stops once an enabled edge into end concludes
+        the run. The explicit stack keeps chain length independent of
+        Python's recursion limit."""
+        outgoing = self.compiled.outgoing
+        pending = [(via, iter(outgoing[node_id]))]
+        while pending and self.status is _RUNNING:
             source, edges = pending[-1]
             edge = next(edges, None)
             if edge is None:
                 pending.pop()
-                continue
-            target = self._resolve(edge, _DISABLED, via=source)
-            if target is not None:
+            elif (target := self._resolve(edge, new_state, source)) is not None:
                 self._mark_disabled(target)
-                pending.append((target, iter(self.compiled.outgoing[target])))
+                pending.append((target, iter(outgoing[target])))
+
+    def disable_node(self, node_id: str) -> None:
+        """Disable a node and resolve its outgoing edges (rule b)."""
+        self._mark_disabled(node_id)
+        self.resolve_outgoing(node_id, _DISABLED, node_id)
 
     def _mark_disabled(self, node_id: str) -> None:
         if self.node_state[node_id] is not _UNKNOWN:
@@ -392,11 +399,7 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[
             state.enqueue(node_id, state.clock)
             return ()
         state.failed.add(node_id)
-        # only an enabled edge into end concludes a run, so no disabled one stops this loop
-        for edge in state.compiled.outgoing[node_id]:
-            target = state._resolve(edge, _DISABLED, "failure")
-            if target is not None:
-                state.disable_node(target)
+        state.resolve_outgoing(node_id, _DISABLED, "failure")
         return ()
 
     if outcome.result != "success":
@@ -475,13 +478,6 @@ class RunResult:
         return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in self.trace)
 
 
-def _complete_start(state: RunState) -> None:
-    for edge in state.compiled.outgoing[START]:
-        if state.status is not _RUNNING:
-            break
-        state._resolve(edge, _ENABLED, START)  # an enabled edge disables no target
-
-
 class StaticContexts(dict):
     """Node id -> (step id, title, text, edges): the parts of the node's
     StepContext that no run changes, for one compiled DAG and document. Each
@@ -517,28 +513,22 @@ class StaticContexts(dict):
         return entry
 
 
-def _cancel_remaining(state: RunState) -> list[str]:
-    """Cancel the running nodes in node order, then the queued ones in the
-    order the ready heap would pop them: enqueue time, then node order.
-    Returns the cancelled ids in that order, the order of their events."""
-    running = sorted(state.running, key=state.compiled.sort_key.__getitem__)
-    queued = [node_id for _, _, node_id in sorted(state.ready)]
-    for node_id in running:
-        state.emit("node_cancelled", node_id, {"phase": "running"})
-    for node_id in queued:
-        state.emit("node_cancelled", node_id, {"phase": "queued"})
-    state.running.clear()
-    state.ready.clear()
-    state.queued.clear()
-    return running + queued
-
-
 def _finish(state: RunState) -> list[str]:
-    """Emit the run's run_terminated event; returns the ids cancelled
-    (none when the run is exhausted)."""
+    """Emit the run's run_terminated event; returns the ids cancelled (none
+    when the run is exhausted). A concluded run first cancels its running
+    nodes in node order, then its queued ones in the order the ready heap
+    would pop them: enqueue time, then node order."""
     cancelled = []
     if state.status is RunStatus.CONCLUDED:
-        cancelled = _cancel_remaining(state)
+        running = sorted(state.running, key=state.compiled.sort_key.__getitem__)
+        queued = [node_id for _, _, node_id in sorted(state.ready)]
+        for phase, nodes in (("running", running), ("queued", queued)):
+            for node_id in nodes:
+                state.emit("node_cancelled", node_id, {"phase": phase})
+        cancelled = running + queued
+        state.running.clear()
+        state.ready.clear()
+        state.queued.clear()
         detail = {"status": "concluded", "conclusion": state.conclusion,
                   "edge": state.concluding_edge}
     else:
@@ -597,7 +587,7 @@ def run(
     pop, now, start, next_done, kind = (
         heapq.heappop, clock.now, clock.start, clock.next_done, scope.kind)
     try:
-        _complete_start(state)
+        state.resolve_outgoing(START, _ENABLED, START)
         while state.status is _RUNNING:
             while ready and len(running) < k:
                 node_id = pop(ready)[2]

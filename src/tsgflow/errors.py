@@ -1,4 +1,5 @@
-"""The one root of every error tsgflow raises on purpose, and the UTF-8 file reader."""
+"""The one root of every error tsgflow raises on purpose, the UTF-8 file reader,
+and the one rule for writing a lone surrogate to a UTF-8 stream."""
 
 from pathlib import Path
 
@@ -32,3 +33,10 @@ def read_utf8(path: str | Path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FileNotUtf8(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
+def escaped(text: str) -> str:
+    """`text` with each lone surrogate (what a `\\ud800` escape in a JSON
+    input decodes to) written as that escape, so that a strict UTF-8 stream
+    takes it; inside a JSON string, it decodes back to the same surrogate."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")

@@ -649,10 +649,6 @@ class RunScope:
         _check_key(key)
         return self._store.contains(self._prefix + key)
 
-    def keys(self) -> list[str]:
-        prefix = self._prefix
-        return [k[len(prefix):] for k in self._store.keys() if k.startswith(prefix)]
-
     def ref(self, key: str) -> MemoryRef:
         value = self.get(key)
         return MemoryRef(key, value.kind, value)

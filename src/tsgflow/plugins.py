@@ -73,7 +73,7 @@ class NonNumeric(PluginError):
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # text | integer | decimal | timestamp | boolean | record | any
+    kind: str  # text | integer | decimal | timestamp | boolean | record
     required: bool = True
 
 
@@ -108,7 +108,6 @@ _KIND_CHECKS = {
     **{kind: partial(_fits, kind) for kind in ("text", "integer", "decimal", "boolean")},
     "timestamp": _is_timestamp,
     "record": lambda v: isinstance(v, dict),
-    "any": lambda v: True,
 }
 
 
@@ -123,6 +122,9 @@ class PluginRegistry:
             raise PluginError(f"plugin {descriptor.name!r} already registered")
         required_done = False
         for p in descriptor.params:
+            if p.kind not in _KIND_CHECKS:
+                raise PluginError(
+                    f"plugin {descriptor.name!r}: parameter {p.name!r} has unknown kind {p.kind!r}")
             if not p.required:
                 required_done = True
             elif required_done:

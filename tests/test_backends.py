@@ -48,6 +48,49 @@ def test_process_backend_loopback():
     assert result.makespan == 3
 
 
+# the child enables every edge, so wall-clock branches at k >= 2 race into end
+@pytest.mark.parametrize(("clock", "k"), [("virtual", 3), ("wall", 1)])
+def test_process_backend_sends_a_lone_surrogate_as_its_json_escape(fig5_bundle, fig5_scenario,
+                                                                    clock, k):
+    """A `\\ud800` escape in an incident decodes to a lone surrogate, which
+    no UTF-8 line can hold; the request line writes it as that escape, so
+    the run concludes as one whose incident holds plain text."""
+    def run_with(note):
+        backend = ProcessBackend([sys.executable, str(LOOPBACK)])
+        incident = {**fig5_scenario["incident"], "note": note}
+        try:
+            return run(fig5_bundle, backend, RunConfig(max_executors=k, clock=clock),
+                       incident=incident)
+        finally:
+            backend.close()
+
+    plain, surrogate = run_with("caf\u00e9"), run_with("\ud800")
+    assert (plain.status, plain.conclusion) == (RunStatus.CONCLUDED, "known issue")
+    assert (surrogate.status, surrogate.conclusion) == (plain.status, plain.conclusion)
+    assert not [ev for ev in surrogate.trace if ev.kind == "node_failed"]
+
+
+ECHO_NOTE = """
+import json, sys
+for line in sys.stdin:
+    ctx = json.loads(line)
+    decisions = {edge["id"]: "enable" for edge in ctx["outgoing_edges"]}
+    outcome = {"result": "success", "summary": ctx["incident"]["note"], "edge_decisions": decisions}
+    print(json.dumps(outcome), flush=True)
+"""
+
+
+def test_process_backend_child_reads_back_a_lone_surrogate():
+    note = "a\ud800b\\\udc00 caf\u00e9"  # a backslash before a surrogate stays a backslash
+    backend = ProcessBackend([sys.executable, "-c", ECHO_NOTE])
+    try:
+        result = run(bundle_of(linear_dag(1)), backend, incident={"note": note})
+    finally:
+        backend.close()
+    assert result.status is RunStatus.CONCLUDED
+    assert result.state.history[0]["summary"] == note
+
+
 def test_process_backend_unavailable():
     dag = linear_dag(1)
     backend = ProcessBackend(["/does/not/exist-binary"])

@@ -15,6 +15,7 @@ from corpus import build_lint_corpus
 from tsgflow import load_bundle
 from tsgflow.cli import main
 from tsgflow.dag import serialize_dag
+from tsgflow.errors import escaped
 
 
 def test_lint_clean_exits_zero(capsys):
@@ -376,6 +377,14 @@ def test_lone_surrogates_reach_stdout_as_escapes(tmp_path):
     done = _cli_strict_utf8("prepare", str(manifest), "q")
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == b"where x == '\\ud800'\n"
+
+
+def test_escaped_changes_only_lone_surrogates():
+    """The one rule for the CLI's output and ProcessBackend's request lines:
+    text without a lone surrogate comes back as it is."""
+    text = 'caf\u00e9 \u2713 \U0001f600 "\\u00e9" \\'
+    assert escaped(text) == text
+    assert escaped("a\ud800\\\udfff") == "a\\ud800\\\\udfff"
 
 
 def test_sweep_of_scenario_with_null_incident(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import heapq
+import sys
 
 import pytest
 
@@ -10,7 +11,7 @@ import tsgflow.dag
 from conftest import FIG5_DIR
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from tsgflow.backends import ScriptedBackend
-from tsgflow.dag import DagEdge, DagNode, ExecutionDag, InvalidDag, edge_id
+from tsgflow.dag import START, DagEdge, DagNode, ExecutionDag, InvalidDag, edge_id
 from tsgflow.engine import (
     BackendUnavailable,
     Bundle,
@@ -27,7 +28,6 @@ from tsgflow.engine import (
     StaleOutcome,
     StepOutcome,
     UnknownNode,
-    _complete_start,
     apply_outcome,
     run,
 )
@@ -35,6 +35,7 @@ from tsgflow.errors import TsgflowError
 from tsgflow.harness import load_bundle, load_scenario
 from tsgflow.linechild import ChildTimeout
 from tsgflow.memory import InvalidValue, KeyNotFound, MemoryStore, Table
+from tsgflow.oracle import simulate
 from tsgflow.plugins import PluginFailure
 from tsgflow.queryprep import TemplateError
 from tsgflow.scenario import ScenarioIncomplete
@@ -77,7 +78,7 @@ def _start_next(state: RunState) -> str:
 def _state_with_running(dag, path):
     """Drive the run state through `path` so the last node is running."""
     state = RunState(dag, retry_limit=2)
-    _complete_start(state)
+    state.resolve_outgoing(START, ElementState.ENABLED, START)
     for node_id, decisions in path[:-1]:
         assert _start_next(state) == node_id
         apply_outcome(state, node_id, StepOutcome("success", edge_decisions=decisions))
@@ -122,6 +123,27 @@ def test_apply_outcome_branch_skipped_disables_subtree(fig4_bundle):
                 "edge_step3.4_end", "edge_step3.4_step4.1"):
         assert state.edge_state[eid] is ElementState.DISABLED
     assert "step4.1" in state.queued  # one enabled, two disabled incoming
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+def test_a_final_failure_disables_a_chain_deeper_than_the_recursion_limit(clock):
+    """Rule b walks on an explicit stack: when step1 of a chain longer than
+    the recursion limit fails finally, every later step is disabled, each
+    edge naming the failure or the node it leaves, and the oracle agrees."""
+    n = sys.getrecursionlimit() + 500
+    dag = linear_dag(n)
+    steps = {"step1": [{"result": "failure", "error": "down"}]}
+    result = run(bundle_of(dag), scripted(steps), RunConfig(retry_limit=0, clock=clock))
+    assert result.status is RunStatus.EXHAUSTED and result.executed == ["step1"]
+    later = [f"step{i}" for i in range(2, n + 1)]
+    assert [result.state.node_state[node] for node in later] == [ElementState.DISABLED] * (n - 1)
+    vias = [ev.detail["via"] for ev in result.trace if ev.kind == "edge_disabled"]
+    assert vias == ["failure", *later]
+    assert result.trace[-1].detail["disabled"] == later
+    expected = simulate(dag, steps, 0, 1)
+    assert expected.status == "exhausted" and expected.executed == ["step1"]
+    assert {k: v.value for k, v in result.state.node_state.items()} == expected.node_state
+    assert {k: v.value for k, v in result.state.edge_state.items()} == expected.edge_state
 
 
 def test_apply_outcome_returns_the_written_keys_sorted(fig4_bundle):
@@ -202,7 +224,7 @@ def test_runs_leave_the_scenario_unchanged():
 def test_unconditional_edges_must_enable():
     dag = linear_dag(2)
     state = RunState(dag, retry_limit=0)
-    _complete_start(state)
+    state.resolve_outgoing(START, ElementState.ENABLED, START)
     assert _start_next(state) == "step1"
     with pytest.raises(InvalidEdgeDecision):
         apply_outcome(state, "step1",
@@ -403,7 +425,7 @@ def test_run_config_names_an_unknown_clock():
 
 def test_apply_outcome_refuses_a_result_other_than_success_or_failure():
     state = RunState(linear_dag(1), retry_limit=0)
-    _complete_start(state)
+    state.resolve_outgoing(START, ElementState.ENABLED, START)
     assert _start_next(state) == "step1"
     with pytest.raises(EngineError, match=r"^outcome result must be success or failure, got 'maybe'$"):
         apply_outcome(state, "step1", StepOutcome("maybe"))
@@ -413,7 +435,7 @@ def test_run_state_guards_its_invariants():
     """A node enqueued twice, an edge resolved twice and a node disabled
     twice each raise EngineError naming the element."""
     state = RunState(linear_dag(2), retry_limit=0)
-    _complete_start(state)
+    state.resolve_outgoing(START, ElementState.ENABLED, START)
     with pytest.raises(EngineError, match=r"^step1 enqueued twice for one enablement$"):
         state.enqueue("step1", 0)
     with pytest.raises(EngineError, match=r"^edge edge_start_step1 already resolved to enabled$"):

@@ -309,6 +309,18 @@ def test_registry_rejects_duplicate_and_bad_param_order():
         registry.register(bad, lambda args, store: PluginResult(status="ok"))
 
 
+@pytest.mark.parametrize("kind", ["list", "any", "", "Text"])
+def test_registry_refuses_a_parameter_kind_it_cannot_check(kind):
+    """A kind with no check is refused when the plugin is registered, naming
+    the plugin, the parameter and the kind, not by a KeyError on invoke."""
+    registry = PluginRegistry()
+    desc = PluginDescriptor("p", (ParamSpec("a", "text"), ParamSpec("x", kind)), result="inline")
+    message = rf"^plugin 'p': parameter 'x' has unknown kind {kind!r}$"
+    with pytest.raises(PluginError, match=message):
+        registry.register(desc, lambda args, store: PluginResult(status="ok"))
+    assert registry.names() == []
+
+
 def test_mock_determinism(registry, store, fig4_bundle):
     prepared = _prepared_top_exceptions(fig4_bundle)
     args = {"query": prepared.text, "template": "top_exceptions", "bindings": prepared.bindings}
