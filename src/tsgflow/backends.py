@@ -19,7 +19,7 @@ from .engine import (
     StepOutcome,
     duration_problem,
 )
-from .errors import JSON_DECODE_ERRORS, escaped
+from .errors import JSON_DECODE_ERRORS
 from .linechild import ChildCancelled, ChildUnavailable, LineChild
 from .memory import RunScope, value_from_literal
 from .scenario import attempt_fields, scenario_steps, scripted_attempt
@@ -52,9 +52,9 @@ class ScriptedBackend(ExecutorBackend):
     @classmethod
     def from_scenario(cls, scenario: dict) -> "ScriptedBackend":
         """A backend over the scenario's own `steps` object, each step read
-        only when it runs; `steps` of another type goes through
-        scenario_steps, which raises for it."""
-        steps = scenario.get("steps", {})
+        only when it runs; a scenario or `steps` of another type goes
+        through scenario_steps, which raises ScenarioInvalid for it."""
+        steps = scenario.get("steps", {}) if isinstance(scenario, dict) else None
         return cls(steps if isinstance(steps, dict) else scenario_steps(scenario))
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
@@ -101,7 +101,7 @@ class ProcessBackend(ExecutorBackend):
             child.close()
 
     def execute(self, ctx: StepContext) -> StepOutcome | CancelledSignal:
-        request = escaped(json.dumps(ctx.to_obj(), ensure_ascii=False))
+        request = json.dumps(ctx.to_obj(), ensure_ascii=False)
         with self._returned:
             child = self._idle.pop() if self._idle else LineChild(self.command)
             self._lent += 1

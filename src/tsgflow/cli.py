@@ -30,7 +30,7 @@ from pathlib import Path
 
 from .dag import extract_dag, serialize_dag, validate_dag
 from .document import parse_tsg, read_utf8
-from .engine import RunStatus
+from .engine import RunConfig, RunStatus
 from .errors import TsgflowError, escaped
 from .harness import load_bundle, load_scenario, run_scenario, sweep
 from .lint import ExternalAnalyzer, findings_to_json, lint
@@ -121,23 +121,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a bundle against a scenario")
     p_run.add_argument("bundle")
     p_run.add_argument("--scenario", required=True)
-    p_run.add_argument("--executors", type=_int_at_least(1), default=1)
-    p_run.add_argument("--mode", choices=("virtual", "wall"), default="virtual")
-    p_run.add_argument("--retry", type=_int_at_least(0), default=2)
+    p_run.add_argument("--executors", type=_int_at_least(1), default=RunConfig.max_executors)
+    p_run.add_argument("--mode", choices=("virtual", "wall"), default=RunConfig.clock)
+    p_run.add_argument("--retry", type=_int_at_least(0), default=RunConfig.retry_limit)
     p_run.add_argument("--trace")
 
     p_sweep = sub.add_parser("sweep", help="run a scenario across executor counts")
     p_sweep.add_argument("bundle")
     p_sweep.add_argument("--scenario", required=True)
     p_sweep.add_argument("--executors", required=True, metavar="A..B", type=_parse_k_range)
-    p_sweep.add_argument("--retry", type=_int_at_least(0), default=2)
+    p_sweep.add_argument("--retry", type=_int_at_least(0), default=RunConfig.retry_limit)
     p_sweep.add_argument("--report")
     p_sweep.add_argument("--baseline", help="sequential-DAG bundle for the serial baseline")
 
     p_oracle = sub.add_parser("oracle", help="independent makespan bounds for a scenario")
     p_oracle.add_argument("bundle")
     p_oracle.add_argument("--scenario", required=True)
-    p_oracle.add_argument("--retry", type=_int_at_least(0), default=2)
+    p_oracle.add_argument("--retry", type=_int_at_least(0), default=RunConfig.retry_limit)
 
     return parser
 

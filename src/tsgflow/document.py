@@ -70,7 +70,6 @@ _DIR_PARALLEL_RE = re.compile(r"^- Parallel:\s*(?P<targets>.+?)\s*$")
 _DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->.+?)\s*$")
 _DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.+?)\s*$")
 _ARM_SPLIT_RE = re.compile(r";\s*(?=[YN]\s*->)")
-_TERMINATE_ARM_RE = re.compile(r"^[YN]\s*->\s*Terminate\(.*\)$")
 _ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.+?)\s*$")
 _STEP_REF_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")  # a parallel item or an arm's target
 _ARM_TERMINATE_RE = re.compile(r"^Terminate\((?P<conclusion>.*)\)$")
@@ -183,7 +182,8 @@ def _split_arms(arms: str) -> list[str]:
     ";", so a conclusion keeps its ";" and an arm without an arrow stands alone."""
     out = []
     for piece in _ARM_SPLIT_RE.split(arms):
-        out += [piece] if _TERMINATE_ARM_RE.match(piece.strip()) else piece.split(";")
+        am = _ARM_RE.match(piece.strip())
+        out += [piece] if am and _ARM_TERMINATE_RE.match(am["target"]) else piece.split(";")
     return out
 
 

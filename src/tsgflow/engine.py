@@ -266,7 +266,7 @@ class Bundle:
 class RunState:
     """Tri-state of one run plus its trace; owned by a single scheduler loop."""
 
-    def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = 2):
+    def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = RunConfig.retry_limit):
         compiled = dag if isinstance(dag, CompiledDag) else compile_dag(dag)
         self.compiled = compiled
         self.retry_limit = retry_limit

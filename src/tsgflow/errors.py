@@ -1,5 +1,5 @@
 """The one root of every error tsgflow raises on purpose, the UTF-8 file reader,
-and the one rule for writing a lone surrogate to a UTF-8 stream."""
+and the rule by which the CLI writes a lone surrogate to a UTF-8 stream."""
 
 from pathlib import Path
 

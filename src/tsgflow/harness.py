@@ -87,9 +87,9 @@ def load_scenario(bundle_dir: str | Path, name_or_path: str) -> dict:
 def run_scenario(
     bundle: Bundle,
     scenario: dict,
-    executors: int = 1,
-    retry_limit: int = 2,
-    clock: str = "virtual",
+    executors: int = RunConfig.max_executors,
+    retry_limit: int = RunConfig.retry_limit,
+    clock: str = RunConfig.clock,
     trace_path: str | Path | None = None,
 ) -> RunResult:
     backend = ScriptedBackend.from_scenario(scenario)
@@ -146,7 +146,7 @@ def sweep(
     bundle: Bundle,
     scenario: dict,
     k_values: list[int],
-    retry_limit: int = 2,
+    retry_limit: int = RunConfig.retry_limit,
     baseline: tuple[Bundle, dict] | None = None,
 ) -> SweepReport:
     """Run the scenario once per executor count and report the comparison.

@@ -73,7 +73,8 @@ class LineChild:
         if cancel is not None and cancel.is_set():
             raise ChildCancelled("request cancelled")  # nothing was sent
         proc = self._running()
-        pending = memoryview((line + "\n").encode())
+        # a lone surrogate goes as its \ud800 escape, which a JSON line decodes back
+        pending = memoryview((line + "\n").encode("utf-8", "backslashreplace"))
         deadline = time.monotonic() + REQUEST_TIMEOUT_S
         with selectors.DefaultSelector() as selector:
             selector.register(proc.stdout, selectors.EVENT_READ)

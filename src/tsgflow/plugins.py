@@ -302,27 +302,21 @@ def analysis_aggregate(store, key: str, op: str, k: int = 3):
             return len(value.payload)
         raise NonNumeric(f"{key}: cannot count a {value.kind}")
 
-    if op == "top_k":
-        if value.kind != "table" or col is None:
-            raise NonNumeric("top_k needs a table column reference (key#column)")
+    if op not in ("top_k", "mean", "max", "min"):
+        raise PluginError(f"unknown aggregate op {op!r}")
+    if op == "top_k" and col is None:
+        raise NonNumeric("top_k needs a table column reference (key#column)")
+    if col is not None:  # a key#column reference, so a table's column
         t: Table = value.payload
         if t.types[col] not in ("integer", "decimal"):
             raise NonNumeric(f"{key}: column is not numeric")
+    if op == "top_k":
         if k < 0:
             raise PluginError(f"top_k needs k >= 0, got {k}")
         # ties keep row order, as nlargest over the rows themselves would
         return t.take(heapq.nlargest(k, range(t.row_count), key=t.data[col].__getitem__))
 
-    if op not in ("mean", "max", "min"):
-        raise PluginError(f"unknown aggregate op {op!r}")
-
-    if col is not None:  # a key#column reference, so a table's column
-        t = value.payload
-        if t.types[col] not in ("integer", "decimal"):
-            raise NonNumeric(f"{key}: column is not numeric")
-        column = t.data[col]
-    else:
-        column = _numeric_values(store, key)
+    column = _numeric_values(store, key) if col is None else t.data[col]
     if not column:
         raise NonNumeric(f"{key}: empty series")
     # one pass over the cells as floats, with no list of them

@@ -141,14 +141,9 @@ def prepare_query(template: QueryTemplate, params: dict) -> PreparedQuery:
             raise MissingParameter(name)
 
     bindings = {name: render_param(params[name]) for name in template.placeholders}
-    pieces: list[str] = []
-    cursor = 0
-    for name, start, end in iter_placeholders(template.text):
-        pieces.append(template.text[cursor:start])
-        pieces.append(bindings[name])
-        cursor = end
-    pieces.append(template.text[cursor:])
-    return PreparedQuery(template_name=template.name, text="".join(pieces), bindings=bindings)
+    # an escape ({{ or }}) matches with no name and stays as it is
+    text = _TOKEN_RE.sub(lambda m: bindings[m["name"]] if m["name"] else m[0], template.text)
+    return PreparedQuery(template_name=template.name, text=text, bindings=bindings)
 
 
 def dump_manifest(tsg_id: str, templates: list[QueryTemplate]) -> str:

@@ -36,9 +36,15 @@ ATTEMPT_DEFAULTS = {"result": "success", "latency": 0, "edge_decisions": {}, "su
 
 def scenario_steps(scenario: dict) -> dict[str, list[dict]]:
     """Node id -> attempt list, from either step form: a bare list of
-    attempts or {"attempts": [...]}. The lists are the scenario's own."""
+    attempts or {"attempts": [...]}. The lists are the scenario's own.
+    Raises ScenarioInvalid for a scenario or `steps` that is not an object."""
+    if not isinstance(scenario, dict):
+        raise ScenarioInvalid("scenario: top level must be a JSON object")
+    steps = scenario.get("steps", {})
+    if not isinstance(steps, dict):
+        raise ScenarioInvalid("scenario: steps must map node ids to attempts")
     return {node_id: spec.get("attempts") if isinstance(spec, dict) else spec
-            for node_id, spec in scenario.get("steps", {}).items()}
+            for node_id, spec in steps.items()}
 
 
 def scripted_attempt(steps: Mapping[str, list[dict] | dict], node_id: str, n: int) -> dict:

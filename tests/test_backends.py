@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import sys
 import threading
@@ -25,7 +26,7 @@ from tsgflow.engine import (
     run,
 )
 from tsgflow.memory import InvalidValue, MemoryStore, RunScope
-from tsgflow.scenario import ScenarioIncomplete
+from tsgflow.scenario import ScenarioIncomplete, ScenarioInvalid
 
 LOOPBACK = Path(__file__).parent / "fixtures" / "loopback_backend.py"
 
@@ -89,6 +90,47 @@ def test_process_backend_child_reads_back_a_lone_surrogate():
         backend.close()
     assert result.status is RunStatus.CONCLUDED
     assert result.state.history[0]["summary"] == note
+
+
+def two_pass_request(obj: dict) -> bytes:
+    """The request bytes as ProcessBackend wrote them while it escaped each
+    lone surrogate itself (one encode and decode) and LineChild then
+    encoded the line again."""
+    request = json.dumps(obj, ensure_ascii=False)
+    request = request.encode("utf-8", "backslashreplace").decode("utf-8")
+    return (request + "\n").encode()
+
+
+# answers success, with the hex of the request line's bytes as its summary
+ECHO_REQUEST = """
+import json, sys
+for line in sys.stdin.buffer:
+    ctx = json.loads(line)
+    decisions = {edge["id"]: "enable" for edge in ctx["outgoing_edges"]}
+    print(json.dumps({"summary": line.hex(), "result": "success", "edge_decisions": decisions}),
+          flush=True)
+"""
+
+
+@pytest.mark.parametrize("note", ["plain", "caf\u00e9 \u2028", "a\ud800b\\\udc00"])
+def test_process_backend_request_bytes_are_the_two_pass_ones(note):
+    """One encode in the line client gives the bytes the former two passes
+    gave, for contexts with and without a lone surrogate."""
+    sent = []
+
+    class Recording(ProcessBackend):
+        def execute(self, ctx):
+            sent.append(ctx.to_obj())
+            return super().execute(ctx)
+
+    backend = Recording([sys.executable, "-c", ECHO_REQUEST])
+    try:
+        result = run(bundle_of(linear_dag(2)), backend, incident={"note": note})
+    finally:
+        backend.close()
+    assert result.status is RunStatus.CONCLUDED and len(sent) == 2
+    for obj, step in zip(sent, result.state.history):
+        assert bytes.fromhex(step["summary"]) == two_pass_request(obj)
 
 
 def test_process_backend_unavailable():
@@ -483,5 +525,5 @@ def test_scripted_backend_reads_either_step_form_of_the_scenario_it_is_given():
     result = run(bundle_of(linear_dag(2)), backend, RunConfig())
     assert result.status is RunStatus.CONCLUDED and result.executed == ["step1", "step2"]
     for bad in (None, [["step1"]], "step1"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(ScenarioInvalid):
             ScriptedBackend.from_scenario({"steps": bad})

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgflow.document import (
+    _ARM_SPLIT_RE,
     DuplicateStepId,
     MissingEntryStep,
+    _split_arms,
     parse_tsg,
     serialize_tsg,
     step_id_key,
@@ -265,3 +269,41 @@ def test_id_key_matches_segment_comparison(a, b):
     idb = ".".join(map(str, b))
     assert (step_id_key(ida) < step_id_key(idb)) == (a < b)
     assert (step_id_key(ida) == step_id_key(idb)) == (a == b)
+
+
+_TERMINATE_ARM_RE = re.compile(r"^[YN]\s*->\s*Terminate\(.*\)$")
+
+
+def terminate_arm_re_split_arms(arms: str) -> list[str]:
+    """_split_arms as it was when a whole Terminate(...) arm had a pattern
+    of its own, _TERMINATE_ARM_RE."""
+    out = []
+    for piece in _ARM_SPLIT_RE.split(arms):
+        out += [piece] if _TERMINATE_ARM_RE.match(piece.strip()) else piece.split(";")
+    return out
+
+
+# arrows, labels, Terminate( and its parenthesis, the ";" both splits cut at,
+# and spaces that str.strip() and \s both take, ASCII and Unicode alike
+_ARM_PIECES = st.sampled_from(
+    ["Y", "N", "->", " -> ", "Terminate(", ")", "(", ";", "; ", "Step 2", "x", " ", "\t",
+     "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"])
+_SPACES = st.lists(st.sampled_from(["", " ", "\t", "\x1c", "\xa0", "\u3000"]), max_size=2).map(
+    "".join)
+# an arm that is close to well formed: each part may be missing or off by a little
+_ARM = st.tuples(
+    _SPACES, st.sampled_from(["Y", "N", "", "x"]), _SPACES, st.sampled_from(["->", "-", ""]),
+    _SPACES, st.sampled_from(["Terminate(", "Terminate", "Step 2", ""]),
+    st.lists(_ARM_PIECES, max_size=3).map("".join), st.sampled_from([")", "", ")x"]), _SPACES,
+).map("".join)
+_ARMS = (st.lists(_ARM_PIECES, max_size=14).map("".join)
+         | st.lists(st.tuples(_ARM, st.sampled_from([";", "; ", ";\u3000", ""])).map("".join),
+                    min_size=1, max_size=3).map("".join))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ARMS)
+def test_split_arms_equals_the_terminate_arm_pattern(arms):
+    """_ARM_RE plus _ARM_TERMINATE_RE keep the same pieces whole as the one
+    pattern for a whole Terminate(...) arm did."""
+    assert _split_arms(arms) == terminate_arm_re_split_arms(arms)

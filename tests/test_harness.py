@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import re
 
@@ -7,7 +8,12 @@ import pytest
 
 from conftest import FIG4_DIR, FIG5_DIR, TRIPLE_DIR
 from tsgflow import harness
+from tsgflow.backends import ScriptedBackend
+from tsgflow.cli import _build_parser
+from tsgflow.engine import RunConfig, RunState
 from tsgflow.harness import HarnessError, load_bundle, load_scenario, run_scenario, sweep
+from tsgflow.oracle import oracle_makespan
+from tsgflow.scenario import ScenarioInvalid, scenario_steps
 
 
 def test_load_bundle_extracts_when_files_absent(fig4_bundle):
@@ -192,3 +198,43 @@ def test_missing_bundle_dir(tmp_path):
     with pytest.raises(HarnessError):
         load_bundle(tmp_path / "nope")
     assert TRIPLE_DIR.exists() and FIG5_DIR.exists()
+
+
+@pytest.mark.parametrize(("scenario", "message"), [
+    (None, "top level must be a JSON object"),
+    ([{"steps": {}}], "top level must be a JSON object"),
+    ("steps", "top level must be a JSON object"),
+    ({"steps": None}, "steps must map node ids to attempts"),
+    ({"steps": [["step1"]]}, "steps must map node ids to attempts"),
+    ({"steps": "step1"}, "steps must map node ids to attempts"),
+])
+def test_every_scenario_reader_names_a_scenario_or_steps_that_is_not_an_object(
+        fig5_bundle, scenario, message):
+    """scenario_steps, and so the backend, the oracle and a sweep built on
+    it, raise ScenarioInvalid worded as read_scenario words the same fault."""
+    readers = (scenario_steps, ScriptedBackend.from_scenario,
+               lambda s: oracle_makespan(fig5_bundle.dag, s),
+               lambda s: sweep(fig5_bundle, s, [1, 2]),
+               lambda s: run_scenario(fig5_bundle, s))
+    for read in readers:
+        with pytest.raises(ScenarioInvalid) as info:
+            read(scenario)
+        assert str(info.value) == f"scenario: {message}"
+
+
+def test_run_defaults_are_run_configs(fig5_bundle):
+    """The engine, the harness and the CLI take RunConfig's defaults for the
+    executor count, the retry limit and the clock."""
+    config = RunConfig()
+    assert RunState(fig5_bundle.compiled).retry_limit == config.retry_limit
+    defaults = {name: p.default for name, p in inspect.signature(run_scenario).parameters.items()}
+    assert (defaults["executors"], defaults["retry_limit"], defaults["clock"]) == (
+        config.max_executors, config.retry_limit, config.clock)
+    assert inspect.signature(sweep).parameters["retry_limit"].default == config.retry_limit
+    parse = _build_parser().parse_args
+    run_args = parse(["run", "b", "--scenario", "s"])
+    assert (run_args.executors, run_args.retry, run_args.mode) == (
+        config.max_executors, config.retry_limit, config.clock)
+    for argv in (["sweep", "b", "--scenario", "s", "--executors", "1"],
+                 ["oracle", "b", "--scenario", "s"]):
+        assert parse(argv).retry == config.retry_limit

@@ -46,6 +46,20 @@ def test_line_framing_is_independent_of_writes():
         assert child.close() == 0
 
 
+# answers with the hex of each line's bytes as read, its newline included
+ECHO_BYTES = "import sys\nfor line in sys.stdin.buffer:\n    print(line.hex(), flush=True)\n"
+
+
+def test_a_request_goes_on_the_wire_as_utf8_with_lone_surrogates_escaped():
+    child = LineChild([sys.executable, "-c", ECHO_BYTES])
+    try:
+        assert bytes.fromhex(child.request("a\ud800b")) == b"a\\ud800b\n"
+        assert bytes.fromhex(child.request("caf\u00e9 \u2028")) == "caf\u00e9 \u2028\n".encode()
+        assert bytes.fromhex(child.request('{"k": 1}')) == b'{"k": 1}\n'
+    finally:
+        assert child.close() == 0
+
+
 def test_unterminated_last_line_is_an_answer():
     """At end of output a line without its newline still answers; no output
     at all is None."""

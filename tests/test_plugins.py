@@ -13,7 +13,7 @@ import pytest
 
 from conftest import FIG4_DIR
 from tsgflow import memory, plugins
-from tsgflow.memory import MemoryStore, RunScope, Table, table_from_csv, table_to_csv
+from tsgflow.memory import KeyNotFound, MemoryStore, RunScope, Table, table_from_csv, table_to_csv
 from tsgflow.plugins import (
     ArgSchemaViolation,
     LengthMismatch,
@@ -234,6 +234,26 @@ def test_aggregate_of_a_text_column_is_non_numeric(store, op):
     with pytest.raises(NonNumeric) as info:
         analysis_aggregate(store, "exc#kind", op)
     assert str(info.value) == "exc#kind: column is not numeric"
+
+
+@pytest.mark.parametrize(("key", "op", "error", "message"), [
+    ("exc#kind", "top_k", NonNumeric, "exc#kind: column is not numeric"),
+    ("exc#kind", "mean", NonNumeric, "exc#kind: column is not numeric"),
+    ("exc", "top_k", NonNumeric, "top_k needs a table column reference (key#column)"),
+    ("words", "top_k", NonNumeric, "top_k needs a table column reference (key#column)"),
+    ("exc#kind", "median", PluginError, "unknown aggregate op 'median'"),
+    ("words", "median", PluginError, "unknown aggregate op 'median'"),
+    ("missing#kind", "median", KeyNotFound, "no value stored under 'missing'"),
+    ("exc#count", "top_k", PluginError, "top_k needs k >= 0, got -1"),
+])
+def test_aggregate_raises_the_first_of_its_faults(store, key, op, error, message):
+    """With k = -1 too, each call has more than one fault; the key comes
+    first, then the op, then the column reference, then its type, then k."""
+    store.put("exc", Table(["kind", "count"], ["text", "integer"], [["a", 3], ["b", 41]]))
+    store.put("words", ["a", "b"])
+    with pytest.raises(error) as info:
+        analysis_aggregate(store, key, op, k=-1)
+    assert (type(info.value), str(info.value)) == (error, message)
 
 
 def test_integer_too_large_for_a_float_is_non_numeric(store):

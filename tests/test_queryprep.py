@@ -3,7 +3,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpus import build_qpp_corpus
@@ -18,8 +18,10 @@ from tsgflow.queryprep import (
     QueryTemplate,
     UnknownParameter,
     UnrenderableValue,
+    TemplateError,
     dump_manifest,
     extract_templates,
+    iter_placeholders,
     load_manifest,
     prepare_query,
     render_param,
@@ -227,3 +229,55 @@ def test_prepared_query_is_frozen_record():
     prepared = PreparedQuery("t", "text", {"a": "1"})
     with pytest.raises(Exception):
         prepared.text = "other"
+
+
+def cursor_loop_prepare(template: QueryTemplate, params: dict) -> PreparedQuery:
+    """prepare_query as it was before it substituted through the tokenizer:
+    the text between placeholders copied by hand with a cursor."""
+    placeholder_set = set(template.placeholders)
+    for name in params:
+        if name not in placeholder_set:
+            raise UnknownParameter(name)
+    for name in template.placeholders:
+        if name not in params:
+            raise MissingParameter(name)
+
+    bindings = {name: render_param(params[name]) for name in template.placeholders}
+    pieces: list[str] = []
+    cursor = 0
+    for name, start, end in iter_placeholders(template.text):
+        pieces.append(template.text[cursor:start])
+        pieces.append(bindings[name])
+        cursor = end
+    pieces.append(template.text[cursor:])
+    return PreparedQuery(template_name=template.name, text="".join(pieces), bindings=bindings)
+
+
+# escapes, placeholders side by side and repeated, and braces that are neither
+_TEMPLATE_PIECES = st.sampled_from(
+    ["{{", "}}", "{", "}", "{a}", "{b}", "{a_1}", "{{a}}", "{a}{a}", "{1}", "{a", "a}", "{ a}",
+     "}{", "{{{", "}}}", " ", "\n", "x", "caf\u00e9", "\u2028"])
+_PARAM_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3) | st.tuples(_SCALARS, _SCALARS)
+
+
+def _outcome(prepare, template, params):
+    try:
+        return prepare(template, params)
+    except (TemplateError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEMPLATE_PIECES, max_size=12).map("".join), st.data())
+def test_prepare_query_equals_the_cursor_loop(text, data):
+    """The tokenizer's substitution gives the cursor loop's text, bindings and
+    errors, for every parameter kind, a parameter left out or one too many,
+    and a hand-built template whose placeholder list misses a name."""
+    found = scan_placeholders(text)
+    placeholders = data.draw(st.sampled_from([found, found[1:]]))
+    template = QueryTemplate("t", "kql", text, tuple(placeholders))
+    names = data.draw(st.lists(st.sampled_from([*found, "zz"]), unique=True)
+                      | st.just(placeholders))
+    params = {name: data.draw(_PARAM_VALUES) for name in names}
+    assert _outcome(prepare_query, template, params) == _outcome(cursor_loop_prepare, template,
+                                                                 params)
