@@ -31,7 +31,7 @@ def _put_writes(store: RunScope | None, writes: dict) -> tuple[str, ...]:
     step's outcome."""
     keys = tuple(sorted(writes))
     if store is not None:
-        put = store.put
+        put = store._put  # the short-key ref put() builds is not read here
         for key in keys:
             put(key, value_from_literal(writes[key]))
     return keys

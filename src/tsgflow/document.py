@@ -54,23 +54,26 @@ class MissingEntryStep(TsgParseError):
     pass
 
 
-_DOC_HEADER_RE = re.compile(r"^# TSG:\s*(?P<id>\S+)\s+—\s+(?P<title>.+?)\s*$")
-_STEP_HEADER_RE = re.compile(r"^## Step (?P<id>\d+(?:\.\d+)*):\s*(?P<title>.+?)\s*$")
+# A payload before "\s*$" is ".*\S|.": it ends at the line's last non-space
+# character, or is one character when the rest is all spaces, as ".+?" did,
+# but re does not try the "\s*$" tail at every character of it.
+_DOC_HEADER_RE = re.compile(r"^# TSG:\s*(?P<id>\S+)\s+—\s+(?P<title>.*\S|.)\s*$")
+_STEP_HEADER_RE = re.compile(r"^## Step (?P<id>\d+(?:\.\d+)*):\s*(?P<title>.*\S|.)\s*$")
 _STEP_HEADER_PREFIX_RE = re.compile(r"^## Step\b")
-_INPUTS_RE = re.compile(r"^Inputs:\s*(?P<names>.+?)\s*$")
-_PRODUCES_RE = re.compile(r"^Produces:\s*(?P<names>.+?)\s*$")
-_TERMINATE_RE = re.compile(r"^Terminate:\s*(?P<conclusion>.+?)\s*$")
+_INPUTS_RE = re.compile(r"^Inputs:\s*(?P<names>.*\S|.)\s*$")
+_PRODUCES_RE = re.compile(r"^Produces:\s*(?P<names>.*\S|.)\s*$")
+_TERMINATE_RE = re.compile(r"^Terminate:\s*(?P<conclusion>.*\S|.)\s*$")
 _NEXT_HEADING_RE = re.compile(r"^Next:\s*$")
-_FENCE_RE = re.compile(r"^```(?P<info>.*?)\s*$")
+_FENCE_RE = re.compile(r"^```(?P<info>(?:.*\S)?)\s*$")
 _FENCE_INFO_RE = re.compile(r"^(?P<lang>\S+)\s+name=(?P<name>[A-Za-z][A-Za-z0-9_]*)$")
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 _DIR_STEP_RE = re.compile(r"^- Step (?P<id>\d+(?:\.\d+)*)\s*$")
-_DIR_PARALLEL_RE = re.compile(r"^- Parallel:\s*(?P<targets>.+?)\s*$")
-_DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->.+?)\s*$")
-_DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.+?)\s*$")
+_DIR_PARALLEL_RE = re.compile(r"^- Parallel:\s*(?P<targets>.*\S|.)\s*$")
+_DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->(?:.*\S|.))\s*$")
+_DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.*\S|.)\s*$")
 _ARM_SPLIT_RE = re.compile(r";\s*(?=[YN]\s*->)")
-_ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.+?)\s*$")
+_ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.*\S|.)\s*$")
 _STEP_REF_RE = re.compile(r"^Step (?P<id>\d+(?:\.\d+)*)$")  # a parallel item or an arm's target
 _ARM_TERMINATE_RE = re.compile(r"^Terminate\((?P<conclusion>.*)\)$")
 
@@ -176,14 +179,18 @@ def _parse_name_list(raw: str) -> tuple[list[str], list[str]]:
     return names, bad
 
 
-def _split_arms(arms: str) -> list[str]:
-    """An If line's arms: its text cut at each ";" before a "Y ->" or "N ->",
-    then each piece that is not a whole Terminate(...) arm cut again at every
-    ";", so a conclusion keeps its ";" and an arm without an arrow stands alone."""
+def _split_arms(arms: str) -> list[tuple[str, re.Match | None]]:
+    """An If line's arms, each with its _ARM_RE match (None for text that is
+    no arm): the text cut at each ";" before a "Y ->" or "N ->", then each
+    piece that is not a whole Terminate(...) arm cut again at every ";", so a
+    conclusion keeps its ";" and an arm without an arrow stands alone."""
     out = []
     for piece in _ARM_SPLIT_RE.split(arms):
         am = _ARM_RE.match(piece.strip())
-        out += [piece] if am and _ARM_TERMINATE_RE.match(am["target"]) else piece.split(";")
+        if ";" not in piece or am and _ARM_TERMINATE_RE.match(am["target"]):
+            out.append((piece, am))
+        else:
+            out += [(part, _ARM_RE.match(part.strip())) for part in piece.split(";")]
     return out
 
 
@@ -216,8 +223,7 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
         question = m.group("question")
         directives = []
         labels_seen = set()
-        for arm_text in _split_arms(m.group("arms")):
-            am = _ARM_RE.match(arm_text.strip())
+        for arm_text, am in _split_arms(m.group("arms")):
             if not am:
                 return [], f"bad conditional arm {arm_text.strip()!r}"
             label = am.group("label")
@@ -276,7 +282,9 @@ def parse_tsg(text: str) -> TsgDocument:
 
     for line_no, raw in enumerate(lines, start=1):
         if in_fence:
-            if raw.startswith("```") and _FENCE_RE.match(raw):
+            # a line of splitlines holds no line break, so each one that
+            # starts with ``` matches _FENCE_RE
+            if raw.startswith("```"):
                 in_fence = False
                 if fence_name and current is not None:
                     if fence_name in query_names:
@@ -297,57 +305,85 @@ def parse_tsg(text: str) -> TsgDocument:
                 fence_name = ""
             continue
 
+        # Each overlay form starts with a literal, so a pattern is tried only
+        # on a line that starts with that literal. A line that no form takes
+        # ends a Next: list, as does every form but the document header,
+        # the Inputs: line and a directive.
         first = raw[:1]
         if first not in _OVERLAY_FIRST_CHARS:
-            next_mode = False
-            continue
-
-        # Each overlay form starts with a literal, so a pattern is tried only
-        # on a line that starts with that literal.
-        fm = first == "`" and _FENCE_RE.match(raw)
-        if fm and raw.startswith("```"):
-            in_fence = True
-            fence_start = line_no
-            fence_name = ""
-            fence_lang = ""
-            info = fm.group("info").strip()
-            im = _FENCE_INFO_RE.match(info)
-            if im:
-                fence_name = im.group("name")
-                fence_lang = im.group("lang")
-            next_mode = False
-            continue
-
-        hm = first == "#" and _STEP_HEADER_RE.match(raw)
-        if hm:
-            step_id = hm.group("id")
-            if step_id in first_line_of:
-                raise DuplicateStepId(
-                    f"step {step_id!r} redefined at line {line_no} "
-                    f"(first defined at line {first_line_of[step_id]})"
-                )
-            first_line_of[step_id] = line_no
-            # the body is set once the next header is known
-            current = TsgStep(id=step_id, title=hm.group("title"), line=line_no)
-            steps.append(current)
-            next_mode = False
-            continue
-        if first == "#" and _STEP_HEADER_PREFIX_RE.match(raw):
-            diagnostics.append(
-                ParseDiagnostic("malformed-header", line_no, f"step header not parseable: {raw!r}")
-            )
-            next_mode = False
-            continue
-
-        if first == "#" and not header_line and current is None:
-            dm = _DOC_HEADER_RE.match(raw)
-            if dm:
-                header_line = line_no
-                tsg_id = dm.group("id")
-                title = dm.group("title")
+            pass
+        elif first == "-":
+            if next_mode and raw.startswith("- "):
+                directives, err = _parse_directive(raw, line_no)
+                if err:
+                    diagnostics.append(
+                        ParseDiagnostic("unparseable-directive", line_no, err)
+                    )
+                elif current is not None:
+                    current.next_directives.extend(directives)
                 continue
-
-        if first == "I" and current is None and not inputs_line:
+        elif first == "#":
+            hm = _STEP_HEADER_RE.match(raw)
+            if hm:
+                step_id = hm.group("id")
+                if step_id in first_line_of:
+                    raise DuplicateStepId(
+                        f"step {step_id!r} redefined at line {line_no} "
+                        f"(first defined at line {first_line_of[step_id]})"
+                    )
+                first_line_of[step_id] = line_no
+                # the body is set once the next header is known
+                current = TsgStep(id=step_id, title=hm.group("title"), line=line_no)
+                steps.append(current)
+            elif _STEP_HEADER_PREFIX_RE.match(raw):
+                diagnostics.append(
+                    ParseDiagnostic(
+                        "malformed-header", line_no, f"step header not parseable: {raw!r}"
+                    )
+                )
+            elif not header_line and current is None:
+                dm = _DOC_HEADER_RE.match(raw)
+                if dm:
+                    header_line = line_no
+                    tsg_id = dm.group("id")
+                    title = dm.group("title")
+                    continue
+        elif first == "N":
+            if _NEXT_HEADING_RE.match(raw):
+                next_mode = True
+                continue
+        elif first == "P":
+            pm = current is not None and _PRODUCES_RE.match(raw)
+            if pm:
+                names, bad = _parse_name_list(pm.group("names"))
+                current.produces.extend(names)
+                for b in bad:
+                    diagnostics.append(
+                        ParseDiagnostic("bad-produces-name", line_no, f"bad produces name {b!r}")
+                    )
+        elif first == "`":
+            fm = _FENCE_RE.match(raw)
+            if fm:
+                in_fence = True
+                fence_start = line_no
+                fence_name = ""
+                fence_lang = ""
+                im = _FENCE_INFO_RE.match(fm.group("info").strip())
+                if im:
+                    fence_name = im.group("name")
+                    fence_lang = im.group("lang")
+        elif first == "T":
+            tm = current is not None and _TERMINATE_RE.match(raw)
+            if tm:
+                if current.terminal_conclusion is None:
+                    current.terminal_conclusion = tm.group("conclusion")
+                else:
+                    diagnostics.append(
+                        ParseDiagnostic(
+                            "duplicate-terminate", line_no, "step already has a Terminate: line"
+                        )
+                    )
+        elif current is None and not inputs_line:  # first == "I"
             im = _INPUTS_RE.match(raw)
             if im:
                 inputs_line = line_no
@@ -358,43 +394,7 @@ def parse_tsg(text: str) -> TsgDocument:
                         ParseDiagnostic("bad-input-name", line_no, f"bad input name {b!r}")
                     )
                 continue
-
-        if next_mode:
-            if raw.startswith("- "):
-                directives, err = _parse_directive(raw, line_no)
-                if err:
-                    diagnostics.append(
-                        ParseDiagnostic("unparseable-directive", line_no, err)
-                    )
-                elif current is not None:
-                    current.next_directives.extend(directives)
-                continue
-            next_mode = False
-
-        if first == "N" and _NEXT_HEADING_RE.match(raw):
-            next_mode = True
-            continue
-
-        pm = first == "P" and _PRODUCES_RE.match(raw)
-        if pm and current is not None:
-            names, bad = _parse_name_list(pm.group("names"))
-            current.produces.extend(names)
-            for b in bad:
-                diagnostics.append(
-                    ParseDiagnostic("bad-produces-name", line_no, f"bad produces name {b!r}")
-                )
-            continue
-
-        tm = first == "T" and _TERMINATE_RE.match(raw)
-        if tm and current is not None:
-            if current.terminal_conclusion is None:
-                current.terminal_conclusion = tm.group("conclusion")
-            else:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        "duplicate-terminate", line_no, "step already has a Terminate: line"
-                    )
-                )
+        next_mode = False
 
     if in_fence:
         diagnostics.append(

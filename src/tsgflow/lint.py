@@ -31,7 +31,7 @@ from pathlib import Path
 from .document import TsgDocument, parse_tsg, read_utf8, step_id_key
 from .errors import JSON_DECODE_ERRORS, TsgflowError
 from .linechild import ChildTimeout, ChildUnavailable, LineChild
-from .queryprep import iter_placeholders
+from .queryprep import scan_placeholders
 
 # rule id -> severity; a rule's category is the prefix of its id
 RULE_SEVERITY = {
@@ -88,8 +88,8 @@ def _finding(rule: str, line: int, message: str) -> LintFinding:
     return LintFinding(rule, _category(rule), line, message, RULE_SEVERITY[rule])
 
 
-_AGO_RE = re.compile(r"\bago\(\s*\d+(?:\.\d+)?\s*(?:ms|s|m|h|d)\s*\)")
-_DATETIME_RE = re.compile(r"\bdatetime\([^)]*\)")
+# an ago(<n><unit>) span or a datetime(...) literal
+_TIME_CONSTANT_RE = re.compile(r"\bago\(\s*\d+(?:\.\d+)?\s*(?:ms|s|m|h|d)\s*\)|\bdatetime\([^)]*\)")
 _VAGUE_RE = re.compile(r"\b(high|low|many|few|significant|large|small)\b", re.IGNORECASE)
 _DIGIT_RE = re.compile(r"\d")
 
@@ -146,7 +146,7 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
                 if (
                     _VAGUE_RE.search(question)
                     and not _DIGIT_RE.search(question)
-                    and next(iter_placeholders(question), None) is None
+                    and not scan_placeholders(question)
                 ):
                     word = _VAGUE_RE.search(question).group(0)
                     findings.append(
@@ -173,9 +173,8 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
             reported: set[str] = set()
             for offset, text in enumerate(block_lines):
                 line_no = block.line + 1 + offset
-                has_placeholder = False
-                for name, _, _ in iter_placeholders(text):
-                    has_placeholder = True
+                names = scan_placeholders(text)
+                for name in names:
                     if name in produced_before or name in reported:
                         continue
                     reported.add(name)
@@ -187,9 +186,7 @@ def lint(doc: TsgDocument, analyzer: "ExternalAnalyzer | None" = None) -> list[L
                             "produced by an earlier step",
                         )
                     )
-                if not has_placeholder and (
-                    _AGO_RE.search(text) or _DATETIME_RE.search(text)
-                ):
+                if not names and _TIME_CONSTANT_RE.search(text):
                     findings.append(
                         _finding(
                             "DI-HARDCODED-TIME",

@@ -627,10 +627,16 @@ class RunScope:
 
     def put(self, key: str, value) -> MemoryRef:
         """Store under the scoped key; the ref, like ref(), names the short key."""
+        ref = self._put(key, value)
+        return MemoryRef(key, ref.kind, ref.value)
+
+    def _put(self, key: str, value) -> MemoryRef:
+        """put() for a caller that reads no ref: returns the store's own,
+        which names the scoped key."""
         _check_key(key)
         ref = self._store.put(self._prefix + key, value)
         self._kinds[key] = ref.kind
-        return MemoryRef(key, ref.kind, ref.value)
+        return ref
 
     def kind(self, key: str) -> str:
         """The kind this scope last put under `key`; for a key it never put,

@@ -64,7 +64,8 @@ def iter_placeholders(text: str):
 
 def scan_placeholders(text: str) -> list[str]:
     """Ordered, de-duplicated placeholder names in a template."""
-    return list(dict.fromkeys(name for name, _, _ in iter_placeholders(text)))
+    # an escape matches with an empty name
+    return list(dict.fromkeys(filter(None, _TOKEN_RE.findall(text))))
 
 
 @dataclass(frozen=True)

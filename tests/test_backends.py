@@ -25,7 +25,8 @@ from tsgflow.engine import (
     StepOutcome,
     run,
 )
-from tsgflow.memory import InvalidValue, MemoryStore, RunScope
+from tsgflow import memory
+from tsgflow.memory import InvalidValue, KeyNotFound, MemoryStore, RunScope
 from tsgflow.scenario import ScenarioIncomplete, ScenarioInvalid
 
 LOOPBACK = Path(__file__).parent / "fixtures" / "loopback_backend.py"
@@ -512,6 +513,48 @@ def test_scripted_attempts_write_memory_whatever_their_result():
     with pytest.raises(InvalidValue):  # the engine fails the step with it
         ScriptedBackend.from_scenario(
             {"steps": {"step1": [dict(failed, memory_writes={"t": [[1]]})]}}).execute(ctx)
+
+
+def test_scripted_writes_reach_the_store_put_and_build_only_its_refs(monkeypatch):
+    """A step's memory writes go through the underlying store's put, one key
+    at a time in key order; the scope records a key's kind only once that put
+    succeeds; and no short-key ref is built beside each one the store returns,
+    while RunScope.put still returns one."""
+    class Recording(MemoryStore):
+        def __init__(self):
+            super().__init__()
+            self.keys = []
+
+        def put(self, key, value):
+            if key.endswith("::bad"):
+                raise OSError("disk full")
+            self.keys.append(key)
+            return super().put(key, value)
+
+    built = []
+
+    class CountedRef(memory.MemoryRef):
+        def __init__(self, key, kind, value):
+            built.append(key)
+            super().__init__(key, kind, value)
+
+    monkeypatch.setattr(memory, "MemoryRef", CountedRef)
+    store = Recording()
+    scope = RunScope(store, "r")
+    ctx = StepContext("r", "step1", "1", "", "", {}, [], [], [], [], [], 1, scope)
+    writes = {"memory_writes": {"b": [1, 2], "a": "x"}}
+    outcome = ScriptedBackend.from_scenario({"steps": {"step1": [writes]}}).execute(ctx)
+    assert outcome.memory_writes == ("a", "b") and store.keys == ["r::a", "r::b"]
+    assert built == ["r::a", "r::b"]
+    assert (scope.kind("a"), scope.kind("b")) == ("scalar", "list")
+    failing = {"memory_writes": {"bad": 1}}
+    with pytest.raises(OSError):
+        ScriptedBackend.from_scenario({"steps": {"step1": [failing]}}).execute(ctx)
+    with pytest.raises(KeyNotFound):
+        scope.kind("bad")
+    ref = scope.put("c", 3)
+    assert (type(ref), ref.key, ref.kind, ref.value.payload) == (CountedRef, "c", "scalar", 3)
+    assert built[2:] == ["r::c", "c"]
 
 
 def test_scripted_backend_reads_either_step_form_of_the_scenario_it_is_given():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsgflow.document import (
+    _ARM_RE,
     _ARM_SPLIT_RE,
     DuplicateStepId,
     MissingEntryStep,
@@ -305,5 +306,11 @@ _ARMS = (st.lists(_ARM_PIECES, max_size=14).map("".join)
 @given(_ARMS)
 def test_split_arms_equals_the_terminate_arm_pattern(arms):
     """_ARM_RE plus _ARM_TERMINATE_RE keep the same pieces whole as the one
-    pattern for a whole Terminate(...) arm did."""
-    assert _split_arms(arms) == terminate_arm_re_split_arms(arms)
+    pattern for a whole Terminate(...) arm did, and each piece comes with
+    its own _ARM_RE match."""
+    pieces = _split_arms(arms)
+    assert [piece for piece, _ in pieces] == terminate_arm_re_split_arms(arms)
+    for piece, am in pieces:
+        want = _ARM_RE.match(piece.strip())
+        assert (am and (am.re, am.string, am.span(), am.groups())) == (
+            want and (want.re, want.string, want.span(), want.groups()))
