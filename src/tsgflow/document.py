@@ -70,7 +70,10 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
 _DIR_STEP_RE = re.compile(r"^- Step (?P<id>\d+(?:\.\d+)*)\s*$")
 _DIR_PARALLEL_RE = re.compile(r"^- Parallel:\s*(?P<targets>.*\S|.)\s*$")
-_DIR_IF_RE = re.compile(r"^- If (?P<question>.+?):\s*(?P<arms>[YN]\s*->(?:.*\S|.))\s*$")
+# A question is ".+?" before its ":": each colon after the first character
+# in turn, as the lazy form tried them, but the runs between are not retried.
+_DIR_IF_RE = re.compile(
+    r"^- If (?P<question>.[^:\n]*(?::[^:\n]*)*?):\s*(?P<arms>[YN]\s*->(?:.*\S|.))\s*$")
 _DIR_TERMINATE_RE = re.compile(r"^- Terminate:\s*(?P<conclusion>.*\S|.)\s*$")
 _ARM_SPLIT_RE = re.compile(r";\s*(?=[YN]\s*->)")
 _ARM_RE = re.compile(r"^(?P<label>[YN])\s*->\s*(?P<target>.*\S|.)\s*$")
@@ -231,20 +234,16 @@ def _parse_directive(text: str, line: int) -> tuple[list[NextDirective], str | N
                 return [], f"duplicate {label!r} arm"
             labels_seen.add(label)
             target = am.group("target")
-            cond = Condition(question=question, label=label)
+            # positional, in the records' field order
+            cond = Condition(question, label)
             sm = _STEP_REF_RE.match(target)
             if sm:
-                directives.append(
-                    NextDirective("conditional", (sm.group("id"),), line, condition=cond)
-                )
+                directives.append(NextDirective("conditional", (sm.group("id"),), line, cond))
                 continue
             tm = _ARM_TERMINATE_RE.match(target)
             if tm:
                 directives.append(
-                    NextDirective(
-                        "terminate", (), line, condition=cond, conclusion=tm.group("conclusion")
-                    )
-                )
+                    NextDirective("terminate", (), line, cond, tm.group("conclusion")))
                 continue
             return [], f"bad arm target {target!r}"
         return directives, None

@@ -137,8 +137,8 @@ class Snapshot(Sequence):
         return self._length
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._items[: self._length][index]
+        if isinstance(index, slice):  # reads only the items the slice names
+            return list(map(self._items.__getitem__, range(*index.indices(self._length))))
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
@@ -163,11 +163,12 @@ class StepContext:
 
     Read-only for backends. `history` and `memory_refs` are snapshots taken
     at dispatch; the plugin, template and memory-ref entries are shared by
-    every context of the run, the outgoing-edge mappings (read-only
-    mappingproxy entries, see StaticContexts) by every run of the bundle, and
-    `cancel` by every context of the run. The engine builds one per
-    dispatch and passes the fields by position, so a new field goes last,
-    with a default.
+    every context of the run, and `cancel` too. `outgoing_edges` is one
+    read-only sequence per node of the bundle, shared by every run of it;
+    its mappingproxy entries (see StaticContexts) are built on the node's
+    first read, not on its dispatch, and then shared as well. The engine
+    builds one context per dispatch and passes the fields by position, so a
+    new field goes last, with a default.
     """
 
     run_id: str
@@ -478,13 +479,63 @@ class RunResult:
         return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in self.trace)
 
 
+class _OutgoingEdges(Sequence):
+    """Read-only sequence of one node's outgoing-edge entries (see
+    StaticContexts). The entries are built on the first read of an item and
+    kept, so every later reader gets the same objects; len() builds none."""
+
+    __slots__ = ("_edges", "_entries")
+    _lock = threading.Lock()  # one for all views: a build is short and happens once
+
+    def __init__(self, edges: tuple[DagEdge, ...]):
+        self._edges = edges
+        self._entries = None
+
+    def _build(self) -> tuple:
+        # two wall runs may read one node at once; the lock makes one of them
+        # build the entries and both see that one tuple
+        with self._lock:
+            if self._entries is None:
+                self._entries = tuple(
+                    MappingProxyType({
+                        "id": e.id,
+                        "to": e.target,
+                        "condition": MappingProxyType(
+                            {"question": e.condition.question, "label": e.condition.label}
+                        ) if e.condition else None,
+                        "conclusion": e.conclusion,
+                    })
+                    for e in self._edges
+                )
+            return self._entries
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __getitem__(self, index):
+        return (self._entries or self._build())[index]
+
+    def __iter__(self):
+        return iter(self._entries or self._build())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_OutgoingEdges, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_OutgoingEdges({list(self)!r})"
+
+
 class StaticContexts(dict):
     """Node id -> (step id, title, text, edges): the parts of the node's
-    StepContext that no run changes, for one compiled DAG and document. Each
-    of the edges is a read-only mappingproxy with the keys id, to, condition
-    and conclusion; a condition is None or a mappingproxy of question and
-    label. An entry is built on its node's first dispatch, so loading a
-    bundle builds none."""
+    StepContext that no run changes, for one compiled DAG and document.
+    `edges` is the node's _OutgoingEdges: each entry is a read-only
+    mappingproxy with the keys id, to, condition and conclusion, and a
+    condition is None or a mappingproxy of question and label. A node's
+    tuple is built on its first dispatch, so loading a bundle builds none,
+    and its edge entries on their first read, so a run whose backend reads
+    no edge builds none either."""
 
     def __init__(self, compiled: CompiledDag, doc: TsgDocument | None):
         super().__init__()
@@ -498,19 +549,9 @@ class StaticContexts(dict):
         step = self._steps.get(node.step_ref)
         if step is not None:
             title, text = step.title, step.body_text()
-        edges = tuple(
-            MappingProxyType({
-                "id": e.id,
-                "to": e.target,
-                "condition": MappingProxyType(
-                    {"question": e.condition.question, "label": e.condition.label}
-                ) if e.condition else None,
-                "conclusion": e.conclusion,
-            })
-            for e in self.compiled.outgoing[node_id]
-        )
-        entry = self[node_id] = (node.step_ref, title, text, edges)
-        return entry
+        # setdefault, so two wall runs that miss one node at once keep one entry
+        return self.setdefault(
+            node_id, (node.step_ref, title, text, _OutgoingEdges(self.compiled.outgoing[node_id])))
 
 
 def _finish(state: RunState) -> list[str]:

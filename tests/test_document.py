@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import overlay_reference
 from tsgflow.document import (
     _ARM_RE,
     _ARM_SPLIT_RE,
+    _DIR_IF_RE,
     DuplicateStepId,
     MissingEntryStep,
     _split_arms,
@@ -314,3 +317,19 @@ def test_split_arms_equals_the_terminate_arm_pattern(arms):
         want = _ARM_RE.match(piece.strip())
         assert (am and (am.re, am.string, am.span(), am.groups())) == (
             want and (want.re, want.string, want.span(), want.groups()))
+
+
+def test_if_question_ends_at_the_colon_the_lazy_form_chose():
+    """Every If line of up to five pieces matches _DIR_IF_RE as the lazy
+    `.+?` question did: a colon as the first character, later colons whose
+    rest is also a valid arm list, and line breaks the question must not
+    cross."""
+    pieces = [":", "x", " ", "Y->x", "N ->x", ";", "\n", "\r"]
+    lines = 0
+    for size in range(6):
+        for parts in product(pieces, repeat=size):
+            line = "- If " + "".join(parts)
+            want, got = overlay_reference._DIR_IF_RE.match(line), _DIR_IF_RE.match(line)
+            assert (got and (got.span(), got.groups())) == (want and (want.span(), want.groups()))
+            lines += 1
+    assert lines == sum(len(pieces) ** size for size in range(6))

@@ -4,10 +4,13 @@ import copy
 import dataclasses
 import heapq
 import sys
+import threading
+import time
 
 import pytest
 
 import tsgflow.dag
+import tsgflow.engine
 from conftest import FIG5_DIR
 from randdag import random_scripted_dag, steps_from_assignment, success_assignments
 from tsgflow.backends import ScriptedBackend
@@ -845,6 +848,31 @@ def test_snapshot_equality_and_repr():
     assert repr(snapshot) == "Snapshot([{'node': 'step1'}])"
 
 
+class _NoSlicing(list):
+    """A list whose slicing raises, so a view that copies a prefix fails."""
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            raise AssertionError(f"sliced with {index!r}")
+        return super().__getitem__(index)
+
+
+def test_snapshot_slices_read_only_the_items_they_name():
+    items = _NoSlicing(range(7))
+    snapshot = Snapshot(items)
+    items += [7, 8]  # appended after the snapshot, so never seen
+    seen = list(range(7))
+    bounds = [None, -10, -7, -4, -1, 0, 1, 3, 6, 7, 12]
+    for step in (None, 1, -1, 3, -3):
+        for start in bounds:
+            for stop in bounds:
+                sl = slice(start, stop, step)
+                got = snapshot[sl]
+                assert type(got) is list and got == seen[sl], sl
+    with pytest.raises(ValueError):
+        snapshot[::0]
+
+
 def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag(monkeypatch):
     loaded = load_bundle(FIG5_DIR)
     assert loaded.static_contexts == {}  # loading builds no entry
@@ -915,3 +943,112 @@ def test_two_runs_of_one_bundle_see_equal_contexts(fig5_scenario):
         with pytest.raises(AttributeError, match="'mappingproxy' object has no attribute"):
             setattr(condition, name, "N")
     assert condition["label"] in ("Y", "N")
+
+
+def _count_edge_mappings(monkeypatch) -> list:
+    """Count the mappingproxies the engine builds from here on."""
+    built, real = [], tsgflow.engine.MappingProxyType
+
+    def counting(mapping):
+        built.append(mapping)
+        return real(mapping)
+
+    monkeypatch.setattr(tsgflow.engine, "MappingProxyType", counting)
+    return built
+
+
+def _edge_mappings(outgoing) -> int:
+    """The mappingproxies a node's entries hold: one per edge, one per condition."""
+    return len(outgoing) + sum(e.condition is not None for e in outgoing)
+
+
+def test_a_scripted_run_of_a_fresh_bundle_builds_no_edge_entry(monkeypatch, fig5_scenario):
+    built = _count_edge_mappings(monkeypatch)
+    bundle = load_bundle(FIG5_DIR)
+    seen = []
+    result = run(bundle, _recording(ScriptedBackend.from_scenario(fig5_scenario), seen),
+                 RunConfig(max_executors=2), incident=fig5_scenario["incident"])
+    assert result.status is RunStatus.CONCLUDED and len(seen) > 3
+    assert built == []
+    # len() and truth read no entry
+    assert [len(c.outgoing_edges) for c in seen] == [
+        len(bundle.compiled.outgoing[c.node_id]) for c in seen]
+    assert all(bool(c.outgoing_edges) for c in seen) and built == []
+
+    outgoing = bundle.compiled.outgoing[seen[0].node_id]
+    entries = list(seen[0].outgoing_edges)  # the first read builds the node's entries
+    assert len(built) == _edge_mappings(outgoing)
+    assert [e["id"] for e in entries] == [e.id for e in outgoing]
+    assert seen[0].outgoing_edges[0] is entries[0] and len(built) == _edge_mappings(outgoing)
+
+
+def test_a_reading_backend_builds_each_nodes_entries_once(monkeypatch, fig5_scenario):
+    built = _count_edge_mappings(monkeypatch)
+    bundle = load_bundle(FIG5_DIR)
+    runs = []
+    for _ in range(2):
+        seen = []
+        run(bundle, _recording(ScriptedBackend.from_scenario(fig5_scenario), seen),
+            RunConfig(max_executors=2), incident=fig5_scenario["incident"])
+        runs.append([(c.node_id, list(c.outgoing_edges)) for c in seen])
+    nodes = {node_id for node_id, _ in runs[0]}
+    assert len(built) == sum(_edge_mappings(bundle.compiled.outgoing[n]) for n in nodes)
+    assert [n for n, _ in runs[0]] == [n for n, _ in runs[1]]
+    for (_, first), (_, second) in zip(*runs):
+        assert len(first) == len(second) and all(a is b for a, b in zip(first, second))
+
+
+def test_outgoing_edges_slice_compare_and_repr():
+    bundle = load_bundle(FIG5_DIR)
+    node_id = max(bundle.compiled.outgoing, key=lambda n: len(bundle.compiled.outgoing[n]))
+    edges = bundle.static_contexts[node_id][3]
+    entries = tuple(edges)
+    assert len(entries) >= 2
+    assert edges[1:] == entries[1:] and edges[-1] is entries[-1] and edges[::-1] == entries[::-1]
+    with pytest.raises(IndexError):
+        edges[len(entries)]
+    assert edges == entries and edges == list(entries) and edges == edges
+    assert edges != entries[1:] and edges != [] and edges.__eq__(entries[0]) is NotImplemented
+    assert repr(edges) == f"_OutgoingEdges({list(entries)!r})"
+    assert edges.index(entries[1]) == 1 and entries[0] in edges
+    assert [dict(e) for e in reversed(edges)] == [dict(e) for e in entries[::-1]]
+
+
+def test_two_threads_reading_one_node_get_the_same_entries(monkeypatch):
+    # each build sleeps, so the two threads' first reads overlap
+    real_build = tsgflow.engine.MappingProxyType
+
+    def slow(mapping):
+        time.sleep(0.002)
+        return real_build(mapping)
+
+    monkeypatch.setattr(tsgflow.engine, "MappingProxyType", slow)
+    real_view = tsgflow.engine._OutgoingEdges
+
+    class SlowView(real_view):
+        __slots__ = ()
+
+        def __init__(self, edges):
+            time.sleep(0.002)
+            super().__init__(edges)
+
+    monkeypatch.setattr(tsgflow.engine, "_OutgoingEdges", SlowView)
+    for _ in range(3):
+        bundle = load_bundle(FIG5_DIR)
+        node_id = next(n for n, out in bundle.compiled.outgoing.items() if len(out) >= 2)
+        barrier, got = threading.Barrier(2), [None, None]
+
+        def read(i):
+            barrier.wait(timeout=10)
+            entry = bundle.static_contexts[node_id]
+            got[i] = (entry, list(entry[3]))
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        (entry_a, entries_a), (entry_b, entries_b) = got
+        assert entry_a is entry_b
+        assert len(entries_a) >= 2 and all(a is b for a, b in zip(entries_a, entries_b))
