@@ -38,7 +38,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
+from itertools import count, islice
 from types import MappingProxyType
 
 from .dag import END, START, CompiledDag, DagEdge, ExecutionDag, compile_dag
@@ -157,6 +157,42 @@ class Snapshot(Sequence):
         return f"Snapshot({list(self)!r})"
 
 
+class Trace(Sequence):
+    """Read-only view of a run's trace, kept as four parallel column lists:
+    an event's t, kind, subject and detail sit at its seq in each. A read
+    builds the TraceEvents it returns, so the run itself builds none; the
+    view sees events appended after it was made. It holds the columns, not
+    the RunState, so a run and its view form no reference cycle."""
+
+    __slots__ = ("_t", "_kind", "_subject", "_detail")
+
+    def __init__(self, t: list, kind: list, subject: list, detail: list):
+        self._t, self._kind, self._subject, self._detail = t, kind, subject, detail
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __getitem__(self, index):
+        # a range indexes as a list does: an int seq, or a range of them for
+        # a slice, and IndexError out of range; only those events are built
+        seqs = range(len(self._t))[index]
+        return list(map(self._event, seqs)) if isinstance(index, slice) else self._event(seqs)
+
+    def _event(self, seq: int) -> TraceEvent:
+        return TraceEvent(self._t[seq], seq, self._kind[seq], self._subject[seq], self._detail[seq])
+
+    def __iter__(self):
+        return map(TraceEvent, self._t, count(), self._kind, self._subject, self._detail)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Trace, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+
 @dataclass
 class StepContext:
     """Everything an executor may see while working on exactly one step.
@@ -265,7 +301,12 @@ class Bundle:
 
 
 class RunState:
-    """Tri-state of one run plus its trace; owned by a single scheduler loop."""
+    """Tri-state of one run plus its trace; owned by a single scheduler loop.
+
+    The trace is kept in four column lists, an event's t, kind, subject and
+    detail, with its seq the index into each, so emitting an event builds no
+    object beyond its detail dict. `trace` is a read-only Trace over the
+    columns, whose TraceEvents are built on read."""
 
     def __init__(self, dag: ExecutionDag | CompiledDag, retry_limit: int = RunConfig.retry_limit):
         compiled = dag if isinstance(dag, CompiledDag) else compile_dag(dag)
@@ -282,7 +323,9 @@ class RunState:
         self.status = RunStatus.RUNNING
         self.conclusion: str | None = None
         self.concluding_edge: str | None = None
-        self.trace: list[TraceEvent] = []
+        columns = [], [], [], []  # t, kind, subject, detail
+        self._trace_t, self._trace_kind, self._trace_subject, self._trace_detail = columns
+        self.trace = Trace(*columns)
         self.history: list[dict] = []
         self.memory_refs: list[dict] = []  # {"key", "kind"} of each write, as contexts see it
         self._in_unresolved = dict(compiled.in_degree)  # counted down to 0 as edges resolve
@@ -292,7 +335,13 @@ class RunState:
     # -- trace ---------------------------------------------------------------
 
     def emit(self, kind: str, subject: str, detail: dict) -> None:
-        self.trace.append(TraceEvent(self.clock, len(self.trace), kind, subject, detail))
+        """Append one event, at the run's clock, as the next seq. The hot
+        paths in _resolve, apply_outcome and run() append to the four columns
+        the same way inline."""
+        self._trace_t.append(self.clock)
+        self._trace_kind.append(kind)
+        self._trace_subject.append(subject)
+        self._trace_detail.append(detail)
 
     # -- queue ---------------------------------------------------------------
 
@@ -313,9 +362,10 @@ class RunState:
             raise EngineError(f"edge {eid} already resolved to {current.value}")
         self.edge_state[eid] = new_state
         enabled = new_state is _ENABLED
-        trace = self.trace
-        kind = "edge_enabled" if enabled else "edge_disabled"
-        trace.append(TraceEvent(self.clock, len(trace), kind, eid, {"via": via}))
+        self._trace_t.append(self.clock)
+        self._trace_kind.append("edge_enabled" if enabled else "edge_disabled")
+        self._trace_subject.append(eid)
+        self._trace_detail.append({"via": via})
         target = edge.target
         if target == END:
             if enabled and self.status is _RUNNING:
@@ -420,16 +470,21 @@ def apply_outcome(state: RunState, node_id: str, outcome: StepOutcome) -> tuple[
         if decision != "enable" and (decision != "disable" or edge.condition is None):
             _check_decisions(node_id, outgoing, decisions)
 
-    trace, clock = state.trace, state.clock
-    trace.append(TraceEvent(clock, len(trace), "node_succeeded", node_id,
-                            {"attempt": attempt, "duration": outcome.duration,
-                             "summary": outcome.summary}))
+    clock, trace_t, trace_kind, trace_subject, trace_detail = (
+        state.clock, state._trace_t, state._trace_kind, state._trace_subject, state._trace_detail)
+    trace_t.append(clock)
+    trace_kind.append("node_succeeded")
+    trace_subject.append(node_id)
+    trace_detail.append(
+        {"attempt": attempt, "duration": outcome.duration, "summary": outcome.summary})
     keys = ()
     if outcome.memory_writes:
         keys = tuple(sorted(outcome.memory_writes))
-        append = trace.append
         for key in keys:
-            append(TraceEvent(clock, len(trace), "memory_put", key, {"node": node_id}))
+            trace_t.append(clock)
+            trace_kind.append("memory_put")
+            trace_subject.append(key)
+            trace_detail.append({"node": node_id})
     state.history.append(
         {"node": node_id, "result": "success", "summary": outcome.summary, "attempt": attempt}
     )
@@ -467,16 +522,27 @@ def _check_decisions(node_id: str, outgoing: tuple[DagEdge, ...], decisions: dic
 
 @dataclass
 class RunResult:
+    """What run() returns. `trace` is the run's Trace: a read-only sequence
+    of TraceEvents, built on read from the run's trace columns, that compares
+    equal to a list of the same events."""
+
     status: RunStatus
     conclusion: str | None
-    trace: list[TraceEvent]
+    trace: Trace
     makespan: float
     executed: list[str]
     cancelled: list[str]
     state: "RunState | None" = None
 
     def trace_jsonl(self) -> str:
-        return "".join(json.dumps(ev.to_obj(), ensure_ascii=False) + "\n" for ev in self.trace)
+        """One JSON line per event, each TraceEvent.to_obj() of the event,
+        encoded from the trace's columns without building the events."""
+        trace, dumps = self.trace, json.dumps
+        return "".join(
+            dumps({"t": t, "seq": seq, "kind": kind, "subject": subject, "detail": detail},
+                  ensure_ascii=False) + "\n"
+            for t, seq, kind, subject, detail in zip(
+                trace._t, count(), trace._kind, trace._subject, trace._detail))
 
 
 class _OutgoingEdges(Sequence):
@@ -622,9 +688,10 @@ def run(
              else _WallClock(backend))
     statics, plugins, templates = (
         bundle.static_contexts, bundle.plugin_summaries, bundle.template_names)
-    ready, queued, running, attempts, trace, history, refs = (
-        state.ready, state.queued, state.running, state.attempts, state.trace, state.history,
-        state.memory_refs)
+    ready, queued, running, attempts, history, refs = (
+        state.ready, state.queued, state.running, state.attempts, state.history, state.memory_refs)
+    trace_t, trace_kind, trace_subject, trace_detail = (
+        state._trace_t, state._trace_kind, state._trace_subject, state._trace_detail)
     pop, now, start, next_done, kind = (
         heapq.heappop, clock.now, clock.start, clock.next_done, scope.kind)
     try:
@@ -642,7 +709,10 @@ def run(
                     plugins, templates, Snapshot(refs), attempt, scope, cancel, clock_name,
                 )
                 t = state.clock = now()
-                trace.append(TraceEvent(t, len(trace), "node_started", node_id, {"attempt": attempt}))
+                trace_t.append(t)
+                trace_kind.append("node_started")
+                trace_subject.append(node_id)
+                trace_detail.append({"attempt": attempt})
                 start(node_id, ctx)
             if not running:
                 break
@@ -664,7 +734,7 @@ def run(
         status=state.status,
         conclusion=state.conclusion,
         trace=state.trace,
-        makespan=state.trace[-1].t,
+        makespan=state._trace_t[-1],
         executed=executed,
         cancelled=cancelled,
         state=state,

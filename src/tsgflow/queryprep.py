@@ -54,14 +54,6 @@ class ManifestInvalid(TemplateError):
 _TOKEN_RE = re.compile(r"\{\{|\}\}|\{(?P<name>[A-Za-z][A-Za-z0-9_]*)\}")
 
 
-def iter_placeholders(text: str):
-    """Yield (name, start, end) for each placeholder marker, skipping escapes."""
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(0) in ("{{", "}}"):
-            continue
-        yield m.group("name"), m.start(), m.end()
-
-
 def scan_placeholders(text: str) -> list[str]:
     """Ordered, de-duplicated placeholder names in a template."""
     # an escape matches with an empty name

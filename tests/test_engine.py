@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import heapq
+import json
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -30,6 +33,8 @@ from tsgflow.engine import (
     Snapshot,
     StaleOutcome,
     StepOutcome,
+    Trace,
+    TraceEvent,
     UnknownNode,
     apply_outcome,
     run,
@@ -871,6 +876,124 @@ def test_snapshot_slices_read_only_the_items_they_name():
                 assert type(got) is list and got == seen[sl], sl
     with pytest.raises(ValueError):
         snapshot[::0]
+
+
+# -- trace columns ------------------------------------------------------------
+
+def _is_atomic(value) -> bool:
+    return type(value) in (str, int, float, bool, type(None))
+
+
+def _events_of(result) -> list[TraceEvent]:
+    """The run's events as a plain list, read back from its JSONL trace."""
+    return [TraceEvent(**json.loads(line)) for line in result.trace_jsonl().splitlines()]
+
+
+def test_trace_reads_as_the_list_of_its_events(fig5_bundle, fig5_scenario):
+    result = run(fig5_bundle, ScriptedBackend.from_scenario(fig5_scenario),
+                 RunConfig(max_executors=3))
+    trace, events = result.trace, _events_of(result)
+    n = len(events)
+    assert type(trace) is Trace and len(trace) == n > 10
+    assert list(trace) == events and list(reversed(trace)) == events[::-1]
+    assert [ev.seq for ev in trace] == list(range(n))
+    for i in range(-n, n):
+        assert trace[i] == events[i], i
+    for i in (n, n + 3, -n - 1, -n - 5):
+        with pytest.raises(IndexError):
+            trace[i]
+    bounds = [None, -n - 3, -n, -n + 1, -4, -1, 0, 1, 3, n - 1, n, n + 5]
+    for step in (None, 1, -1, 3, -3):
+        for start in bounds:
+            for stop in bounds:
+                sl = slice(start, stop, step)
+                got = trace[sl]
+                assert type(got) is list and got == events[sl], sl
+    with pytest.raises(ValueError):
+        trace[::0]
+    # each read builds a new event around the one detail dict the run emitted,
+    # which the collector does not track while it holds only atomic values
+    assert trace[3] is not trace[3] and trace[3].detail is trace[3].detail
+    assert all(_is_atomic(v) for ev in trace for v in ev.detail.values())
+    assert not any(gc.is_tracked(ev.detail) for ev in trace)
+    assert result.status is RunStatus.CONCLUDED and result.makespan == trace[-1].t
+
+
+def test_trace_compares_with_lists_both_ways_and_has_a_repr(fig5_bundle, fig5_scenario):
+    def once() -> Trace:
+        return run(fig5_bundle, ScriptedBackend.from_scenario(fig5_scenario),
+                   RunConfig(max_executors=2)).trace
+
+    trace = once()
+    events = list(trace)
+    assert trace == events and events == trace and trace == trace and trace == once()
+    assert not trace != events and not events != trace
+    assert trace != events[:-1] and events[:-1] != trace and trace != events[1:]
+    assert trace != [] and [] != trace
+    assert trace.__eq__(tuple(events)) is NotImplemented  # neither a Trace nor a list
+    assert trace != tuple(events) and trace != events[0]
+    assert repr(trace) == f"Trace({events!r})"
+    assert trace.index(events[5]) == 5 and events[-1] in trace
+
+
+def test_a_run_states_trace_sees_events_emitted_after_it_is_read():
+    state = RunState(tsgflow.dag.compile_dag(linear_dag(1)))
+    trace = state.trace
+    assert len(trace) == 0 and trace == [] and repr(trace) == "Trace([])"
+    state.emit("run_started", "run", {"clock": "virtual"})
+    state.clock = 2
+    state.emit("node_disabled", "step1", {"reason": "r"})
+    assert trace == [TraceEvent(0, 0, "run_started", "run", {"clock": "virtual"}),
+                     TraceEvent(2, 1, "node_disabled", "step1", {"reason": "r"})]
+    assert state.trace is trace
+
+
+def test_a_run_keeps_no_tracked_object_per_trace_event_and_is_freed_without_the_collector():
+    n = 1000
+    steps = {
+        f"step{i}": [{
+            "result": "success", "latency": 1,
+            "edge_decisions": {edge_id(f"step{i}", f"step{i + 1}" if i < n else "end"): "enable"},
+            **({"memory_writes": {f"key{i}": i}} if i % 100 == 0 else {}),
+        }]
+        for i in range(1, n + 1)
+    }
+    bundle = bundle_of(linear_dag(n))
+
+    # held, so that none of them is freed and its id reused while the test runs
+    earlier = [o for o in gc.get_objects() if type(o) is TraceEvent]
+
+    def new_trace_events() -> int:
+        ids = set(map(id, earlier))
+        return sum(type(o) is TraceEvent and id(o) not in ids for o in gc.get_objects())
+
+    result = run(bundle, scripted(steps), RunConfig(max_executors=2))
+    assert result.status is RunStatus.CONCLUDED and result.conclusion == "finished"
+    assert new_trace_events() == 0  # the run built no TraceEvent
+
+    state = result.state
+    columns = (state._trace_t, state._trace_kind, state._trace_subject, state._trace_detail)
+    assert len(set(map(len, columns))) == 1 and len(result.trace) > 3 * n
+    assert sum(1 for kind in state._trace_kind if kind == "memory_put") == n // 100
+    assert all(_is_atomic(v) for detail in state._trace_detail for v in detail.values())
+    assert not any(gc.is_tracked(item) for column in columns for item in column)
+
+    events = list(result.trace)
+    assert new_trace_events() == len(events)
+    assert all(ev.detail is detail for ev, detail in zip(events, state._trace_detail))
+    del events, columns, state, earlier
+
+    freed = weakref.ref(result.state)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        collections = [s["collections"] for s in gc.get_stats()]
+        del result
+        assert freed() is None  # reference counting alone freed the run
+        assert [s["collections"] for s in gc.get_stats()] == collections
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_static_contexts_built_lazily_and_rebuilt_for_a_new_dag(monkeypatch):

@@ -19,9 +19,9 @@ from tsgflow.queryprep import (
     UnknownParameter,
     UnrenderableValue,
     TemplateError,
+    _TOKEN_RE,
     dump_manifest,
     extract_templates,
-    iter_placeholders,
     load_manifest,
     prepare_query,
     render_param,
@@ -229,6 +229,14 @@ def test_prepared_query_is_frozen_record():
     prepared = PreparedQuery("t", "text", {"a": "1"})
     with pytest.raises(Exception):
         prepared.text = "other"
+
+
+def iter_placeholders(text: str):
+    """Yield (name, start, end) for each placeholder marker, skipping escapes."""
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(0) in ("{{", "}}"):
+            continue
+        yield m.group("name"), m.start(), m.end()
 
 
 def cursor_loop_prepare(template: QueryTemplate, params: dict) -> PreparedQuery:
